@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -34,8 +35,8 @@ from . import __version__
 from .errors import ConvergenceError, DomainError, HyplevyError
 from .measures import (
     DimensionPair,
+    _log_cumulant,
     codim_limit_cumulant,
-    cumulant,
     log_variance,
     make_measure,
     variance,
@@ -69,10 +70,6 @@ _EXIT_INVALID = 2
 _EXIT_NUMERICAL = 3
 
 
-def _fmt(value: float) -> str:
-    return "%.17g" % float(value)
-
-
 def _out_path(name: str) -> Path:
     path = Path(name)
     if not path.is_absolute():
@@ -93,15 +90,15 @@ def _provenance(argv: list[str], **extra) -> dict:
     return prov
 
 
-def _write_csv(path: Path, header: list[str], rows, prov: dict) -> None:
+def _write_csv(path: Path, header: list[str], columns, prov: dict) -> None:
+    """Write one column per header name: integer columns as %d, the rest
+    with %.17g, one row format applied to the columns' Python values."""
+    arrays = [np.asarray(col) for col in columns]
+    row_fmt = ",".join("%d" if a.dtype.kind in "iu" else "%.17g" for a in arrays) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write("# provenance: " + json.dumps(prov, sort_keys=True) + "\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(str(v) if isinstance(v, (int, np.integer)) else _fmt(v) for v in row)
-                + "\n"
-            )
+        fh.write("".join([row_fmt % row for row in zip(*(a.tolist() for a in arrays))]))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -226,12 +223,9 @@ def _cmd_cumulants(args: argparse.Namespace, argv: list[str]) -> int:
         if args.d is None or args.k is None:
             raise DomainError(f"--family {args.family} requires --d and --k")
         pair = DimensionPair(args.d, args.k)
-        raw = {m: cumulant(pair, m) for m in orders}
-        if args.family == "rescaled":
-            sig2 = variance(pair)
-            values = {str(m): raw[m] / sig2 for m in orders}
-        else:
-            values = {str(m): raw[m] for m in orders}
+        # rescaled: divide in log space, sigma^2 itself underflows for large d
+        log_scale = log_variance(pair) if args.family == "rescaled" else 0.0
+        values = {str(m): math.exp(_log_cumulant(pair, m) - log_scale) for m in orders}
     payload["cumulants"] = values
     _print_json(payload)
     return _EXIT_OK
@@ -244,7 +238,7 @@ def _cmd_density(args: argparse.Namespace, argv: list[str]) -> int:
     )
     path = _out_path(args.out)
     prov = _provenance(argv)
-    _write_csv(path, ["x", "value"], zip(grid.xs, grid.values), prov)
+    _write_csv(path, ["x", "value"], [grid.xs, grid.values], prov)
     meta = dict(grid.meta)
     meta.update(_measure_tag(args))
     _write_json(path.with_name(path.name + ".meta.json"), meta)
@@ -257,25 +251,9 @@ def _cmd_probe(args: argparse.Namespace, argv: list[str]) -> int:
     table = probe_regime(family, _int_list(args.n), _float_list(args.eps))
     path = _out_path(args.out)
     prov = _provenance(argv)
-    rows = [
-        (
-            row.n,
-            row.d,
-            row.k,
-            row.r,
-            row.sigma,
-            row.threshold_stat,
-            row.epsilon,
-            row.tail_second_moment,
-        )
-        for row in table.rows
-    ]
-    _write_csv(
-        path,
-        ["n", "d", "k", "r", "sigma", "threshold_stat", "epsilon", "tail_second_moment"],
-        rows,
-        prov,
-    )
+    header = ["n", "d", "k", "r", "sigma", "threshold_stat", "epsilon", "tail_second_moment"]
+    columns = [[getattr(row, name) for row in table.rows] for name in header]
+    _write_csv(path, header, columns, prov)
     verdict = table.verdict
     _write_json(
         path.with_name(path.name + ".meta.json"),
@@ -285,7 +263,7 @@ def _cmd_probe(args: argparse.Namespace, argv: list[str]) -> int:
             "rationale": verdict.rationale,
         },
     )
-    print(f"wrote {path} ({len(rows)} rows, verdict {verdict.label})")
+    print(f"wrote {path} ({len(table.rows)} rows, verdict {verdict.label})")
     return _EXIT_OK
 
 
@@ -309,7 +287,7 @@ def _cmd_sample(args: argparse.Namespace, argv: list[str]) -> int:
     batch = sample(measure, args.n, config)
     path = _out_path(args.out)
     prov = _provenance(argv, seed=args.seed)
-    _write_csv(path, ["value"], ((v,) for v in batch.values), prov)
+    _write_csv(path, ["value"], [batch.values], prov)
     sidecar = dict(batch.diagnostics)
     sidecar.update(_measure_tag(args))
     sidecar["n"] = args.n
@@ -387,10 +365,12 @@ def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
     ):
         raise DomainError('manifest must look like {"runs": [{"argv": [...]}, ...]}')
 
+    parser = build_parser()
+
     def one(run_argv: list[str]):
         if run_argv and run_argv[0] == "sweep":
             return _EXIT_INVALID, "nested sweep is not allowed"
-        return _execute([str(tok) for tok in run_argv])
+        return _execute([str(tok) for tok in run_argv], parser)
 
     argvs = [r["argv"] for r in runs]
     if args.parallel > 1:
@@ -487,9 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _execute(argv: list[str]) -> tuple[int, str | None]:
-    """Parse and run one command line; (exit_code, error message or None)."""
-    parser = build_parser()
+def _execute(argv: list[str], parser: argparse.ArgumentParser) -> tuple[int, str | None]:
+    """Parse and run one command line with parser (from build_parser);
+    (exit_code, error message or None)."""
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -508,7 +488,7 @@ def _execute(argv: list[str]) -> tuple[int, str | None]:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    code, message = _execute(list(argv))
+    code, message = _execute(list(argv), build_parser())
     if message:
         print(f"hyplevy: error: {message}", file=sys.stderr)
     return code

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InadmissiblePairError
-from .specfun import log_beta, log_gamma
+from .specfun import log_gamma, log_gamma_ratio
 
 __all__ = [
     "DimensionPair",
@@ -135,20 +135,23 @@ def sphere_surface(b: float) -> float:
     return math.exp(log_sphere_surface(b))
 
 
+def _log_cumulant(pair: DimensionPair, m: int) -> float:
+    """log of the m-th moment of the finite-dimension measure,
+    pi^((d-k)/2) Gamma(p) / Gamma(p + (d-k)/2) with p = ((k-1)m - (d-1))/2."""
+    p = 0.5 * ((pair.k - 1) * m - (pair.d - 1))
+    return 0.5 * pair.codim * math.log(math.pi) - log_gamma_ratio(p, 0.5 * pair.codim)
+
+
 def log_variance(pair: DimensionPair) -> float:
     """log of the total second moment of the finite-dimension measure."""
-    return (
-        0.5 * pair.codim * math.log(math.pi)
-        + log_gamma(0.5 * pair.r)
-        - log_gamma(0.5 * (pair.k - 1))
-    )
+    return _log_cumulant(pair, 2)
 
 
 def variance(pair: DimensionPair) -> float:
     """Total second moment (the variance of the zero-mean law).
 
-    Closed form pi^((d-k)/2) Gamma((2k-d-1)/2) / Gamma((k-1)/2); exact at
-    half integers through the recursion fast path of log_gamma.
+    Closed form pi^((d-k)/2) Gamma((2k-d-1)/2) / Gamma((k-1)/2); the Gamma
+    ratio is evaluated by log_gamma_ratio.
     """
     return math.exp(log_variance(pair))
 
@@ -161,12 +164,7 @@ def cumulant(pair: DimensionPair, m: int) -> float:
     """
     if not (isinstance(m, int) and m >= 2):
         raise DomainError(f"cumulant requires integer order m >= 2, got {m!r}")
-    p = 0.5 * ((pair.k - 1) * m - (pair.d - 1))
-    return math.exp(
-        log_sphere_surface(pair.codim)
-        - math.log(2.0)
-        + log_beta(p, 0.5 * pair.codim)
-    )
+    return math.exp(_log_cumulant(pair, m))
 
 
 def _pair_density(pair: DimensionPair, x, log_coef: float):

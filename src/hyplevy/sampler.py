@@ -40,7 +40,7 @@ from .errors import (
     DomainError,
     SamplerConfigError,
 )
-from .measures import LevyMeasure1D, cumulant, log_sphere_surface, log_variance
+from .measures import LevyMeasure1D, _log_cumulant, log_sphere_surface, log_variance
 from .quadrature import exp_sinh, gauss_legendre_nodes, tanh_sinh
 from .specfun import log_gamma, reg_inc_beta
 
@@ -163,9 +163,8 @@ def partial_moment(measure: LevyMeasure1D, delta: float, m: int, side: str) -> f
         if m >= 2:
             p = 0.5 * ((pair.k - 1.0) * m - (pair.d - 1.0))
             frac = reg_inc_beta(p, 0.5 * pair.codim, a)
-            total = cumulant(pair, m)
-            if measure.family == "rescaled":
-                total /= math.exp(log_variance(pair))
+            log_scale = log_variance(pair) if measure.family == "rescaled" else 0.0
+            total = math.exp(_log_cumulant(pair, m) - log_scale)
             return total * (frac if side == "below" else 1.0 - frac)
         # m == 1 above the cutoff: the same u-integral, exponent shifted
         e_pow = 0.5 * ((pair.k - 1.0) * m - pair.d - 1.0)

@@ -11,13 +11,16 @@ so the integrand never spans more than two decades per panel.
 from __future__ import annotations
 
 import math
+import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import binom
 
+import hyplevy
 from hyplevy.measures import DimensionPair, make_measure
 from hyplevy.spectral import invert_to_density
 
@@ -147,3 +150,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture(scope="session")
 def pairs_d60() -> list[tuple[int, int]]:
     return admissible_pairs(60)
+
+
+def hyplevy_env(**extra: str) -> dict:
+    """os.environ for a child interpreter that imports this same hyplevy."""
+    src = str(Path(hyplevy.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)

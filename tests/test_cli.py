@@ -2,11 +2,15 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from hyplevy.cli import main
+import hyplevy.cli
+from conftest import hyplevy_env
+from hyplevy.cli import _write_csv, main
 
 
 def run(capsys, *argv):
@@ -80,6 +84,13 @@ class TestCumulants:
         vals = json.loads(out)["cumulants"]
         assert math.isclose(vals["2"], 1.0, rel_tol=1e-12)
         assert math.isclose(vals["3"], 0.5, rel_tol=1e-12)
+
+    def test_rescaled_family_survives_an_underflowing_variance(self, capsys):
+        # sigma^2 = exp(log sigma^2) is 0.0 in double precision here
+        code, out, _ = run(capsys, "cumulants", "--family", "rescaled", "--d", "1000000",
+                           "--k", "500355", "--max-order", "4")
+        assert code == 0
+        assert json.loads(out)["cumulants"] == {"2": 1.0, "3": 0.0, "4": 0.0}
 
     def test_order_validation(self, capsys):
         code, _, err = run(capsys, "cumulants", "--family", "limit", "--b", "2",
@@ -205,6 +216,26 @@ class TestSample:
         assert prov_a == prov_b
 
 
+class TestCsvWriter:
+    def test_bytes_follow_the_per_cell_rule(self, outdir):
+        columns = [
+            [0, 7, -3, 2**40],
+            np.array([1, -2, 3, 4], dtype=np.int32),
+            np.array([-12.0, 0.1, 1e-300, -0.0]),
+            [1.0 / 3.0, 2.5e17, math.inf, math.nan],
+        ]
+        prov = {"argv": ["x"], "version": "0"}
+        path = outdir / "mixed.csv"
+        _write_csv(path, ["a", "b", "c", "d"], columns, prov)
+        want = "# provenance: " + json.dumps(prov, sort_keys=True) + "\na,b,c,d\n"
+        for row in zip(*columns):
+            want += ",".join(
+                str(v) if isinstance(v, (int, np.integer)) else "%.17g" % float(v) for v in row
+            ) + "\n"
+        assert path.read_bytes() == want.encode()
+        assert want.splitlines()[2].split(",")[2] == "-12"
+
+
 class TestSweep:
     def write_manifest(self, outdir, runs, name="m.json"):
         path = outdir / name
@@ -241,6 +272,47 @@ class TestSweep:
         report = json_objects(out)[-1]
         assert report["runs"][0]["error"] == "nested sweep is not allowed"
         assert report["runs"][0]["exit_code"] == 2
+
+    def test_parallel_sweep_writes_the_serial_bytes(self, capsys, outdir, monkeypatch):
+        # power-law probes to d = 1e6; the parallel run gets a fresh interpreter
+        # so that no state left by earlier tests in this process can hide a race
+        laws = ((1.0, 0.3), (1.2, 0.7), (1.5, 0.5), (0.8, 0.5))
+        runs = [
+            ["probe", "--sequence", "power-law", "--gamma", str(g), "--beta", str(b),
+             "--n", "1,10,100,1000,10000,50000,140000,250000", "--eps", "0.1,0.5,2",
+             "--out", f"p{i}.csv"]
+            for i, (g, b) in enumerate(laws)
+        ]
+        path = self.write_manifest(outdir, runs)
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyplevy.cli", "sweep", str(path), "--parallel", "2"],
+            capture_output=True, text=True, timeout=300,
+            env=hyplevy_env(HYPLEVY_OUTDIR=str(outdir / "parallel")),
+        )
+        assert proc.returncode == 0, proc.stderr
+        monkeypatch.setenv("HYPLEVY_OUTDIR", str(outdir / "serial"))
+        assert run(capsys, "sweep", str(path))[0] == 0
+        for i in range(len(laws)):
+            par = (outdir / "parallel" / f"p{i}.csv").read_text().split("\n", 1)
+            ser = (outdir / "serial" / f"p{i}.csv").read_text().split("\n", 1)
+            assert par[1] == ser[1], runs[i]
+            strip = [json.loads(p[0][len("# provenance: "):]) for p in (par, ser)]
+            for prov in strip:
+                del prov["timestamp"]
+            assert strip[0] == strip[1]
+
+    def test_parser_is_built_once_per_sweep(self, capsys, outdir, monkeypatch):
+        calls = []
+        build = hyplevy.cli.build_parser
+
+        def counting():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(hyplevy.cli, "build_parser", counting)
+        path = self.write_manifest(outdir, [["variance", "4", "3"]] * 5)
+        assert run(capsys, "sweep", str(path), "--parallel", "2")[0] == 0
+        assert len(calls) == 2  # the command line, then the manifest entries
 
     def test_malformed_manifest_exits_2(self, capsys, outdir):
         path = outdir / "bad.json"

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -124,6 +125,20 @@ class TestExactMoments:
         for d, k in ((4, 3), (9, 6), (17, 12), (33, 20)):
             pair = DimensionPair(d, k)
             assert math.isclose(math.log(variance(pair)), log_variance(pair), rel_tol=1e-14)
+
+    def test_log_variance_matches_mpmath_to_1e_14_along_fixed_codimension(self):
+        # log sigma^2 = ((d-k)/2) log pi + log Gamma(r/2) - log Gamma((k-1)/2);
+        # the two log-Gamma values reach 6.6e6 at d = 1e6, the difference stays O(log d)
+        for b in (1, 2, 3):
+            for d in (2 * b + 2, 12, 21, 100, 502, 5000, 62837, 100007, 400001, 10**6):
+                pair = DimensionPair(d, d - b)
+                with mpmath.workprec(120):
+                    want = float(
+                        b * mpmath.log(mpmath.pi) / 2
+                        + mpmath.loggamma(mpmath.mpf(pair.r) / 2)
+                        - mpmath.loggamma(mpmath.mpf(pair.k - 1) / 2)
+                    )
+                assert abs(log_variance(pair) - want) <= 1e-14, (b, d)
 
     def test_third_cumulant_frozen(self):
         assert math.isclose(cumulant(DimensionPair(4, 3), 3), 0.5 * math.pi, rel_tol=1e-14)

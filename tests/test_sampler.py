@@ -92,6 +92,14 @@ class TestPartialMoment:
             want = variance(pair) * tail_second_moment(pair, eps)
             assert math.isclose(above, want, rel_tol=1e-10)
 
+    def test_rescaled_split_survives_an_underflowing_variance(self):
+        # sigma^2 = exp(log sigma^2) is 0.0 in double precision for this pair
+        resc = make_measure("rescaled", DimensionPair(10**6, 500355))
+        below = partial_moment(resc, 0.5, 2, "below")
+        above = partial_moment(resc, 0.5, 2, "above")
+        assert math.isclose(below + above, 1.0, rel_tol=1e-12)
+        assert 0.0 <= partial_moment(resc, 0.5, 3, "above") <= above
+
     def test_tiny_cutoff_recovers_the_full_third_moment(self):
         above = partial_moment(HYP43, 1e-6, 3, "above")
         assert abs(above - 0.5 * math.pi) <= 1e-8

@@ -1,12 +1,19 @@
 """Special-function layer: frozen values, identities, and bound sweeps."""
 
+import json
 import math
+import subprocess
+import sys
+import textwrap
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
 
+from conftest import hyplevy_env
 from hyplevy.errors import ConvergenceError, DomainError
+from hyplevy.measures import DimensionPair, log_variance
 from hyplevy.specfun import (
     AccuracyPolicy,
     beta,
@@ -18,11 +25,21 @@ from hyplevy.specfun import (
     inc_beta,
     log_beta,
     log_gamma,
+    log_gamma_ratio,
     reg_inc_beta,
     stirling_bounds,
     stirling_log_bounds,
     wendel_lower,
 )
+
+EPS = 2.0**-52
+
+
+def log_gamma_terms(x):
+    """Sum of the magnitudes of the terms log_gamma(x) adds up: the Stirling
+    form at y = x + n >= 10, plus the log of the shift product when n > 0."""
+    y = x + max(0, math.ceil(10.0 - x))
+    return 1.0 + abs((y - 0.5) * math.log(y)) + y + abs(math.lgamma(y) - math.lgamma(x))
 
 
 class TestLogGamma:
@@ -48,6 +65,12 @@ class TestLogGamma:
             ref = math.lgamma(x)
             assert abs(log_gamma(x) - ref) <= 1e-13 * abs(ref)
 
+    def test_matches_mpmath_within_its_term_sizes(self):
+        for x in (1100000.5, 1100001.0, 4e6, 0.3, 1.7, 9.99):
+            with mpmath.workprec(120):
+                ref = float(mpmath.loggamma(mpmath.mpf(x)))
+            assert abs(log_gamma(x) - ref) <= 8.0 * EPS * log_gamma_terms(x), x
+
     def test_reflection_identity(self):
         for x in np.linspace(0.03, 0.97, 41):
             x = float(x)
@@ -59,6 +82,84 @@ class TestLogGamma:
         for bad in (0.0, -1.0, -0.5, math.inf, math.nan):
             with pytest.raises(DomainError):
                 log_gamma(bad)
+
+
+class TestLogGammaRatio:
+    def test_matches_mpmath_for_both_signs_of_a(self):
+        # Once z and z + a are both >= 10 the error must scale with the ratio's
+        # own terms a log z, not with log Gamma(z); below that the value is a
+        # difference of two log_gamma values and carries their rounding.
+        for z in np.geomspace(0.05, 4e6, 41):
+            z = float(z)
+            for a in (0.5, 2.5, 37.0, 0.01 * z, 0.5 * z, 3.0 * z,
+                      -0.04, -0.5, -2.5, -0.1 * z, -0.5 * z, -0.999 * z):
+                if z + a <= 0.0:
+                    continue
+                got = log_gamma_ratio(z, a)
+                with mpmath.workprec(120):
+                    want = float(mpmath.loggamma(mpmath.mpf(z) + mpmath.mpf(a))
+                                 - mpmath.loggamma(mpmath.mpf(z)))
+                size = 1.0 + abs(a) * (1.0 + abs(math.log(z)))
+                if min(z, z + a) < 10.0:
+                    size += log_gamma_terms(z) + log_gamma_terms(z + a)
+                assert abs(got - want) <= 8.0 * EPS * size, (z, a, got, want)
+
+    def test_exact_values(self):
+        assert log_gamma_ratio(3.0, 0.0) == 0.0
+        assert log_gamma_ratio(1e6, 0.0) == 0.0
+        assert log_gamma_ratio(0.5, 0.5) == -0.5 * math.log(math.pi)
+        assert log_gamma_ratio(1.0, 1.0) == 0.0
+
+    def test_domain(self):
+        for z, a in ((0.0, 1.0), (-1.0, 3.0), (2.0, -2.0), (2.0, -3.0),
+                     (math.inf, 1.0), (1.0, math.nan)):
+            with pytest.raises(DomainError):
+                log_gamma_ratio(z, a)
+
+
+_THREAD_SCRIPT = textwrap.dedent(
+    """
+    import json, sys, threading
+    from hyplevy.measures import DimensionPair, log_variance
+    from hyplevy.specfun import log_gamma
+
+    xs = [0.5 + 7.0 * i for i in range(int(sys.argv[1]))]
+    out = [None] * len(xs)
+
+    def work(t):
+        for i in range(t, len(xs), 4):
+            x = xs[i]
+            d = int(2 * x) + 3
+            out[i] = (log_gamma(x), log_variance(DimensionPair(d, d - 1 - i % 3)))
+
+    sys.setswitchinterval(1e-6)
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=120)
+    assert not any(th.is_alive() for th in threads)
+    print(json.dumps(out))
+    """
+)
+
+
+def test_threads_agree_with_a_serial_run():
+    """Four threads in a fresh interpreter (more threads than cores, short
+    switch interval) return exactly what one thread returns here."""
+    xs = [0.5 + 7.0 * i for i in range(28572)]  # half integers up to 2e5, as in the script
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREAD_SCRIPT, str(len(xs))],
+        capture_output=True, text=True, env=hyplevy_env(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    threaded = [tuple(v) for v in json.loads(proc.stdout)]
+    serial = []
+    for i, x in enumerate(xs):
+        d = int(2 * x) + 3
+        serial.append((log_gamma(x), log_variance(DimensionPair(d, d - 1 - i % 3))))
+    wrong = sum(t != s for t, s in zip(threaded, serial))
+    assert wrong == 0, f"{wrong} of {len(xs)} threaded values differ from the serial run"
 
 
 class TestBeta:
