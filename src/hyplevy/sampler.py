@@ -13,8 +13,12 @@ codimension-limit family), in which the conditional density is bounded and
 strictly positive on [0, w_max]; quantile slopes therefore stay finite at
 both ends, which a table in x itself cannot guarantee once the codimension
 exceeds 2. The table is certified at build time: the max CDF residual over
-all cell midpoints must not exceed 1e-10, with the cell count doubled until
-it does.
+all cell midpoints must not exceed 1e-10. The first table has 2^11 cells
+(64 KB of coefficients, so the per-jump gathers stay in cache), and the
+cell count is doubled until the certificate holds, up to 2^20 cells. Above
+the rounding floor of the quantile the residual falls about 16x per
+doubling, so a doubling that fails to halve it means the floor is reached,
+and the build stops there with ConvergenceError instead of doubling on.
 
 Streams are reproducible: each batch of draws gets its own Philox generator
 keyed by (seed, batch_index), and the per-batch op order is fixed (the
@@ -56,9 +60,10 @@ __all__ = [
 
 _MAX_JUMP_RATE = 1.0e7
 _CERT_TARGET = 1.0e-10
-_TABLE_CELLS = 1 << 16
+_TABLE_CELLS = 1 << 11
 _TABLE_CELLS_MAX = 1 << 20
-_JUMP_CHUNK = 1 << 20
+# five chunk buffers of 256 KB plus the 64 KB starting table fit in a 2 MB L2
+_JUMP_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -98,7 +103,9 @@ def _require_delta(delta: float) -> float:
     return delta
 
 
-def _pair_log_coef(measure: LevyMeasure1D) -> float:
+def _jump_log_coef(measure: LevyMeasure1D) -> float:
+    """log of omega_b / 2 (over sigma^2 for the rescaled family): the
+    constant in front of the u = x^(2/(k-1)) integrals of the jump law."""
     log_coef = log_sphere_surface(measure.pair.codim) - math.log(2.0)
     if measure.family == "rescaled":
         log_coef -= log_variance(measure.pair)
@@ -121,7 +128,7 @@ def tail_mass(measure: LevyMeasure1D, delta: float) -> float:
             return out
 
         val = tanh_sinh(integrand, a=a, b=1.0, rel_tol=1e-12, abs_tol=1e-300)
-        return math.exp(_pair_log_coef(measure)) * val
+        return math.exp(_jump_log_coef(measure)) * val
     if measure.family == "limit":
         b = measure.codim
         v_cut = -math.log(delta)
@@ -177,7 +184,7 @@ def partial_moment(measure: LevyMeasure1D, delta: float, m: int, side: str) -> f
             return out
 
         val = tanh_sinh(integrand, a=a, b=1.0, rel_tol=1e-12, abs_tol=1e-300)
-        return math.exp(_pair_log_coef(measure)) * val
+        return math.exp(_jump_log_coef(measure)) * val
 
     if measure.family == "limit":
         b = measure.codim
@@ -460,15 +467,19 @@ def _build_jump_table(measure: LevyMeasure1D, delta: float, cells: int) -> _Jump
 @functools.lru_cache(maxsize=32)
 def _certified_jump_table(measure: LevyMeasure1D, delta: float) -> _JumpTable:
     cells = _TABLE_CELLS
+    last_error = math.inf
     while True:
         table = _build_jump_table(measure, delta, cells)
         if table.cert_error <= _CERT_TARGET:
             return table
-        if cells >= _TABLE_CELLS_MAX:
+        # a doubling that does not halve the residual (or a NaN residual)
+        # means the floor is reached and more cells cannot certify
+        if cells >= _TABLE_CELLS_MAX or not table.cert_error <= 0.5 * last_error:
             raise ConvergenceError(
                 f"jump table stuck at CDF residual {table.cert_error:.3e} "
                 f"with {cells} cells (target {_CERT_TARGET:.1e})"
             )
+        last_error = table.cert_error
         cells *= 2
 
 
@@ -512,6 +523,9 @@ def sample(measure: LevyMeasure1D, n: int, config: SamplerConfig | None = None) 
     small_var = partial_moment(measure, delta, 2, "below")
     small_sd = math.sqrt(small_var)
     compensator = partial_moment(measure, delta, 1, "above")
+    # the Asmussen-Rosinski statistic: the Gaussian proxy's error bound
+    # scales with the third moment below the cutoff over sd^3
+    be_ratio = partial_moment(measure, delta, 3, "below") / small_sd**3
     if small_sd < 10.0 * delta:
         warnings.warn(
             f"small-jump Gaussian proxy is thin: sd/delta = {small_sd / delta:.2f} "
@@ -567,6 +581,7 @@ def sample(measure: LevyMeasure1D, n: int, config: SamplerConfig | None = None) 
         "small_jump_sd": small_sd,
         "small_jump_variance": small_var,
         "small_jump_ratio": small_sd / delta,
+        "small_jump_be_ratio": be_ratio,
         "compensator": compensator,
         "table_cells": table.cells,
         "table_cert_error": table.cert_error,

@@ -1,12 +1,15 @@
 """Jump-size quantiles, partial moments, and the compensated Monte Carlo sampler."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from conftest import cached_density
+from hyplevy import sampler
 from hyplevy.errors import (
+    ConvergenceError,
     DivergentMomentError,
     DomainError,
     SamplerConfigError,
@@ -154,6 +157,28 @@ class TestInverseJumpCdf:
         arr = inverse_jump_cdf(HYP43, np.array([0.1, 0.9]), 0.25)
         assert arr.shape == (2,)
 
+    def test_every_cell_against_direct_tail_integrals(self):
+        # the table's own certificate reuses its panel CDF; this checks the
+        # quantile against tail_mass, one seeded point inside every cell
+        rng = np.random.default_rng(43)
+        delta = 1e-3
+        laws = (
+            RESC43,
+            LIMIT2,
+            make_measure("limit", 1),
+            make_measure("limit", 3),
+            make_measure("rescaled", DimensionPair(40, 21)),
+        )
+        for measure in laws:
+            table = sampler._certified_jump_table(measure, delta)
+            lam = tail_mass(measure, delta)
+            s = (np.arange(table.cells) + rng.random(table.cells)) / table.cells
+            q = s**table.index_pow
+            x = table.x_of_q(q)
+            # a quantile that rounds to 1.0 has no jump mass above it
+            got = np.array([tail_mass(measure, v) / lam if v < 1.0 else 0.0 for v in x])
+            assert np.max(np.abs(got - q)) <= 1e-10, measure
+
     def test_validation(self):
         with pytest.raises(DomainError):
             inverse_jump_cdf(HYP43, -0.1, 0.25)
@@ -183,6 +208,39 @@ class TestSampleDeterminism:
         long = sample(RESC43, 256, cfg)
         short = sample(RESC43, 160, cfg)
         assert np.array_equal(long.values[:160], short.values)
+
+    def test_run_rebuilt_from_the_documented_stream(self):
+        # batch 0 holds about 2.7M jumps, three chunks even at a 2^20 chunk
+        # length, and batch 1 is partial; the rebuild never chunks
+        delta, n = 1e-3, 600
+        cfg = SamplerConfig(cutoff_delta=delta, seed=5, batch_size=400)
+        got = sample(RESC43, n, cfg).values
+        table = sampler._certified_jump_table(RESC43, delta)
+        lam = tail_mass(RESC43, delta)
+        compensator = partial_moment(RESC43, delta, 1, "above")
+        small_sd = math.sqrt(partial_moment(RESC43, delta, 2, "below"))
+        chunk = sampler._JUMP_CHUNK
+        eps = np.finfo(float).eps
+        for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
+            m = min(cfg.batch_size, n - start)
+            rng = np.random.Generator(
+                np.random.Philox(seed=np.random.SeedSequence((cfg.seed, batch_index)))
+            )
+            z = rng.standard_normal(cfg.batch_size)[:m]
+            counts = rng.poisson(lam, size=cfg.batch_size)[:m]
+            ends = np.cumsum(counts)
+            assert batch_index == 1 or ends[-1] > 2 * (1 << 20)
+            x = table.x_of_q(rng.random(int(ends[-1])))
+            sums = np.array([math.fsum(x[e - c : e]) for e, c in zip(ends, counts)])
+            # the sampler takes each draw as differences of per-chunk prefix
+            # sums: each prefix is off by at most chunk * eps * the chunk total
+            chunk_total = max(math.fsum(x[c0 : c0 + chunk]) for c0 in range(0, x.size, chunk))
+            spans = (np.maximum(ends - 1, ends - counts) // chunk) - (ends - counts) // chunk + 1
+            want = sums - compensator + small_sd * z
+            bound = 2.0 * spans * chunk * eps * chunk_total + 4.0 * eps * (
+                sums + compensator + np.abs(small_sd * z)
+            )
+            assert np.all(np.abs(got[start : start + m] - want) <= bound)
 
     def test_partial_final_batch(self):
         cfg = SamplerConfig(cutoff_delta=0.05, seed=2, batch_size=64)
@@ -228,12 +286,40 @@ class TestSampleDiagnostics:
         assert diag["small_jump_sd"] == math.sqrt(diag["small_jump_variance"])
         assert diag["small_jump_ratio"] >= 10.0
         assert diag["table_cert_error"] <= 1e-10
-        assert diag["table_cells"] >= 1 << 16
+        # the table is the first power of two from 2^11 cells that certifies
+        cells = diag["table_cells"]
+        assert cells >= 1 << 11 and cells & (cells - 1) == 0
+        for fewer in (1 << j for j in range(11, cells.bit_length() - 1)):
+            assert sampler._build_jump_table(RESC43, delta, fewer).cert_error > 1e-10
         assert diag["batches"] == 1
+
+    def test_berry_esseen_ratio_of_the_small_jump_proxy(self, resc43_draws):
+        # limit b = 2 has density x^-2: int_0^delta x^3 over delta^(3/2)
+        for delta in (1e-3, 1e-2):
+            diag = sample(LIMIT2, 4, SamplerConfig(cutoff_delta=delta)).diagnostics
+            assert math.isclose(diag["small_jump_be_ratio"], 0.5 * math.sqrt(delta), rel_tol=1e-10)
+        # rescaled (4,3) has density x^(-5/2) (1-x)^(-1/2) / pi
+        delta = 1e-3
+        a = math.asin(math.sqrt(delta))
+        third = (a - math.sqrt(delta * (1.0 - delta))) / math.pi
+        second = 2.0 * a / math.pi
+        got = resc43_draws.diagnostics["small_jump_be_ratio"]
+        assert math.isclose(got, third / second**1.5, rel_tol=1e-8)
+        assert abs(got - 2.349e-3) <= 5e-7
 
     def test_thin_gaussian_proxy_warns(self):
         with pytest.warns(RuntimeWarning, match="thin"):
             sample(LIMIT2, 16, SamplerConfig(cutoff_delta=0.999, seed=0))
+
+    @pytest.mark.filterwarnings("ignore:small-jump Gaussian proxy is thin")
+    def test_table_at_its_rounding_floor_fails_fast(self):
+        # for codimension 1 at large d the quantile rounds to x = 1.0 over
+        # q < 1e-9, so the residual stays near 1e-10 whatever the cell count
+        measure = make_measure("rescaled", DimensionPair(40, 39))
+        t0 = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="stuck"):
+            sample(measure, 1, SamplerConfig(cutoff_delta=0.1))
+        assert time.perf_counter() - t0 < 0.5
 
     def test_excessive_jump_rate_is_rejected_with_advice(self):
         with pytest.raises(SamplerConfigError, match="raise the cutoff"):
