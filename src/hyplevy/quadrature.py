@@ -7,6 +7,18 @@ for integrands with decay. Both evaluate the integrand on full node arrays
 levels agree. Integrands receive the node position together with the
 distance to the singular endpoint so that factors like (1 - x)^(-1/2) can
 be evaluated without cancellation.
+
+Levels are nested: the nodes of level L are the even-index nodes of level
+L + 1, at exactly half the weight, so each level after the first
+evaluates only its new odd-index nodes and S_{L+1} = S_L / 2 + sum over
+the new nodes of w f (Bailey, Jeyabalan & Li 2005). A level-5 to level-6
+pass costs 783 integrand points rather than 391 + 783.
+
+An integrand may return a (..., n_nodes) array, one row per integral
+sharing the nodes; the sum runs over the last axis. Each row converges on
+its own test |S_L - S_{L-1}| <= max(abs_tol, rel_tol |S_L|) and keeps the
+value of the first level that passes it, which is the value a 1-D call on
+that row alone returns; the rule returns once every row has passed.
 """
 
 from __future__ import annotations
@@ -16,16 +28,26 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import DomainError, QuadratureError
 
 _T_MAX = 6.11  # |(pi/2) sinh t| ~ 350 here, transformed weights underflow beyond
 
 
-@lru_cache(maxsize=32)
-def _ts_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Abscissas on (0,1) at spacing 2^-level: (s, 1-s, weight)."""
+def _level_steps(level: int, new_only: bool) -> tuple[float, np.ndarray]:
+    """Spacing 2^-level and the step points t = i h, |t| <= _T_MAX; with
+    new_only, only the odd i that the level adds to the one before."""
     h = 2.0 ** (-level)
-    t = np.arange(-int(_T_MAX / h), int(_T_MAX / h) + 1) * h
+    n = int(_T_MAX / h)
+    i = np.arange(-n, n + 1)
+    if new_only:
+        i = i[i % 2 != 0]
+    return h, i * h
+
+
+@lru_cache(maxsize=32)
+def _ts_nodes(level: int, new_only: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Abscissas on (0,1) at spacing 2^-level: (s, 1-s, weight)."""
+    h, t = _level_steps(level, new_only)
     a = 0.5 * math.pi * np.sinh(t)
     s = 1.0 / (1.0 + np.exp(-2.0 * a))
     s1 = 1.0 / (1.0 + np.exp(2.0 * a))
@@ -35,15 +57,43 @@ def _ts_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=32)
-def _es_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
+def _es_nodes(level: int, new_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Abscissas on (0, inf) at spacing 2^-level: (x, weight)."""
-    h = 2.0 ** (-level)
-    t = np.arange(-int(_T_MAX / h), int(_T_MAX / h) + 1) * h
+    h, t = _level_steps(level, new_only)
     a = 0.5 * math.pi * np.sinh(t)
     x = np.exp(a)
     w = h * x * 0.5 * math.pi * np.cosh(t)
     keep = np.isfinite(w) & (x > 0.0) & (x < 1e300)
     return x[keep], w[keep]
+
+
+def _refine(level_sum, where: str, rel_tol: float, abs_tol: float, min_level: int, max_level: int):
+    """Run the nested levels min_level..max_level; level_sum(level,
+    new_only) is the weighted sum over that level's (new) nodes. Returns
+    each row's value at the first level where it passes its test."""
+    if min_level > max_level:
+        raise DomainError(f"min_level {min_level} exceeds max_level {max_level}")
+    if min_level == max_level:
+        raise QuadratureError(
+            f"{where}: min_level == max_level == {max_level} gives one level and no delta"
+        )
+    cur = level_sum(min_level, False)
+    result = cur
+    done = np.zeros(np.shape(cur), dtype=bool)
+    for level in range(min_level + 1, max_level + 1):
+        prev = cur
+        cur = 0.5 * prev + level_sum(level, True)
+        err = np.abs(cur - prev)
+        passed = err <= np.maximum(abs_tol, rel_tol * np.abs(cur))
+        result = np.where(done, result, cur)
+        done |= passed
+        if np.all(done):
+            return result[()]
+    worst = float(np.max(err[~done]))
+    rows = f", the worst of {np.count_nonzero(~done)} unconverged rows" if done.ndim else ""
+    raise QuadratureError(
+        f"{where} did not converge by level {max_level} (last delta {worst:.3e}{rows})"
+    )
 
 
 def tanh_sinh(
@@ -59,26 +109,21 @@ def tanh_sinh(
     """Integrate f over (a, b).
 
     f(x, dist_b) is called with node arrays, dist_b = b - x computed
-    stably; it may return real or complex values. Raises QuadratureError
-    if consecutive levels never agree to tolerance.
+    stably; it may return real or complex values, of shape (n_nodes,) or
+    (..., n_nodes) for a batch of integrals (an array of results). Raises
+    QuadratureError if consecutive levels never agree to tolerance, or if
+    min_level == max_level leaves nothing to compare; DomainError if
+    min_level > max_level.
     """
     if not b > a:
         raise QuadratureError(f"empty interval ({a}, {b})")
     scale = b - a
-    prev = None
-    for level in range(min_level, max_level + 1):
-        s, s1, w = _ts_nodes(level)
-        vals = f(a + scale * s, scale * s1)
-        cur = scale * np.sum(w * vals)
-        if prev is not None:
-            err = abs(cur - prev)
-            if err <= max(abs_tol, rel_tol * abs(cur)):
-                return cur
-        prev = cur
-    raise QuadratureError(
-        f"tanh_sinh did not converge on ({a}, {b}) by level {max_level} "
-        f"(last delta {err:.3e})"
-    )
+
+    def level_sum(level: int, new_only: bool):
+        s, s1, w = _ts_nodes(level, new_only)
+        return scale * np.sum(w * f(a + scale * s, scale * s1), axis=-1)
+
+    return _refine(level_sum, f"tanh_sinh on ({a}, {b})", rel_tol, abs_tol, min_level, max_level)
 
 
 def exp_sinh(
@@ -95,22 +140,14 @@ def exp_sinh(
     f(x) is called with node arrays (positions a + u, u on a
     double-exponential grid spanning roughly 1e-300 .. 1e300); the
     integrand must return finite values (for example 0) over that whole
-    range.
+    range, of shape (n_nodes,) or (..., n_nodes) as for tanh_sinh.
     """
-    prev = None
-    for level in range(min_level, max_level + 1):
-        x, w = _es_nodes(level)
-        vals = f(a + x)
-        cur = np.sum(w * vals)
-        if prev is not None:
-            err = abs(cur - prev)
-            if err <= max(abs_tol, rel_tol * abs(cur)):
-                return cur
-        prev = cur
-    raise QuadratureError(
-        f"exp_sinh did not converge on ({a}, inf) by level {max_level} "
-        f"(last delta {err:.3e})"
-    )
+
+    def level_sum(level: int, new_only: bool):
+        x, w = _es_nodes(level, new_only)
+        return np.sum(w * f(a + x), axis=-1)
+
+    return _refine(level_sum, f"exp_sinh on ({a}, inf)", rel_tol, abs_tol, min_level, max_level)
 
 
 @lru_cache(maxsize=8)

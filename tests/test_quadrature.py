@@ -5,8 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from hyplevy.errors import QuadratureError
-from hyplevy.quadrature import exp_sinh, gauss_legendre_nodes, tanh_sinh
+from hyplevy.errors import DomainError, QuadratureError
+from hyplevy.quadrature import _es_nodes, _ts_nodes, exp_sinh, gauss_legendre_nodes, tanh_sinh
+
+
+def counted(f):
+    """f with a tally of the integrand points it is called on."""
+    calls = []
+
+    def g(x, *rest):
+        calls.append(np.size(x))
+        return f(x, *rest)
+
+    g.calls = calls
+    return g
+
+
+def last_delta(info) -> str:
+    return str(info.value).split("last delta ")[1].split(")")[0].split(",")[0]
 
 
 class TestTanhSinh:
@@ -49,6 +65,103 @@ class TestExpSinh:
     def test_divergent_integrand_fails(self):
         with pytest.raises(QuadratureError):
             exp_sinh(lambda x: np.ones_like(x))
+
+
+class TestLevelBounds:
+    @pytest.mark.parametrize("rule, f", [(tanh_sinh, lambda x, bm: x), (exp_sinh, lambda x: np.exp(-x))])
+    def test_one_level_has_no_delta(self, rule, f):
+        with pytest.raises(QuadratureError, match="one level and no delta"):
+            rule(f, min_level=5, max_level=5)
+
+    @pytest.mark.parametrize("rule, f", [(tanh_sinh, lambda x, bm: x), (exp_sinh, lambda x: np.exp(-x))])
+    def test_inverted_levels_are_a_domain_error(self, rule, f):
+        with pytest.raises(DomainError):
+            rule(f, min_level=6, max_level=5)
+
+    def test_message_reports_the_worst_rows_delta(self):
+        # 1/x is not integrable at 0, so neither row ever converges; the
+        # larger row's delta is the one its own 1-D call reports
+        scale = np.array([[1.0], [3.0]])
+        with pytest.raises(QuadratureError) as batch:
+            tanh_sinh(lambda x, bm: scale / x, max_level=8)
+        with pytest.raises(QuadratureError) as alone:
+            tanh_sinh(lambda x, bm: 3.0 / x, max_level=8)
+        assert "the worst of 2 unconverged rows" in str(batch.value)
+        assert last_delta(batch) == last_delta(alone)
+
+
+class TestNestedLevels:
+    def test_level_nodes_are_the_even_nodes_of_the_next(self):
+        # level L's nodes at half their weight, plus the nodes level L + 1
+        # adds, are exactly level L + 1's nodes and weights
+        def rows(*cols):
+            cols = [np.asarray(c) for c in cols]
+            order = np.lexsort(cols[::-1])
+            return [c[order] for c in cols]
+
+        for level in (5, 6, 9):
+            s, s1, w = _ts_nodes(level)
+            n_s, n_s1, n_w = _ts_nodes(level + 1, True)
+            want = rows(*_ts_nodes(level + 1))
+            got = rows(np.r_[s, n_s], np.r_[s1, n_s1], np.r_[0.5 * w, n_w])
+            assert all(np.array_equal(g, h) for g, h in zip(got, want))
+            x, v = _es_nodes(level)
+            n_x, n_v = _es_nodes(level + 1, True)
+            want = rows(*_es_nodes(level + 1))
+            got = rows(np.r_[x, n_x], np.r_[0.5 * v, n_v])
+            assert all(np.array_equal(g, h) for g, h in zip(got, want))
+
+    def test_level_five_to_six_evaluates_783_points(self):
+        # 391 nodes at level 5, then only the 392 nodes level 6 adds
+        f = counted(lambda x, bm: x * x)
+        assert math.isclose(tanh_sinh(f, a=1.0, b=3.0), 26.0 / 3.0, rel_tol=1e-13)
+        assert f.calls == [391, 392]
+        g = counted(lambda x: np.exp(-x))
+        assert math.isclose(exp_sinh(g, a=2.0), math.exp(-2.0), rel_tol=1e-12)
+        assert g.calls == [391, 392]
+
+    def test_nested_sum_matches_the_full_level_sum(self):
+        f = lambda x, bm: 1.0 / np.sqrt(x * bm)  # noqa: E731
+        for level in (6, 7):
+            s, s1, w = _ts_nodes(level)
+            full = np.sum(w * f(s, s1))
+            nested = tanh_sinh(f, min_level=level - 1, max_level=level, rel_tol=1.0)
+            assert abs(nested - full) <= 4e-16 * full
+
+
+class TestBatchedRows:
+    def test_rows_match_their_own_one_dimensional_calls(self):
+        p = np.array([[0.5], [1.5], [4.0]])
+        got = tanh_sinh(lambda x, bm: x**p * np.log(x) ** 2)
+        assert got.shape == (3,)
+        for row, pk in zip(got, p[:, 0]):
+            alone = tanh_sinh(lambda x, bm: x**pk * np.log(x) ** 2)
+            assert abs(row - alone) <= 1e-15 * abs(alone)
+            assert math.isclose(row, 2.0 / (pk + 1.0) ** 3, rel_tol=1e-12)
+        k = np.array([[1.0], [2.5]])
+        got = exp_sinh(lambda x: np.exp(k * np.log(x) - x))
+        assert np.allclose(got, [1.0, math.gamma(3.5)], rtol=1e-12, atol=0.0)
+
+    def test_each_row_stops_at_its_own_level(self):
+        # with abs_tol = 1 the unit row passes at level 5 while the scaled
+        # row needs level 7; the unit row keeps its level-5 value, the one
+        # its own 1-D call returns, and not the sharper level-7 sum
+        kw = {"rel_tol": 0.0, "abs_tol": 1.0, "min_level": 4}
+        scale = np.array([[1.0], [1e7]])
+        f = counted(lambda x, bm: scale * np.cos(200.0 * x))
+        got = tanh_sinh(f, **kw)
+        assert len(f.calls) == 4
+        alone = tanh_sinh(lambda x, bm: np.cos(200.0 * x), **kw)
+        exact = math.sin(200.0) / 200.0
+        assert got[0] == alone
+        assert abs(alone - exact) > 1e-7
+        assert abs(got[1] - 1e7 * exact) <= 1e-6
+
+    def test_complex_rows(self):
+        t = np.array([[1.0], [-2.0]])
+        got = tanh_sinh(lambda x, bm: np.exp(1j * t * x))
+        want = (np.exp(1j * t[:, 0]) - 1.0) / (1j * t[:, 0])
+        assert np.max(np.abs(got - want)) <= 1e-13
 
 
 class TestGaussLegendre:

@@ -10,6 +10,7 @@ from conftest import cached_density
 from hyplevy.errors import DecayDetectionError, DomainError
 from hyplevy.measures import DimensionPair, cumulant, levy_density, make_measure, variance
 from hyplevy.measures import LevyMeasure1D
+from hyplevy import spectral
 from hyplevy.spectral import (
     STANDARD_NORMAL,
     CdfTable,
@@ -20,12 +21,69 @@ from hyplevy.spectral import (
     ks_distance,
     ks_distance_sample,
     taylor_remainder_bound,
+    _BLOCK,
+    _char_exponents,
+    _exponent_rule,
 )
 
 RESC43 = make_measure("rescaled", DimensionPair(4, 3))
 HYP75 = make_measure("hyperbolic", DimensionPair(7, 5))
 LIMIT1 = make_measure("limit", 1)
 LIMIT2 = make_measure("limit", 2)
+LIMIT3 = make_measure("limit", 3)
+RESC40 = make_measure("rescaled", DimensionPair(40, 21))
+# HYP75 through the generic density route instead of its family substitution
+CLONE75 = LevyMeasure1D(
+    family="custom",
+    pair=None,
+    codim=None,
+    sing_at_0=1.5,
+    sing_log_at_0=False,
+    sing_at_1=0.0,
+    total_second_moment=variance(DimensionPair(7, 5)),
+    density=lambda x: levy_density(DimensionPair(7, 5), x),
+)
+
+
+@pytest.fixture
+def quad_log(monkeypatch):
+    """One record per spectral quadrature call: the batch shape of the
+    integrand's values (() for a 1-D integrand) and the points evaluated."""
+    log = []
+    for name in ("tanh_sinh", "exp_sinh"):
+        def wrapper(f, *args, rule=getattr(spectral, name), **kwargs):
+            rec = {"rows": None, "points": 0}
+            log.append(rec)
+
+            def counted(x, *rest):
+                vals = f(x, *rest)
+                rec["rows"] = np.shape(vals)[:-1]
+                rec["points"] += np.size(x)
+                return vals
+
+            return rule(counted, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, name, wrapper)
+    return log
+
+
+@pytest.fixture
+def exponent_calls(monkeypatch):
+    """The frequency arrays passed to _char_exponents, in call order."""
+    calls = []
+    real = spectral._char_exponents
+
+    def record(measure, ts, rel_tol):
+        calls.append(np.array(ts, dtype=float))
+        return real(measure, ts, rel_tol)
+
+    monkeypatch.setattr(spectral, "_char_exponents", record)
+    return calls
+
+
+def grid_step(measure, half_width=12.0):
+    """The frequency step invert_to_density uses."""
+    return math.pi / (half_width * math.sqrt(measure.total_second_moment))
 
 
 class TestCharExponent:
@@ -57,18 +115,8 @@ class TestCharExponent:
                 assert char_exponent(measure, t).real <= 0.0
 
     def test_generic_density_fallback_agrees_with_family_route(self):
-        clone = LevyMeasure1D(
-            family="custom",
-            pair=None,
-            codim=None,
-            sing_at_0=1.5,
-            sing_log_at_0=False,
-            sing_at_1=0.0,
-            total_second_moment=variance(DimensionPair(7, 5)),
-            density=lambda x: levy_density(DimensionPair(7, 5), x),
-        )
         for t in (0.8, 1.5):
-            a = char_exponent(clone, t)
+            a = char_exponent(CLONE75, t)
             b = char_exponent(HYP75, t)
             assert abs(a - b) <= 1e-8 * abs(b)
 
@@ -93,6 +141,71 @@ class TestCharExponent:
             assert math.isclose(
                 24.0 * (psi.real + 0.5 * k2 * h**2) / h**4, k4, rel_tol=1e-3
             )
+
+
+class TestBlockExponents:
+    @pytest.mark.parametrize(
+        "measure",
+        [RESC43, RESC40, HYP75, LIMIT1, LIMIT2, LIMIT3, CLONE75],
+        ids=["resc43", "resc40_21", "hyp75", "limit1", "limit2", "limit3", "custom"],
+    )
+    def test_blocks_agree_with_one_dimensional_calls(self, measure, quad_log):
+        ts = np.linspace(0.05, 40.0, 70)
+        ts[40] = 300.0  # needs level >= 7, so the second block refines past 6
+        got = _char_exponents(measure, ts, 1e-11)
+        assert _BLOCK == 32
+        assert [rec["rows"] for rec in quad_log] == [(32,), (32,), (6,)]
+        assert quad_log[1]["points"] >= 1565 > quad_log[0]["points"]
+        quad_log.clear()
+        psi = _exponent_rule(measure, 1e-11)
+        alone = np.array([psi(float(t)) for t in ts])
+        assert all(rec["rows"] == () for rec in quad_log)
+        assert np.all(np.abs(got - alone) <= 1e-14 * np.abs(alone))
+        # every row, the ones frozen at level 6 beside the level-7 row
+        # included, meets its own tolerance against a tighter evaluation
+        tight = _char_exponents(measure, ts, 1e-13)
+        assert np.all(np.abs(got - tight) <= 1e-11 * np.abs(tight))
+
+    def test_zero_frequencies_cost_nothing(self, quad_log):
+        got = _char_exponents(RESC43, np.array([0.0, 1.0, 0.0]), 1e-11)
+        assert got[0] == got[2] == 0.0
+        assert got[1] == char_exponent(RESC43, 1.0)
+        assert [rec["rows"] for rec in quad_log] == [(1,), (1,)]
+
+    def test_level_five_to_six_evaluates_783_points(self, quad_log):
+        char_exponent(RESC43, 1.0)
+        char_exponent(LIMIT2, 1.0)
+        assert [rec["points"] for rec in quad_log] == [783, 783]
+
+
+class TestInversionWork:
+    """Deterministic work counts of invert_to_density, not timings."""
+
+    @pytest.mark.parametrize("measure", [RESC43, LIMIT2], ids=["resc43", "limit2"])
+    def test_each_grid_frequency_up_to_the_cutoff_is_evaluated_once(
+        self, measure, exponent_calls, quad_log
+    ):
+        grid = invert_to_density(measure)
+        dt = grid_step(measure)
+        i_cut = round(grid.meta["cf_cutoff"] / dt)
+        index = [np.round(ts / dt).astype(int) for ts in exponent_calls]
+        # the doubling probes first, one frequency each, then the rest
+        probes = [4 * 2**m for m in range(len(index) - 1)]
+        assert probes[-1] == i_cut
+        assert [list(i) for i in index[:-1]] == [[p] for p in probes]
+        assert sorted(np.concatenate(index)) == list(range(1, i_cut + 1))
+        rows = [rec["rows"][0] for rec in quad_log]
+        assert sum(rows) == i_cut
+        assert max(rows) <= _BLOCK
+
+    def test_undetected_decay_evaluates_only_the_probes(self, exponent_calls, quad_log):
+        with pytest.raises(DecayDetectionError):
+            invert_to_density(LIMIT2, half_width=1e6, n_points=256)
+        dt = grid_step(LIMIT2, 1e6)
+        assert [list(np.round(ts / dt)) for ts in exponent_calls] == [
+            [4], [8], [16], [32], [64], [128]
+        ]
+        assert [rec["rows"] for rec in quad_log] == [(1,)] * 6
 
 
 class TestCharFunction:
