@@ -74,7 +74,7 @@ from .spectral import (
     taylor_remainder_bound,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "__version__",

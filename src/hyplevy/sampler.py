@@ -20,13 +20,19 @@ the rounding floor of the quantile the residual falls about 16x per
 doubling, so a doubling that fails to halve it means the floor is reached,
 and the build stops there with ConvergenceError instead of doubling on.
 
-Streams are reproducible: each batch of draws gets its own Philox generator
-keyed by (seed, batch_index), and the per-batch op order is fixed (the
-Gaussian block, then jump counts, then jump uniforms in fixed-size chunks).
-The Gaussian and count blocks always span the full batch_size even when the
-final batch is partial, so for a fixed (seed, batch_size) the first values
-of a longer run reproduce a shorter one exactly. batch_size itself is part
-of the stream identity: changing it reshuffles the draws.
+Streams are reproducible: each batch of draws gets its own SFC64 generator
+seeded by SeedSequence((seed, batch_index)), and the per-batch op order is
+fixed (the Gaussian block, then jump counts, then jump uniforms in
+fixed-size chunks). The Gaussian and count blocks always span the full
+batch_size even when the final batch is partial, so for a fixed
+(seed, batch_size) the first values of a longer run reproduce a shorter one
+exactly. batch_size itself is part of the stream identity: changing it
+reshuffles the draws. The stream changed from Philox to SFC64 in 0.2.0, so
+runs reproduce only under the package version their provenance names.
+
+Each draw's jump sum is built chunk by chunk: np.add.reduceat sums the
+draw's jumps inside a chunk pairwise, and the pieces of a draw that spans
+several chunks are added in chunk order.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ _MAX_JUMP_RATE = 1.0e7
 _CERT_TARGET = 1.0e-10
 _TABLE_CELLS = 1 << 11
 _TABLE_CELLS_MAX = 1 << 20
-# five chunk buffers of 256 KB plus the 64 KB starting table fit in a 2 MB L2
+# four chunk buffers of 256 KB plus the 64 KB starting table fit in a 2 MB L2
 _JUMP_CHUNK = 1 << 15
 
 
@@ -112,22 +118,35 @@ def _jump_log_coef(measure: LevyMeasure1D) -> float:
     return log_coef
 
 
+def _upper_y(pair, delta: float) -> float:
+    """y_max = 1 - delta^(2/(k-1)), the length of the u-interval above the
+    cutoff, without the cancellation of 1 - a as delta -> 1."""
+    return -math.expm1(pair.u_power * math.log(delta))
+
+
+def _upper_u_integral(pair, delta: float, m: int) -> float:
+    """integral of u^((k-1)m/2 - (d+1)/2) (1-u)^(b/2-1) du over (a, 1),
+    a = delta^(2/(k-1)), run in y = 1 - u on (0, y_max): the node gives
+    1 - u, and u = a + (y_max - y) keeps full precision at both ends."""
+    y_max = _upper_y(pair, delta)
+    a = delta**pair.u_power
+    e_pow = 0.5 * ((pair.k - 1.0) * m - pair.d - 1.0)
+    e_side = 0.5 * pair.codim - 1.0
+
+    def integrand(y: np.ndarray, dist: np.ndarray) -> np.ndarray:
+        out = np.exp(e_pow * np.log(a + dist))
+        if e_side != 0.0:
+            out = out * np.exp(e_side * np.log(y))
+        return out
+
+    return tanh_sinh(integrand, a=0.0, b=y_max, rel_tol=1e-12, abs_tol=1e-300)
+
+
 def tail_mass(measure: LevyMeasure1D, delta: float) -> float:
     """nu((delta, 1)): the expected jump count per draw at truncation delta."""
     delta = _require_delta(delta)
     if measure.family in ("hyperbolic", "rescaled"):
-        pair = measure.pair
-        a = delta**pair.u_power
-        e_top = 0.5 * (pair.d + 1.0)
-        e_side = 0.5 * pair.codim - 1.0
-
-        def integrand(u: np.ndarray, um1: np.ndarray) -> np.ndarray:
-            out = np.exp(-e_top * np.log(u))
-            if e_side != 0.0:
-                out = out * np.exp(e_side * np.log(um1))
-            return out
-
-        val = tanh_sinh(integrand, a=a, b=1.0, rel_tol=1e-12, abs_tol=1e-300)
+        val = _upper_u_integral(measure.pair, delta, 0)
         return math.exp(_jump_log_coef(measure)) * val
     if measure.family == "limit":
         b = measure.codim
@@ -166,25 +185,14 @@ def partial_moment(measure: LevyMeasure1D, delta: float, m: int, side: str) -> f
 
     if measure.family in ("hyperbolic", "rescaled"):
         pair = measure.pair
-        a = delta**pair.u_power
         if m >= 2:
             p = 0.5 * ((pair.k - 1.0) * m - (pair.d - 1.0))
-            frac = reg_inc_beta(p, 0.5 * pair.codim, a)
+            frac = reg_inc_beta(p, 0.5 * pair.codim, delta**pair.u_power)
             log_scale = log_variance(pair) if measure.family == "rescaled" else 0.0
             total = math.exp(_log_cumulant(pair, m) - log_scale)
             return total * (frac if side == "below" else 1.0 - frac)
-        # m == 1 above the cutoff: the same u-integral, exponent shifted
-        e_pow = 0.5 * ((pair.k - 1.0) * m - pair.d - 1.0)
-        e_side = 0.5 * pair.codim - 1.0
-
-        def integrand(u: np.ndarray, um1: np.ndarray) -> np.ndarray:
-            out = np.exp(e_pow * np.log(u))
-            if e_side != 0.0:
-                out = out * np.exp(e_side * np.log(um1))
-            return out
-
-        val = tanh_sinh(integrand, a=a, b=1.0, rel_tol=1e-12, abs_tol=1e-300)
-        return math.exp(_jump_log_coef(measure)) * val
+        # m == 1 above the cutoff: the tail-mass integral, exponent shifted
+        return math.exp(_jump_log_coef(measure)) * _upper_u_integral(pair, delta, m)
 
     if measure.family == "limit":
         b = measure.codim
@@ -235,7 +243,7 @@ class _Warp:
             pair = measure.pair
             self.b = float(pair.codim)
             self.limit = False
-            self.w_max = (1.0 - delta**pair.u_power) ** (0.5 * self.b)
+            self.w_max = _upper_y(pair, delta) ** (0.5 * self.b)
             self.e_top = 0.5 * (pair.d + 1.0)
             self.x_exp = 0.5 * (pair.k - 1.0)
             self.u_power = pair.u_power
@@ -357,15 +365,15 @@ class _JumpTable:
         np.copyto(idx, q, casting="unsafe")
         np.minimum(idx, self.cells - 1, out=idx)
         np.subtract(q, idx, out=q)
-        np.take(self.c3, idx, out=acc)
+        np.take(self.c3, idx, out=acc, mode="clip")
         acc *= q
-        np.take(self.c2, idx, out=scratch)
+        np.take(self.c2, idx, out=scratch, mode="clip")
         acc += scratch
         acc *= q
-        np.take(self.c1, idx, out=scratch)
+        np.take(self.c1, idx, out=scratch, mode="clip")
         acc += scratch
         acc *= q
-        np.take(self.c0, idx, out=scratch)
+        np.take(self.c0, idx, out=scratch, mode="clip")
         acc += scratch
         return acc
 
@@ -540,12 +548,11 @@ def sample(measure: LevyMeasure1D, n: int, config: SamplerConfig | None = None) 
     i_buf = np.empty(_JUMP_CHUNK, dtype=np.int64)
     g_buf = np.empty(_JUMP_CHUNK)
     a_buf = np.empty(_JUMP_CHUNK)
-    cs_buf = np.empty(_JUMP_CHUNK + 1)
     n_batches = 0
     for batch_index, start in enumerate(range(0, n, config.batch_size)):
         m = min(config.batch_size, n - start)
         rng = np.random.Generator(
-            np.random.Philox(seed=np.random.SeedSequence((config.seed, batch_index)))
+            np.random.SFC64(np.random.SeedSequence((config.seed, batch_index)))
         )
         # the Gaussian and the jump counts are drawn for the full block even
         # when the batch is partial: stream positions then never depend on m,
@@ -558,21 +565,19 @@ def sample(measure: LevyMeasure1D, n: int, config: SamplerConfig | None = None) 
         sums = np.zeros(m)
         # the jump uniforms are one stream read in fixed-size chunks
         # (partitioned Generator.random calls agree with a single call);
-        # each chunk adds its partial segment sums to the draws it
-        # overlaps, so per-draw totals carry only prefix-sum rounding
+        # each chunk adds the sums of its pieces of the draws it overlaps
         for c0 in range(0, total, _JUMP_CHUNK):
             c1 = min(c0 + _JUMP_CHUNK, total)
             k = c1 - c0
             rng.random(out=u_buf[:k])
             x = table.fill_x_of_q(u_buf[:k], i_buf[:k], g_buf[:k], a_buf[:k])
-            cs = cs_buf[: k + 1]
-            cs[0] = 0.0
-            np.cumsum(x, out=cs[1:])
             d_lo = int(np.searchsorted(ends, c0, side="right"))
             d_hi = int(np.searchsorted(starts, c1, side="left"))
-            seg_hi = np.clip(ends[d_lo:d_hi], c0, c1)
-            seg_lo = np.clip(starts[d_lo:d_hi], c0, c1)
-            sums[d_lo:d_hi] += cs[seg_hi - c0] - cs[seg_lo - c0]
+            # the non-empty pieces tile the chunk in order; reduceat would
+            # hand an empty piece x[lo] instead of 0, so those are masked
+            live = counts[d_lo:d_hi] > 0
+            seg_lo = np.maximum(starts[d_lo:d_hi][live], c0) - c0
+            sums[d_lo:d_hi][live] += np.add.reduceat(x, seg_lo)
         out[start : start + m] = sums - compensator + small_sd * z
         n_batches += 1
 

@@ -3,6 +3,7 @@
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -49,6 +50,24 @@ class TestTailMass:
     def test_monotone_in_delta(self):
         vals = [tail_mass(RESC43, float(d)) for d in np.geomspace(1e-4, 0.9, 25)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+    def test_cutoff_near_one_against_mpmath(self):
+        # both sides integrate in y = 1 - u on (0, y_max), y_max = 1 - delta^(2/(k-1));
+        # mpmath scales y = y_max t so its integrand stays O(1) at 50 digits
+        for d, k in ((4, 3), (24, 13), (40, 21), (100, 99)):
+            measure = make_measure("hyperbolic", DimensionPair(d, k))
+            for delta in (1e-3, 0.5, 1.0 - 1e-9, 0.99999999999999745):
+                got = (tail_mass(measure, delta), partial_moment(measure, delta, 1, "above"))
+                with mpmath.workdps(50):
+                    half_b = mpmath.mpf(d - k) / 2
+                    coef = mpmath.pi**half_b / mpmath.gamma(half_b)
+                    y_max = -mpmath.expm1(2 * mpmath.log(mpmath.mpf(delta)) / (k - 1))
+                    for m in (0, 1):
+                        e_pow = mpmath.mpf((k - 1) * m - d - 1) / 2
+                        want = coef * y_max**half_b * mpmath.quad(
+                            lambda t: (1 - y_max * t) ** e_pow * t ** (half_b - 1), [0, 1]
+                        )
+                        assert abs(got[m] / want - 1) <= 1e-12, (d, k, delta, m)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -179,6 +198,23 @@ class TestInverseJumpCdf:
             got = np.array([tail_mass(measure, v) / lam if v < 1.0 else 0.0 for v in x])
             assert np.max(np.abs(got - q)) <= 1e-10, measure
 
+    def test_hot_loop_quantile_matches_the_reference_at_the_edges(self):
+        # fill_x_of_q gathers in clip mode behind its own clamp; q just below
+        # 1 gives s = 1.0, which only the clamp maps onto the last cell
+        rng = np.random.default_rng(17)
+        delta = 1e-3
+        q = np.concatenate(
+            (rng.random(1 << 15), [0.0, 2.0**-53, np.nextafter(1.0, 0.0)])
+        )
+        for measure in (RESC43, make_measure("limit", 3)):
+            table = sampler._certified_jump_table(measure, delta)
+            want = table.x_of_q(q)
+            got = table.fill_x_of_q(
+                q.copy(), np.empty(q.size, dtype=np.int64), np.empty(q.size), np.empty(q.size)
+            )
+            assert np.array_equal(got, want), measure
+            assert abs(got[-1] - delta) <= 2.0 * np.spacing(delta), measure
+
     def test_validation(self):
         with pytest.raises(DomainError):
             inverse_jump_cdf(HYP43, -0.1, 0.25)
@@ -186,6 +222,44 @@ class TestInverseJumpCdf:
             inverse_jump_cdf(HYP43, 1.1, 0.25)
         with pytest.raises(DomainError):
             inverse_jump_cdf(HYP43, 0.5, 0.0)
+
+
+def _rebuild_from_stream(measure, n, cfg, chunk):
+    """The documented stream, rebuilt without chunks: per batch an SFC64
+    generator seeded by SeedSequence((seed, batch)), then standard_normal
+    and poisson over the full batch_size and one random(total) call mapped
+    through x_of_q, each draw's jumps summed exactly with math.fsum.
+
+    Returns the draws, a per-draw bound on the sampler's rounding and each
+    batch's jump total. The sampler adds up to (count - 1) roundings inside
+    its pieces and one per chunk spanned, each at most eps times the draw's
+    sum; then 4 eps of the final terms for the compensator and Gaussian."""
+    delta = cfg.cutoff_delta
+    table = sampler._certified_jump_table(measure, delta)
+    lam = tail_mass(measure, delta)
+    compensator = partial_moment(measure, delta, 1, "above")
+    small_sd = math.sqrt(partial_moment(measure, delta, 2, "below"))
+    eps = np.finfo(float).eps
+    want, bound, totals = [], [], []
+    for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
+        m = min(cfg.batch_size, n - start)
+        rng = np.random.Generator(
+            np.random.SFC64(np.random.SeedSequence((cfg.seed, batch_index)))
+        )
+        z = rng.standard_normal(cfg.batch_size)[:m]
+        counts = rng.poisson(lam, size=cfg.batch_size)[:m]
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        x = table.x_of_q(rng.random(int(ends[-1])))
+        sums = np.array([math.fsum(x[a:e]) for a, e in zip(starts, ends)])
+        spans = np.maximum(ends - 1, starts) // chunk - starts // chunk + 1
+        want.append(sums - compensator + small_sd * z)
+        bound.append(
+            (counts + spans) * eps * sums
+            + 4.0 * eps * (sums + compensator + np.abs(small_sd * z))
+        )
+        totals.append(int(ends[-1]))
+    return np.concatenate(want), np.concatenate(bound), totals
 
 
 @pytest.mark.filterwarnings("ignore:small-jump Gaussian proxy is thin")
@@ -212,35 +286,26 @@ class TestSampleDeterminism:
     def test_run_rebuilt_from_the_documented_stream(self):
         # batch 0 holds about 2.7M jumps, three chunks even at a 2^20 chunk
         # length, and batch 1 is partial; the rebuild never chunks
-        delta, n = 1e-3, 600
-        cfg = SamplerConfig(cutoff_delta=delta, seed=5, batch_size=400)
-        got = sample(RESC43, n, cfg).values
-        table = sampler._certified_jump_table(RESC43, delta)
-        lam = tail_mass(RESC43, delta)
-        compensator = partial_moment(RESC43, delta, 1, "above")
-        small_sd = math.sqrt(partial_moment(RESC43, delta, 2, "below"))
-        chunk = sampler._JUMP_CHUNK
-        eps = np.finfo(float).eps
-        for batch_index, start in enumerate(range(0, n, cfg.batch_size)):
-            m = min(cfg.batch_size, n - start)
-            rng = np.random.Generator(
-                np.random.Philox(seed=np.random.SeedSequence((cfg.seed, batch_index)))
-            )
-            z = rng.standard_normal(cfg.batch_size)[:m]
-            counts = rng.poisson(lam, size=cfg.batch_size)[:m]
-            ends = np.cumsum(counts)
-            assert batch_index == 1 or ends[-1] > 2 * (1 << 20)
-            x = table.x_of_q(rng.random(int(ends[-1])))
-            sums = np.array([math.fsum(x[e - c : e]) for e, c in zip(ends, counts)])
-            # the sampler takes each draw as differences of per-chunk prefix
-            # sums: each prefix is off by at most chunk * eps * the chunk total
-            chunk_total = max(math.fsum(x[c0 : c0 + chunk]) for c0 in range(0, x.size, chunk))
-            spans = (np.maximum(ends - 1, ends - counts) // chunk) - (ends - counts) // chunk + 1
-            want = sums - compensator + small_sd * z
-            bound = 2.0 * spans * chunk * eps * chunk_total + 4.0 * eps * (
-                sums + compensator + np.abs(small_sd * z)
-            )
-            assert np.all(np.abs(got[start : start + m] - want) <= bound)
+        cfg = SamplerConfig(cutoff_delta=1e-3, seed=5, batch_size=400)
+        got = sample(RESC43, 600, cfg).values
+        want, bound, totals = _rebuild_from_stream(RESC43, 600, cfg, sampler._JUMP_CHUNK)
+        assert totals[0] > 2 * (1 << 20)
+        assert np.all(np.abs(got - want) <= bound)
+
+    @pytest.mark.parametrize("chunk", [5, 7])
+    @pytest.mark.parametrize(
+        "measure, delta",
+        # lambda = 1 at b = 2, delta = 0.5, so about 37 % of the draws are
+        # empty; RESC43 at 0.05 makes about 20 jumps a draw, several chunks
+        [(LIMIT2, 0.5), (RESC43, 0.05)],
+        ids=["limit2", "resc43"],
+    )
+    def test_segment_sums_at_chunk_edges(self, monkeypatch, measure, delta, chunk):
+        monkeypatch.setattr(sampler, "_JUMP_CHUNK", chunk)
+        cfg = SamplerConfig(cutoff_delta=delta, seed=11, batch_size=256)
+        got = sample(measure, 400, cfg).values
+        want, bound, _ = _rebuild_from_stream(measure, 400, cfg, chunk)
+        assert np.all(np.abs(got - want) <= bound)
 
     def test_partial_final_batch(self):
         cfg = SamplerConfig(cutoff_delta=0.05, seed=2, batch_size=64)
