@@ -251,7 +251,8 @@ def _cmd_probe(args: argparse.Namespace, argv: list[str]) -> int:
     table = probe_regime(family, _int_list(args.n), _float_list(args.eps))
     path = _out_path(args.out)
     prov = _provenance(argv)
-    header = ["n", "d", "k", "r", "sigma", "threshold_stat", "epsilon", "tail_second_moment"]
+    header = ["n", "d", "k", "r", "sigma", "threshold_stat", "epsilon", "tail_second_moment",
+              "log_sigma"]
     columns = [[getattr(row, name) for row in table.rows] for name in header]
     _write_csv(path, header, columns, prov)
     verdict = table.verdict

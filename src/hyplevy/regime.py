@@ -175,6 +175,7 @@ class ProbeRow:
     threshold_stat: float
     epsilon: float
     tail_second_moment: float
+    log_sigma: float  # finite where sigma underflows to 0
 
 
 @dataclass(frozen=True)
@@ -263,7 +264,8 @@ def classify_sequence(family: SequenceFamily, margin: float = 0.1) -> RegimeVerd
 
 
 def probe_regime(family: SequenceFamily, n_values, eps_values) -> ProbeTable:
-    """Tabulate (n, d, k, r, sigma, threshold_stat, epsilon, tail) rows.
+    """Tabulate (n, d, k, r, sigma, threshold_stat, epsilon, tail,
+    log_sigma) rows.
 
     Admissibility failures propagate, tagged with the offending index.
     """
@@ -273,7 +275,8 @@ def probe_regime(family: SequenceFamily, n_values, eps_values) -> ProbeTable:
     rows = []
     for n in n_values:
         pair = family.realize(n)
-        sigma = math.exp(0.5 * log_variance(pair))
+        log_sigma = 0.5 * log_variance(pair)
+        sigma = math.exp(log_sigma)
         stat = threshold_stat(pair)
         for eps in eps_list:
             rows.append(
@@ -286,6 +289,7 @@ def probe_regime(family: SequenceFamily, n_values, eps_values) -> ProbeTable:
                     threshold_stat=stat,
                     epsilon=eps,
                     tail_second_moment=tail_second_moment(pair, eps),
+                    log_sigma=log_sigma,
                 )
             )
     return ProbeTable(rows=tuple(rows), verdict=classify_sequence(family))

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -146,12 +147,37 @@ class TestProbeAndClassify:
         assert "verdict degenerate" in out
         _, header, rows = read_csv(outdir / "probe.csv")
         assert header == ["n", "d", "k", "r", "sigma", "threshold_stat", "epsilon",
-                          "tail_second_moment"]
+                          "tail_second_moment", "log_sigma"]
         assert len(rows) == 6
         assert [r[0] for r in rows] == ["1", "1", "2", "2", "3", "3"]
         meta = json.loads((outdir / "probe.csv.meta.json").read_text())
         assert meta["label"] == "degenerate"
         assert set(meta) == {"label", "threshold_limit", "rationale"}
+
+    def test_probe_log_sigma_is_finite_where_sigma_underflows(self, capsys, outdir):
+        # power-law gamma = 1, beta = 0.3: d = 4n, k = ceil(d/2 + d^0.3)
+        ns = [100, 1000, 10000, 250000, 1000000]
+        code, _, _ = run(capsys, "probe", "--sequence", "power-law", "--gamma", "1",
+                         "--beta", "0.3", "--n", ",".join(map(str, ns)), "--eps", "0.1",
+                         "--out", "probe.csv")
+        assert code == 0
+        _, header, rows = read_csv(outdir / "probe.csv")
+        col = {h: i for i, h in enumerate(header)}
+        assert [int(r[col["d"]]) for r in rows] == [4 * n for n in ns]
+        for row in rows:
+            d, k = int(row[col["d"]]), int(row[col["k"]])
+            with mpmath.workprec(120):
+                want = 0.5 * (
+                    mpmath.mpf(d - k) / 2 * mpmath.log(mpmath.pi)
+                    + mpmath.loggamma(mpmath.mpf(2 * k - d - 1) / 2)
+                    - mpmath.loggamma(mpmath.mpf(k - 1) / 2)
+                )
+                sigma_want = float(mpmath.exp(want))
+            got = float(row[col["log_sigma"]])
+            assert abs(got - float(want)) <= 1e-12 * abs(float(want)), (d, got, want)
+            assert float(row[col["sigma"]]) == pytest.approx(sigma_want, rel=1e-12, abs=0.0)
+        # sigma underflows from d = 4000 on while log sigma stays finite
+        assert [float(r[col["sigma"]]) == 0.0 for r in rows] == [False] + [True] * 4
 
     def test_probe_inadmissible_index_exits_2(self, capsys):
         code, _, err = run(capsys, "probe", "--sequence", "fixed-codim", "--b", "2",

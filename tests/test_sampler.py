@@ -2,6 +2,9 @@
 
 import math
 import time
+from collections import Counter
+from fractions import Fraction
+from itertools import permutations
 
 import mpmath
 import numpy as np
@@ -408,7 +411,59 @@ class TestSampleDiagnostics:
             sample(RESC43, 3.5)
 
 
+def _integer_partitions(r, largest=None):
+    largest = r if largest is None else largest
+    if r == 0:
+        yield ()
+        return
+    for part in range(min(r, largest), 0, -1):
+        for rest in _integer_partitions(r - part, part):
+            yield (part,) + rest
+
+
+def exact_k_statistic(xs, r):
+    """The order-r k-statistic of the sample xs, in exact arithmetic, as
+    the symmetric unbiased estimator of the cumulant: kappa_r is the sum
+    over set partitions pi of {1..r} of (-1)^(|pi|-1) (|pi|-1)! times the
+    product of the raw moments mu'_|B| of its blocks, and each such
+    product is estimated without bias by the mean of prod_j x_(i_j)^(b_j)
+    over ordered tuples of distinct indices. The doubles are scaled to
+    integers by their common power-of-two denominator D, and the degree-r
+    statistic is divided by D^r at the end."""
+    fracs = [Fraction(x) for x in xs]
+    den = max(f.denominator for f in fracs)
+    ints = [int(f * den) for f in fracs]
+    n = len(ints)
+    total = Fraction(0)
+    for parts in _integer_partitions(r):
+        ell = len(parts)
+        blocks = math.factorial(r) // (
+            math.prod(math.factorial(b) for b in parts)
+            * math.prod(math.factorial(m) for m in Counter(parts).values())
+        )
+        tuples = sum(
+            math.prod(ints[i] ** b for i, b in zip(idx, parts))
+            for idx in permutations(range(n), ell)
+        )
+        sign = (-1) ** (ell - 1) * math.factorial(ell - 1)
+        total += Fraction(sign * blocks * tuples, math.perm(n, ell))
+    return total / Fraction(den) ** r
+
+
 class TestEmpiricalCumulants:
+    def test_exact_k_statistics_on_small_samples(self):
+        rng = np.random.default_rng(23)
+        samples = (
+            rng.exponential(size=7),
+            3.0 * rng.standard_normal(8) + 0.5,
+            rng.lognormal(sigma=0.7, size=9),
+        )
+        for x in samples:
+            got = empirical_cumulants(x, 6)
+            for r in range(1, 7):
+                want = float(exact_k_statistic(x.tolist(), r))
+                assert abs(got[r - 1] - want) <= 1e-13 * abs(want), (len(x), r, got[r - 1], want)
+
     def test_constant_input(self):
         k = empirical_cumulants(np.full(64, 2.5), 4)
         assert k[0] == 2.5

@@ -81,6 +81,65 @@ def exponent_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def exponent_values(monkeypatch):
+    """{round(t / dt): exp(psi(t))} over every frequency passed to
+    _char_exponents, for the step dt given when read."""
+    seen = []
+    real = spectral._char_exponents
+
+    def record(measure, ts, rel_tol):
+        psi = real(measure, ts, rel_tol)
+        seen.extend(zip(np.array(ts, dtype=float), np.exp(psi)))
+        return psi
+
+    monkeypatch.setattr(spectral, "_char_exponents", record)
+
+    def by_index(dt):
+        out = {}
+        for t, cf in seen:
+            k = round(t / dt)
+            assert t == k * dt and k not in out
+            out[k] = complex(cf)
+        return out
+
+    return by_index
+
+
+def direct_sum_density(cf, dt, n):
+    """(dt / 2 pi) (1 + 2 sum_k Re[cf_k e^{-i k dt x_m}]) at x_m = (m - n/2)
+    dx, m = 0..n-1, by math.fsum over the frequencies 0 < k < n/2 in cf.
+    The phase k dt x_m = 2 pi k (m - n/2) / n is reduced mod n in integers."""
+    ks = [k for k in cf if 0 < k < n // 2]
+    out = np.empty(n)
+    for m in range(n):
+        terms = [1.0]
+        for k in ks:
+            angle = 2.0 * math.pi * ((k * (m - n // 2)) % n) / n
+            terms.append(2.0 * (cf[k].real * math.cos(angle) + cf[k].imag * math.sin(angle)))
+        out[m] = dt / (2.0 * math.pi) * math.fsum(terms)
+    return out
+
+
+def assert_matches_direct_sum(grid, cf, dt):
+    """The grid before clipping and renormalization against the direct
+    sum: where the grid is positive its raw value is value * (mass +
+    clipped_mass); where it was clipped the sum must be <= the bound. The
+    bound is the FFT's rounding, 16 eps log2(n) times the l1 norm of the
+    half-spectrum's Hermitian extension scaled by dt / 2 pi, plus 4 eps of
+    the value for the renormalization round trip. Returns the bound."""
+    n = len(grid.values)
+    want = direct_sum_density(cf, dt, n)
+    l1 = 1.0 + 2.0 * sum(abs(c) for k, c in cf.items() if 0 < k < n // 2)
+    eps = np.finfo(float).eps
+    bound = dt / (2.0 * math.pi) * 16.0 * eps * math.log2(n) * l1
+    raw = grid.values * (grid.meta["mass"] + grid.meta["clipped_mass"])
+    pos = grid.values > 0.0
+    assert np.all(np.abs(raw - want)[pos] <= bound + 4.0 * eps * raw[pos])
+    assert np.all(want[~pos] <= bound)
+    return bound
+
+
 def grid_step(measure, half_width=12.0):
     """The frequency step invert_to_density uses."""
     return math.pi / (half_width * math.sqrt(measure.total_second_moment))
@@ -198,6 +257,24 @@ class TestInversionWork:
         assert sum(rows) == i_cut
         assert max(rows) <= _BLOCK
 
+    def test_cutoff_at_the_grid_top_skips_the_nyquist_frequency(self, exponent_values):
+        # on 256 points at half_width 96 the doubling search first drops
+        # below 1e-2 at its last probe, i = n/2 = 128
+        n, half_width = 256, 96.0
+        grid = invert_to_density(RESC43, half_width=half_width, n_points=n, decay_threshold=1e-2)
+        dt = grid_step(RESC43, half_width)
+        assert round(grid.meta["cf_cutoff"] / dt) == n // 2
+        # every frequency k dt, k = 1..n/2, evaluated once (exponent_values
+        # rejects repeats): the probes, n/2 among them, and the grid below
+        # n/2, and no other
+        cf = exponent_values(dt)
+        assert sorted(cf) == list(range(1, n // 2 + 1))
+        # the grid has no +n/2 frequency: the density is the sum over
+        # |k| < n/2, and a stray (-1)^m cf_{n/2} term would be visible
+        bound = assert_matches_direct_sum(grid, cf, dt)
+        nyquist = dt / (2.0 * math.pi) * abs(cf[n // 2])
+        assert nyquist > 1e6 * bound
+
     def test_undetected_decay_evaluates_only_the_probes(self, exponent_calls, quad_log):
         with pytest.raises(DecayDetectionError):
             invert_to_density(LIMIT2, half_width=1e6, n_points=256)
@@ -284,6 +361,36 @@ class TestInvertToDensity:
             invert_to_density(RESC43, n_points=258)
         with pytest.raises(DomainError):
             invert_to_density(RESC43, n_points=512.0)
+
+
+class TestHalfSpectrumInversion:
+    @pytest.mark.parametrize("n", [256, 1024])
+    @pytest.mark.parametrize("measure", [RESC43, LIMIT2], ids=["resc43", "limit2"])
+    def test_matches_the_direct_sum(self, measure, n, exponent_values):
+        grid = invert_to_density(measure, n_points=n)
+        dt = grid_step(measure)
+        cf = exponent_values(dt)
+        assert sorted(cf) == list(range(1, round(grid.meta["cf_cutoff"] / dt) + 1))
+        assert_matches_direct_sum(grid, cf, dt)
+
+    @pytest.mark.parametrize(
+        "measure", [RESC43, HYP75, LIMIT1, LIMIT3], ids=["resc43", "hyp75", "limit1", "limit3"]
+    )
+    def test_moments_match_fsum_moments_of_the_grid(self, measure):
+        grid = invert_to_density(measure, n_points=4096)
+        n = len(grid.values)
+        w = np.full(n, grid.step)
+        w[0] = w[-1] = 0.5 * grid.step
+        wv = w * grid.values
+        mean = math.fsum(wv * grid.xs)
+        c = grid.xs - mean
+        # an n-term sum in double rounds to about sqrt(n) eps times the sum
+        # of its absolute terms; 8 sqrt(n) eps of those sums is the bar
+        tol = 8.0 * math.sqrt(n) * np.finfo(float).eps
+        assert abs(grid.meta["mean"] - mean) <= tol * math.fsum(wv * np.abs(grid.xs))
+        assert abs(grid.meta["variance"] - math.fsum(wv * c * c)) <= tol * math.fsum(wv * c * c)
+        third = math.fsum(wv * c * c * c)
+        assert abs(grid.meta["third_central"] - third) <= tol * math.fsum(wv * np.abs(c) ** 3)
 
 
 class TestCdf:
