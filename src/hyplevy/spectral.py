@@ -12,15 +12,29 @@ the endpoints. Frequencies are evaluated in blocks: one quadrature pass
 per block of up to 32 frequencies computes the node-only factors (the u
 powers, the endpoint factor) once per level and only the phase terms per
 frequency, and each frequency keeps the level at which it alone
-converges. The scalar char_exponent is a block of one.
+converges. The scalar char_exponent is a block of one. Each phase term
+e^{itx} - 1 - itx is computed in one form, its quartic Taylor form in t
+where |t x| < 1e-4 and the sine form elsewhere: the nodes are monotone in
+x within a level, so comparing max|t| x and min|t| x with 1e-4 splits the
+columns into all-small, all-large and mixed spans, and only the mixed
+span needs a per-element mask.
 
 Densities come from sampling exp(psi) on a uniform frequency grid,
 truncating where |cf| falls below a threshold, and applying one real-output
 FFT. The threshold is found by a doubling search over grid frequencies
-4 dt, 8 dt, ...; the grid then evaluates the remaining frequencies up to
-the cutoff in blocks and reuses the probes' values, so no frequency is
-evaluated twice and none above the cutoff. Only the half spectrum
-k = 0..N/2 is built: cf(-t) = conj(cf(t)) supplies the rest. With
+4 dt, 8 dt, ..., seeded by a bound: 1 - cos u <= u^2 / 2 gives
+|cf(t)| >= exp(-sigma^2 t^2 / 2), and on the grid sigma t = k pi /
+half_width, so every probe k <= k_safe = half_width sqrt(2 ln(1/threshold)
+- 2) / pi passes with |cf| >= e threshold. The first quadrature call
+therefore evaluates k = 1 up to the first probe >= k_safe as one block
+(1..32 at the defaults); the probes above it are evaluated one at a time,
+and the grid then evaluates the remaining frequencies up to the cutoff in
+blocks. The probes are still checked in order from their values, so the
+cutoff is that of the plain search; no frequency is evaluated twice and
+none above the cutoff is used.
+
+Only the half spectrum k = 0..N/2 is built: cf(-t) = conj(cf(t))
+supplies the rest. With
 x_m = (m - N/2) dx and dx dt = 2 pi / N, e^{-i k dt x_m} =
 (-1)^k e^{-2 pi i k m / N}, so
 
@@ -72,21 +86,62 @@ def _osc_kernel(y: np.ndarray) -> np.ndarray:
     return re + 1j * im
 
 
-def _phase_kernel(t, y, small, top, powers) -> np.ndarray:
-    """(e^{iy} - 1 - iy) top on the (block, nodes) phases y = t x. Where
-    small, its quartic Taylor form in t is used instead, with powers =
-    (x^2, x^3, x^4, x^5) times top, which the caller builds in a form that
-    stays finite where top alone overflows."""
+_CHUNK = 2048  # columns per kernel pass: its temporaries stay (block, 2048)
+
+
+def _phase_kernel(t, x, top, powers, forced=None) -> np.ndarray:
+    """(e^{iy} - 1 - iy) top on the (block, nodes) phases y = t x, with
+    its quartic Taylor form in t where |y| < _SMALL_PHASE (or where the
+    node mask forced is set); powers = (x^2, x^3, x^4, x^5) times top,
+    which the caller builds in a form that stays finite where top alone
+    overflows.
+
+    Each element is computed in one form only. |y| = |t| x grows with |t|
+    and, the nodes x being monotone (ascending or descending, as their
+    ends show), along the row, so the columns small at max |t| are small
+    in every row, those large at min |t| are large in every row, and only
+    the span between needs the row mask. The forms are the ones a where()
+    over both would pick, so the values do not depend on the spans; the
+    output is filled _CHUNK columns at a time.
+    """
+    t = np.asarray(t)
+    at = np.abs(t)
+    n = len(x)
+    forced = np.zeros(n, dtype=bool) if forced is None else forced
+    n_all = np.count_nonzero((np.max(at) * x < _SMALL_PHASE) | forced)
+    n_any = np.count_nonzero((np.min(at) * x < _SMALL_PHASE) | forced)
+    if n and x[0] > x[-1]:
+        spans = ((0, n - n_any, "large"), (n - n_any, n - n_all, "mixed"), (n - n_all, n, "small"))
+    else:
+        spans = ((0, n_all, "small"), (n_all, n_any, "mixed"), (n_any, n, "large"))
     p2, p3, p4, p5 = powers
     t2 = t * t
-    out = np.empty(np.shape(y), dtype=complex)
+    # per-row factors of the Taylor form, grouped as the full expression
+    # -0.5 t2 p2 + t2 t2 / 24 p4 (and its imaginary twin) would group them
+    r2, r4 = -0.5 * t2, t2 * t2 / 24.0
+    i3, i5 = -t2 * t / 6.0, t2 * t2 * t / 120.0
+    out = np.empty(np.broadcast_shapes(t.shape, x.shape), dtype=complex)
+    re, im = out.real, out.imag
     with np.errstate(over="ignore", invalid="ignore"):
-        out.real = np.where(
-            small, -0.5 * t2 * p2 + t2 * t2 / 24.0 * p4, -2.0 * np.sin(0.5 * y) ** 2 * top
-        )
-        out.imag = np.where(
-            small, -t2 * t / 6.0 * p3 + t2 * t2 * t / 120.0 * p5, (np.sin(y) - y) * top
-        )
+        for lo, hi, form in spans:
+            for start in range(lo, hi, _CHUNK):
+                cols = slice(start, min(start + _CHUNK, hi))
+                if form != "small":
+                    # -2 sin(y/2)^2 top and (sin y - y) top, in place
+                    y = t * x[cols]
+                    h = np.multiply(y, 0.5)
+                    np.sin(h, out=h)
+                    np.square(h, out=h)
+                    h *= -2.0
+                    np.multiply(h, top[cols], out=re[..., cols])
+                    s = np.sin(y)
+                    s -= y
+                    np.multiply(s, top[cols], out=im[..., cols])
+                if form != "large":
+                    # over the large form where the row mask says small
+                    small = True if form == "small" else (np.abs(y) < _SMALL_PHASE) | forced[cols]
+                    np.copyto(re[..., cols], r2 * p2[cols] + r4 * p4[cols], where=small)
+                    np.copyto(im[..., cols], i3 * p3[cols] + i5 * p5[cols], where=small)
     return out
 
 
@@ -120,8 +175,7 @@ def _psi_pair(pair: DimensionPair, t: np.ndarray, rescaled: bool, rel_tol: float
         w5 = w4 * x
         with np.errstate(over="ignore", invalid="ignore"):
             top = np.exp(-e_top * lu) * side
-        y = t * x
-        return _phase_kernel(t, y, np.abs(y) < _SMALL_PHASE, top, (w2, w3, w4, w5))
+        return _phase_kernel(t, x, top, (w2, w3, w4, w5))
 
     return coef * tanh_sinh(integrand, rel_tol=rel_tol, abs_tol=1e-300)
 
@@ -139,9 +193,7 @@ def _psi_limit(b: int, t: np.ndarray, rel_tol: float) -> np.ndarray:
         powers = (ev * vpow, ev2 * vpow, ev2 * ev * vpow, ev2 * ev2 * vpow)
         with np.errstate(over="ignore"):
             top = np.exp(np.minimum(v, 700.0)) * vpow
-        y = t * ev
-        small = (np.abs(y) < _SMALL_PHASE) | (v > 700.0)
-        return _phase_kernel(t, y, small, top, powers)
+        return _phase_kernel(t, ev, top, powers, forced=v > 700.0)
 
     return coef * exp_sinh(integrand, rel_tol=rel_tol, abs_tol=1e-300)
 
@@ -280,6 +332,22 @@ def _trapz_weights(n: int, step: float) -> np.ndarray:
     return w
 
 
+# exponent headroom of the seed: the bound promises |cf| >= e * threshold
+_SEED_MARGIN = 2.0
+
+
+def _safe_index(half_width: float, decay_threshold: float) -> float:
+    """The grid index k_safe up to which |cf(k dt)| provably stays at
+    least e * decay_threshold: 1 - cos u <= u^2 / 2 gives
+    |cf(t)| >= exp(-sigma^2 t^2 / 2), and sigma t = k pi / half_width on
+    the grid, so k <= half_width sqrt(2 ln(1/threshold) - 2) / pi will do.
+    inf for a zero threshold, 0 when the root is imaginary."""
+    if decay_threshold == 0.0:
+        return math.inf
+    room = -2.0 * math.log(decay_threshold) - _SEED_MARGIN
+    return half_width * math.sqrt(room) / math.pi if room > 0.0 else 0.0
+
+
 def invert_to_density(
     measure: LevyMeasure1D,
     *,
@@ -292,20 +360,32 @@ def invert_to_density(
     deviations from its characteristic function.
 
     The frequency step is pinned by the requested window (dt = pi /
-    (half_width sigma)); the cf is evaluated out to the first frequency
-    where |cf| < decay_threshold and treated as zero beyond (raises
-    DecayDetectionError, having evaluated only the doubling probes, if
-    that never happens inside the representable window). The density on
-    x_m = (m - n/2) dx, dx = 2 pi / (n dt), is the half-spectrum sum
+    (half_width sigma)); the cf is evaluated out to the first doubling
+    probe k dt (k = 4, 8, 16, ... <= n/2) where |cf| < decay_threshold and
+    treated as zero beyond. Since |cf(t)| >= exp(-sigma^2 t^2 / 2), no
+    probe up to k_safe = half_width sqrt(2 ln(1/decay_threshold) - 2) / pi
+    can be the cutoff, so k = 1 up to the first probe >= k_safe is
+    evaluated as one block and checked in order; the probes above it one
+    at a time. When every probe is below k_safe (decay_threshold = 0, or
+    a window too wide for n_points), only the top probe is evaluated and
+    DecayDetectionError is raised with its |cf|; it is also raised when
+    no probe drops below the threshold. The bound takes
+    measure.total_second_moment as sigma^2; should the top probe of a
+    measure that understates it fail all the same, the whole ladder is
+    searched. The density on x_m = (m - n/2) dx, dx = 2 pi / (n dt), is
+    the half-spectrum sum
 
         f(x_m) = (dt / 2 pi) hfft[a]_m,  a_k = (-1)^k cf(k dt), k = 0..n/2,
 
     with a_k = 0 above the cutoff and at k = n/2 (numpy.fft.hfft, length
-    n). n_points must be a multiple of 4 and at least 256. Negative ripple
-    is clipped, the grid renormalized, and both amounts recorded in meta.
+    n). n_points must be a multiple of 4 and at least 256, and
+    decay_threshold non-negative. Negative ripple is clipped, the grid
+    renormalized, and both amounts recorded in meta.
     """
     if not (half_width > 0.0):
         raise DomainError(f"half_width must be positive, got {half_width!r}")
+    if not (decay_threshold >= 0.0):
+        raise DomainError(f"decay_threshold must be non-negative, got {decay_threshold!r}")
     if not (isinstance(n_points, int) and n_points >= 256 and n_points % 4 == 0):
         raise DomainError(
             f"n_points must be an integer multiple of 4, >= 256, got {n_points!r}"
@@ -315,41 +395,53 @@ def invert_to_density(
     n = n_points
     t_grid_max = 0.5 * n * dt
 
-    # doubling search for the truncation frequency; the probes sit on the
-    # grid (t = i dt, i = 4, 8, 16, ...) and their values are kept
-    i_probe = 4
-    achieved = 1.0
-    t_cut = None
-    probes = {}
-    while i_probe * dt <= t_grid_max * (1.0 + 1e-9):
-        t_probe = i_probe * dt
-        probes[i_probe] = char_function(measure, t_probe, rel_tol=rel_tol)
-        achieved = abs(probes[i_probe])
+    # doubling search for the truncation frequency over the grid probes
+    # i = 4, 8, 16, ... <= n/2. Every probe up to k_safe passes (see
+    # _safe_index), so the first call evaluates k = 1..seed as one block,
+    # seed being the first probe >= k_safe, or only the top probe when all
+    # of them are below k_safe; above the seed, one probe per call. The
+    # probes are checked in order from their values, so the cutoff is the
+    # first probe below the threshold, as in a plain search.
+    half = n // 2
+    ladder = [4 << m for m in range((half // 4).bit_length())]
+    k_safe = _safe_index(half_width, decay_threshold)
+    seed = next((i for i in ladder if i >= k_safe), None)
+    first = np.arange(1, seed + 1) if seed is not None else np.array(ladder[-1:])
+    # half spectrum a_k = (-1)^k cf(k dt), k = 0..n/2
+    a = np.zeros(half + 1, dtype=complex)
+    a[0] = 1.0
+    known = np.zeros(half + 1, dtype=bool)
+    known[0] = True
+    a[first] = np.exp(_char_exponents(measure, first * dt, rel_tol))
+    known[first] = True
+    checked = ladder
+    if seed is None and abs(a[ladder[-1]]) >= decay_threshold:
+        # no probe reaches the threshold; the top one's |cf| is reported.
+        # (A measure whose total_second_moment understates its second
+        # moment can break the bound; its top probe may then fail, and
+        # the whole ladder is searched.)
+        checked = ladder[-1:]
+    for i_cut in checked:
+        if not known[i_cut]:
+            a[i_cut] = char_function(measure, i_cut * dt, rel_tol=rel_tol)
+            known[i_cut] = True
+        achieved = float(abs(a[i_cut]))
         if achieved < decay_threshold:
-            t_cut = t_probe
             break
-        i_probe *= 2
-    if t_cut is None:
+    else:
         raise DecayDetectionError(
             f"|cf| only reached {achieved:.3e} at the edge of the frequency "
             f"window (t = {t_grid_max:.6g}); enlarge n_points or half_width",
             achieved,
         )
+    t_cut = i_cut * dt
 
-    # half spectrum a_k = (-1)^k cf(k dt), k = 0..n/2; the grid's top
-    # frequency is (n/2 - 1) dt, so a probe at n/2 is not placed and
-    # a_{n/2} stays 0
-    half = n // 2
-    a = np.zeros(half + 1, dtype=complex)
-    todo = np.zeros(half, dtype=bool)
-    todo[1 : i_probe + 1] = True
-    for i, cf in probes.items():
-        if i < half:
-            a[i] = cf
-            todo[i] = False
-    ks = np.flatnonzero(todo)
-    a[ks] = np.exp(_char_exponents(measure, ks * dt, rel_tol))
-    a[0] = 1.0
+    # the rest up to the cutoff; nothing above it is placed, and neither
+    # is a probe at n/2, since the grid's top frequency is (n/2 - 1) dt
+    ks = np.flatnonzero(~known[: i_cut + 1])
+    if ks.size:
+        a[ks] = np.exp(_char_exponents(measure, ks * dt, rel_tol))
+    a[min(i_cut + 1, half) :] = 0.0
     a[1::2] *= -1.0
     values = np.fft.hfft(a, n)
     values *= dt / (2.0 * math.pi)

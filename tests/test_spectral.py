@@ -1,12 +1,16 @@
 """Characteristic exponents, Fourier inversion, Kolmogorov distances."""
 
+import dataclasses
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 import scipy.special
 
-from conftest import cached_density
+from conftest import cached_density, hyplevy_env
 from hyplevy.errors import DecayDetectionError, DomainError
 from hyplevy.measures import DimensionPair, cumulant, levy_density, make_measure, variance
 from hyplevy.measures import LevyMeasure1D
@@ -22,8 +26,11 @@ from hyplevy.spectral import (
     ks_distance_sample,
     taylor_remainder_bound,
     _BLOCK,
+    _SMALL_PHASE,
     _char_exponents,
     _exponent_rule,
+    _phase_kernel,
+    _safe_index,
 )
 
 RESC43 = make_measure("rescaled", DimensionPair(4, 3))
@@ -106,35 +113,39 @@ def exponent_values(monkeypatch):
     return by_index
 
 
-def direct_sum_density(cf, dt, n):
+def direct_sum_density(cf, dt, n, ms):
     """(dt / 2 pi) (1 + 2 sum_k Re[cf_k e^{-i k dt x_m}]) at x_m = (m - n/2)
-    dx, m = 0..n-1, by math.fsum over the frequencies 0 < k < n/2 in cf.
-    The phase k dt x_m = 2 pi k (m - n/2) / n is reduced mod n in integers."""
+    dx for the grid indices ms, by math.fsum over the frequencies
+    0 < k < n/2 in cf. The phase k dt x_m = 2 pi k (m - n/2) / n is reduced
+    mod n in integers."""
     ks = [k for k in cf if 0 < k < n // 2]
-    out = np.empty(n)
-    for m in range(n):
+    out = np.empty(len(ms))
+    for j, m in enumerate(ms):
         terms = [1.0]
         for k in ks:
             angle = 2.0 * math.pi * ((k * (m - n // 2)) % n) / n
             terms.append(2.0 * (cf[k].real * math.cos(angle) + cf[k].imag * math.sin(angle)))
-        out[m] = dt / (2.0 * math.pi) * math.fsum(terms)
+        out[j] = dt / (2.0 * math.pi) * math.fsum(terms)
     return out
 
 
-def assert_matches_direct_sum(grid, cf, dt):
+def assert_matches_direct_sum(grid, cf, dt, every=1):
     """The grid before clipping and renormalization against the direct
-    sum: where the grid is positive its raw value is value * (mass +
-    clipped_mass); where it was clipped the sum must be <= the bound. The
-    bound is the FFT's rounding, 16 eps log2(n) times the l1 norm of the
-    half-spectrum's Hermitian extension scaled by dt / 2 pi, plus 4 eps of
-    the value for the renormalization round trip. Returns the bound."""
+    sum, at every every-th grid point: where the grid is positive its raw
+    value is value * (mass + clipped_mass); where it was clipped the sum
+    must be <= the bound. The bound is the FFT's rounding, 16 eps log2(n)
+    times the l1 norm of the half-spectrum's Hermitian extension scaled by
+    dt / 2 pi, plus 4 eps of the value for the renormalization round trip.
+    Returns the bound."""
     n = len(grid.values)
-    want = direct_sum_density(cf, dt, n)
+    ms = np.arange(0, n, every)
+    want = direct_sum_density(cf, dt, n, ms)
     l1 = 1.0 + 2.0 * sum(abs(c) for k, c in cf.items() if 0 < k < n // 2)
     eps = np.finfo(float).eps
     bound = dt / (2.0 * math.pi) * 16.0 * eps * math.log2(n) * l1
-    raw = grid.values * (grid.meta["mass"] + grid.meta["clipped_mass"])
-    pos = grid.values > 0.0
+    values = grid.values[ms]
+    raw = values * (grid.meta["mass"] + grid.meta["clipped_mass"])
+    pos = values > 0.0
     assert np.all(np.abs(raw - want)[pos] <= bound + 4.0 * eps * raw[pos])
     assert np.all(want[~pos] <= bound)
     return bound
@@ -143,6 +154,51 @@ def assert_matches_direct_sum(grid, cf, dt):
 def grid_step(measure, half_width=12.0):
     """The frequency step invert_to_density uses."""
     return math.pi / (half_width * math.sqrt(measure.total_second_moment))
+
+
+def probes(n):
+    """The doubling probes 4, 8, 16, ... <= n/2 of an n-point grid."""
+    return [4 * 2**m for m in range(20) if 4 * 2**m <= n // 2]
+
+
+def ladder_reference(measure, half_width, n, threshold):
+    """The plain doubling search, one char_function call per probe 4, 8,
+    16, ... <= n/2 in order: (the first probe index whose |cf| is below
+    threshold, or None if none is; |cf| at the last probe evaluated)."""
+    dt = grid_step(measure, half_width)
+    for i in probes(n):
+        achieved = abs(char_function(measure, i * dt))
+        if achieved < threshold:
+            return i, achieved
+    return None, achieved
+
+
+def seeded_block(half_width, n, threshold):
+    """The indices of invert_to_density's first call: 1..seed, the seed
+    being the first probe >= k_safe, or only the top probe when no probe
+    reaches k_safe."""
+    ladder = probes(n)
+    k_safe = _safe_index(half_width, threshold)
+    seed = next((i for i in ladder if i >= k_safe), None)
+    return list(range(1, seed + 1)) if seed else ladder[-1:]
+
+
+def where_kernel(t, x, top, powers, forced):
+    """Both forms of the phase kernel over the whole block, one picked per
+    element by where(): the reference the single-form kernel must equal."""
+    p2, p3, p4, p5 = powers
+    t2 = t * t
+    y = t * x
+    small = (np.abs(y) < _SMALL_PHASE) | forced
+    out = np.empty(np.shape(y), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out.real = np.where(
+            small, -0.5 * t2 * p2 + t2 * t2 / 24.0 * p4, -2.0 * np.sin(0.5 * y) ** 2 * top
+        )
+        out.imag = np.where(
+            small, -t2 * t / 6.0 * p3 + t2 * t2 * t / 120.0 * p5, (np.sin(y) - y) * top
+        )
+    return out
 
 
 class TestCharExponent:
@@ -240,22 +296,35 @@ class TestBlockExponents:
 class TestInversionWork:
     """Deterministic work counts of invert_to_density, not timings."""
 
-    @pytest.mark.parametrize("measure", [RESC43, LIMIT2], ids=["resc43", "limit2"])
+    def test_seed_index_at_the_defaults(self):
+        # 12 sqrt(2 ln 1e12 - 2) / pi
+        assert math.isclose(_safe_index(12.0, 1e-12), 27.88, abs_tol=5e-3)
+
+    @pytest.mark.parametrize(
+        "measure, i_cut, rows",
+        [
+            # 1..32, probe 64, the 31 frequencies 33..63
+            (RESC43, 64, [(32,), (1,), (31,)]),
+            # 1..32, probes 64 and 128, the 94 frequencies left below 128
+            (LIMIT2, 128, [(32,), (1,), (1,), (32,), (32,), (30,)]),
+        ],
+        ids=["resc43", "limit2"],
+    )
     def test_each_grid_frequency_up_to_the_cutoff_is_evaluated_once(
-        self, measure, exponent_calls, quad_log
+        self, measure, i_cut, rows, exponent_calls, quad_log
     ):
         grid = invert_to_density(measure)
         dt = grid_step(measure)
-        i_cut = round(grid.meta["cf_cutoff"] / dt)
-        index = [np.round(ts / dt).astype(int) for ts in exponent_calls]
-        # the doubling probes first, one frequency each, then the rest
-        probes = [4 * 2**m for m in range(len(index) - 1)]
-        assert probes[-1] == i_cut
-        assert [list(i) for i in index[:-1]] == [[p] for p in probes]
+        assert round(grid.meta["cf_cutoff"] / dt) == i_cut
+        index = [list(np.round(ts / dt).astype(int)) for ts in exponent_calls]
+        # k = 1..32 as one block (32 is the first probe >= k_safe = 27.9),
+        # the probes above it one per call, then the rest in blocks
+        assert index[0] == list(range(1, 33))
+        above = [p for p in probes(16384) if 32 < p <= i_cut]
+        assert index[1 : 1 + len(above)] == [[p] for p in above]
         assert sorted(np.concatenate(index)) == list(range(1, i_cut + 1))
-        rows = [rec["rows"][0] for rec in quad_log]
-        assert sum(rows) == i_cut
-        assert max(rows) <= _BLOCK
+        assert [rec["rows"] for rec in quad_log] == rows
+        assert max(r[0] for r in rows) <= _BLOCK
 
     def test_cutoff_at_the_grid_top_skips_the_nyquist_frequency(self, exponent_values):
         # on 256 points at half_width 96 the doubling search first drops
@@ -276,13 +345,188 @@ class TestInversionWork:
         assert nyquist > 1e6 * bound
 
     def test_undetected_decay_evaluates_only_the_probes(self, exponent_calls, quad_log):
-        with pytest.raises(DecayDetectionError):
+        # k_safe = 1e6 sqrt(2 ln 1e12 - 2) / pi is far above n/2 = 128: no
+        # probe can reach the threshold, and only the top one is evaluated
+        # for the |cf| the error reports
+        with pytest.raises(DecayDetectionError) as info:
             invert_to_density(LIMIT2, half_width=1e6, n_points=256)
         dt = grid_step(LIMIT2, 1e6)
-        assert [list(np.round(ts / dt)) for ts in exponent_calls] == [
-            [4], [8], [16], [32], [64], [128]
-        ]
-        assert [rec["rows"] for rec in quad_log] == [(1,)] * 6
+        assert [list(np.round(ts / dt)) for ts in exponent_calls] == [[128]]
+        assert [rec["rows"] for rec in quad_log] == [(1,)]
+        assert info.value.achieved == ladder_reference(LIMIT2, 1e6, 256, 1e-12)[1]
+
+
+class TestDecayThreshold:
+    def test_zero_evaluates_only_the_top_probe(self, exponent_calls):
+        with pytest.raises(DecayDetectionError) as info:
+            invert_to_density(RESC43, half_width=12.0, n_points=256, decay_threshold=0.0)
+        dt = grid_step(RESC43)
+        assert [list(np.round(ts / dt)) for ts in exponent_calls] == [[128]]
+        assert _safe_index(12.0, 0.0) == math.inf
+        assert info.value.achieved == ladder_reference(RESC43, 12.0, 256, 0.0)[1]
+
+    @pytest.mark.parametrize("threshold", [1.0, 2.0, math.inf])
+    def test_at_or_above_one_seeds_at_probe_four(self, threshold, exponent_calls):
+        grid = invert_to_density(RESC43, decay_threshold=threshold)
+        dt = grid_step(RESC43)
+        assert [list(np.round(ts / dt)) for ts in exponent_calls] == [[1, 2, 3, 4]]
+        assert round(grid.meta["cf_cutoff"] / dt) == 4
+        assert grid.meta["cf_at_cutoff"] == ladder_reference(RESC43, 12.0, 16384, threshold)[1]
+
+    @pytest.mark.parametrize("threshold", [math.nan, -1e-12, -math.inf])
+    def test_nan_or_negative_is_a_domain_error(self, threshold, exponent_calls):
+        with pytest.raises(DomainError):
+            invert_to_density(RESC43, decay_threshold=threshold)
+        assert exponent_calls == []
+
+
+SEARCH_LAWS = [RESC43, LIMIT1, LIMIT2, HYP75, CLONE75]
+SEARCH_IDS = ["resc43", "limit1", "limit2", "hyp75", "custom"]
+# HYP75 declaring 1/16 of its second moment: its sigma is 4 times too
+# small, so the bound behind the seed fails
+UNDERSTATED = dataclasses.replace(HYP75, total_second_moment=HYP75.total_second_moment / 16.0)
+
+
+class TestSeededSearch:
+    """The bound-seeded search against the plain probe ladder, with the
+    cutoff below, at and above the seed."""
+
+    @pytest.mark.parametrize("n", [256, 4096, 16384])
+    @pytest.mark.parametrize("half_width", [3.0, 12.0, 96.0])
+    @pytest.mark.parametrize("threshold", [0.5, 1e-2, 1e-12])
+    @pytest.mark.parametrize("measure", SEARCH_LAWS, ids=SEARCH_IDS)
+    def test_matches_the_probe_ladder(self, measure, threshold, half_width, n, exponent_values):
+        dt = grid_step(measure, half_width)
+        block = seeded_block(half_width, n, threshold)
+        try:
+            grid = invert_to_density(
+                measure, half_width=half_width, n_points=n, decay_threshold=threshold
+            )
+        except DecayDetectionError as exc:
+            cf = exponent_values(dt)  # read before the reference adds its probes
+            assert sorted(cf) == block + [p for p in probes(n) if p > block[-1]]
+            assert ladder_reference(measure, half_width, n, threshold) == (None, exc.achieved)
+            return
+        cf = exponent_values(dt)
+        i_cut = round(grid.meta["cf_cutoff"] / dt)
+        assert grid.meta["cf_cutoff"] == i_cut * dt
+        assert (i_cut, grid.meta["cf_at_cutoff"]) == ladder_reference(
+            measure, half_width, n, threshold
+        )
+        # each k <= cutoff once (exponent_values rejects repeats), none above
+        assert sorted(cf) == list(range(1, i_cut + 1))
+        assert set(block) <= set(cf)
+        # all 256 points of the smallest grid, 64 points of the larger ones
+        assert_matches_direct_sum(grid, cf, dt, every=1 if n == 256 else n // 64)
+
+    @pytest.mark.parametrize(
+        "half_width, n, threshold",
+        # the cutoff below the seed 16, with |cf| above it still far
+        # over the FFT's rounding; no seed, and a top probe that fails
+        [(12.0, 4096, 1e-2), (200.0, 256, 1e-2)],
+    )
+    def test_a_failed_bound_still_gives_the_ladder_cutoff(
+        self, half_width, n, threshold, exponent_values
+    ):
+        grid = invert_to_density(
+            UNDERSTATED, half_width=half_width, n_points=n, decay_threshold=threshold
+        )
+        dt = grid_step(UNDERSTATED, half_width)
+        cf = exponent_values(dt)
+        i_cut = round(grid.meta["cf_cutoff"] / dt)
+        assert i_cut < seeded_block(half_width, n, threshold)[-1]
+        assert (i_cut, grid.meta["cf_at_cutoff"]) == ladder_reference(
+            UNDERSTATED, half_width, n, threshold
+        )
+        # the values evaluated above the cutoff are not placed
+        placed = {k: c for k, c in cf.items() if k <= i_cut}
+        assert sorted(placed) == list(range(1, i_cut + 1))
+        assert_matches_direct_sum(grid, placed, dt)
+
+    @pytest.mark.parametrize("measure", SEARCH_LAWS, ids=SEARCH_IDS)
+    def test_cf_modulus_bound_holds_up_to_the_seed(self, measure):
+        # |cf(t)| >= exp(-sigma^2 t^2 / 2), since 1 - cos u <= u^2 / 2; the
+        # computed |cf| carries the quadrature's relative error, well
+        # below the 1e-9 allowed here
+        sigma2 = measure.total_second_moment
+        for half_width, threshold in ((3.0, 1e-12), (12.0, 1e-12), (96.0, 1e-2), (96.0, 1e-12)):
+            dt = grid_step(measure, half_width)
+            ks = np.arange(1, seeded_block(half_width, 16384, threshold)[-1] + 1)
+            t = ks * dt
+            got = np.abs(np.exp(_char_exponents(measure, t, 1e-11)))
+            assert np.all(got >= np.exp(-0.5 * sigma2 * t * t) * (1.0 - 1e-9))
+            safe = ks <= _safe_index(half_width, threshold)
+            assert np.all(got[safe] >= math.e * threshold)
+
+
+class TestPhaseKernel:
+    @pytest.mark.parametrize(
+        "measure", [RESC43, RESC40, HYP75, LIMIT1, LIMIT2, LIMIT3],
+        ids=["resc43", "resc40_21", "hyp75", "limit1", "limit2", "limit3"],
+    )
+    def test_single_form_equals_the_two_form_where(self, measure, monkeypatch):
+        # frequencies from 1e-3 to 3e3 in one block put columns in all
+        # three spans and drive the levels past _CHUNK nodes
+        calls = []
+        real = spectral._phase_kernel
+
+        def record(t, x, top, powers, forced=None):
+            calls.append((t, x, top, powers, forced))
+            return real(t, x, top, powers, forced)
+
+        monkeypatch.setattr(spectral, "_phase_kernel", record)
+        _char_exponents(measure, np.geomspace(1e-3, 3e3, 32), 1e-11)
+        assert max(len(c[1]) for c in calls) > spectral._CHUNK
+        for t, x, top, powers, forced in calls:
+            # the nodes are monotone, as the spans assume
+            steps = np.diff(x)
+            assert np.all(steps <= 0.0) or np.all(steps >= 0.0)
+            mask = np.zeros(len(x), dtype=bool) if forced is None else forced
+            want = where_kernel(t, x, top, powers, mask)
+            got = _phase_kernel(t, x, top, powers, forced)
+            np.testing.assert_array_equal(got, want)
+            # a scalar frequency and a negative one take the same forms
+            for one in (t[0, 0], -t[-1:]):
+                got = _phase_kernel(one, x, top, powers, forced)
+                np.testing.assert_array_equal(got, where_kernel(one, x, top, powers, mask))
+
+
+_DEEP_BLOCK_SCRIPT = textwrap.dedent(
+    """
+    import numpy as np
+    from hyplevy.measures import DimensionPair, make_measure
+    from hyplevy.spectral import _char_exponents
+
+    def peak_rss_mb():
+        # VmHWM belongs to this process image; ru_maxrss would carry the
+        # parent's peak across fork and exec
+        with open("/proc/self/status") as status:
+            line = next(ln for ln in status if ln.startswith("VmHWM:"))
+        return int(line.split()[1]) / 1024.0
+
+    measure = make_measure("rescaled", DimensionPair(4, 3))
+    _char_exponents(measure, np.array([1.0]), 1e-11)
+    before = peak_rss_mb()
+    _char_exponents(measure, 1e4 + np.arange(32.0), 1e-11)
+    print(peak_rss_mb() - before)
+    """
+)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+def test_a_deep_block_keeps_its_temporaries_small():
+    """32 frequencies near t = 1e4 on rescaled (4,3) refine to level 12,
+    whose 25026 new nodes make the block's (32, nodes) complex values
+    12.8 MB. Evaluating both kernel forms over the whole block and
+    weighting them out of place raised the peak RSS of a fresh
+    interpreter by 40.6-41.4 MB; the single-form column chunks and the
+    in-place weighting must keep the rise to at most half of 40.6 MB."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEEP_BLOCK_SCRIPT],
+        capture_output=True, text=True, env=hyplevy_env(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 0.5 * 40.6
 
 
 class TestCharFunction:
