@@ -11,6 +11,8 @@ Conventions shared by every subcommand:
   `# provenance: {...json...}` carrying argv, package version, and a UTC
   timestamp (plus the seed where one is in play), followed by a snake_case
   header; floats are printed with %.17g so files round-trip exactly.
+  Rows are formatted and written in fixed chunks, so output needs
+  O(chunk) memory beyond the values, whatever the row count.
 - Structured results also land in a JSON sidecar next to the CSV
   (`<name>.meta.json`), serialized with sorted keys.
 - Relative output paths resolve against $HYPLEVY_OUTDIR when that is set.
@@ -21,7 +23,6 @@ Conventions shared by every subcommand:
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -68,6 +69,8 @@ _EXIT_OK = 0
 _EXIT_PARTIAL = 1
 _EXIT_INVALID = 2
 _EXIT_NUMERICAL = 3
+# rows per formatted CSV write
+_CSV_CHUNK = 4096
 
 
 def _out_path(name: str) -> Path:
@@ -92,13 +95,22 @@ def _provenance(argv: list[str], **extra) -> dict:
 
 def _write_csv(path: Path, header: list[str], columns, prov: dict) -> None:
     """Write one column per header name: integer columns as %d, the rest
-    with %.17g, one row format applied to the columns' Python values."""
+    with %.17g. Rows go out _CSV_CHUNK at a time, the chunk's values
+    interleaved row-major and formatted by one repeated row format, so the
+    Python floats and strings cost O(chunk) memory, not O(rows)."""
     arrays = [np.asarray(col) for col in columns]
     row_fmt = ",".join("%d" if a.dtype.kind in "iu" else "%.17g" for a in arrays) + "\n"
+    n_rows = min((len(a) for a in arrays), default=0)
+    width = len(arrays)
     with open(path, "w", newline="") as fh:
         fh.write("# provenance: " + json.dumps(prov, sort_keys=True) + "\n")
         fh.write(",".join(header) + "\n")
-        fh.write("".join([row_fmt % row for row in zip(*(a.tolist() for a in arrays))]))
+        for c0 in range(0, n_rows, _CSV_CHUNK):
+            k = min(_CSV_CHUNK, n_rows - c0)
+            cells = [None] * (k * width)
+            for j, a in enumerate(arrays):
+                cells[j::width] = a[c0 : c0 + k].tolist()
+            fh.write((row_fmt * k) % tuple(cells))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -375,6 +387,8 @@ def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
 
     argvs = [r["argv"] for r in runs]
     if args.parallel > 1:
+        import concurrent.futures  # only threaded sweeps pay for the import
+
         with concurrent.futures.ThreadPoolExecutor(max_workers=args.parallel) as pool:
             results = list(pool.map(one, argvs))
     else:

@@ -32,7 +32,16 @@ runs reproduce only under the package version their provenance names.
 
 Each draw's jump sum is built chunk by chunk: np.add.reduceat sums the
 draw's jumps inside a chunk pairwise, and the pieces of a draw that spans
-several chunks are added in chunk order.
+several chunks are added in chunk order. A draw is then
+(jump sum - compensator) + small_sd * z.
+
+Each batch is assembled in its slice of the output: the Gaussian block is
+drawn straight into it and scaled in place, and the compensated jump sums
+are added last. Per batch the sampler allocates the counts (batch_size
+int64, sliced to the batch), their running ends and the jump sums (one
+int64 and one float64 per draw of the batch), plus a batch_size Gaussian
+scratch for a partial last batch only; the jump loop reuses four chunk
+buffers of _JUMP_CHUNK elements for the whole run.
 """
 
 from __future__ import annotations
@@ -551,34 +560,45 @@ def sample(measure: LevyMeasure1D, n: int, config: SamplerConfig | None = None) 
     n_batches = 0
     for batch_index, start in enumerate(range(0, n, config.batch_size)):
         m = min(config.batch_size, n - start)
+        block = out[start : start + m]
         rng = np.random.Generator(
             np.random.SFC64(np.random.SeedSequence((config.seed, batch_index)))
         )
         # the Gaussian and the jump counts are drawn for the full block even
         # when the batch is partial: stream positions then never depend on m,
         # so a run with smaller n shares its prefix with a longer one
-        z = rng.standard_normal(config.batch_size)[:m]
+        if m == config.batch_size:
+            rng.standard_normal(out=block)
+        else:
+            block[:] = rng.standard_normal(config.batch_size)[:m]
+        block *= small_sd
         counts = rng.poisson(lam, size=config.batch_size)[:m]
         ends = np.cumsum(counts)
-        starts = ends - counts
         total = int(ends[-1])
         sums = np.zeros(m)
         # the jump uniforms are one stream read in fixed-size chunks
         # (partitioned Generator.random calls agree with a single call);
-        # each chunk adds the sums of its pieces of the draws it overlaps
+        # each chunk adds the sums of its pieces of the draws it overlaps.
+        # Draw d owns jumps [ends[d] - counts[d], ends[d]), and its start is
+        # ends[d - 1], so the last draw starting before c1 is found in ends
+        # (at most m - 1, since c1 <= ends[-1])
         for c0 in range(0, total, _JUMP_CHUNK):
             c1 = min(c0 + _JUMP_CHUNK, total)
             k = c1 - c0
             rng.random(out=u_buf[:k])
             x = table.fill_x_of_q(u_buf[:k], i_buf[:k], g_buf[:k], a_buf[:k])
             d_lo = int(np.searchsorted(ends, c0, side="right"))
-            d_hi = int(np.searchsorted(starts, c1, side="left"))
+            d_hi = int(np.searchsorted(ends, c1, side="left")) + 1
             # the non-empty pieces tile the chunk in order; reduceat would
             # hand an empty piece x[lo] instead of 0, so those are masked
-            live = counts[d_lo:d_hi] > 0
-            seg_lo = np.maximum(starts[d_lo:d_hi][live], c0) - c0
+            seg_counts = counts[d_lo:d_hi]
+            live = seg_counts > 0
+            seg_lo = np.maximum((ends[d_lo:d_hi] - seg_counts)[live], c0) - c0
             sums[d_lo:d_hi][live] += np.add.reduceat(x, seg_lo)
-        out[start : start + m] = sums - compensator + small_sd * z
+        # (sums - compensator) + small_sd z, the operands and order of the
+        # stream's definition
+        sums -= compensator
+        block += sums
         n_batches += 1
 
     diagnostics = {

@@ -366,10 +366,13 @@ def invert_to_density(
     probe up to k_safe = half_width sqrt(2 ln(1/decay_threshold) - 2) / pi
     can be the cutoff, so k = 1 up to the first probe >= k_safe is
     evaluated as one block and checked in order; the probes above it one
-    at a time. When every probe is below k_safe (decay_threshold = 0, or
-    a window too wide for n_points), only the top probe is evaluated and
-    DecayDetectionError is raised with its |cf|; it is also raised when
-    no probe drops below the threshold. The bound takes
+    at a time. When that first probe is the top one n/2, or every probe
+    is below k_safe (decay_threshold = 0, or a window too wide for
+    n_points), the top probe is evaluated alone first: if it does not
+    drop below the threshold, DecayDetectionError is raised with its |cf|
+    and nothing else is evaluated; otherwise k = 1..n/2 - 1 follow as one
+    block. DecayDetectionError is also raised when no probe drops below
+    the threshold. The bound takes
     measure.total_second_moment as sigma^2; should the top probe of a
     measure that understates it fail all the same, the whole ladder is
     searched. The density on x_m = (m - n/2) dx, dx = 2 pi / (n dt), is
@@ -398,29 +401,41 @@ def invert_to_density(
     # doubling search for the truncation frequency over the grid probes
     # i = 4, 8, 16, ... <= n/2. Every probe up to k_safe passes (see
     # _safe_index), so the first call evaluates k = 1..seed as one block,
-    # seed being the first probe >= k_safe, or only the top probe when all
-    # of them are below k_safe; above the seed, one probe per call. The
-    # probes are checked in order from their values, so the cutoff is the
-    # first probe below the threshold, as in a plain search.
+    # seed being the first probe >= k_safe; above the seed, one probe per
+    # call. When the seed is the top probe, or no probe reaches k_safe,
+    # the top probe goes alone first. The probes are checked in order from
+    # their values, so the cutoff is the first probe below the threshold,
+    # as in a plain search.
     half = n // 2
     ladder = [4 << m for m in range((half // 4).bit_length())]
+    top = ladder[-1]
     k_safe = _safe_index(half_width, decay_threshold)
     seed = next((i for i in ladder if i >= k_safe), None)
-    first = np.arange(1, seed + 1) if seed is not None else np.array(ladder[-1:])
     # half spectrum a_k = (-1)^k cf(k dt), k = 0..n/2
     a = np.zeros(half + 1, dtype=complex)
     a[0] = 1.0
     known = np.zeros(half + 1, dtype=bool)
     known[0] = True
-    a[first] = np.exp(_char_exponents(measure, first * dt, rel_tol))
-    known[first] = True
+
+    def evaluate(ks: np.ndarray) -> None:
+        a[ks] = np.exp(_char_exponents(measure, ks * dt, rel_tol))
+        known[ks] = True
+
     checked = ladder
-    if seed is None and abs(a[ladder[-1]]) >= decay_threshold:
-        # no probe reaches the threshold; the top one's |cf| is reported.
-        # (A measure whose total_second_moment understates its second
-        # moment can break the bound; its top probe may then fail, and
-        # the whole ladder is searched.)
-        checked = ladder[-1:]
+    if seed is None or seed == top:
+        # every probe below the top one is below k_safe and passes, so the
+        # top probe alone decides whether any probe reaches the threshold;
+        # if it does not, its |cf| is reported. (A measure whose
+        # total_second_moment understates its second moment can break the
+        # bound; with no seed its failing top probe then has the whole
+        # ladder searched.)
+        evaluate(np.array([top]))
+        if abs(a[top]) >= decay_threshold:
+            checked = [top]
+        elif seed is not None:
+            evaluate(np.arange(1, top))
+    else:
+        evaluate(np.arange(1, seed + 1))
     for i_cut in checked:
         if not known[i_cut]:
             a[i_cut] = char_function(measure, i_cut * dt, rel_tol=rel_tol)
@@ -440,7 +455,7 @@ def invert_to_density(
     # is a probe at n/2, since the grid's top frequency is (n/2 - 1) dt
     ks = np.flatnonzero(~known[: i_cut + 1])
     if ks.size:
-        a[ks] = np.exp(_char_exponents(measure, ks * dt, rel_tol))
+        evaluate(ks)
     a[min(i_cut + 1, half) :] = 0.0
     a[1::2] *= -1.0
     values = np.fft.hfft(a, n)

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import math
 import os
+import subprocess
+import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -157,3 +160,34 @@ def hyplevy_env(**extra: str) -> dict:
     src = str(Path(hyplevy.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+_PEAK_RSS_PRELUDE = """
+def peak_rss_mb():
+    # VmHWM belongs to this process image; ru_maxrss would carry the
+    # parent's peak across fork and exec
+    with open("/proc/self/status") as status:
+        line = next(ln for ln in status if ln.startswith("VmHWM:"))
+    return int(line.split()[1]) / 1024.0
+"""
+
+
+def peak_rss_rise_mb(setup: str, measured: str) -> float:
+    """Run the code setup, then measured, in a fresh interpreter that
+    imports this same hyplevy; the rise of its peak RSS (VmHWM, so Linux
+    only) over measured, in MB."""
+    script = "\n".join(
+        [
+            _PEAK_RSS_PRELUDE,
+            textwrap.dedent(setup),
+            "_before = peak_rss_mb()",
+            textwrap.dedent(measured),
+            "print(peak_rss_mb() - _before)",
+        ]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=hyplevy_env(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return float(proc.stdout.splitlines()[-1])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hyplevy.cli
-from conftest import hyplevy_env
+from conftest import hyplevy_env, peak_rss_rise_mb
 from hyplevy.cli import _write_csv, main
 
 
@@ -241,6 +241,33 @@ class TestSample:
         prov_a["argv"][-1] = prov_b["argv"][-1] = "out"
         assert prov_a == prov_b
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+    def test_a_large_run_keeps_its_output_memory_bounded(self, outdir):
+        """5e5 draws (4 MB of values) at limit b = 2, delta = 0.01. One
+        Python float and one row string per value, plus the sampler's
+        full-batch temporaries, raised the peak RSS of a fresh interpreter
+        by 78.4 MB; CSV rows in fixed chunks and batches assembled in place
+        measured 19.8 MB. The rise must stay at most half of 78.4 MB."""
+        path = outdir / "big.csv"
+        argv = ["sample", "--family", "limit", "--b", "2", "--n", "500000",
+                "--delta", "0.01", "--out", str(path)]
+        rise = peak_rss_rise_mb(
+            setup="from hyplevy.cli import main",
+            measured=f"assert main({argv!r}) == 0",
+        )
+        assert path.stat().st_size > 500_000 * 18
+        assert rise <= 0.5 * 78.4
+
+
+def per_cell_csv(prov, header, columns):
+    """The CSV text cell by cell: str() of each integer, %.17g of the rest."""
+    want = "# provenance: " + json.dumps(prov, sort_keys=True) + "\n" + ",".join(header) + "\n"
+    for row in zip(*columns):
+        want += ",".join(
+            str(v) if isinstance(v, (int, np.integer)) else "%.17g" % float(v) for v in row
+        ) + "\n"
+    return want
+
 
 class TestCsvWriter:
     def test_bytes_follow_the_per_cell_rule(self, outdir):
@@ -253,13 +280,37 @@ class TestCsvWriter:
         prov = {"argv": ["x"], "version": "0"}
         path = outdir / "mixed.csv"
         _write_csv(path, ["a", "b", "c", "d"], columns, prov)
-        want = "# provenance: " + json.dumps(prov, sort_keys=True) + "\na,b,c,d\n"
-        for row in zip(*columns):
-            want += ",".join(
-                str(v) if isinstance(v, (int, np.integer)) else "%.17g" % float(v) for v in row
-            ) + "\n"
+        want = per_cell_csv(prov, ["a", "b", "c", "d"], columns)
         assert path.read_bytes() == want.encode()
         assert want.splitlines()[2].split(",")[2] == "-12"
+
+    @pytest.mark.parametrize(
+        "chunks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)],
+        ids=["chunk-1", "chunk", "chunk+1", "2chunk+1"],
+    )
+    def test_rows_across_chunk_edges(self, outdir, chunks, extra):
+        n = chunks * hyplevy.cli._CSV_CHUNK + extra
+        rng = np.random.default_rng(n)
+        specials = np.array([-0.0, 1e-300, math.inf, math.nan, -math.inf, 5e-324])
+        floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        floats[rng.integers(0, n, 64)] = rng.choice(specials, 64)
+        floats[[0, n // 2, n - 1]] = [-0.0, math.nan, math.inf]
+        columns = [
+            np.arange(n, dtype=np.int64) - n // 2,
+            floats,
+            rng.integers(-(2**62), 2**62, n, dtype=np.int64),
+            rng.random(n),
+        ]
+        prov = {"argv": ["x"], "version": "0"}
+        path = outdir / "edges.csv"
+        _write_csv(path, ["i", "x", "j", "u"], columns, prov)
+        assert path.read_bytes() == per_cell_csv(prov, ["i", "x", "j", "u"], columns).encode()
+
+    def test_no_rows_writes_the_header_only(self, outdir):
+        prov = {"argv": ["x"], "version": "0"}
+        path = outdir / "empty.csv"
+        _write_csv(path, ["a", "b"], [np.array([], dtype=np.int64), []], prov)
+        assert path.read_bytes() == per_cell_csv(prov, ["a", "b"], [[], []]).encode()
 
 
 class TestSweep:
@@ -384,6 +435,16 @@ class TestSpecfun:
 
 
 class TestTopLevel:
+    def test_import_leaves_out_concurrent_futures(self):
+        # only a threaded sweep needs it, and it costs each CLI process ms
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, hyplevy.cli; print('concurrent.futures' in sys.modules)"],
+            capture_output=True, text=True, env=hyplevy_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_version_flag(self, capsys):
         code, out, _ = run(capsys, "--version")
         assert code == 0 and out.startswith("hyplevy ")

@@ -1,5 +1,6 @@
 """Jump-size quantiles, partial moments, and the compensated Monte Carlo sampler."""
 
+import hashlib
 import math
 import time
 from collections import Counter
@@ -309,6 +310,39 @@ class TestSampleDeterminism:
         got = sample(measure, 400, cfg).values
         want, bound, _ = _rebuild_from_stream(measure, 400, cfg, chunk)
         assert np.all(np.abs(got - want) <= bound)
+
+    @pytest.mark.parametrize(
+        "measure, n, delta, batch_size, digest",
+        [
+            # full batches, a partial last batch, n < batch_size
+            (RESC43, 2000, 1e-2, 1000,
+             "0bdf31a44225acafd0b509c21ea59fba1a389781982d2de420f302544573269f"),
+            (RESC43, 2500, 1e-2, 1000,
+             "7679fa606b271d16ccbc0b981502fdf9e5e7c5e8c17c23ec7300190dccb3a97b"),
+            (RESC43, 700, 1e-2, 1000,
+             "5c67bdafeb2a05cb622216a3b078352362964962edeeed94f5d4109adf0843c7"),
+            # about 212k jumps a draw: every draw spans several chunks
+            (RESC43, 5, 1e-4, 4,
+             "d608c5d5cf30e06bbf06b8984bd616e6e32892771c8ab5b60b78b57fb6356523"),
+            (LIMIT2, 2000, 1e-3, 1000,
+             "54b8495b4e71227ae62c01888acf62b9eedf054705b9953cc54486bbb89c7520"),
+            (LIMIT2, 2500, 1e-3, 1000,
+             "f49f669185c294d58a580064e17966c7174f1b97b9b6c7ad29c08780638ff96f"),
+            (LIMIT2, 700, 1e-3, 1000,
+             "52f54a53adb1afe5de66c9e39c15f7a372f0ca6cf4db710affbf68c4216e80b6"),
+            # one jump a draw on average, so about 37 % of the draws are empty
+            (LIMIT2, 300, 0.5, 128,
+             "736b542612c6b2e05f38d18a33216457a8b532ded0eaa8963f9b089205f518ac"),
+        ],
+        ids=["resc43-full", "resc43-partial", "resc43-short", "resc43-wide",
+             "limit2-full", "limit2-partial", "limit2-short", "limit2-sparse"],
+    )
+    def test_stream_digest_is_pinned(self, measure, n, delta, batch_size, digest):
+        # stream 0.2.0: SHA-256 of the draws' bytes, recorded before the
+        # batches were assembled in place; any change here is a stream bump
+        cfg = SamplerConfig(cutoff_delta=delta, seed=7, batch_size=batch_size)
+        values = sample(measure, n, cfg).values
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
     def test_partial_final_batch(self):
         cfg = SamplerConfig(cutoff_delta=0.05, seed=2, batch_size=64)

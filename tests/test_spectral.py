@@ -2,15 +2,13 @@
 
 import dataclasses
 import math
-import subprocess
 import sys
-import textwrap
 
 import numpy as np
 import pytest
 import scipy.special
 
-from conftest import cached_density, hyplevy_env
+from conftest import cached_density, peak_rss_rise_mb
 from hyplevy.errors import DecayDetectionError, DomainError
 from hyplevy.measures import DimensionPair, cumulant, levy_density, make_measure, variance
 from hyplevy.measures import LevyMeasure1D
@@ -174,9 +172,10 @@ def ladder_reference(measure, half_width, n, threshold):
 
 
 def seeded_block(half_width, n, threshold):
-    """The indices of invert_to_density's first call: 1..seed, the seed
-    being the first probe >= k_safe, or only the top probe when no probe
-    reaches k_safe."""
+    """The indices invert_to_density evaluates before any probe above the
+    seed: 1..seed, the seed being the first probe >= k_safe, or only the
+    top probe when no probe reaches k_safe. (A top-probe seed is evaluated
+    alone first, and 1..seed-1 follow only when it drops below.)"""
     ladder = probes(n)
     k_safe = _safe_index(half_width, threshold)
     seed = next((i for i in ladder if i >= k_safe), None)
@@ -355,6 +354,31 @@ class TestInversionWork:
         assert [rec["rows"] for rec in quad_log] == [(1,)]
         assert info.value.achieved == ladder_reference(LIMIT2, 1e6, 256, 1e-12)[1]
 
+    def test_a_top_probe_seed_that_passes_raises_after_one_evaluation(
+        self, exponent_calls, quad_log
+    ):
+        # k_safe = 96 sqrt(2 ln 100 - 2) / pi = 82 makes the top probe 128 the
+        # seed; limit b = 1 keeps |cf| >= 1e-2 there, so no probe can be the
+        # cutoff and the block k = 1..128 (four 32-row calls) is not needed
+        dt = grid_step(LIMIT1, 96.0)
+        assert seeded_block(96.0, 256, 1e-2)[-1] == 128
+        with pytest.raises(DecayDetectionError) as info:
+            invert_to_density(LIMIT1, half_width=96.0, n_points=256, decay_threshold=1e-2)
+        assert [list(np.round(ts / dt)) for ts in exponent_calls] == [[128]]
+        assert [rec["rows"] for rec in quad_log] == [(1,)]
+        assert info.value.achieved == ladder_reference(LIMIT1, 96.0, 256, 1e-2)[1]
+
+    def test_a_top_probe_seed_that_fails_is_followed_by_the_block_below(
+        self, exponent_calls
+    ):
+        # rescaled (4,3) drops below 1e-2 at the top probe 128: it goes
+        # alone, then k = 1..127 as one block, and it is the cutoff
+        dt = grid_step(RESC43, 96.0)
+        grid = invert_to_density(RESC43, half_width=96.0, n_points=256, decay_threshold=1e-2)
+        index = [list(np.round(ts / dt).astype(int)) for ts in exponent_calls]
+        assert index == [[128], list(range(1, 128))]
+        assert round(grid.meta["cf_cutoff"] / dt) == 128
+
 
 class TestDecayThreshold:
     def test_zero_evaluates_only_the_top_probe(self, exponent_calls):
@@ -404,7 +428,12 @@ class TestSeededSearch:
             )
         except DecayDetectionError as exc:
             cf = exponent_values(dt)  # read before the reference adds its probes
-            assert sorted(cf) == block + [p for p in probes(n) if p > block[-1]]
+            ladder = probes(n)
+            if block[-1] == ladder[-1]:
+                # the top probe, evaluated alone first, decides the raise
+                assert sorted(cf) == ladder[-1:]
+            else:
+                assert sorted(cf) == block + [p for p in ladder if p > block[-1]]
             assert ladder_reference(measure, half_width, n, threshold) == (None, exc.achieved)
             return
         cf = exponent_values(dt)
@@ -491,28 +520,6 @@ class TestPhaseKernel:
                 np.testing.assert_array_equal(got, where_kernel(one, x, top, powers, mask))
 
 
-_DEEP_BLOCK_SCRIPT = textwrap.dedent(
-    """
-    import numpy as np
-    from hyplevy.measures import DimensionPair, make_measure
-    from hyplevy.spectral import _char_exponents
-
-    def peak_rss_mb():
-        # VmHWM belongs to this process image; ru_maxrss would carry the
-        # parent's peak across fork and exec
-        with open("/proc/self/status") as status:
-            line = next(ln for ln in status if ln.startswith("VmHWM:"))
-        return int(line.split()[1]) / 1024.0
-
-    measure = make_measure("rescaled", DimensionPair(4, 3))
-    _char_exponents(measure, np.array([1.0]), 1e-11)
-    before = peak_rss_mb()
-    _char_exponents(measure, 1e4 + np.arange(32.0), 1e-11)
-    print(peak_rss_mb() - before)
-    """
-)
-
-
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
 def test_a_deep_block_keeps_its_temporaries_small():
     """32 frequencies near t = 1e4 on rescaled (4,3) refine to level 12,
@@ -521,12 +528,18 @@ def test_a_deep_block_keeps_its_temporaries_small():
     weighting them out of place raised the peak RSS of a fresh
     interpreter by 40.6-41.4 MB; the single-form column chunks and the
     in-place weighting must keep the rise to at most half of 40.6 MB."""
-    proc = subprocess.run(
-        [sys.executable, "-c", _DEEP_BLOCK_SCRIPT],
-        capture_output=True, text=True, env=hyplevy_env(), timeout=300,
+    rise = peak_rss_rise_mb(
+        setup="""
+            import numpy as np
+            from hyplevy.measures import DimensionPair, make_measure
+            from hyplevy.spectral import _char_exponents
+
+            measure = make_measure("rescaled", DimensionPair(4, 3))
+            _char_exponents(measure, np.array([1.0]), 1e-11)
+        """,
+        measured="_char_exponents(measure, 1e4 + np.arange(32.0), 1e-11)",
     )
-    assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) <= 0.5 * 40.6
+    assert rise <= 0.5 * 40.6
 
 
 class TestCharFunction:
