@@ -30,7 +30,6 @@ from .errors import (
 from .measures import (
     DimensionPair,
     LevyMeasure1D,
-    LevyTriplet,
     codim_limit_cumulant,
     codim_limit_density,
     cumulant,
@@ -88,7 +87,6 @@ __all__ = [
     "SamplerConfigError",
     "DimensionPair",
     "LevyMeasure1D",
-    "LevyTriplet",
     "is_admissible",
     "variance",
     "log_variance",

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -34,14 +33,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConvergenceError, DomainError, HyplevyError
-from .measures import (
-    DimensionPair,
-    _log_cumulant,
-    codim_limit_cumulant,
-    log_variance,
-    make_measure,
-    variance,
-)
+from .measures import DimensionPair, log_variance, make_measure, variance
 from .regime import (
     ExplicitFamily,
     FixedCodimensionFamily,
@@ -225,20 +217,12 @@ def _cmd_variance(args: argparse.Namespace, argv: list[str]) -> int:
 def _cmd_cumulants(args: argparse.Namespace, argv: list[str]) -> int:
     if args.max_order < 2:
         raise DomainError("--max-order must be at least 2")
-    orders = range(2, args.max_order + 1)
+    measure = _measure_from_args(args)
     payload = _measure_tag(args)
-    if args.family == "limit":
-        if args.b is None:
-            raise DomainError("--family limit requires --b")
-        values = {str(m): codim_limit_cumulant(args.b, m) for m in orders}
-    else:
-        if args.d is None or args.k is None:
-            raise DomainError(f"--family {args.family} requires --d and --k")
-        pair = DimensionPair(args.d, args.k)
-        # rescaled: divide in log space, sigma^2 itself underflows for large d
-        log_scale = log_variance(pair) if args.family == "rescaled" else 0.0
-        values = {str(m): math.exp(_log_cumulant(pair, m) - log_scale) for m in orders}
-    payload["cumulants"] = values
+    payload["cumulants"] = {
+        str(m): measure.shape.moment(m, measure.log_weight)
+        for m in range(2, args.max_order + 1)
+    }
     _print_json(payload)
     return _EXIT_OK
 
@@ -267,28 +251,21 @@ def _cmd_probe(args: argparse.Namespace, argv: list[str]) -> int:
               "log_sigma"]
     columns = [[getattr(row, name) for row in table.rows] for name in header]
     _write_csv(path, header, columns, prov)
-    verdict = table.verdict
-    _write_json(
-        path.with_name(path.name + ".meta.json"),
-        {
-            "label": verdict.label,
-            "threshold_limit": verdict.threshold_limit,
-            "rationale": verdict.rationale,
-        },
-    )
-    print(f"wrote {path} ({len(table.rows)} rows, verdict {verdict.label})")
+    _write_json(path.with_name(path.name + ".meta.json"), _verdict_fields(table.verdict))
+    print(f"wrote {path} ({len(table.rows)} rows, verdict {table.verdict.label})")
     return _EXIT_OK
 
 
+def _verdict_fields(verdict) -> dict:
+    return {
+        "label": verdict.label,
+        "threshold_limit": verdict.threshold_limit,
+        "rationale": verdict.rationale,
+    }
+
+
 def _cmd_classify(args: argparse.Namespace, argv: list[str]) -> int:
-    verdict = classify_sequence(_family_from_args(args), margin=args.margin)
-    _print_json(
-        {
-            "label": verdict.label,
-            "threshold_limit": verdict.threshold_limit,
-            "rationale": verdict.rationale,
-        }
-    )
+    _print_json(_verdict_fields(classify_sequence(_family_from_args(args), margin=args.margin)))
     return _EXIT_OK
 
 
@@ -315,49 +292,37 @@ def _cmd_sample(args: argparse.Namespace, argv: list[str]) -> int:
     return _EXIT_OK
 
 
-def _cmd_specfun(args: argparse.Namespace, argv: list[str]) -> int:
-    op = args.op
-    vals = args.args
-    def need(n: int) -> None:
-        if len(vals) != n:
-            raise DomainError(f"op {op!r} takes {n} numeric arguments, got {len(vals)}")
+def _taylor_bound(order: float, x: float) -> dict:
+    if int(order) != order:
+        raise DomainError("taylor-bound order must be an integer")
+    return {"value": taylor_remainder_bound(int(order), x)}
 
-    if op == "log-gamma":
-        need(1)
-        result = {"value": log_gamma(vals[0])}
-    elif op == "inc-beta":
-        need(3)
-        result = {"value": inc_beta(vals[0], vals[1], vals[2])}
-    elif op == "reg-inc-beta":
-        need(3)
-        result = {"value": reg_inc_beta(vals[0], vals[1], vals[2])}
-    elif op == "beta-stats":
-        need(2)
-        mean, var = beta_dist_stats(vals[0], vals[1])
-        result = {"mean": mean, "variance": var}
-    elif op == "chebyshev-tail":
-        need(3)
-        side, bound = chebyshev_tail_bound(vals[0], vals[1], vals[2])
-        result = {"side": side, "bound": bound}
-    elif op == "gamma-ratio-bounds":
-        need(2)
-        lo, hi = gamma_ratio_log_bounds(vals[0], vals[1])
-        result = {"log_lower": lo, "log_upper": hi}
-    elif op == "stirling-bounds":
-        need(1)
-        lo, hi = stirling_log_bounds(vals[0])
-        result = {"log_lower": lo, "log_upper": hi}
-    elif op == "wendel-lower":
-        need(2)
-        result = {"value": wendel_lower(vals[0], vals[1])}
-    elif op == "taylor-bound":
-        need(2)
-        n = int(vals[0])
-        if n != vals[0]:
-            raise DomainError("taylor-bound order must be an integer")
-        result = {"value": taylor_remainder_bound(n, vals[1])}
-    else:  # argparse choices make this unreachable
-        raise DomainError(f"unknown op {op!r}")
+
+def _fields(keys: tuple, fn):
+    """fn with its tuple result returned as a dict under keys."""
+    return lambda *a: dict(zip(keys, fn(*a)))
+
+
+# op -> (argument count, the op returning its result fields)
+_SPECFUN_OPS = {
+    "log-gamma": (1, lambda x: {"value": log_gamma(x)}),
+    "inc-beta": (3, lambda p, q, x: {"value": inc_beta(p, q, x)}),
+    "reg-inc-beta": (3, lambda p, q, x: {"value": reg_inc_beta(p, q, x)}),
+    "beta-stats": (2, _fields(("mean", "variance"), beta_dist_stats)),
+    "chebyshev-tail": (3, _fields(("side", "bound"), chebyshev_tail_bound)),
+    "gamma-ratio-bounds": (2, _fields(("log_lower", "log_upper"), gamma_ratio_log_bounds)),
+    "stirling-bounds": (1, _fields(("log_lower", "log_upper"), stirling_log_bounds)),
+    "wendel-lower": (2, lambda x, s: {"value": wendel_lower(x, s)}),
+    "taylor-bound": (2, _taylor_bound),
+}
+
+
+def _cmd_specfun(args: argparse.Namespace, argv: list[str]) -> int:
+    op, vals = args.op, args.args
+    n_args, fn = _SPECFUN_OPS[op]
+    if len(vals) != n_args:
+        raise DomainError(f"op {op!r} takes {n_args} numeric arguments, got {len(vals)}")
+    result = fn(*vals)
     result["op"] = op
     result["args"] = vals
     _print_json(result)
@@ -386,13 +351,7 @@ def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
         return _execute([str(tok) for tok in run_argv], parser)
 
     argvs = [r["argv"] for r in runs]
-    if args.parallel > 1:
-        import concurrent.futures  # only threaded sweeps pay for the import
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            results = list(pool.map(one, argvs))
-    else:
-        results = [one(a) for a in argvs]
+    results = [one(a) for a in argvs]
 
     report = {
         "runs": [
@@ -457,24 +416,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sweep", help="run every entry of a JSON manifest")
     p.add_argument("manifest", help='JSON file {"runs": [{"argv": [...]}, ...]}')
-    p.add_argument("--parallel", type=int, default=1)
     p.set_defaults(func=_cmd_sweep)
 
     p = subs.add_parser("specfun", help="spot-check the special-function layer")
     p.add_argument(
         "--op",
         required=True,
-        choices=(
-            "log-gamma",
-            "inc-beta",
-            "reg-inc-beta",
-            "beta-stats",
-            "chebyshev-tail",
-            "gamma-ratio-bounds",
-            "stirling-bounds",
-            "wendel-lower",
-            "taylor-bound",
-        ),
+        choices=tuple(_SPECFUN_OPS),
     )
     p.add_argument("args", type=float, nargs="*")
     p.set_defaults(func=_cmd_specfun)

@@ -14,6 +14,24 @@ constant limit of the unit-second-moment rescaling) has density
 
 with m-th moment (m - 1)^(-b/2). Everything is evaluated in log space;
 density evaluators are numpy vectorized and return 0 outside (0, 1).
+
+Shapes and weights. A shipped measure is a shape times a weight
+exp(log_weight). The shape fixes the substitution in which the measure's
+integrals are written and the constant in front of them:
+
+- PairShape, for a dimension pair: u = x^(2/(k-1)) turns the measure into
+  (omega_b / 2) u^(-(d+1)/2) (1 - u)^(b/2-1) du on (0, 1);
+- LimitShape, for the codimension limit: x = e^(-v) turns it into
+  Gamma(b/2)^(-1) e^v v^((b-2)/2) dv on (0, inf).
+
+The hyperbolic measure is its pair shape with weight 1 (log_weight 0); the
+rescaled measure nu / sigma^2 has log_weight -log sigma^2, and the limit
+measure weight 1. Everything linear in the measure (moments, psi, tail
+masses, the compensator) carries the weight; the conditional jump law
+does not, so measures of one shape share one jump table. The sampler and
+spectral modules work from the shape and the weight alone. A
+LevyMeasure1D built without a shape has only its density: spectral
+integrates psi over it directly, and the sampler refuses it.
 """
 
 from __future__ import annotations
@@ -30,7 +48,8 @@ from .specfun import log_gamma, log_gamma_ratio
 __all__ = [
     "DimensionPair",
     "LevyMeasure1D",
-    "LevyTriplet",
+    "PairShape",
+    "LimitShape",
     "is_admissible",
     "sphere_surface",
     "log_sphere_surface",
@@ -97,7 +116,8 @@ class LevyMeasure1D:
     density is a vectorized evaluator; the singularity metadata records the
     power-law behavior at the endpoints: density ~ C x^(-1 - sing_at_0)
     near 0 (times a power of -log x when sing_log_at_0 is set) and
-    ~ C' (1 - x)^sing_at_1 near 1.
+    ~ C' (1 - x)^sing_at_1 near 1. The shipped measures also carry their
+    shape and log_weight (see the module docstring).
     """
 
     family: str
@@ -108,19 +128,210 @@ class LevyMeasure1D:
     sing_at_1: float
     total_second_moment: float
     density: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
+    shape: PairShape | LimitShape | None = None
+    log_weight: float = 0.0
+
+    @property
+    def coef(self) -> float:
+        """The constant in front of the shape's integrals, weight included."""
+        return math.exp(self.shape.log_coef + self.log_weight)
 
 
 @dataclass(frozen=True)
-class LevyTriplet:
-    """Kolmogorov-style triplet (0, 0, measure) of the zero-mean laws."""
+class PairShape:
+    """A pair measure in u = x^(2/(k-1)): (omega_b / 2) u^(-(d+1)/2)
+    (1 - u)^(b/2-1) du on (0, 1).
 
-    gaussian_part: float
-    drift: float
-    measure: LevyMeasure1D
+    Above a cutoff the sampler works in y = 1 - u, where the density is
+    y^(b/2-1) g_reg(y) up to the constant; x_of_y, y_of_x and their
+    derivatives convert between y and x.
+    """
 
-    def __post_init__(self) -> None:
-        if self.gaussian_part != 0.0 or self.drift != 0.0:
-            raise DomainError("these laws have triplet (0, 0, measure)")
+    pair: DimensionPair
+    half_line = False  # u runs over (0, 1)
+
+    @property
+    def codim(self) -> int:
+        return self.pair.codim
+
+    @property
+    def log_coef(self) -> float:
+        """log(omega_b / 2)."""
+        return log_sphere_surface(self.pair.codim) - math.log(2.0)
+
+    def moment(self, m: int, log_weight: float = 0.0) -> float:
+        """integral of x^m over the weighted measure, m >= 2; the weight
+        is added in log space, where a tiny sigma^2 cannot underflow."""
+        return math.exp(_log_cumulant(self.pair, m) + log_weight)
+
+    def beta_args(self, delta: float, m: int):
+        """(p, q, y) such that the share of moment(m) below delta is the
+        regularized incomplete Beta I_y(p, q); None for m < 2."""
+        if m < 2:
+            return None
+        p = 0.5 * ((self.pair.k - 1.0) * m - (self.pair.d - 1.0))
+        return p, 0.5 * self.pair.codim, delta**self.pair.u_power
+
+    def upper_integrand(self, delta: float, m: int):
+        """(f, y_max): the integral of x^m over the measure above delta is
+        the constant times the tanh_sinh integral of f over (0, y_max).
+
+        It is the integral of u^((k-1)m/2 - (d+1)/2) (1-u)^(b/2-1) du over
+        (a, 1), a = delta^(2/(k-1)), run in y = 1 - u: the node gives
+        1 - u, and u = a + (y_max - y) keeps full precision at both ends."""
+        pair = self.pair
+        a = delta**pair.u_power
+        e_pow = 0.5 * ((pair.k - 1.0) * m - pair.d - 1.0)
+        e_side = 0.5 * pair.codim - 1.0
+
+        def integrand(y: np.ndarray, dist: np.ndarray) -> np.ndarray:
+            out = np.exp(e_pow * np.log(a + dist))
+            if e_side != 0.0:
+                out = out * np.exp(e_side * np.log(y))
+            return out
+
+        return integrand, self.upper_y(delta)
+
+    def phase_terms(self, u: np.ndarray, um1: np.ndarray):
+        """psi's node factors at u (um1 = 1 - u): x, the measure's factor
+        top = u^(-(d+1)/2) (1-u)^(b/2-1), the products x^j top for
+        j = 2..5 built from the finite exponent (r/2 - 1) upward, so they
+        stay finite where top overflows, and no forced-small mask."""
+        pair = self.pair
+        lu = np.log(u)
+        x = np.exp(0.5 * (pair.k - 1.0) * lu)
+        e_side = 0.5 * pair.codim - 1.0
+        side = np.exp(e_side * np.log(um1)) if e_side != 0.0 else 1.0
+        w2 = np.exp((0.5 * pair.r - 1.0) * lu) * side
+        w3 = w2 * x
+        w4 = w3 * x
+        w5 = w4 * x
+        with np.errstate(over="ignore", invalid="ignore"):
+            top = np.exp(-0.5 * (pair.d + 1.0) * lu) * side
+        return x, top, (w2, w3, w4, w5), None
+
+    def upper_y(self, delta: float) -> float:
+        """y at the cutoff, 1 - delta^(2/(k-1)), without the cancellation
+        of 1 - a as delta -> 1."""
+        return -math.expm1(self.pair.u_power * math.log(delta))
+
+    def g_reg(self, y: np.ndarray) -> np.ndarray:
+        return np.power(1.0 - y, -0.5 * (self.pair.d + 1.0))
+
+    def x_of_y(self, y: np.ndarray) -> np.ndarray:
+        u = 1.0 - y
+        c = 0.5 * (self.pair.k - 1.0)
+        if c == 1.0:
+            return u
+        if c == 2.0:
+            return u * u
+        return np.power(u, c)
+
+    def dx_dy(self, y: np.ndarray):
+        c = 0.5 * (self.pair.k - 1.0)
+        if c == 1.0:
+            return -1.0
+        return -c * np.power(1.0 - y, c - 1.0)
+
+    def y_of_x(self, x: np.ndarray) -> np.ndarray:
+        return -np.expm1(self.pair.u_power * np.log(x))
+
+    def dy_dx_abs(self, x: np.ndarray):
+        p = self.pair.u_power
+        if p == 1.0:
+            return 1.0
+        return p * np.power(x, p - 1.0)
+
+
+@dataclass(frozen=True)
+class LimitShape:
+    """The codimension-limit measure in v = -log x: Gamma(b/2)^(-1) e^v
+    v^((b-2)/2) dv on (0, inf), b = codim.
+
+    Above a cutoff the sampler works in y = 1 - x, where the density is
+    y^(b/2-1) g_reg(y) up to the constant.
+    """
+
+    codim: int
+    half_line = True  # v runs over (0, inf)
+
+    @property
+    def e_log(self) -> float:
+        return 0.5 * (self.codim - 2.0)
+
+    @property
+    def log_coef(self) -> float:
+        """log(1 / Gamma(b/2))."""
+        return -log_gamma(0.5 * self.codim)
+
+    def moment(self, m: int, log_weight: float = 0.0) -> float:
+        """integral of x^m over the weighted measure, (m - 1)^(-b/2) times
+        the weight, m >= 2."""
+        return math.exp(log_weight) * float(m - 1.0) ** (-0.5 * self.codim)
+
+    def beta_args(self, delta: float, m: int):
+        """None: the partial moments are incomplete Gammas, integrated by
+        quadrature of integrand(m)."""
+        return None
+
+    def integrand(self, m: int):
+        """e^(-(m-1) v) v^((b-2)/2): the integral of x^m over the measure is
+        the constant times its integral in v. It accepts (and ignores) the
+        tanh_sinh distance argument."""
+        e_log = self.e_log
+
+        def f(v: np.ndarray, _unused=None) -> np.ndarray:
+            out = np.exp(-(m - 1.0) * v)
+            if e_log != 0.0:
+                out = out * np.power(v, e_log)
+            return out
+
+        return f
+
+    def upper_integrand(self, delta: float, m: int):
+        """(f, v_cut): the integral of x^m over the measure above delta is
+        the constant times the tanh_sinh integral of f over (0, v_cut)."""
+        return self.integrand(m), -math.log(delta)
+
+    def phase_terms(self, v: np.ndarray):
+        """psi's node factors at v: x = e^(-v), top = e^v v^((b-2)/2)
+        (capped at v = 700, past which the mask forces the Taylor form)
+        and the products x^j top for j = 2..5, which stay finite."""
+        e_log = self.e_log
+        vpow = np.power(v, e_log) if e_log != 0.0 else 1.0
+        ev = np.exp(-v)
+        ev2 = ev * ev
+        powers = (ev * vpow, ev2 * vpow, ev2 * ev * vpow, ev2 * ev2 * vpow)
+        with np.errstate(over="ignore"):
+            top = np.exp(np.minimum(v, 700.0)) * vpow
+        return ev, top, powers, v > 700.0
+
+    def upper_y(self, delta: float) -> float:
+        return 1.0 - delta
+
+    def g_reg(self, y: np.ndarray) -> np.ndarray:
+        base = np.power(1.0 - y, -2.0)
+        if self.e_log == 0.0:
+            return base
+        # (-log(1-y))/y -> 1 as y -> 0; series guard below 1e-8
+        ratio = np.where(
+            y > 1e-8,
+            -np.log1p(-np.maximum(y, 1e-300)) / np.maximum(y, 1e-300),
+            1.0 + 0.5 * y,
+        )
+        return base * np.power(ratio, self.e_log)
+
+    def x_of_y(self, y: np.ndarray) -> np.ndarray:
+        return 1.0 - y
+
+    def dx_dy(self, y: np.ndarray):
+        return -1.0
+
+    def y_of_x(self, x: np.ndarray) -> np.ndarray:
+        return 1.0 - x
+
+    def dy_dx_abs(self, x: np.ndarray):
+        return 1.0
 
 
 def log_sphere_surface(b: float) -> float:
@@ -219,7 +430,7 @@ def codim_limit_density(b: int, x):
     if np.any(inside):
         lx = np.log(arr[inside])
         e2 = 0.5 * (b - 2.0)
-        logf = -log_gamma(0.5 * b) - 2.0 * lx
+        logf = LimitShape(b).log_coef - 2.0 * lx
         if e2 != 0.0:
             logf = logf + e2 * np.log(-lx)
         with np.errstate(over="ignore"):
@@ -233,7 +444,7 @@ def codim_limit_cumulant(b: int, m: int) -> float:
     _check_codim(b)
     if not (isinstance(m, int) and m >= 2):
         raise DomainError(f"cumulant requires integer order m >= 2, got {m!r}")
-    return float(m - 1.0) ** (-0.5 * b)
+    return LimitShape(b).moment(m)
 
 
 def make_measure(kind: str, param) -> LevyMeasure1D:
@@ -247,12 +458,9 @@ def make_measure(kind: str, param) -> LevyMeasure1D:
         pair = param
         if not isinstance(pair, DimensionPair):
             raise DomainError(f"kind {kind!r} requires a DimensionPair, got {param!r}")
-        rescale = kind == "rescaled"
-        dens = (
-            (lambda x, _p=pair: normalized_density(_p, x))
-            if rescale
-            else (lambda x, _p=pair: levy_density(_p, x))
-        )
+        shape = PairShape(pair)
+        log_weight = -log_variance(pair) if kind == "rescaled" else 0.0
+        log_coef = _pair_log_coef(pair) + log_weight
         return LevyMeasure1D(
             family=kind,
             pair=pair,
@@ -260,8 +468,10 @@ def make_measure(kind: str, param) -> LevyMeasure1D:
             sing_at_0=pair.alpha,
             sing_log_at_0=False,
             sing_at_1=0.5 * pair.codim - 1.0,
-            total_second_moment=1.0 if rescale else variance(pair),
-            density=dens,
+            total_second_moment=shape.moment(2, log_weight),
+            density=lambda x: _pair_density(pair, x, log_coef),
+            shape=shape,
+            log_weight=log_weight,
         )
     if kind == "limit":
         b = param
@@ -274,6 +484,7 @@ def make_measure(kind: str, param) -> LevyMeasure1D:
             sing_log_at_0=True,
             sing_at_1=0.5 * (b - 2.0),
             total_second_moment=1.0,
-            density=lambda x, _b=b: codim_limit_density(_b, x),
+            density=lambda x: codim_limit_density(b, x),
+            shape=LimitShape(b),
         )
     raise DomainError(f"unknown measure kind {kind!r}")

@@ -16,17 +16,15 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from .errors import DomainError, InadmissiblePairError
-from .measures import DimensionPair, is_admissible, log_variance
+from .measures import DimensionPair, _check_codim, log_variance
 from .specfun import reg_inc_beta
 
 E_TIMES_PI = math.e * math.pi
 
 __all__ = [
     "E_TIMES_PI",
-    "admissible",
     "threshold_stat",
     "tail_second_moment",
-    "head_second_moment",
     "SequenceFamily",
     "FixedCodimensionFamily",
     "PowerLawFamily",
@@ -37,11 +35,6 @@ __all__ = [
     "classify_sequence",
     "probe_regime",
 ]
-
-
-def admissible(d: int, k: int) -> bool:
-    """True when (d, k) satisfies 1 <= k <= d - 1 and 2k > d + 1."""
-    return is_admissible(d, k)
 
 
 def threshold_stat(pair: DimensionPair) -> float:
@@ -67,11 +60,6 @@ def tail_second_moment(pair: DimensionPair, eps: float) -> float:
     return 1.0 - reg_inc_beta(0.5 * pair.r, 0.5 * pair.codim, y)
 
 
-def head_second_moment(pair: DimensionPair, eps: float) -> float:
-    """Complement 1 - tail_second_moment, exact to the bit."""
-    return 1.0 - tail_second_moment(pair, eps)
-
-
 class SequenceFamily(ABC):
     """A rule n -> (d_n, k_n) over admissible pairs."""
 
@@ -89,8 +77,7 @@ class FixedCodimensionFamily(SequenceFamily):
     d_offset: int = 2
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.b, int) and self.b >= 1):
-            raise DomainError(f"codimension must be an integer >= 1, got {self.b!r}")
+        _check_codim(self.b)
 
     def realize(self, n: int) -> DimensionPair:
         d = n + self.d_offset

@@ -59,9 +59,9 @@ from .errors import (
     DomainError,
     SamplerConfigError,
 )
-from .measures import LevyMeasure1D, _log_cumulant, log_sphere_surface, log_variance
+from .measures import LevyMeasure1D
 from .quadrature import exp_sinh, gauss_legendre_nodes, tanh_sinh
-from .specfun import log_gamma, reg_inc_beta
+from .specfun import reg_inc_beta
 
 __all__ = [
     "SamplerConfig",
@@ -118,59 +118,22 @@ def _require_delta(delta: float) -> float:
     return delta
 
 
-def _jump_log_coef(measure: LevyMeasure1D) -> float:
-    """log of omega_b / 2 (over sigma^2 for the rescaled family): the
-    constant in front of the u = x^(2/(k-1)) integrals of the jump law."""
-    log_coef = log_sphere_surface(measure.pair.codim) - math.log(2.0)
-    if measure.family == "rescaled":
-        log_coef -= log_variance(measure.pair)
-    return log_coef
+def _shape_of(measure: LevyMeasure1D):
+    if measure.shape is None:
+        raise DomainError(f"no sampler rule for a measure without a shape ({measure.family!r})")
+    return measure.shape
 
 
-def _upper_y(pair, delta: float) -> float:
-    """y_max = 1 - delta^(2/(k-1)), the length of the u-interval above the
-    cutoff, without the cancellation of 1 - a as delta -> 1."""
-    return -math.expm1(pair.u_power * math.log(delta))
-
-
-def _upper_u_integral(pair, delta: float, m: int) -> float:
-    """integral of u^((k-1)m/2 - (d+1)/2) (1-u)^(b/2-1) du over (a, 1),
-    a = delta^(2/(k-1)), run in y = 1 - u on (0, y_max): the node gives
-    1 - u, and u = a + (y_max - y) keeps full precision at both ends."""
-    y_max = _upper_y(pair, delta)
-    a = delta**pair.u_power
-    e_pow = 0.5 * ((pair.k - 1.0) * m - pair.d - 1.0)
-    e_side = 0.5 * pair.codim - 1.0
-
-    def integrand(y: np.ndarray, dist: np.ndarray) -> np.ndarray:
-        out = np.exp(e_pow * np.log(a + dist))
-        if e_side != 0.0:
-            out = out * np.exp(e_side * np.log(y))
-        return out
-
-    return tanh_sinh(integrand, a=0.0, b=y_max, rel_tol=1e-12, abs_tol=1e-300)
+def _upper_moment(measure: LevyMeasure1D, delta: float, m: int) -> float:
+    """integral of x^m nu(dx) over (delta, 1) by tanh-sinh in the shape's
+    variable."""
+    f, top = _shape_of(measure).upper_integrand(delta, m)
+    return measure.coef * tanh_sinh(f, a=0.0, b=top, rel_tol=1e-12, abs_tol=1e-300)
 
 
 def tail_mass(measure: LevyMeasure1D, delta: float) -> float:
     """nu((delta, 1)): the expected jump count per draw at truncation delta."""
-    delta = _require_delta(delta)
-    if measure.family in ("hyperbolic", "rescaled"):
-        val = _upper_u_integral(measure.pair, delta, 0)
-        return math.exp(_jump_log_coef(measure)) * val
-    if measure.family == "limit":
-        b = measure.codim
-        v_cut = -math.log(delta)
-        e_log = 0.5 * (b - 2.0)
-
-        def integrand(v: np.ndarray, _unused: np.ndarray) -> np.ndarray:
-            out = np.exp(v)
-            if e_log != 0.0:
-                out = out * np.power(v, e_log)
-            return out
-
-        val = tanh_sinh(integrand, a=0.0, b=v_cut, rel_tol=1e-12, abs_tol=1e-300)
-        return math.exp(-log_gamma(0.5 * b)) * val
-    raise DomainError(f"no tail-mass rule for family {measure.family!r}")
+    return _upper_moment(measure, _require_delta(delta), 0)
 
 
 def partial_moment(measure: LevyMeasure1D, delta: float, m: int, side: str) -> float:
@@ -178,7 +141,9 @@ def partial_moment(measure: LevyMeasure1D, delta: float, m: int, side: str) -> f
 
     Below the cutoff the integral only exists for m >= 2 (the measure has
     infinite mass and infinite first absolute moment near 0); m < 2 there
-    raises DivergentMomentError.
+    raises DivergentMomentError. Pair shapes split their closed-form
+    moments by an incomplete Beta; the rest is quadrature in the shape's
+    variable.
     """
     delta = _require_delta(delta)
     if not (isinstance(m, int) and m >= 0):
@@ -189,133 +154,16 @@ def partial_moment(measure: LevyMeasure1D, delta: float, m: int, side: str) -> f
         raise DivergentMomentError(
             f"x^{m} is not integrable against the measure near 0"
         )
-    if m == 0 and side == "above":
-        return tail_mass(measure, delta)
-
-    if measure.family in ("hyperbolic", "rescaled"):
-        pair = measure.pair
-        if m >= 2:
-            p = 0.5 * ((pair.k - 1.0) * m - (pair.d - 1.0))
-            frac = reg_inc_beta(p, 0.5 * pair.codim, delta**pair.u_power)
-            log_scale = log_variance(pair) if measure.family == "rescaled" else 0.0
-            total = math.exp(_log_cumulant(pair, m) - log_scale)
-            return total * (frac if side == "below" else 1.0 - frac)
-        # m == 1 above the cutoff: the tail-mass integral, exponent shifted
-        return math.exp(_jump_log_coef(measure)) * _upper_u_integral(pair, delta, m)
-
-    if measure.family == "limit":
-        b = measure.codim
-        v_cut = -math.log(delta)
-        e_log = 0.5 * (b - 2.0)
-        coef = math.exp(-log_gamma(0.5 * b))
-        if side == "below":
-
-            def integrand_tail(v: np.ndarray) -> np.ndarray:
-                out = np.exp(-(m - 1.0) * v)
-                if e_log != 0.0:
-                    out = out * np.power(v, e_log)
-                return out
-
-            return coef * exp_sinh(integrand_tail, a=v_cut, rel_tol=1e-12, abs_tol=1e-300)
-
-        def integrand_head(v: np.ndarray, _unused: np.ndarray) -> np.ndarray:
-            out = np.exp(-(m - 1.0) * v)
-            if e_log != 0.0:
-                out = out * np.power(v, e_log)
-            return out
-
-        val = tanh_sinh(integrand_head, a=0.0, b=v_cut, rel_tol=1e-12, abs_tol=1e-300)
-        return coef * val
-
-    raise DomainError(f"no partial-moment rule for family {measure.family!r}")
-
-
-class _Warp:
-    """Conditional jump law on (delta, 1) in the variable w = y^(b/2), where
-    y = 1 - x^(2/(k-1)) for the finite-dimension families and y = 1 - x for
-    the limit family.
-
-    The density in y carries a bare y^(b/2-1) factor at the large-jump end;
-    the b/2 power on w absorbs it exactly, so the density h in w is bounded
-    and strictly positive, and panel quadrature over w is well posed. g_reg
-    is the remaining regular factor: the density in y is y^(b/2-1) g_reg(y)
-    up to the family constant, which cancels from the conditional law.
-    """
-
-    def __init__(self, measure: LevyMeasure1D, delta: float):
-        if measure.family == "limit":
-            self.b = float(measure.codim)
-            self.limit = True
-            self.w_max = (1.0 - delta) ** (0.5 * self.b)
-            self.e_log = 0.5 * (self.b - 2.0)
-        elif measure.family in ("hyperbolic", "rescaled"):
-            pair = measure.pair
-            self.b = float(pair.codim)
-            self.limit = False
-            self.w_max = _upper_y(pair, delta) ** (0.5 * self.b)
-            self.e_top = 0.5 * (pair.d + 1.0)
-            self.x_exp = 0.5 * (pair.k - 1.0)
-            self.u_power = pair.u_power
-        else:
-            raise DomainError(f"no jump table rule for family {measure.family!r}")
-        self.two_over_b = 2.0 / self.b
-        # the table runs in s = q^(1/P), q the upper-tail probability; P is
-        # a multiple of b/2 so the y ~ q^(2/b) corner is polynomial in s,
-        # and at least 3 so the power-law stretch of the small-jump tail is
-        # spread over resolvable scales instead of hiding in the first cell
-        step = int(self.b) if int(self.b) % 2 else int(self.b) // 2
-        self.index_pow = 4 if step in (1, 2, 4) else step
-
-    def y_of_w(self, w: np.ndarray) -> np.ndarray:
-        if self.b == 1.0:
-            return w * w
-        if self.b == 2.0:
-            return w
-        return np.power(w, self.two_over_b)
-
-    def g_reg(self, y: np.ndarray) -> np.ndarray:
-        if not self.limit:
-            return np.power(1.0 - y, -self.e_top)
-        base = np.power(1.0 - y, -2.0)
-        if self.e_log == 0.0:
-            return base
-        # (-log(1-y))/y -> 1 as y -> 0; series guard below 1e-8
-        ratio = np.where(
-            y > 1e-8,
-            -np.log1p(-np.maximum(y, 1e-300)) / np.maximum(y, 1e-300),
-            1.0 + 0.5 * y,
-        )
-        return base * np.power(ratio, self.e_log)
-
-    def h(self, w: np.ndarray) -> np.ndarray:
-        return self.two_over_b * self.g_reg(self.y_of_w(w))
-
-    def x_of_y(self, y: np.ndarray) -> np.ndarray:
-        if self.limit:
-            return 1.0 - y
-        u = 1.0 - y
-        if self.x_exp == 1.0:
-            return u
-        if self.x_exp == 2.0:
-            return u * u
-        return np.power(u, self.x_exp)
-
-    def dx_dy(self, y: np.ndarray):
-        if self.limit:
-            return -1.0
-        if self.x_exp == 1.0:
-            return -1.0
-        return -self.x_exp * np.power(1.0 - y, self.x_exp - 1.0)
-
-    def y_of_x(self, x: np.ndarray) -> np.ndarray:
-        if self.limit:
-            return 1.0 - x
-        return -np.expm1(self.u_power * np.log(x))
-
-    def dy_dx_abs(self, x: np.ndarray):
-        if self.limit or self.u_power == 1.0:
-            return 1.0
-        return self.u_power * np.power(x, self.u_power - 1.0)
+    shape = _shape_of(measure)
+    beta = shape.beta_args(delta, m)
+    if beta is not None:
+        frac = reg_inc_beta(*beta)
+        total = shape.moment(m, measure.log_weight)
+        return total * (frac if side == "below" else 1.0 - frac)
+    if side == "above":
+        return _upper_moment(measure, delta, m)
+    v_cut = -math.log(delta)
+    return measure.coef * exp_sinh(shape.integrand(m), a=v_cut, rel_tol=1e-12, abs_tol=1e-300)
 
 
 class _JumpTable:
@@ -396,17 +244,40 @@ def _panel_boundaries(w_max: float, panels: int) -> np.ndarray:
     return np.concatenate(([0.0], dyadic, uniform))
 
 
-def _build_jump_table(measure: LevyMeasure1D, delta: float, cells: int) -> _JumpTable:
-    warp = _Warp(measure, delta)
-    b = warp.b
-    w_max = warp.w_max
+def _build_jump_table(shape, delta: float, cells: int) -> _JumpTable:
+    """The table of the conditional jump law on (delta, 1) of a measure of
+    this shape, built in w = y^(b/2), y = 1 - x^(2/(k-1)) for a pair and
+    y = 1 - x for the limit family.
+
+    The density in y carries a bare y^(b/2-1) factor at the large-jump
+    end; the b/2 power on w absorbs it exactly, so the density h in w is
+    bounded and strictly positive, and panel quadrature over w is well
+    posed. shape.g_reg is the remaining regular factor: the density in y
+    is y^(b/2-1) g_reg(y) up to the shape's constant and the measure's
+    weight, which cancel from the conditional law.
+    """
+    b = float(shape.codim)
+    half = 0.5 * b
+    two_over_b = 2.0 / b
+    w_max = shape.upper_y(delta) ** half
+
+    def y_of_w(w: np.ndarray) -> np.ndarray:
+        if b == 1.0:
+            return w * w
+        if b == 2.0:
+            return w
+        return np.power(w, two_over_b)
+
+    def h(w: np.ndarray) -> np.ndarray:
+        return two_over_b * shape.g_reg(y_of_w(w))
+
     nodes, weights = gauss_legendre_nodes(16)
 
     bounds = _panel_boundaries(w_max, max(1024, cells // 16))
     lo = bounds[:-1]
     width = np.diff(bounds)
     eval_pts = lo[:, None] + width[:, None] * nodes[None, :]
-    panel_mass = width * (warp.h(eval_pts) @ weights)
+    panel_mass = width * (h(eval_pts) @ weights)
     cum = np.concatenate(([0.0], np.cumsum(panel_mass)))
     total = cum[-1]
 
@@ -420,12 +291,16 @@ def _build_jump_table(measure: LevyMeasure1D, delta: float, cells: int) -> _Jump
             j = np.clip(np.searchsorted(bounds, ww, side="right") - 1, 0, len(lo) - 1)
             base = bounds[j]
             pts = base[:, None] + (ww - base)[:, None] * nodes[None, :]
-            out[c0 : c0 + (1 << 18)] = cum[j] + (ww - base) * (warp.h(pts) @ weights)
+            out[c0 : c0 + (1 << 18)] = cum[j] + (ww - base) * (h(pts) @ weights)
         return out
 
     # knots: invert the cumulative at probabilities q_j = s_j^P with s_j
-    # equally spaced, so the table is uniform in s
-    P = warp.index_pow
+    # equally spaced, so the table is uniform in s. P is a multiple of b/2
+    # so the y ~ q^(2/b) corner is polynomial in s, and at least 3 so the
+    # power-law stretch of the small-jump tail is spread over resolvable
+    # scales instead of hiding in the first cell
+    step = int(b) if int(b) % 2 else int(b) // 2
+    P = 4 if step in (1, 2, 4) else step
     s = np.arange(cells + 1) / cells
     targets = np.power(s, float(P)) * total
     j = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(lo) - 1)
@@ -438,7 +313,7 @@ def _build_jump_table(measure: LevyMeasure1D, delta: float, cells: int) -> _Jump
         resid = cdf_at(w) - targets
         if np.max(np.abs(resid)) <= 1e-12 * total:
             break
-        w = np.clip(w - resid / warp.h(w), bounds[j], bounds[j + 1])
+        w = np.clip(w - resid / h(w), bounds[j], bounds[j + 1])
     if np.max(np.abs(cdf_at(w) - targets)) > 1e-11 * total:
         raise ConvergenceError("jump-table knot inversion did not converge")
     w[0] = 0.0
@@ -449,23 +324,22 @@ def _build_jump_table(measure: LevyMeasure1D, delta: float, cells: int) -> _Jump
         # beyond that tolerance, and let certification judge the result
         w = np.maximum.accumulate(w)
 
-    y = warp.y_of_w(w)
-    x_knots = warp.x_of_y(y)
+    y = y_of_w(w)
+    x_knots = shape.x_of_y(y)
     x_knots[0] = 1.0
     x_knots[-1] = delta
     # dx/ds = dx/dy P s^(P-1) total / (y^(b/2-1) g_reg(y)); the graded
     # factor s^(P-1) / y^(b/2-1) spans a wide range, so take it in logs;
     # its s -> 0 limit is 0 when 2P > b and ((b/2) total)^(2/b-1) at 2P = b
-    half = 0.5 * b
     with np.errstate(divide="ignore", invalid="ignore"):
         grade = np.exp((P - 1.0) * np.log(s) - (half - 1.0) * np.log(y))
-    grade[0] = ((half * total) ** (warp.two_over_b - 1.0)) if 2 * P == int(b) else 0.0
-    slopes = warp.dx_dy(y) * P * total * grade / warp.g_reg(y)
+    grade[0] = ((half * total) ** (two_over_b - 1.0)) if 2 * P == int(b) else 0.0
+    slopes = shape.dx_dy(y) * P * total * grade / shape.g_reg(y)
 
     table = _JumpTable(x_knots, slopes, P, cells, cert_error=math.nan)
     s_mid = (np.arange(cells) + 0.5) / cells
     x_mid = np.clip(table.x_of_s(s_mid), 1e-300, 1.0)
-    y_mid = warp.y_of_x(x_mid)
+    y_mid = shape.y_of_x(x_mid)
     w_mid = np.power(y_mid, half)
     err_q = np.abs(cdf_at(w_mid) / total - np.power(s_mid, float(P)))
     # a float64 quantile cannot beat the q-image of one ulp of x, and for
@@ -473,8 +347,8 @@ def _build_jump_table(measure: LevyMeasure1D, delta: float, cells: int) -> _Jump
     # is floored at the image of a few ulp instead of the global one
     with np.errstate(divide="ignore", over="ignore"):
         dq_dx = (
-            warp.h(w_mid) * half * np.power(np.maximum(y_mid, 1e-300), half - 1.0)
-            * warp.dy_dx_abs(x_mid) / total
+            h(w_mid) * half * np.power(np.maximum(y_mid, 1e-300), half - 1.0)
+            * shape.dy_dx_abs(x_mid) / total
         )
     tol = np.maximum(_CERT_TARGET, 8.0 * np.spacing(x_mid) * dq_dx)
     table.cert_error = _CERT_TARGET * float(np.max(err_q / tol))
@@ -482,11 +356,13 @@ def _build_jump_table(measure: LevyMeasure1D, delta: float, cells: int) -> _Jump
 
 
 @functools.lru_cache(maxsize=32)
-def _certified_jump_table(measure: LevyMeasure1D, delta: float) -> _JumpTable:
+def _certified_jump_table(shape, delta: float) -> _JumpTable:
+    """Keyed by shape: the weight cancels from the conditional jump law, so
+    the hyperbolic and rescaled measures of a pair share their tables."""
     cells = _TABLE_CELLS
     last_error = math.inf
     while True:
-        table = _build_jump_table(measure, delta, cells)
+        table = _build_jump_table(shape, delta, cells)
         if table.cert_error <= _CERT_TARGET:
             return table
         # a doubling that does not halve the residual (or a NaN residual)
@@ -507,7 +383,7 @@ def inverse_jump_cdf(measure: LevyMeasure1D, p, delta: float = 1e-3) -> np.ndarr
     p_arr = np.asarray(p, dtype=float)
     if np.any((p_arr < 0.0) | (p_arr > 1.0)):
         raise DomainError("jump quantile probabilities must lie in [0, 1]")
-    table = _certified_jump_table(measure, delta)
+    table = _certified_jump_table(_shape_of(measure), delta)
     # the table runs in the upper-tail direction: x(q) with q = 1 - p
     out = table.x_of_q(1.0 - p_arr)
     if np.isscalar(p) or p_arr.ndim == 0:
@@ -550,7 +426,7 @@ def sample(measure: LevyMeasure1D, n: int, config: SamplerConfig | None = None) 
             RuntimeWarning,
             stacklevel=2,
         )
-    table = _certified_jump_table(measure, delta)
+    table = _certified_jump_table(_shape_of(measure), delta)
 
     out = np.empty(n)
     u_buf = np.empty(_JUMP_CHUNK)

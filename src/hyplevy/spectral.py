@@ -55,9 +55,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DecayDetectionError, DomainError
-from .measures import DimensionPair, LevyMeasure1D, log_variance, log_sphere_surface
+from .measures import LevyMeasure1D
 from .quadrature import exp_sinh, tanh_sinh
-from .specfun import log_gamma
 
 __all__ = [
     "DensityGrid",
@@ -145,62 +144,9 @@ def _phase_kernel(t, x, top, powers, forced=None) -> np.ndarray:
     return out
 
 
-def _psi_pair(pair: DimensionPair, t: np.ndarray, rescaled: bool, rel_tol: float) -> np.ndarray:
-    """psi at the column of frequencies t via the u = x^(2/(k-1))
-    substitution.
-
-    The transformed integrand is g_t(u^c) u^(-(d+1)/2) (1-u)^(b/2-1) times
-    omega_b/2 (over the variance when rescaled); the factor g_t(u^c) is
-    switched to its quartic Taylor form for small phases so the product
-    with the huge u power is assembled in log space and never overflows.
-    The u powers depend on the nodes only and are shared by the block.
-    """
-    c = 0.5 * (pair.k - 1.0)
-    e_top = 0.5 * (pair.d + 1.0)
-    e_side = 0.5 * pair.codim - 1.0
-    log_coef = log_sphere_surface(pair.codim) - math.log(2.0)
-    if rescaled:
-        log_coef -= log_variance(pair)
-    coef = math.exp(log_coef)
-
-    def integrand(u: np.ndarray, um1: np.ndarray) -> np.ndarray:
-        lu = np.log(u)
-        x = np.exp(c * lu)
-        side = np.exp(e_side * np.log(um1)) if e_side != 0.0 else 1.0
-        # series branch: powers y^j u^(-(d+1)/2) built from the finite
-        # exponent (r/2 - 1) upward
-        w2 = np.exp((0.5 * pair.r - 1.0) * lu) * side
-        w3 = w2 * x
-        w4 = w3 * x
-        w5 = w4 * x
-        with np.errstate(over="ignore", invalid="ignore"):
-            top = np.exp(-e_top * lu) * side
-        return _phase_kernel(t, x, top, (w2, w3, w4, w5))
-
-    return coef * tanh_sinh(integrand, rel_tol=rel_tol, abs_tol=1e-300)
-
-
-def _psi_limit(b: int, t: np.ndarray, rel_tol: float) -> np.ndarray:
-    """psi of the codimension-limit measure at the column of frequencies t
-    via x = e^{-v} on (0, inf)."""
-    coef = math.exp(-log_gamma(0.5 * b))
-    e_log = 0.5 * (b - 2.0)
-
-    def integrand(v: np.ndarray) -> np.ndarray:
-        vpow = np.power(v, e_log) if e_log != 0.0 else 1.0
-        ev = np.exp(-v)
-        ev2 = ev * ev
-        powers = (ev * vpow, ev2 * vpow, ev2 * ev * vpow, ev2 * ev2 * vpow)
-        with np.errstate(over="ignore"):
-            top = np.exp(np.minimum(v, 700.0)) * vpow
-        return _phase_kernel(t, ev, top, powers, forced=v > 700.0)
-
-    return coef * exp_sinh(integrand, rel_tol=rel_tol, abs_tol=1e-300)
-
-
 def _psi_density(measure: LevyMeasure1D, t: np.ndarray, rel_tol: float) -> np.ndarray:
     """psi at the column of frequencies t by a plain tanh-sinh pass over
-    the density, for measures outside the shipped families."""
+    the density, for a measure without a shape."""
 
     def integrand(x: np.ndarray, _unused: np.ndarray) -> np.ndarray:
         dens = np.asarray(measure.density(x), dtype=float)
@@ -227,13 +173,22 @@ _BLOCK = 32  # frequencies per quadrature pass; (32, nodes) complex arrays stay 
 
 def _exponent_rule(measure: LevyMeasure1D, rel_tol: float):
     """The measure's psi as a function of a column of frequencies (a
-    scalar frequency gives a 1-D integrand and a scalar psi)."""
-    if measure.family in ("hyperbolic", "rescaled"):
-        rescaled = measure.family == "rescaled"
-        return lambda t: _psi_pair(measure.pair, t, rescaled, rel_tol)
-    if measure.family == "limit":
-        return lambda t: _psi_limit(measure.codim, t, rel_tol)
-    return lambda t: _psi_density(measure, t, rel_tol)
+    scalar frequency gives a 1-D integrand and a scalar psi): quadrature
+    in its shape's variable, tanh-sinh on (0, 1) or exp-sinh on
+    (0, inf), of the phase kernel on the shape's node factors."""
+    shape = measure.shape
+    if shape is None:
+        return lambda t: _psi_density(measure, t, rel_tol)
+    coef = measure.coef
+
+    def psi(t):
+        def integrand(*nodes):
+            return _phase_kernel(t, *shape.phase_terms(*nodes))
+
+        rule = exp_sinh if shape.half_line else tanh_sinh
+        return coef * rule(integrand, rel_tol=rel_tol, abs_tol=1e-300)
+
+    return psi
 
 
 def _char_exponents(measure: LevyMeasure1D, ts: np.ndarray, rel_tol: float) -> np.ndarray:

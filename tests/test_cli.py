@@ -330,7 +330,7 @@ class TestSweep:
 
     def test_all_green_exits_0(self, capsys, outdir):
         path = self.write_manifest(outdir, [["variance", "4", "3"], ["variance", "7", "5"]])
-        code, out, _ = run(capsys, "sweep", str(path), "--parallel", "2")
+        code, out, _ = run(capsys, "sweep", str(path))
         assert code == 0
         report = json_objects(out)[-1]
         assert all(r["status"] == "ok" for r in report["runs"])
@@ -350,34 +350,6 @@ class TestSweep:
         assert report["runs"][0]["error"] == "nested sweep is not allowed"
         assert report["runs"][0]["exit_code"] == 2
 
-    def test_parallel_sweep_writes_the_serial_bytes(self, capsys, outdir, monkeypatch):
-        # power-law probes to d = 1e6; the parallel run gets a fresh interpreter
-        # so that no state left by earlier tests in this process can hide a race
-        laws = ((1.0, 0.3), (1.2, 0.7), (1.5, 0.5), (0.8, 0.5))
-        runs = [
-            ["probe", "--sequence", "power-law", "--gamma", str(g), "--beta", str(b),
-             "--n", "1,10,100,1000,10000,50000,140000,250000", "--eps", "0.1,0.5,2",
-             "--out", f"p{i}.csv"]
-            for i, (g, b) in enumerate(laws)
-        ]
-        path = self.write_manifest(outdir, runs)
-        proc = subprocess.run(
-            [sys.executable, "-m", "hyplevy.cli", "sweep", str(path), "--parallel", "2"],
-            capture_output=True, text=True, timeout=300,
-            env=hyplevy_env(HYPLEVY_OUTDIR=str(outdir / "parallel")),
-        )
-        assert proc.returncode == 0, proc.stderr
-        monkeypatch.setenv("HYPLEVY_OUTDIR", str(outdir / "serial"))
-        assert run(capsys, "sweep", str(path))[0] == 0
-        for i in range(len(laws)):
-            par = (outdir / "parallel" / f"p{i}.csv").read_text().split("\n", 1)
-            ser = (outdir / "serial" / f"p{i}.csv").read_text().split("\n", 1)
-            assert par[1] == ser[1], runs[i]
-            strip = [json.loads(p[0][len("# provenance: "):]) for p in (par, ser)]
-            for prov in strip:
-                del prov["timestamp"]
-            assert strip[0] == strip[1]
-
     def test_parser_is_built_once_per_sweep(self, capsys, outdir, monkeypatch):
         calls = []
         build = hyplevy.cli.build_parser
@@ -388,8 +360,12 @@ class TestSweep:
 
         monkeypatch.setattr(hyplevy.cli, "build_parser", counting)
         path = self.write_manifest(outdir, [["variance", "4", "3"]] * 5)
-        assert run(capsys, "sweep", str(path), "--parallel", "2")[0] == 0
+        assert run(capsys, "sweep", str(path))[0] == 0
         assert len(calls) == 2  # the command line, then the manifest entries
+
+    def test_parallel_option_is_gone(self, capsys, outdir):
+        path = self.write_manifest(outdir, [["variance", "4", "3"]])
+        assert run(capsys, "sweep", str(path), "--parallel", "2")[0] == 2
 
     def test_malformed_manifest_exits_2(self, capsys, outdir):
         path = outdir / "bad.json"
@@ -436,7 +412,7 @@ class TestSpecfun:
 
 class TestTopLevel:
     def test_import_leaves_out_concurrent_futures(self):
-        # only a threaded sweep needs it, and it costs each CLI process ms
+        # nothing in the CLI uses it, and importing it costs each process ms
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, hyplevy.cli; print('concurrent.futures' in sys.modules)"],

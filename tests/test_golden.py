@@ -62,5 +62,7 @@ def test_replay_reproduces_fixture(fixture, tmp_path, monkeypatch, capsys):
 
 
 def test_fixtures_present():
-    assert len(FIXTURES) == 3
-    assert [p.name for p in FIXTURES] == [f"limit_b{b}.csv" for b in (1, 2, 3)]
+    assert len(FIXTURES) == 5
+    assert [p.name for p in FIXTURES] == (
+        ["hyperbolic_d7_k5.csv"] + [f"limit_b{b}.csv" for b in (1, 2, 3)] + ["rescaled_d4_k3.csv"]
+    )

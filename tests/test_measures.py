@@ -10,7 +10,6 @@ from conftest import admissible_pairs, limit_moment_oracle, pair_moment_oracle
 from hyplevy.errors import DomainError, InadmissiblePairError
 from hyplevy.measures import (
     DimensionPair,
-    LevyTriplet,
     codim_limit_cumulant,
     codim_limit_density,
     cumulant,
@@ -263,12 +262,3 @@ class TestMakeMeasure:
             make_measure("hyperbolic", 4)
         with pytest.raises(DomainError):
             make_measure("limit", 0)
-
-    def test_triplet_has_no_gaussian_or_drift_part(self):
-        m = make_measure("limit", 2)
-        trip = LevyTriplet(0.0, 0.0, m)
-        assert trip.measure is m
-        with pytest.raises(DomainError):
-            LevyTriplet(1.0, 0.0, m)
-        with pytest.raises(DomainError):
-            LevyTriplet(0.0, -0.3, m)

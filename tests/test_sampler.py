@@ -19,7 +19,7 @@ from hyplevy.errors import (
     DomainError,
     SamplerConfigError,
 )
-from hyplevy.measures import DimensionPair, cumulant, make_measure, variance
+from hyplevy.measures import DimensionPair, PairShape, cumulant, make_measure, variance
 from hyplevy.regime import tail_second_moment
 from hyplevy.sampler import (
     SamplerConfig,
@@ -193,7 +193,7 @@ class TestInverseJumpCdf:
             make_measure("rescaled", DimensionPair(40, 21)),
         )
         for measure in laws:
-            table = sampler._certified_jump_table(measure, delta)
+            table = sampler._certified_jump_table(measure.shape, delta)
             lam = tail_mass(measure, delta)
             s = (np.arange(table.cells) + rng.random(table.cells)) / table.cells
             q = s**table.index_pow
@@ -201,6 +201,27 @@ class TestInverseJumpCdf:
             # a quantile that rounds to 1.0 has no jump mass above it
             got = np.array([tail_mass(measure, v) / lam if v < 1.0 else 0.0 for v in x])
             assert np.max(np.abs(got - q)) <= 1e-10, measure
+
+    def test_hyperbolic_and_rescaled_share_one_table(self, monkeypatch):
+        # the weight 1/sigma^2 cancels from the conditional jump law, so the
+        # table is keyed by the shape and built once for both measures
+        builds = []
+        real = sampler._build_jump_table
+
+        def counting(shape, delta, cells):
+            builds.append((shape, delta, cells))
+            return real(shape, delta, cells)
+
+        monkeypatch.setattr(sampler, "_build_jump_table", counting)
+        sampler._certified_jump_table.cache_clear()
+        pair = DimensionPair(7, 5)
+        hyp, resc = make_measure("hyperbolic", pair), make_measure("rescaled", pair)
+        q = np.linspace(0.0, 1.0, 101)
+        assert np.array_equal(inverse_jump_cdf(hyp, q, 0.05), inverse_jump_cdf(resc, q, 0.05))
+        a, b = (sample(m, 50, SamplerConfig(cutoff_delta=0.05, seed=2)) for m in (hyp, resc))
+        assert a.diagnostics["table_cert_error"] == b.diagnostics["table_cert_error"]
+        assert builds == [(hyp.shape, 0.05, 2048)]
+        assert hyp.shape == resc.shape == PairShape(pair)
 
     def test_hot_loop_quantile_matches_the_reference_at_the_edges(self):
         # fill_x_of_q gathers in clip mode behind its own clamp; q just below
@@ -211,7 +232,7 @@ class TestInverseJumpCdf:
             (rng.random(1 << 15), [0.0, 2.0**-53, np.nextafter(1.0, 0.0)])
         )
         for measure in (RESC43, make_measure("limit", 3)):
-            table = sampler._certified_jump_table(measure, delta)
+            table = sampler._certified_jump_table(measure.shape, delta)
             want = table.x_of_q(q)
             got = table.fill_x_of_q(
                 q.copy(), np.empty(q.size, dtype=np.int64), np.empty(q.size), np.empty(q.size)
@@ -239,7 +260,7 @@ def _rebuild_from_stream(measure, n, cfg, chunk):
     its pieces and one per chunk spanned, each at most eps times the draw's
     sum; then 4 eps of the final terms for the compensator and Gaussian."""
     delta = cfg.cutoff_delta
-    table = sampler._certified_jump_table(measure, delta)
+    table = sampler._certified_jump_table(measure.shape, delta)
     lam = tail_mass(measure, delta)
     compensator = partial_moment(measure, delta, 1, "above")
     small_sd = math.sqrt(partial_moment(measure, delta, 2, "below"))
@@ -392,7 +413,7 @@ class TestSampleDiagnostics:
         cells = diag["table_cells"]
         assert cells >= 1 << 11 and cells & (cells - 1) == 0
         for fewer in (1 << j for j in range(11, cells.bit_length() - 1)):
-            assert sampler._build_jump_table(RESC43, delta, fewer).cert_error > 1e-10
+            assert sampler._build_jump_table(RESC43.shape, delta, fewer).cert_error > 1e-10
         assert diag["batches"] == 1
 
     def test_berry_esseen_ratio_of_the_small_jump_proxy(self, resc43_draws):
