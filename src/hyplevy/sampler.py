@@ -7,6 +7,12 @@ assembled as
       - integral of x nu(dx) over (delta, 1)            (compensator)
       + Normal(0, integral of x^2 nu(dx) over (0, delta]).
 
+Everything here is read off the measure's shape and weight (see
+hyplevy.measures): the weight scales lambda, the compensator and the
+small-jump variance, and the shape alone fixes the conditional jump law,
+so the hyperbolic and rescaled measures of a pair share one jump table. A
+measure without a shape raises DomainError.
+
 Jump sizes come from a cubic-Hermite inverse-CDF table built in the warped
 variable w = (1 - x^(2/(k-1)))^(b/2) (w = (1 - x)^(b/2) for the
 codimension-limit family), in which the conditional density is bounded and

@@ -295,6 +295,23 @@ class TestBlockExponents:
 class TestInversionWork:
     """Deterministic work counts of invert_to_density, not timings."""
 
+    def test_default_grid_never_reaches_blas(self, monkeypatch):
+        # numpy hands a dot product of more than 8192 elements to the BLAS
+        # thread pool, which made an unpinned default density about 15x
+        # slower than a one-thread one; no grid-length operand may go there
+        long_operands = []
+        for name in ("dot", "vdot", "inner", "matmul"):
+            def spy(*args, _real=getattr(np, name), _name=name, **kwargs):
+                sizes = [np.size(a) for a in args[:2]]
+                if max(sizes) > 8192:
+                    long_operands.append((_name, sizes))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, spy)
+        grid = invert_to_density(RESC43)
+        assert grid.values.size == 16384
+        assert long_operands == []
+
     def test_seed_index_at_the_defaults(self):
         # 12 sqrt(2 ln 1e12 - 2) / pi
         assert math.isclose(_safe_index(12.0, 1e-12), 27.88, abs_tol=5e-3)
