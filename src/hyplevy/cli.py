@@ -128,19 +128,16 @@ def _add_measure_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _measure_from_args(args: argparse.Namespace):
+    """The measure --family names, and the fields that identify it in
+    outputs."""
     if args.family == "limit":
         if args.b is None:
             raise DomainError("--family limit requires --b")
-        return make_measure("limit", args.b)
+        return make_measure("limit", args.b), {"family": args.family, "b": args.b}
     if args.d is None or args.k is None:
         raise DomainError(f"--family {args.family} requires --d and --k")
-    return make_measure(args.family, DimensionPair(args.d, args.k))
-
-
-def _measure_tag(args: argparse.Namespace) -> dict:
-    if args.family == "limit":
-        return {"family": args.family, "b": args.b}
-    return {"family": args.family, "d": args.d, "k": args.k}
+    tag = {"family": args.family, "d": args.d, "k": args.k}
+    return make_measure(args.family, DimensionPair(args.d, args.k)), tag
 
 
 def _add_sequence_args(sub: argparse.ArgumentParser) -> None:
@@ -217,8 +214,7 @@ def _cmd_variance(args: argparse.Namespace, argv: list[str]) -> int:
 def _cmd_cumulants(args: argparse.Namespace, argv: list[str]) -> int:
     if args.max_order < 2:
         raise DomainError("--max-order must be at least 2")
-    measure = _measure_from_args(args)
-    payload = _measure_tag(args)
+    measure, payload = _measure_from_args(args)
     payload["cumulants"] = {
         str(m): measure.shape.moment(m, measure.log_weight)
         for m in range(2, args.max_order + 1)
@@ -228,7 +224,7 @@ def _cmd_cumulants(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _cmd_density(args: argparse.Namespace, argv: list[str]) -> int:
-    measure = _measure_from_args(args)
+    measure, tag = _measure_from_args(args)
     grid = invert_to_density(
         measure, half_width=args.half_width, n_points=args.n_points
     )
@@ -236,7 +232,7 @@ def _cmd_density(args: argparse.Namespace, argv: list[str]) -> int:
     prov = _provenance(argv)
     _write_csv(path, ["x", "value"], [grid.xs, grid.values], prov)
     meta = dict(grid.meta)
-    meta.update(_measure_tag(args))
+    meta.update(tag)
     _write_json(path.with_name(path.name + ".meta.json"), meta)
     print(f"wrote {path} ({len(grid.values)} rows)")
     return _EXIT_OK
@@ -270,7 +266,7 @@ def _cmd_classify(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace, argv: list[str]) -> int:
-    measure = _measure_from_args(args)
+    measure, tag = _measure_from_args(args)
     config = SamplerConfig(
         cutoff_delta=args.delta, seed=args.seed, batch_size=args.batch_size
     )
@@ -279,7 +275,7 @@ def _cmd_sample(args: argparse.Namespace, argv: list[str]) -> int:
     prov = _provenance(argv, seed=args.seed)
     _write_csv(path, ["value"], [batch.values], prov)
     sidecar = dict(batch.diagnostics)
-    sidecar.update(_measure_tag(args))
+    sidecar.update(tag)
     sidecar["n"] = args.n
     sidecar["seed"] = args.seed
     sidecar["cutoff_delta"] = args.delta
@@ -293,7 +289,7 @@ def _cmd_sample(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _taylor_bound(order: float, x: float) -> dict:
-    if int(order) != order:
+    if not order.is_integer():  # inf and nan included
         raise DomainError("taylor-bound order must be an integer")
     return {"value": taylor_remainder_bound(int(order), x)}
 

@@ -133,8 +133,8 @@ def _shape_of(measure: LevyMeasure1D):
 def _upper_moment(measure: LevyMeasure1D, delta: float, m: int) -> float:
     """integral of x^m nu(dx) over (delta, 1) by tanh-sinh in the shape's
     variable."""
-    f, top = _shape_of(measure).upper_integrand(delta, m)
-    return measure.coef * tanh_sinh(f, a=0.0, b=top, rel_tol=1e-12, abs_tol=1e-300)
+    f, hi = _shape_of(measure).upper_integrand(delta, m)
+    return measure.coef * tanh_sinh(f, a=0.0, b=hi, rel_tol=1e-12, abs_tol=1e-300)
 
 
 def tail_mass(measure: LevyMeasure1D, delta: float) -> float:
@@ -168,6 +168,7 @@ def partial_moment(measure: LevyMeasure1D, delta: float, m: int, side: str) -> f
         return total * (frac if side == "below" else 1.0 - frac)
     if side == "above":
         return _upper_moment(measure, delta, m)
+    # below the cutoff with no Beta form: the limit shape, over v > -log delta
     v_cut = -math.log(delta)
     return measure.coef * exp_sinh(shape.integrand(m), a=v_cut, rel_tol=1e-12, abs_tol=1e-300)
 

@@ -406,8 +406,9 @@ class TestSpecfun:
         assert code == 2 and "takes 1" in err
 
     def test_non_integer_taylor_order_exits_2(self, capsys):
-        code, _, err = run(capsys, "specfun", "--op", "taylor-bound", "2.5", "1.0")
-        assert code == 2 and "integer" in err
+        for order in ("2.5", "inf", "nan"):
+            code, _, err = run(capsys, "specfun", "--op", "taylor-bound", order, "1.0")
+            assert code == 2 and "integer" in err, order
 
 
 class TestTopLevel:
