@@ -10,6 +10,8 @@ from conftest import admissible_pairs, limit_moment_oracle, pair_moment_oracle
 from hyplevy.errors import DomainError, InadmissiblePairError
 from hyplevy.measures import (
     DimensionPair,
+    LimitShape,
+    PairShape,
     codim_limit_cumulant,
     codim_limit_density,
     cumulant,
@@ -237,10 +239,13 @@ class TestMakeMeasure:
         assert m.sing_at_1 == -0.5
         assert math.isclose(m.total_second_moment, math.pi, rel_tol=1e-14)
         assert math.isclose(m.density(0.25), 64.0 / math.sqrt(3.0), rel_tol=1e-13)
+        assert m.shape == PairShape(DimensionPair(4, 3)) and m.log_weight == 0.0
 
     def test_rescaled_metadata(self):
         m = make_measure("rescaled", DimensionPair(4, 3))
         assert m.total_second_moment == 1.0
+        assert m.shape == PairShape(DimensionPair(4, 3))
+        assert m.log_weight == -log_variance(DimensionPair(4, 3))
         assert math.isclose(
             m.density(0.5) * math.pi, levy_density(DimensionPair(4, 3), 0.5), rel_tol=1e-13
         )
@@ -254,6 +259,7 @@ class TestMakeMeasure:
         assert m.sing_log_at_0 is True
         assert m.sing_at_1 == 0.5
         assert m.total_second_moment == 1.0
+        assert m.shape == LimitShape(3) and m.log_weight == 0.0
 
     def test_validation(self):
         with pytest.raises(DomainError):

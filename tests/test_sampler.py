@@ -217,10 +217,10 @@ class TestInverseJumpCdf:
         pair = DimensionPair(7, 5)
         hyp, resc = make_measure("hyperbolic", pair), make_measure("rescaled", pair)
         q = np.linspace(0.0, 1.0, 101)
-        assert np.array_equal(inverse_jump_cdf(hyp, q, 0.05), inverse_jump_cdf(resc, q, 0.05))
-        a, b = (sample(m, 50, SamplerConfig(cutoff_delta=0.05, seed=2)) for m in (hyp, resc))
+        assert np.array_equal(inverse_jump_cdf(hyp, q, 0.01), inverse_jump_cdf(resc, q, 0.01))
+        a, b = (sample(m, 50, SamplerConfig(cutoff_delta=0.01, seed=2)) for m in (hyp, resc))
         assert a.diagnostics["table_cert_error"] == b.diagnostics["table_cert_error"]
-        assert builds == [(hyp.shape, 0.05, 2048)]
+        assert builds == [(hyp.shape, 0.01, 2048)]
         assert hyp.shape == resc.shape == PairShape(pair)
 
     def test_hot_loop_quantile_matches_the_reference_at_the_edges(self):
