@@ -113,19 +113,13 @@ class DimensionPair:
 class LevyMeasure1D:
     """A Levy measure on (0, 1) with finite total second moment.
 
-    density is a vectorized evaluator; the singularity metadata records the
-    power-law behavior at the endpoints: density ~ C x^(-1 - sing_at_0)
-    near 0 (times a power of -log x when sing_log_at_0 is set) and
-    ~ C' (1 - x)^sing_at_1 near 1. The shipped measures also carry their
-    shape and log_weight (see the module docstring).
+    density is a vectorized evaluator. The shipped measures also carry
+    their shape and log_weight (see the module docstring); the shape holds
+    the pair or codimension and the small-jump index alpha, with density
+    ~ C x^(-1 - alpha) near 0 (times a power of -log x for the limit).
     """
 
     family: str
-    pair: DimensionPair | None
-    codim: int | None
-    sing_at_0: float
-    sing_log_at_0: bool
-    sing_at_1: float
     total_second_moment: float
     density: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
     shape: PairShape | LimitShape | None = None
@@ -137,8 +131,18 @@ class LevyMeasure1D:
         return math.exp(self.shape.log_coef + self.log_weight)
 
 
+class _Shape:
+    """What the pair and limit shapes share."""
+
+    @property
+    def end_power(self) -> float:
+        """b/2 - 1, the power of the endpoint factor: 1 - u for a pair, v
+        for the limit."""
+        return 0.5 * self.codim - 1.0
+
+
 @dataclass(frozen=True)
-class PairShape:
+class PairShape(_Shape):
     """A pair measure in u = x^(2/(k-1)): (omega_b / 2) u^(-(d+1)/2)
     (1 - u)^(b/2-1) du on (0, 1).
 
@@ -155,9 +159,22 @@ class PairShape:
         return self.pair.codim
 
     @property
+    def alpha(self) -> float:
+        return self.pair.alpha
+
+    @property
     def log_coef(self) -> float:
         """log(omega_b / 2)."""
         return log_sphere_surface(self.pair.codim) - math.log(2.0)
+
+    @property
+    def log_density_coef(self) -> float:
+        """log(omega_b / (k - 1)), the constant of the density in x."""
+        return log_sphere_surface(self.pair.codim) - math.log(self.pair.k - 1.0)
+
+    def end_factor(self, lx: np.ndarray) -> np.ndarray:
+        """1 - x^(2/(k-1)) from lx = log x, without cancellation near 1."""
+        return -np.expm1(self.pair.u_power * lx)
 
     def moment(self, m: int, log_weight: float = 0.0) -> float:
         """integral of x^m over the weighted measure, m >= 2; the weight
@@ -182,7 +199,7 @@ class PairShape:
         pair = self.pair
         a = delta**pair.u_power
         e_pow = 0.5 * ((pair.k - 1.0) * m - pair.d - 1.0)
-        e_side = 0.5 * pair.codim - 1.0
+        e_side = self.end_power
 
         def integrand(y: np.ndarray, dist: np.ndarray) -> np.ndarray:
             out = np.exp(e_pow * np.log(a + dist))
@@ -200,7 +217,7 @@ class PairShape:
         pair = self.pair
         lu = np.log(u)
         x = np.exp(0.5 * (pair.k - 1.0) * lu)
-        e_side = 0.5 * pair.codim - 1.0
+        e_side = self.end_power
         side = np.exp(e_side * np.log(um1)) if e_side != 0.0 else 1.0
         w2 = np.exp((0.5 * pair.r - 1.0) * lu) * side
         w3 = w2 * x
@@ -219,18 +236,10 @@ class PairShape:
         return np.power(1.0 - y, -0.5 * (self.pair.d + 1.0))
 
     def x_of_y(self, y: np.ndarray) -> np.ndarray:
-        u = 1.0 - y
-        c = 0.5 * (self.pair.k - 1.0)
-        if c == 1.0:
-            return u
-        if c == 2.0:
-            return u * u
-        return np.power(u, c)
+        return np.power(1.0 - y, 0.5 * (self.pair.k - 1.0))
 
     def dx_dy(self, y: np.ndarray):
         c = 0.5 * (self.pair.k - 1.0)
-        if c == 1.0:
-            return -1.0
         return -c * np.power(1.0 - y, c - 1.0)
 
     def y_of_x(self, x: np.ndarray) -> np.ndarray:
@@ -238,13 +247,19 @@ class PairShape:
 
     def dy_dx_abs(self, x: np.ndarray):
         p = self.pair.u_power
-        if p == 1.0:
-            return 1.0
         return p * np.power(x, p - 1.0)
 
 
+def _zero_the_nans(p: np.ndarray) -> np.ndarray:
+    """0 in place of NaN: at large v the limit shape's e^(-jv) underflows
+    to 0 while v^((b-2)/2) overflows (from b = 7 on), and the true product
+    underflows too."""
+    p[np.isnan(p)] = 0.0
+    return p
+
+
 @dataclass(frozen=True)
-class LimitShape:
+class LimitShape(_Shape):
     """The codimension-limit measure in v = -log x: Gamma(b/2)^(-1) e^v
     v^((b-2)/2) dv on (0, inf), b = codim.
 
@@ -254,15 +269,18 @@ class LimitShape:
 
     codim: int
     half_line = True  # v runs over (0, inf)
-
-    @property
-    def e_log(self) -> float:
-        return 0.5 * (self.codim - 2.0)
+    alpha = 1.0  # density ~ x^(-2) (-log x)^((b-2)/2) near 0
 
     @property
     def log_coef(self) -> float:
-        """log(1 / Gamma(b/2))."""
+        """log(1 / Gamma(b/2)), also the constant of the density in x."""
         return -log_gamma(0.5 * self.codim)
+
+    log_density_coef = log_coef
+
+    def end_factor(self, lx: np.ndarray) -> np.ndarray:
+        """-log x from lx = log x."""
+        return -lx
 
     def moment(self, m: int, log_weight: float = 0.0) -> float:
         """integral of x^m over the weighted measure, (m - 1)^(-b/2) times
@@ -278,12 +296,13 @@ class LimitShape:
         """e^(-(m-1) v) v^((b-2)/2): the integral of x^m over the measure is
         the constant times its integral in v. It accepts (and ignores) the
         tanh_sinh distance argument."""
-        e_log = self.e_log
+        e_log = self.end_power
 
         def f(v: np.ndarray, _unused=None) -> np.ndarray:
             out = np.exp(-(m - 1.0) * v)
             if e_log != 0.0:
-                out = out * np.power(v, e_log)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    out = _zero_the_nans(out * np.power(v, e_log))
             return out
 
         return f
@@ -297,21 +316,21 @@ class LimitShape:
         """psi's node factors at v: x = e^(-v), top = e^v v^((b-2)/2)
         (capped at v = 700, past which the mask forces the Taylor form)
         and the products x^j top for j = 2..5, which stay finite."""
-        e_log = self.e_log
-        vpow = np.power(v, e_log) if e_log != 0.0 else 1.0
+        e_log = self.end_power
         ev = np.exp(-v)
         ev2 = ev * ev
-        powers = (ev * vpow, ev2 * vpow, ev2 * ev * vpow, ev2 * ev2 * vpow)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            vpow = np.power(v, e_log) if e_log != 0.0 else 1.0
+            powers = (ev * vpow, ev2 * vpow, ev2 * ev * vpow, ev2 * ev2 * vpow)
             top = np.exp(np.minimum(v, 700.0)) * vpow
-        return ev, top, powers, v > 700.0
+        return ev, top, tuple(_zero_the_nans(p) for p in powers), v > 700.0
 
     def upper_y(self, delta: float) -> float:
         return 1.0 - delta
 
     def g_reg(self, y: np.ndarray) -> np.ndarray:
         base = np.power(1.0 - y, -2.0)
-        if self.e_log == 0.0:
+        if self.end_power == 0.0:
             return base
         # (-log(1-y))/y -> 1 as y -> 0; series guard below 1e-8
         ratio = np.where(
@@ -319,7 +338,7 @@ class LimitShape:
             -np.log1p(-np.maximum(y, 1e-300)) / np.maximum(y, 1e-300),
             1.0 + 0.5 * y,
         )
-        return base * np.power(ratio, self.e_log)
+        return base * np.power(ratio, self.end_power)
 
     def x_of_y(self, y: np.ndarray) -> np.ndarray:
         return 1.0 - y
@@ -378,7 +397,10 @@ def cumulant(pair: DimensionPair, m: int) -> float:
     return math.exp(_log_cumulant(pair, m))
 
 
-def _pair_density(pair: DimensionPair, x, log_coef: float):
+def _shape_density(shape, log_coef: float, x):
+    """exp(log_coef) x^(-1 - alpha) s(x)^(b/2 - 1), s the shape's endpoint
+    factor; 0 outside (0, 1), and inf for x below the representable range,
+    which is the honest value."""
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
@@ -386,18 +408,12 @@ def _pair_density(pair: DimensionPair, x, log_coef: float):
     inside = (arr > 0.0) & (arr < 1.0)
     if np.any(inside):
         lx = np.log(arr[inside])
-        e1 = 0.5 * pair.codim - 1.0
-        logf = log_coef + (-1.0 - pair.alpha) * lx
-        if e1 != 0.0:
-            logf = logf + e1 * np.log(-np.expm1(pair.u_power * lx))
+        logf = log_coef + (-1.0 - shape.alpha) * lx
+        if shape.end_power != 0.0:
+            logf = logf + shape.end_power * np.log(shape.end_factor(lx))
         with np.errstate(over="ignore"):
-            # inf for x below the representable range is the honest value
             out[inside] = np.exp(logf)
     return float(out[0]) if scalar else out
-
-
-def _pair_log_coef(pair: DimensionPair) -> float:
-    return log_sphere_surface(pair.codim) - math.log(pair.k - 1.0)
 
 
 def levy_density(pair: DimensionPair, x):
@@ -406,12 +422,14 @@ def levy_density(pair: DimensionPair, x):
     Accepts scalars or arrays. The factor (1 - x^(2/(k-1)))^((d-k)/2 - 1)
     goes through expm1/log1p so that values near 1 keep full precision.
     """
-    return _pair_density(pair, x, _pair_log_coef(pair))
+    shape = PairShape(pair)
+    return _shape_density(shape, shape.log_density_coef, x)
 
 
 def normalized_density(pair: DimensionPair, x):
     """Density of the unit-second-moment rescaling, levy_density / variance."""
-    return _pair_density(pair, x, _pair_log_coef(pair) - log_variance(pair))
+    shape = PairShape(pair)
+    return _shape_density(shape, shape.log_density_coef - log_variance(pair), x)
 
 
 def _check_codim(b: int) -> None:
@@ -422,21 +440,8 @@ def _check_codim(b: int) -> None:
 def codim_limit_density(b: int, x):
     """Density of the fixed-codimension limit measure; 0 outside (0, 1)."""
     _check_codim(b)
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.zeros_like(arr)
-    inside = (arr > 0.0) & (arr < 1.0)
-    if np.any(inside):
-        lx = np.log(arr[inside])
-        e2 = 0.5 * (b - 2.0)
-        logf = LimitShape(b).log_coef - 2.0 * lx
-        if e2 != 0.0:
-            logf = logf + e2 * np.log(-lx)
-        with np.errstate(over="ignore"):
-            # inf for x below the representable range is the honest value
-            out[inside] = np.exp(logf)
-    return float(out[0]) if scalar else out
+    shape = LimitShape(b)
+    return _shape_density(shape, shape.log_density_coef, x)
 
 
 def codim_limit_cumulant(b: int, m: int) -> float:
@@ -455,36 +460,20 @@ def make_measure(kind: str, param) -> LevyMeasure1D:
     codimension b of the fixed-codimension limit measure.
     """
     if kind in ("hyperbolic", "rescaled"):
-        pair = param
-        if not isinstance(pair, DimensionPair):
+        if not isinstance(param, DimensionPair):
             raise DomainError(f"kind {kind!r} requires a DimensionPair, got {param!r}")
-        shape = PairShape(pair)
-        log_weight = -log_variance(pair) if kind == "rescaled" else 0.0
-        log_coef = _pair_log_coef(pair) + log_weight
-        return LevyMeasure1D(
-            family=kind,
-            pair=pair,
-            codim=None,
-            sing_at_0=pair.alpha,
-            sing_log_at_0=False,
-            sing_at_1=0.5 * pair.codim - 1.0,
-            total_second_moment=shape.moment(2, log_weight),
-            density=lambda x: _pair_density(pair, x, log_coef),
-            shape=shape,
-            log_weight=log_weight,
-        )
-    if kind == "limit":
-        b = param
-        _check_codim(b)
-        return LevyMeasure1D(
-            family="limit",
-            pair=None,
-            codim=b,
-            sing_at_0=1.0,
-            sing_log_at_0=True,
-            sing_at_1=0.5 * (b - 2.0),
-            total_second_moment=1.0,
-            density=lambda x: codim_limit_density(b, x),
-            shape=LimitShape(b),
-        )
-    raise DomainError(f"unknown measure kind {kind!r}")
+        shape = PairShape(param)
+        log_weight = -log_variance(param) if kind == "rescaled" else 0.0
+    elif kind == "limit":
+        _check_codim(param)
+        shape, log_weight = LimitShape(param), 0.0
+    else:
+        raise DomainError(f"unknown measure kind {kind!r}")
+    log_coef = shape.log_density_coef + log_weight
+    return LevyMeasure1D(
+        family=kind,
+        total_second_moment=shape.moment(2, log_weight),
+        density=lambda x: _shape_density(shape, log_coef, x),
+        shape=shape,
+        log_weight=log_weight,
+    )

@@ -196,27 +196,10 @@ class _JumpTable:
         self.c2 = 3.0 * (x1 - x0) - 2.0 * d0 - d1
         self.c3 = 2.0 * (x0 - x1) + d0 + d1
 
-    def s_of_q(self, q: np.ndarray) -> np.ndarray:
-        p = self.index_pow
-        if p == 4:
-            return np.sqrt(np.sqrt(q))
-        if p == 3:
-            return np.cbrt(q)
-        return np.power(q, 1.0 / p)
-
-    def x_of_s(self, s: np.ndarray) -> np.ndarray:
-        pos = np.asarray(s, dtype=float) * self.cells
-        i = np.minimum(pos.astype(np.int64), self.cells - 1)
-        t = pos - i
-        return ((self.c3[i] * t + self.c2[i]) * t + self.c1[i]) * t + self.c0[i]
-
-    def x_of_q(self, q: np.ndarray) -> np.ndarray:
-        return self.x_of_s(self.s_of_q(np.asarray(q, dtype=float)))
-
     def fill_x_of_q(self, q: np.ndarray, idx: np.ndarray, scratch: np.ndarray,
                     acc: np.ndarray) -> np.ndarray:
-        """x_of_q for the sampler's hot loop: clobbers q and works through
-        the caller's scratch, so a chunk costs no allocations at all."""
+        """x at the upper-tail probabilities q: the root s = q^(1/P) in
+        place, then fill_x_of_s."""
         p = self.index_pow
         if p == 4:
             np.sqrt(q, out=q)
@@ -225,21 +208,34 @@ class _JumpTable:
             np.cbrt(q, out=q)
         else:
             np.power(q, 1.0 / p, out=q)
-        np.multiply(q, self.cells, out=q)
-        np.copyto(idx, q, casting="unsafe")
+        return self.fill_x_of_s(q, idx, scratch, acc)
+
+    def fill_x_of_s(self, s: np.ndarray, idx: np.ndarray, scratch: np.ndarray,
+                    acc: np.ndarray) -> np.ndarray:
+        """x at the table coordinates s by one Horner pass per cell cubic:
+        clobbers s and works through the caller's buffers (see _buffers),
+        so a chunk of the jump loop costs no allocations at all."""
+        np.multiply(s, self.cells, out=s)
+        np.copyto(idx, s, casting="unsafe")
         np.minimum(idx, self.cells - 1, out=idx)
-        np.subtract(q, idx, out=q)
+        np.subtract(s, idx, out=s)
         np.take(self.c3, idx, out=acc, mode="clip")
-        acc *= q
+        acc *= s
         np.take(self.c2, idx, out=scratch, mode="clip")
         acc += scratch
-        acc *= q
+        acc *= s
         np.take(self.c1, idx, out=scratch, mode="clip")
         acc += scratch
-        acc *= q
+        acc *= s
         np.take(self.c0, idx, out=scratch, mode="clip")
         acc += scratch
         return acc
+
+
+def _buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The index, scratch and result buffers of a fill_x_of_q call on n
+    points."""
+    return np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
 
 
 def _panel_boundaries(w_max: float, panels: int) -> np.ndarray:
@@ -269,10 +265,6 @@ def _build_jump_table(shape, delta: float, cells: int) -> _JumpTable:
     w_max = shape.upper_y(delta) ** half
 
     def y_of_w(w: np.ndarray) -> np.ndarray:
-        if b == 1.0:
-            return w * w
-        if b == 2.0:
-            return w
         return np.power(w, two_over_b)
 
     def h(w: np.ndarray) -> np.ndarray:
@@ -345,7 +337,7 @@ def _build_jump_table(shape, delta: float, cells: int) -> _JumpTable:
 
     table = _JumpTable(x_knots, slopes, P, cells, cert_error=math.nan)
     s_mid = (np.arange(cells) + 0.5) / cells
-    x_mid = np.clip(table.x_of_s(s_mid), 1e-300, 1.0)
+    x_mid = np.clip(table.fill_x_of_s(s_mid.copy(), *_buffers(cells)), 1e-300, 1.0)
     y_mid = shape.y_of_x(x_mid)
     w_mid = np.power(y_mid, half)
     err_q = np.abs(cdf_at(w_mid) / total - np.power(s_mid, float(P)))
@@ -392,10 +384,11 @@ def inverse_jump_cdf(measure: LevyMeasure1D, p, delta: float = 1e-3) -> np.ndarr
         raise DomainError("jump quantile probabilities must lie in [0, 1]")
     table = _certified_jump_table(_shape_of(measure), delta)
     # the table runs in the upper-tail direction: x(q) with q = 1 - p
-    out = table.x_of_q(1.0 - p_arr)
+    q = np.ravel(1.0 - p_arr)
+    out = table.fill_x_of_q(q, *_buffers(q.size))
     if np.isscalar(p) or p_arr.ndim == 0:
-        return float(out)
-    return out
+        return float(out[0])
+    return out.reshape(p_arr.shape)
 
 
 def sample(measure: LevyMeasure1D, n: int, config: SamplerConfig | None = None) -> SampleBatch:
@@ -410,8 +403,9 @@ def sample(measure: LevyMeasure1D, n: int, config: SamplerConfig | None = None) 
 
     lam = tail_mass(measure, delta)
     if lam > _MAX_JUMP_RATE:
-        alpha = measure.sing_at_0
-        if alpha > 1.0 and not measure.sing_log_at_0:
+        # lam grows like delta^(1 - alpha), or like 1/delta for alpha = 1
+        alpha = measure.shape.alpha
+        if alpha > 1.0:
             grow = (lam / 1.0e6) ** (1.0 / (alpha - 1.0))
         else:
             grow = lam / 1.0e6
@@ -437,9 +431,7 @@ def sample(measure: LevyMeasure1D, n: int, config: SamplerConfig | None = None) 
 
     out = np.empty(n)
     u_buf = np.empty(_JUMP_CHUNK)
-    i_buf = np.empty(_JUMP_CHUNK, dtype=np.int64)
-    g_buf = np.empty(_JUMP_CHUNK)
-    a_buf = np.empty(_JUMP_CHUNK)
+    i_buf, g_buf, a_buf = _buffers(_JUMP_CHUNK)
     n_batches = 0
     for batch_index, start in enumerate(range(0, n, config.batch_size)):
         m = min(config.batch_size, n - start)

@@ -5,43 +5,26 @@ that can overflow is computed in log space, and Gamma ratios at large
 arguments go through a Stirling difference (log_gamma_ratio) instead of
 two cancelling log-Gamma values. The incomplete Beta uses a modified Lentz
 continued fraction with the standard symmetry switch at x = (p+1)/(p+q+2).
+The fraction stops once a step changes it by less than 1e-12 relative, and
+raises ConvergenceError after 500 steps; neither is a parameter.
 Alongside the evaluators, the module exposes the classical bracketing
 bounds (Wendel, Stirling, Gamma-ratio sandwich, Chebyshev tails of the Beta
-law) as plain functions so tests can sweep them.
+law) as plain functions so tests can sweep them; the Stirling and
+Gamma-ratio brackets are given in log space only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 _LOG_TWO_PI = math.log(2.0 * math.pi)
 _FPMIN = 1e-300
-
-
-@dataclass(frozen=True)
-class AccuracyPolicy:
-    """Tolerance bundle threaded through the iterative evaluators.
-
-    rel_tol stops the continued fraction, abs_tol floors comparisons near
-    zero, max_iter bounds the iteration count before ConvergenceError.
-    """
-
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-14
-    max_iter: int = 500
-
-    def __post_init__(self) -> None:
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise DomainError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be a positive integer")
-
-
-DEFAULT_POLICY = AccuracyPolicy()
+# the continued fraction's stopping step and iteration budget
+_CF_REL_TOL = 1e-12
+_CF_MAX_ITER = 500
 
 
 def _log_gamma_ladder(top: int) -> tuple[float, ...]:
@@ -116,11 +99,6 @@ def log_gamma_ratio(z: float, a: float) -> float:
     return a * math.log(z) + ((w - 0.5) * math.log1p(a / z) - a) + tail
 
 
-def gamma(x: float) -> float:
-    """Gamma(x) for x > 0, via exp(log_gamma)."""
-    return math.exp(log_gamma(x))
-
-
 def log_beta(p: float, q: float) -> float:
     """log B(p, q) for p, q > 0."""
     if not (p > 0.0 and q > 0.0):
@@ -134,7 +112,7 @@ def beta(p: float, q: float) -> float:
     return math.exp(log_beta(p, q))
 
 
-def _beta_cont_frac(a: float, b: float, x: float, policy: AccuracyPolicy) -> float:
+def _beta_cont_frac(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete Beta, modified Lentz scheme."""
     qab = a + b
     qap = a + 1.0
@@ -145,7 +123,7 @@ def _beta_cont_frac(a: float, b: float, x: float, policy: AccuracyPolicy) -> flo
         d = _FPMIN
     d = 1.0 / d
     h = d
-    for m in range(1, policy.max_iter + 1):
+    for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
         # the even step, then the odd step, of the m-th pair of partial numerators
         for aa in (
@@ -161,17 +139,15 @@ def _beta_cont_frac(a: float, b: float, x: float, policy: AccuracyPolicy) -> flo
             d = 1.0 / d
             delta = d * c
             h *= delta
-        if abs(delta - 1.0) < policy.rel_tol:
+        if abs(delta - 1.0) < _CF_REL_TOL:
             return h
     raise ConvergenceError(
         f"incomplete Beta continued fraction did not converge in "
-        f"{policy.max_iter} iterations (a={a}, b={b}, x={x})"
+        f"{_CF_MAX_ITER} iterations (a={a}, b={b}, x={x})"
     )
 
 
-def reg_inc_beta(
-    p: float, q: float, x: float, policy: AccuracyPolicy | None = None
-) -> float:
+def reg_inc_beta(p: float, q: float, x: float) -> float:
     """Regularized incomplete Beta function I_x(p, q).
 
     Uses the modified Lentz continued fraction, switching to the
@@ -187,16 +163,12 @@ def reg_inc_beta(
         Positive shape parameters.
     x : float
         Evaluation point, any real number (see the extension above).
-    policy : AccuracyPolicy, optional
-        Tolerances for the continued fraction.
 
     Returns
     -------
     float
         I_x(p, q) in [0, 1].
     """
-    if policy is None:
-        policy = DEFAULT_POLICY
     if not (p > 0.0 and q > 0.0) or not (math.isfinite(p) and math.isfinite(q)):
         raise DomainError(f"reg_inc_beta requires finite p, q > 0, got {(p, q)!r}")
     if not math.isfinite(x):
@@ -208,9 +180,9 @@ def reg_inc_beta(
     log_front = p * math.log(x) + q * math.log1p(-x) - log_beta(p, q)
     front = math.exp(log_front)
     if x < (p + 1.0) / (p + q + 2.0):
-        value = front * _beta_cont_frac(p, q, x, policy) / p
+        value = front * _beta_cont_frac(p, q, x) / p
     else:
-        value = 1.0 - front * _beta_cont_frac(q, p, 1.0 - x, policy) / q
+        value = 1.0 - front * _beta_cont_frac(q, p, 1.0 - x) / q
     if value < 0.0:
         return 0.0
     if value > 1.0:
@@ -218,11 +190,11 @@ def reg_inc_beta(
     return value
 
 
-def inc_beta(p: float, q: float, x: float, policy: AccuracyPolicy | None = None) -> float:
+def inc_beta(p: float, q: float, x: float) -> float:
     """Unregularized incomplete Beta B_x(p, q) = B(p, q) I_x(p, q), x in [0, 1]."""
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"inc_beta requires x in [0, 1], got {x!r}")
-    return beta(p, q) * reg_inc_beta(p, q, x, policy)
+    return beta(p, q) * reg_inc_beta(p, q, x)
 
 
 def beta_dist_stats(p: float, q: float) -> tuple[float, float]:
@@ -271,26 +243,12 @@ def gamma_ratio_log_bounds(p: float, q: float) -> tuple[float, float]:
     return lower, upper
 
 
-def gamma_ratio_bounds(p: float, q: float) -> tuple[float, float]:
-    """Linear-space version of gamma_ratio_log_bounds; may overflow to inf
-    for large arguments, use the log variant for sweeps."""
-    lower, upper = gamma_ratio_log_bounds(p, q)
-    return math.exp(lower), math.exp(upper)
-
-
 def stirling_log_bounds(z: float) -> tuple[float, float]:
     """Logs of sqrt(2 pi / z) (z/e)^z <= Gamma(z) <= same * e^(1/(12 z)), z >= 1."""
     if not z >= 1.0:
         raise DomainError(f"stirling bounds require z >= 1, got {z!r}")
     lower = 0.5 * (_LOG_TWO_PI - math.log(z)) + z * (math.log(z) - 1.0)
     return lower, lower + 1.0 / (12.0 * z)
-
-
-def stirling_bounds(z: float) -> tuple[float, float]:
-    """Linear-space Stirling bracket of Gamma(z); overflows to inf past
-    z of about 170, use the log variant for sweeps."""
-    lower, upper = stirling_log_bounds(z)
-    return math.exp(lower), math.exp(upper)
 
 
 def wendel_lower(z: float, t: float) -> float:
@@ -306,20 +264,15 @@ def wendel_lower(z: float, t: float) -> float:
 
 
 __all__ = [
-    "AccuracyPolicy",
-    "DEFAULT_POLICY",
     "log_gamma",
     "log_gamma_ratio",
-    "gamma",
     "log_beta",
     "beta",
     "reg_inc_beta",
     "inc_beta",
     "beta_dist_stats",
     "chebyshev_tail_bound",
-    "gamma_ratio_bounds",
     "gamma_ratio_log_bounds",
-    "stirling_bounds",
     "stirling_log_bounds",
     "wendel_lower",
 ]

@@ -11,11 +11,12 @@ dimension pair, v = -log x on (0, inf) for the codimension limit, which
 makes the integrand analytic away from the endpoints; the measure's
 weight multiplies the result. A measure without a shape, built directly
 from a density, gets a plain tanh-sinh pass over that density
-(_psi_density) instead. Frequencies are evaluated in blocks: one
-quadrature pass per block of up to 32 frequencies computes the node-only
-factors (the u powers, the endpoint factor) once per level and only the
-phase terms per frequency, and each frequency keeps the level at which
-it alone converges. The scalar char_exponent is a block of one. Each
+(_psi_density) instead. Every psi quadrature runs to the relative
+tolerance 1e-11 (_REL_TOL), which is fixed, not a parameter.
+Frequencies are evaluated in blocks: one quadrature pass per block of up
+to 32 frequencies computes the node-only factors (the u powers, the
+endpoint factor) once per level and only the phase terms per frequency,
+and each frequency keeps the level at which it alone converges. The scalar char_exponent is a block of one. Each
 phase term e^{itx} - 1 - itx is computed in one form, its quartic Taylor
 form in t where |t x| < 1e-4 and the sine form elsewhere: the nodes are
 monotone in x within a level, so comparing max|t| x and min|t| x with
@@ -78,6 +79,7 @@ __all__ = [
 STANDARD_NORMAL = "standard_normal"
 
 _SMALL_PHASE = 1e-4
+_REL_TOL = 1e-11  # relative tolerance of every psi quadrature
 
 
 def _osc_kernel(y: np.ndarray) -> np.ndarray:
@@ -149,7 +151,7 @@ def _phase_kernel(t, x, top, powers, forced=None) -> np.ndarray:
     return out
 
 
-def _psi_density(measure: LevyMeasure1D, t: np.ndarray, rel_tol: float) -> np.ndarray:
+def _psi_density(measure: LevyMeasure1D, t: np.ndarray) -> np.ndarray:
     """psi at the column of frequencies t by a plain tanh-sinh pass over
     the density, for a measure without a shape."""
 
@@ -170,20 +172,20 @@ def _psi_density(measure: LevyMeasure1D, t: np.ndarray, rel_tol: float) -> np.nd
             out[bad] = np.where(np.isfinite(ser), ser, 0.0)
         return out
 
-    return tanh_sinh(integrand, rel_tol=rel_tol, abs_tol=1e-300)
+    return tanh_sinh(integrand, rel_tol=_REL_TOL, abs_tol=1e-300)
 
 
 _BLOCK = 32  # frequencies per quadrature pass; (32, nodes) complex arrays stay cache-sized
 
 
-def _exponent_rule(measure: LevyMeasure1D, rel_tol: float):
+def _exponent_rule(measure: LevyMeasure1D):
     """The measure's psi as a function of a column of frequencies (a
     scalar frequency gives a 1-D integrand and a scalar psi): quadrature
     in its shape's variable, tanh-sinh on (0, 1) or exp-sinh on
     (0, inf), of the phase kernel on the shape's node factors."""
     shape = measure.shape
     if shape is None:
-        return lambda t: _psi_density(measure, t, rel_tol)
+        return lambda t: _psi_density(measure, t)
     coef = measure.coef
 
     def psi(t):
@@ -191,12 +193,12 @@ def _exponent_rule(measure: LevyMeasure1D, rel_tol: float):
             return _phase_kernel(t, *shape.phase_terms(*nodes))
 
         rule = exp_sinh if shape.half_line else tanh_sinh
-        return coef * rule(integrand, rel_tol=rel_tol, abs_tol=1e-300)
+        return coef * rule(integrand, rel_tol=_REL_TOL, abs_tol=1e-300)
 
     return psi
 
 
-def _char_exponents(measure: LevyMeasure1D, ts: np.ndarray, rel_tol: float) -> np.ndarray:
+def _char_exponents(measure: LevyMeasure1D, ts: np.ndarray) -> np.ndarray:
     """psi at every frequency of the 1-D array ts.
 
     Nonzero frequencies go through the family's quadrature in blocks of
@@ -207,7 +209,7 @@ def _char_exponents(measure: LevyMeasure1D, ts: np.ndarray, rel_tol: float) -> n
     """
     ts = np.asarray(ts, dtype=float)
     out = np.zeros(ts.shape, dtype=complex)
-    psi = _exponent_rule(measure, rel_tol)
+    psi = _exponent_rule(measure)
     nonzero = np.flatnonzero(ts != 0.0)
     for start in range(0, len(nonzero), _BLOCK):
         rows = nonzero[start : start + _BLOCK]
@@ -215,19 +217,19 @@ def _char_exponents(measure: LevyMeasure1D, ts: np.ndarray, rel_tol: float) -> n
     return out
 
 
-def char_exponent(measure: LevyMeasure1D, t: float, *, rel_tol: float = 1e-11) -> complex:
+def char_exponent(measure: LevyMeasure1D, t: float) -> complex:
     """Log of the characteristic function at t; Re <= 0, psi(0) = 0.
 
     Family-aware substitutions for the shipped measures; a plain
     double-exponential pass over the density for anything else. A batch
     of one through the block path that invert_to_density uses.
     """
-    return _char_exponents(measure, np.array([float(t)]), rel_tol)[0]
+    return _char_exponents(measure, np.array([float(t)]))[0]
 
 
-def char_function(measure: LevyMeasure1D, t: float, *, rel_tol: float = 1e-11) -> complex:
+def char_function(measure: LevyMeasure1D, t: float) -> complex:
     """exp(char_exponent); |value| <= 1."""
-    return complex(np.exp(char_exponent(measure, t, rel_tol=rel_tol)))
+    return complex(np.exp(char_exponent(measure, t)))
 
 
 def taylor_remainder_bound(n: int, x: float) -> float:
@@ -321,7 +323,6 @@ def invert_to_density(
     half_width: float = 12.0,
     n_points: int = 16384,
     decay_threshold: float = 1e-12,
-    rel_tol: float = 1e-11,
 ) -> DensityGrid:
     """Recover the density of the law on mean +- half_width standard
     deviations from its characteristic function.
@@ -385,7 +386,7 @@ def invert_to_density(
     known[0] = True
 
     def evaluate(ks: np.ndarray) -> None:
-        a[ks] = np.exp(_char_exponents(measure, ks * dt, rel_tol))
+        a[ks] = np.exp(_char_exponents(measure, ks * dt))
         known[ks] = True
 
     checked = ladder
@@ -405,7 +406,7 @@ def invert_to_density(
         evaluate(np.arange(1, seed + 1))
     for i_cut in checked:
         if not known[i_cut]:
-            a[i_cut] = char_function(measure, i_cut * dt, rel_tol=rel_tol)
+            a[i_cut] = char_function(measure, i_cut * dt)
             known[i_cut] = True
         achieved = float(abs(a[i_cut]))
         if achieved < decay_threshold:

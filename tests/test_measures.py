@@ -232,11 +232,12 @@ class TestMakeMeasure:
     def test_hyperbolic_metadata(self):
         m = make_measure("hyperbolic", DimensionPair(4, 3))
         assert m.family == "hyperbolic"
-        assert m.pair == DimensionPair(4, 3)
-        assert m.codim is None
-        assert m.sing_at_0 == 1.5
-        assert m.sing_log_at_0 is False
-        assert m.sing_at_1 == -0.5
+        # the metadata is the shape's: the pair, the small-jump index and
+        # the power of the endpoint factor
+        assert m.shape.pair == DimensionPair(4, 3)
+        assert m.shape.codim == 1
+        assert m.shape.alpha == 1.5
+        assert m.shape.end_power == -0.5
         assert math.isclose(m.total_second_moment, math.pi, rel_tol=1e-14)
         assert math.isclose(m.density(0.25), 64.0 / math.sqrt(3.0), rel_tol=1e-13)
         assert m.shape == PairShape(DimensionPair(4, 3)) and m.log_weight == 0.0
@@ -253,11 +254,9 @@ class TestMakeMeasure:
     def test_limit_metadata(self):
         m = make_measure("limit", 3)
         assert m.family == "limit"
-        assert m.pair is None
-        assert m.codim == 3
-        assert m.sing_at_0 == 1.0
-        assert m.sing_log_at_0 is True
-        assert m.sing_at_1 == 0.5
+        assert m.shape.codim == 3
+        assert m.shape.alpha == 1.0
+        assert m.shape.end_power == 0.5
         assert m.total_second_moment == 1.0
         assert m.shape == LimitShape(3) and m.log_weight == 0.0
 

@@ -36,6 +36,31 @@ RESC43 = make_measure("rescaled", DimensionPair(4, 3))
 LIMIT2 = make_measure("limit", 2)
 
 
+def table_x_of_q(table, q):
+    """The table's quantile at the upper-tail probabilities q, through the
+    in-place evaluation the jump loop uses, on a copy of q."""
+    q = np.array(q, dtype=float)
+    return table.fill_x_of_q(q, *sampler._buffers(q.size))
+
+
+def hermite_reference(table, q):
+    """The table's cubic written out from its knots and slopes: s = q^(1/P)
+    by the table's root, cell i = floor(s cells) clamped to the last cell,
+    t = s cells - i, and the Hermite basis on (x_i, x_{i+1}) with the
+    slopes scaled to the cell, d = slopes / cells."""
+    s = np.sqrt(np.sqrt(q)) if table.index_pow == 4 else np.cbrt(q)
+    pos = s * table.cells
+    i = np.minimum(np.floor(pos).astype(np.int64), table.cells - 1)
+    t = pos - i
+    x0, x1 = table.x_knots[i], table.x_knots[i + 1]
+    d0, d1 = table.slopes[i] / table.cells, table.slopes[i + 1] / table.cells
+    t2, t3 = t * t, t * t * t
+    return (
+        (2.0 * t3 - 3.0 * t2 + 1.0) * x0 + (t3 - 2.0 * t2 + t) * d0
+        + (3.0 * t2 - 2.0 * t3) * x1 + (t3 - t2) * d1
+    )
+
+
 @pytest.fixture(scope="module")
 def resc43_draws():
     """One shared 20k-draw run at the default cutoff."""
@@ -153,6 +178,29 @@ class TestPartialMoment:
             partial_moment(HYP43, 0.0, 2, "above")
 
 
+class TestLargeCodimensionLimit:
+    """From b = 7 on, the limit family's exp-sinh nodes reach v where
+    v^((b-2)/2) overflows to inf while e^(-v) underflows to 0; those
+    products count as 0, their true value underflowing too."""
+
+    @pytest.mark.parametrize("b", [7, 8, 10, 40])
+    def test_moments_below_the_cutoff_are_incomplete_gammas(self, b):
+        # (m-1)^(-b/2) Q(b/2, (m-1) v_cut) with v_cut = -log delta
+        measure = make_measure("limit", b)
+        v_cut = -math.log(1e-3)
+        for m in (2, 3):
+            q = mpmath.gammainc(0.5 * b, (m - 1) * v_cut, mpmath.inf, regularized=True)
+            want = float(q * mpmath.mpf(m - 1) ** (-0.5 * b))
+            got = partial_moment(measure, 1e-3, m, "below")
+            assert abs(got - want) <= 1e-13 * want, m
+
+    def test_sample_is_finite(self):
+        cfg = SamplerConfig(cutoff_delta=1e-2, seed=1, batch_size=128)
+        batch = sample(make_measure("limit", 7), 300, cfg)
+        assert np.all(np.isfinite(batch.values))
+        assert math.isfinite(batch.diagnostics["small_jump_variance"])
+
+
 class TestInverseJumpCdf:
     def test_endpoints_are_pinned(self):
         assert inverse_jump_cdf(HYP43, 0.0, 0.25) == 0.25
@@ -197,7 +245,7 @@ class TestInverseJumpCdf:
             lam = tail_mass(measure, delta)
             s = (np.arange(table.cells) + rng.random(table.cells)) / table.cells
             q = s**table.index_pow
-            x = table.x_of_q(q)
+            x = table_x_of_q(table, q)
             # a quantile that rounds to 1.0 has no jump mass above it
             got = np.array([tail_mass(measure, v) / lam if v < 1.0 else 0.0 for v in x])
             assert np.max(np.abs(got - q)) <= 1e-10, measure
@@ -233,11 +281,11 @@ class TestInverseJumpCdf:
         )
         for measure in (RESC43, make_measure("limit", 3)):
             table = sampler._certified_jump_table(measure.shape, delta)
-            want = table.x_of_q(q)
-            got = table.fill_x_of_q(
-                q.copy(), np.empty(q.size, dtype=np.int64), np.empty(q.size), np.empty(q.size)
-            )
-            assert np.array_equal(got, want), measure
+            assert table.index_pow in (3, 4)
+            got = table_x_of_q(table, q)
+            want = hermite_reference(table, q)
+            assert np.all(np.abs(got - want) <= 4.0 * np.spacing(got)), measure
+            assert got[-3] == table.x_knots[0] == 1.0, measure
             assert abs(got[-1] - delta) <= 2.0 * np.spacing(delta), measure
 
     def test_validation(self):
@@ -275,7 +323,7 @@ def _rebuild_from_stream(measure, n, cfg, chunk):
         counts = rng.poisson(lam, size=cfg.batch_size)[:m]
         ends = np.cumsum(counts)
         starts = ends - counts
-        x = table.x_of_q(rng.random(int(ends[-1])))
+        x = table_x_of_q(table, rng.random(int(ends[-1])))
         sums = np.array([math.fsum(x[a:e]) for a, e in zip(starts, ends)])
         spans = np.maximum(ends - 1, starts) // chunk - starts // chunk + 1
         want.append(sums - compensator + small_sd * z)

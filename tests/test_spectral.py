@@ -40,11 +40,6 @@ RESC40 = make_measure("rescaled", DimensionPair(40, 21))
 # HYP75 through the generic density route instead of its family substitution
 CLONE75 = LevyMeasure1D(
     family="custom",
-    pair=None,
-    codim=None,
-    sing_at_0=1.5,
-    sing_log_at_0=False,
-    sing_at_1=0.0,
     total_second_moment=variance(DimensionPair(7, 5)),
     density=lambda x: levy_density(DimensionPair(7, 5), x),
 )
@@ -78,9 +73,9 @@ def exponent_calls(monkeypatch):
     calls = []
     real = spectral._char_exponents
 
-    def record(measure, ts, rel_tol):
+    def record(measure, ts):
         calls.append(np.array(ts, dtype=float))
-        return real(measure, ts, rel_tol)
+        return real(measure, ts)
 
     monkeypatch.setattr(spectral, "_char_exponents", record)
     return calls
@@ -93,8 +88,8 @@ def exponent_values(monkeypatch):
     seen = []
     real = spectral._char_exponents
 
-    def record(measure, ts, rel_tol):
-        psi = real(measure, ts, rel_tol)
+    def record(measure, ts):
+        psi = real(measure, ts)
         seen.extend(zip(np.array(ts, dtype=float), np.exp(psi)))
         return psi
 
@@ -263,25 +258,26 @@ class TestBlockExponents:
         [RESC43, RESC40, HYP75, LIMIT1, LIMIT2, LIMIT3, CLONE75],
         ids=["resc43", "resc40_21", "hyp75", "limit1", "limit2", "limit3", "custom"],
     )
-    def test_blocks_agree_with_one_dimensional_calls(self, measure, quad_log):
+    def test_blocks_agree_with_one_dimensional_calls(self, measure, quad_log, monkeypatch):
         ts = np.linspace(0.05, 40.0, 70)
         ts[40] = 300.0  # needs level >= 7, so the second block refines past 6
-        got = _char_exponents(measure, ts, 1e-11)
+        got = _char_exponents(measure, ts)
         assert _BLOCK == 32
         assert [rec["rows"] for rec in quad_log] == [(32,), (32,), (6,)]
         assert quad_log[1]["points"] >= 1565 > quad_log[0]["points"]
         quad_log.clear()
-        psi = _exponent_rule(measure, 1e-11)
+        psi = _exponent_rule(measure)
         alone = np.array([psi(float(t)) for t in ts])
         assert all(rec["rows"] == () for rec in quad_log)
         assert np.all(np.abs(got - alone) <= 1e-14 * np.abs(alone))
         # every row, the ones frozen at level 6 beside the level-7 row
         # included, meets its own tolerance against a tighter evaluation
-        tight = _char_exponents(measure, ts, 1e-13)
+        monkeypatch.setattr(spectral, "_REL_TOL", 1e-13)
+        tight = _char_exponents(measure, ts)
         assert np.all(np.abs(got - tight) <= 1e-11 * np.abs(tight))
 
     def test_zero_frequencies_cost_nothing(self, quad_log):
-        got = _char_exponents(RESC43, np.array([0.0, 1.0, 0.0]), 1e-11)
+        got = _char_exponents(RESC43, np.array([0.0, 1.0, 0.0]))
         assert got[0] == got[2] == 0.0
         assert got[1] == char_exponent(RESC43, 1.0)
         assert [rec["rows"] for rec in quad_log] == [(1,), (1,)]
@@ -499,7 +495,7 @@ class TestSeededSearch:
             dt = grid_step(measure, half_width)
             ks = np.arange(1, seeded_block(half_width, 16384, threshold)[-1] + 1)
             t = ks * dt
-            got = np.abs(np.exp(_char_exponents(measure, t, 1e-11)))
+            got = np.abs(np.exp(_char_exponents(measure, t)))
             assert np.all(got >= np.exp(-0.5 * sigma2 * t * t) * (1.0 - 1e-9))
             safe = ks <= _safe_index(half_width, threshold)
             assert np.all(got[safe] >= math.e * threshold)
@@ -521,7 +517,7 @@ class TestPhaseKernel:
             return real(t, x, top, powers, forced)
 
         monkeypatch.setattr(spectral, "_phase_kernel", record)
-        _char_exponents(measure, np.geomspace(1e-3, 3e3, 32), 1e-11)
+        _char_exponents(measure, np.geomspace(1e-3, 3e3, 32))
         assert max(len(c[1]) for c in calls) > spectral._CHUNK
         for t, x, top, powers, forced in calls:
             # the nodes are monotone, as the spans assume
@@ -552,9 +548,9 @@ def test_a_deep_block_keeps_its_temporaries_small():
             from hyplevy.spectral import _char_exponents
 
             measure = make_measure("rescaled", DimensionPair(4, 3))
-            _char_exponents(measure, np.array([1.0]), 1e-11)
+            _char_exponents(measure, np.array([1.0]))
         """,
-        measured="_char_exponents(measure, 1e4 + np.arange(32.0), 1e-11)",
+        measured="_char_exponents(measure, 1e4 + np.arange(32.0))",
     )
     assert rise <= 0.5 * 40.6
 
@@ -616,6 +612,16 @@ class TestInvertToDensity:
         grid = cached_density("limit", 2, half_width=12.0, n_points=4096)
         assert abs(grid.meta["variance"] - 1.0) <= 1e-3
         assert abs(grid.meta["third_central"] - 0.5) <= 1e-2
+
+    @pytest.mark.parametrize("b", [7, 10])
+    def test_limit_family_past_codimension_six(self, b):
+        # the exp-sinh products e^(-jv) v^((b-2)/2) that are 0 * inf at the
+        # largest nodes count as 0, so psi and the density exist
+        measure = make_measure("limit", b)
+        assert abs(char_function(measure, 1.0)) <= 1.0
+        meta = invert_to_density(measure).meta
+        assert abs(meta["mass"] - 1.0) <= 1e-12
+        assert abs(meta["variance"] - 1.0) <= 1e-11
 
     def test_decay_never_detected_inside_window(self):
         with pytest.raises(DecayDetectionError) as info:
