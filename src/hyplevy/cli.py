@@ -23,6 +23,7 @@ Conventions shared by every subcommand:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -38,6 +39,7 @@ from .regime import (
     ExplicitFamily,
     FixedCodimensionFamily,
     PowerLawFamily,
+    ProbeRow,
     classify_sequence,
     probe_regime,
 )
@@ -181,18 +183,13 @@ def _family_from_args(args: argparse.Namespace):
     return ExplicitFamily(pairs=tuple(pairs))
 
 
-def _int_list(text: str) -> list[int]:
+def _number_list(text: str, kind: type) -> list:
+    """The comma-separated numbers of text, each parsed by kind (int or float)."""
     try:
-        return [int(tok) for tok in text.split(",") if tok]
+        return [kind(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
-        raise DomainError(f"expected a comma-separated integer list, got {text!r}") from exc
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok]
-    except ValueError as exc:
-        raise DomainError(f"expected a comma-separated float list, got {text!r}") from exc
+        name = "integer" if kind is int else "float"
+        raise DomainError(f"expected a comma-separated {name} list, got {text!r}") from exc
 
 
 def _cmd_variance(args: argparse.Namespace, argv: list[str]) -> int:
@@ -240,11 +237,10 @@ def _cmd_density(args: argparse.Namespace, argv: list[str]) -> int:
 
 def _cmd_probe(args: argparse.Namespace, argv: list[str]) -> int:
     family = _family_from_args(args)
-    table = probe_regime(family, _int_list(args.n), _float_list(args.eps))
+    table = probe_regime(family, _number_list(args.n, int), _number_list(args.eps, float))
     path = _out_path(args.out)
     prov = _provenance(argv)
-    header = ["n", "d", "k", "r", "sigma", "threshold_stat", "epsilon", "tail_second_moment",
-              "log_sigma"]
+    header = [f.name for f in dataclasses.fields(ProbeRow)]
     columns = [[getattr(row, name) for row in table.rows] for name in header]
     _write_csv(path, header, columns, prov)
     _write_json(path.with_name(path.name + ".meta.json"), _verdict_fields(table.verdict))

@@ -121,7 +121,9 @@ class PowerLawFamily(SequenceFamily):
             raise InadmissiblePairError(
                 f"index n={n}: no admissible k exists for d_n = {d}"
             )
-        raw = 0.5 * d + self.gamma * d**self.beta
+        # any raw >= d clamps to d - 1; capping it first keeps an infinite
+        # raw (gamma = inf, or gamma d^beta overflowing) out of the rounding
+        raw = min(0.5 * d + self.gamma * d**self.beta, d)
         k = math.ceil(raw) if self.rounding == "ceil" else math.floor(raw)
         return DimensionPair(d, min(max(k, k_lo), d - 1))
 
@@ -199,7 +201,10 @@ def classify_sequence(family: SequenceFamily, margin: float = 0.1) -> RegimeVerd
                 math.inf,
                 "threshold statistic ~ 4 gamma^2 d^(2 beta - 1) -> inf > e*pi",
             )
-        limit = 4.0 * family.gamma**2
+        try:
+            limit = 4.0 * family.gamma**2
+        except OverflowError:  # a finite gamma past 1.3e154
+            limit = math.inf
         if abs(limit - E_TIMES_PI) <= 1e-12 * E_TIMES_PI:
             return RegimeVerdict(
                 "indeterminate",

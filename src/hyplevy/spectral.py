@@ -24,18 +24,19 @@ monotone in x within a level, so comparing max|t| x and min|t| x with
 only the mixed span needs a per-element mask.
 
 Densities come from sampling exp(psi) on a uniform frequency grid,
-truncating where |cf| falls below a threshold, and applying one real-output
-FFT. The threshold is found by a doubling search over grid frequencies
-4 dt, 8 dt, ..., seeded by a bound: 1 - cos u <= u^2 / 2 gives
-|cf(t)| >= exp(-sigma^2 t^2 / 2), and on the grid sigma t = k pi /
-half_width, so every probe k <= k_safe = half_width sqrt(2 ln(1/threshold)
-- 2) / pi passes with |cf| >= e threshold. The first quadrature call
-therefore evaluates k = 1 up to the first probe >= k_safe as one block
-(1..32 at the defaults); the probes above it are evaluated one at a time,
-and the grid then evaluates the remaining frequencies up to the cutoff in
-blocks. The probes are still checked in order from their values, so the
-cutoff is that of the plain search; no frequency is evaluated twice and
-none above the cutoff is used.
+truncating where |cf| falls below the threshold 1e-12 (_DECAY_THRESHOLD,
+fixed like _REL_TOL), and applying one real-output FFT. The cutoff is
+found by a doubling search over grid frequencies 4 dt, 8 dt, ..., seeded
+by a bound: 1 - cos u <= u^2 / 2 gives |cf(t)| >= exp(-sigma^2 t^2 / 2),
+and on the grid sigma t = k pi / half_width, so every probe k <= k_safe =
+half_width sqrt(2 ln(1/threshold) - 2) / pi passes with |cf| >= e
+threshold. The first quadrature call therefore evaluates k = 1 up to the
+first probe >= k_safe as one block (1..32 at the defaults); the probes
+above it are evaluated one at a time, and the grid then evaluates the
+remaining frequencies up to the cutoff in blocks. The probes are still
+checked in order from their values, so the cutoff is that of the plain
+search; no frequency is evaluated twice and none above the cutoff is
+used.
 
 Only the half spectrum k = 0..N/2 is built: cf(-t) = conj(cf(t))
 supplies the rest. With
@@ -80,6 +81,7 @@ STANDARD_NORMAL = "standard_normal"
 
 _SMALL_PHASE = 1e-4
 _REL_TOL = 1e-11  # relative tolerance of every psi quadrature
+_DECAY_THRESHOLD = 1e-12  # |cf| below which the spectrum is cut
 
 
 def _osc_kernel(y: np.ndarray) -> np.ndarray:
@@ -305,15 +307,13 @@ def _trapz_weights(n: int, step: float) -> np.ndarray:
 _SEED_MARGIN = 2.0
 
 
-def _safe_index(half_width: float, decay_threshold: float) -> float:
+def _safe_index(half_width: float) -> float:
     """The grid index k_safe up to which |cf(k dt)| provably stays at
-    least e * decay_threshold: 1 - cos u <= u^2 / 2 gives
+    least e * _DECAY_THRESHOLD: 1 - cos u <= u^2 / 2 gives
     |cf(t)| >= exp(-sigma^2 t^2 / 2), and sigma t = k pi / half_width on
-    the grid, so k <= half_width sqrt(2 ln(1/threshold) - 2) / pi will do.
-    inf for a zero threshold, 0 when the root is imaginary."""
-    if decay_threshold == 0.0:
-        return math.inf
-    room = -2.0 * math.log(decay_threshold) - _SEED_MARGIN
+    the grid, so k <= half_width sqrt(2 ln(1/threshold) - 2) / pi will do
+    (0 for a threshold above e^-1, where the root is imaginary)."""
+    room = -2.0 * math.log(_DECAY_THRESHOLD) - _SEED_MARGIN
     return half_width * math.sqrt(room) / math.pi if room > 0.0 else 0.0
 
 
@@ -322,25 +322,24 @@ def invert_to_density(
     *,
     half_width: float = 12.0,
     n_points: int = 16384,
-    decay_threshold: float = 1e-12,
 ) -> DensityGrid:
     """Recover the density of the law on mean +- half_width standard
     deviations from its characteristic function.
 
     The frequency step is pinned by the requested window (dt = pi /
     (half_width sigma)); the cf is evaluated out to the first doubling
-    probe k dt (k = 4, 8, 16, ... <= n/2) where |cf| < decay_threshold and
-    treated as zero beyond. Since |cf(t)| >= exp(-sigma^2 t^2 / 2), no
-    probe up to k_safe = half_width sqrt(2 ln(1/decay_threshold) - 2) / pi
-    can be the cutoff, so k = 1 up to the first probe >= k_safe is
-    evaluated as one block and checked in order; the probes above it one
-    at a time. When that first probe is the top one n/2, or every probe
-    is below k_safe (decay_threshold = 0, or a window too wide for
-    n_points), the top probe is evaluated alone first: if it does not
-    drop below the threshold, DecayDetectionError is raised with its |cf|
-    and nothing else is evaluated; otherwise k = 1..n/2 - 1 follow as one
-    block. DecayDetectionError is also raised when no probe drops below
-    the threshold. The bound takes
+    probe k dt (k = 4, 8, 16, ... <= n/2) where |cf| drops below the
+    fixed threshold 1e-12, and treated as zero beyond. Since
+    |cf(t)| >= exp(-sigma^2 t^2 / 2), no probe up to
+    k_safe = half_width sqrt(2 ln(1/threshold) - 2) / pi can be the
+    cutoff, so k = 1 up to the first probe >= k_safe is evaluated as one
+    block and checked in order; the probes above it one at a time. When
+    that first probe is the top one n/2, or every probe is below k_safe
+    (a window too wide for n_points), the top probe is evaluated alone
+    first: if it does not drop below the threshold, DecayDetectionError
+    is raised with its |cf| and nothing else is evaluated; otherwise
+    k = 1..n/2 - 1 follow as one block. DecayDetectionError is also
+    raised when no probe drops below the threshold. The bound takes
     measure.total_second_moment as sigma^2; should the top probe of a
     measure that understates it fail all the same, the whole ladder is
     searched. The density on x_m = (m - n/2) dx, dx = 2 pi / (n dt), is
@@ -349,14 +348,12 @@ def invert_to_density(
         f(x_m) = (dt / 2 pi) hfft[a]_m,  a_k = (-1)^k cf(k dt), k = 0..n/2,
 
     with a_k = 0 above the cutoff and at k = n/2 (numpy.fft.hfft, length
-    n). n_points must be a multiple of 4 and at least 256, and
-    decay_threshold non-negative. Negative ripple is clipped, the grid
-    renormalized, and both amounts recorded in meta.
+    n). half_width must be positive and finite, n_points a multiple of 4
+    and at least 256. Negative ripple is clipped, the grid renormalized,
+    and both amounts recorded in meta.
     """
-    if not (half_width > 0.0):
-        raise DomainError(f"half_width must be positive, got {half_width!r}")
-    if not (decay_threshold >= 0.0):
-        raise DomainError(f"decay_threshold must be non-negative, got {decay_threshold!r}")
+    if not (0.0 < half_width < math.inf):
+        raise DomainError(f"half_width must be positive and finite, got {half_width!r}")
     if not (isinstance(n_points, int) and n_points >= 256 and n_points % 4 == 0):
         raise DomainError(
             f"n_points must be an integer multiple of 4, >= 256, got {n_points!r}"
@@ -377,7 +374,7 @@ def invert_to_density(
     half = n // 2
     ladder = [4 << m for m in range((half // 4).bit_length())]
     top = ladder[-1]
-    k_safe = _safe_index(half_width, decay_threshold)
+    k_safe = _safe_index(half_width)
     seed = next((i for i in ladder if i >= k_safe), None)
     # half spectrum a_k = (-1)^k cf(k dt), k = 0..n/2
     a = np.zeros(half + 1, dtype=complex)
@@ -398,7 +395,7 @@ def invert_to_density(
         # bound; with no seed its failing top probe then has the whole
         # ladder searched.)
         evaluate(np.array([top]))
-        if abs(a[top]) >= decay_threshold:
+        if abs(a[top]) >= _DECAY_THRESHOLD:
             checked = [top]
         elif seed is not None:
             evaluate(np.arange(1, top))
@@ -409,7 +406,7 @@ def invert_to_density(
             a[i_cut] = char_function(measure, i_cut * dt)
             known[i_cut] = True
         achieved = float(abs(a[i_cut]))
-        if achieved < decay_threshold:
+        if achieved < _DECAY_THRESHOLD:
             break
     else:
         raise DecayDetectionError(

@@ -38,7 +38,7 @@ PARAMS = {
     "DensityGrid": ("x0", "step", "values", "meta"),
     "char_exponent": ("measure", "t"),
     "char_function": ("measure", "t"),
-    "invert_to_density": ("measure", "half_width", "n_points", "decay_threshold"),
+    "invert_to_density": ("measure", "half_width", "n_points"),
     "ks_distance": ("a", "b"),
     "ks_distance_sample": ("sample", "dist"),
     "taylor_remainder_bound": ("n", "x"),

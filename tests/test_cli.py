@@ -137,6 +137,13 @@ class TestDensity:
         assert code == 3
         assert "hyplevy: error:" in err
 
+    def test_infinite_half_width_exits_2(self, capsys):
+        code, _, err = run(capsys, "density", "--family", "rescaled", "--d", "4",
+                           "--k", "3", "--half-width", "inf", "--n-points", "256",
+                           "--out", "d.csv")
+        assert code == 2
+        assert "half_width must be positive and finite" in err
+
 
 class TestProbeAndClassify:
     def test_probe_table(self, capsys, outdir):
@@ -178,6 +185,15 @@ class TestProbeAndClassify:
             assert float(row[col["sigma"]]) == pytest.approx(sigma_want, rel=1e-12, abs=0.0)
         # sigma underflows from d = 4000 on while log sigma stays finite
         assert [float(r[col["sigma"]]) == 0.0 for r in rows] == [False] + [True] * 4
+
+    @pytest.mark.parametrize("gamma", ["inf", "1e308"])
+    def test_probe_with_an_overflowing_gamma(self, capsys, outdir, gamma):
+        code, out, _ = run(capsys, "probe", "--sequence", "power-law", "--gamma", gamma,
+                           "--beta", "0.5", "--n", "1,2", "--eps", "0.1", "--out", "p.csv")
+        assert code == 0
+        assert "verdict degenerate" in out
+        _, _, rows = read_csv(outdir / "p.csv")
+        assert [r[1:3] for r in rows] == [["4", "3"], ["8", "7"]]
 
     def test_probe_inadmissible_index_exits_2(self, capsys):
         code, _, err = run(capsys, "probe", "--sequence", "fixed-codim", "--b", "2",

@@ -139,6 +139,16 @@ class TestPowerLawFamily:
                 pair = fam.realize(n)
                 assert is_admissible(pair.d, pair.k)
 
+    @pytest.mark.parametrize("gamma", [math.inf, 1e308])
+    @pytest.mark.parametrize("rounding", ["ceil", "floor"])
+    def test_an_infinite_raw_k_clamps_to_the_top(self, gamma, rounding):
+        # d/2 + gamma d^beta is inf; any raw k >= d clamps to d - 1
+        fam = PowerLawFamily(gamma=gamma, beta=0.5, rounding=rounding)
+        assert fam.realize(1) == DimensionPair(4, 3)
+        assert fam.realize(2) == DimensionPair(8, 7)
+        verdict = classify_sequence(fam)
+        assert (verdict.label, verdict.threshold_limit) == ("degenerate", math.inf)
+
     def test_no_admissible_pair_below_dimension_four(self):
         fam = PowerLawFamily(gamma=1.0, beta=0.5, d_step=1)
         with pytest.raises(InadmissiblePairError, match="n=3"):

@@ -166,13 +166,14 @@ def ladder_reference(measure, half_width, n, threshold):
     return None, achieved
 
 
-def seeded_block(half_width, n, threshold):
+def seeded_block(half_width, n):
     """The indices invert_to_density evaluates before any probe above the
-    seed: 1..seed, the seed being the first probe >= k_safe, or only the
-    top probe when no probe reaches k_safe. (A top-probe seed is evaluated
-    alone first, and 1..seed-1 follow only when it drops below.)"""
+    seed: 1..seed, the seed being the first probe >= k_safe (at the
+    current spectral._DECAY_THRESHOLD), or only the top probe when no
+    probe reaches k_safe. (A top-probe seed is evaluated alone first, and
+    1..seed-1 follow only when it drops below.)"""
     ladder = probes(n)
-    k_safe = _safe_index(half_width, threshold)
+    k_safe = _safe_index(half_width)
     seed = next((i for i in ladder if i >= k_safe), None)
     return list(range(1, seed + 1)) if seed else ladder[-1:]
 
@@ -310,7 +311,8 @@ class TestInversionWork:
 
     def test_seed_index_at_the_defaults(self):
         # 12 sqrt(2 ln 1e12 - 2) / pi
-        assert math.isclose(_safe_index(12.0, 1e-12), 27.88, abs_tol=5e-3)
+        assert spectral._DECAY_THRESHOLD == 1e-12
+        assert math.isclose(_safe_index(12.0), 27.88, abs_tol=5e-3)
 
     @pytest.mark.parametrize(
         "measure, i_cut, rows",
@@ -338,11 +340,14 @@ class TestInversionWork:
         assert [rec["rows"] for rec in quad_log] == rows
         assert max(r[0] for r in rows) <= _BLOCK
 
-    def test_cutoff_at_the_grid_top_skips_the_nyquist_frequency(self, exponent_values):
+    def test_cutoff_at_the_grid_top_skips_the_nyquist_frequency(
+        self, exponent_values, monkeypatch
+    ):
         # on 256 points at half_width 96 the doubling search first drops
         # below 1e-2 at its last probe, i = n/2 = 128
         n, half_width = 256, 96.0
-        grid = invert_to_density(RESC43, half_width=half_width, n_points=n, decay_threshold=1e-2)
+        monkeypatch.setattr(spectral, "_DECAY_THRESHOLD", 1e-2)
+        grid = invert_to_density(RESC43, half_width=half_width, n_points=n)
         dt = grid_step(RESC43, half_width)
         assert round(grid.meta["cf_cutoff"] / dt) == n // 2
         # every frequency k dt, k = 1..n/2, evaluated once (exponent_values
@@ -368,53 +373,46 @@ class TestInversionWork:
         assert info.value.achieved == ladder_reference(LIMIT2, 1e6, 256, 1e-12)[1]
 
     def test_a_top_probe_seed_that_passes_raises_after_one_evaluation(
-        self, exponent_calls, quad_log
+        self, exponent_calls, quad_log, monkeypatch
     ):
         # k_safe = 96 sqrt(2 ln 100 - 2) / pi = 82 makes the top probe 128 the
         # seed; limit b = 1 keeps |cf| >= 1e-2 there, so no probe can be the
         # cutoff and the block k = 1..128 (four 32-row calls) is not needed
+        monkeypatch.setattr(spectral, "_DECAY_THRESHOLD", 1e-2)
         dt = grid_step(LIMIT1, 96.0)
-        assert seeded_block(96.0, 256, 1e-2)[-1] == 128
+        assert seeded_block(96.0, 256)[-1] == 128
         with pytest.raises(DecayDetectionError) as info:
-            invert_to_density(LIMIT1, half_width=96.0, n_points=256, decay_threshold=1e-2)
+            invert_to_density(LIMIT1, half_width=96.0, n_points=256)
         assert [list(np.round(ts / dt)) for ts in exponent_calls] == [[128]]
         assert [rec["rows"] for rec in quad_log] == [(1,)]
         assert info.value.achieved == ladder_reference(LIMIT1, 96.0, 256, 1e-2)[1]
 
     def test_a_top_probe_seed_that_fails_is_followed_by_the_block_below(
-        self, exponent_calls
+        self, exponent_calls, monkeypatch
     ):
         # rescaled (4,3) drops below 1e-2 at the top probe 128: it goes
         # alone, then k = 1..127 as one block, and it is the cutoff
+        monkeypatch.setattr(spectral, "_DECAY_THRESHOLD", 1e-2)
         dt = grid_step(RESC43, 96.0)
-        grid = invert_to_density(RESC43, half_width=96.0, n_points=256, decay_threshold=1e-2)
+        grid = invert_to_density(RESC43, half_width=96.0, n_points=256)
         index = [list(np.round(ts / dt).astype(int)) for ts in exponent_calls]
         assert index == [[128], list(range(1, 128))]
         assert round(grid.meta["cf_cutoff"] / dt) == 128
 
 
 class TestDecayThreshold:
-    def test_zero_evaluates_only_the_top_probe(self, exponent_calls):
-        with pytest.raises(DecayDetectionError) as info:
-            invert_to_density(RESC43, half_width=12.0, n_points=256, decay_threshold=0.0)
-        dt = grid_step(RESC43)
-        assert [list(np.round(ts / dt)) for ts in exponent_calls] == [[128]]
-        assert _safe_index(12.0, 0.0) == math.inf
-        assert info.value.achieved == ladder_reference(RESC43, 12.0, 256, 0.0)[1]
+    """The cutoff search under thresholds other than the fixed 1e-12."""
 
     @pytest.mark.parametrize("threshold", [1.0, 2.0, math.inf])
-    def test_at_or_above_one_seeds_at_probe_four(self, threshold, exponent_calls):
-        grid = invert_to_density(RESC43, decay_threshold=threshold)
+    def test_at_or_above_one_seeds_at_probe_four(self, threshold, exponent_calls, monkeypatch):
+        # k_safe is 0 (its root is imaginary), so the seed is the first probe
+        monkeypatch.setattr(spectral, "_DECAY_THRESHOLD", threshold)
+        assert _safe_index(12.0) == 0.0
+        grid = invert_to_density(RESC43)
         dt = grid_step(RESC43)
         assert [list(np.round(ts / dt)) for ts in exponent_calls] == [[1, 2, 3, 4]]
         assert round(grid.meta["cf_cutoff"] / dt) == 4
         assert grid.meta["cf_at_cutoff"] == ladder_reference(RESC43, 12.0, 16384, threshold)[1]
-
-    @pytest.mark.parametrize("threshold", [math.nan, -1e-12, -math.inf])
-    def test_nan_or_negative_is_a_domain_error(self, threshold, exponent_calls):
-        with pytest.raises(DomainError):
-            invert_to_density(RESC43, decay_threshold=threshold)
-        assert exponent_calls == []
 
 
 SEARCH_LAWS = [RESC43, LIMIT1, LIMIT2, HYP75, CLONE75]
@@ -432,13 +430,14 @@ class TestSeededSearch:
     @pytest.mark.parametrize("half_width", [3.0, 12.0, 96.0])
     @pytest.mark.parametrize("threshold", [0.5, 1e-2, 1e-12])
     @pytest.mark.parametrize("measure", SEARCH_LAWS, ids=SEARCH_IDS)
-    def test_matches_the_probe_ladder(self, measure, threshold, half_width, n, exponent_values):
+    def test_matches_the_probe_ladder(
+        self, measure, threshold, half_width, n, exponent_values, monkeypatch
+    ):
+        monkeypatch.setattr(spectral, "_DECAY_THRESHOLD", threshold)
         dt = grid_step(measure, half_width)
-        block = seeded_block(half_width, n, threshold)
+        block = seeded_block(half_width, n)
         try:
-            grid = invert_to_density(
-                measure, half_width=half_width, n_points=n, decay_threshold=threshold
-            )
+            grid = invert_to_density(measure, half_width=half_width, n_points=n)
         except DecayDetectionError as exc:
             cf = exponent_values(dt)  # read before the reference adds its probes
             ladder = probes(n)
@@ -468,15 +467,14 @@ class TestSeededSearch:
         [(12.0, 4096, 1e-2), (200.0, 256, 1e-2)],
     )
     def test_a_failed_bound_still_gives_the_ladder_cutoff(
-        self, half_width, n, threshold, exponent_values
+        self, half_width, n, threshold, exponent_values, monkeypatch
     ):
-        grid = invert_to_density(
-            UNDERSTATED, half_width=half_width, n_points=n, decay_threshold=threshold
-        )
+        monkeypatch.setattr(spectral, "_DECAY_THRESHOLD", threshold)
+        grid = invert_to_density(UNDERSTATED, half_width=half_width, n_points=n)
         dt = grid_step(UNDERSTATED, half_width)
         cf = exponent_values(dt)
         i_cut = round(grid.meta["cf_cutoff"] / dt)
-        assert i_cut < seeded_block(half_width, n, threshold)[-1]
+        assert i_cut < seeded_block(half_width, n)[-1]
         assert (i_cut, grid.meta["cf_at_cutoff"]) == ladder_reference(
             UNDERSTATED, half_width, n, threshold
         )
@@ -486,18 +484,19 @@ class TestSeededSearch:
         assert_matches_direct_sum(grid, placed, dt)
 
     @pytest.mark.parametrize("measure", SEARCH_LAWS, ids=SEARCH_IDS)
-    def test_cf_modulus_bound_holds_up_to_the_seed(self, measure):
+    def test_cf_modulus_bound_holds_up_to_the_seed(self, measure, monkeypatch):
         # |cf(t)| >= exp(-sigma^2 t^2 / 2), since 1 - cos u <= u^2 / 2; the
         # computed |cf| carries the quadrature's relative error, well
         # below the 1e-9 allowed here
         sigma2 = measure.total_second_moment
         for half_width, threshold in ((3.0, 1e-12), (12.0, 1e-12), (96.0, 1e-2), (96.0, 1e-12)):
+            monkeypatch.setattr(spectral, "_DECAY_THRESHOLD", threshold)
             dt = grid_step(measure, half_width)
-            ks = np.arange(1, seeded_block(half_width, 16384, threshold)[-1] + 1)
+            ks = np.arange(1, seeded_block(half_width, 16384)[-1] + 1)
             t = ks * dt
             got = np.abs(np.exp(_char_exponents(measure, t)))
             assert np.all(got >= np.exp(-0.5 * sigma2 * t * t) * (1.0 - 1e-9))
-            safe = ks <= _safe_index(half_width, threshold)
+            safe = ks <= _safe_index(half_width)
             assert np.all(got[safe] >= math.e * threshold)
 
 
@@ -628,10 +627,6 @@ class TestInvertToDensity:
             invert_to_density(LIMIT2, half_width=1e6, n_points=256)
         assert info.value.achieved > 0.9
 
-    def test_threshold_zero_is_unreachable(self):
-        with pytest.raises(DecayDetectionError):
-            invert_to_density(RESC43, half_width=12.0, n_points=256, decay_threshold=0.0)
-
     def test_validation(self):
         with pytest.raises(DomainError):
             invert_to_density(RESC43, half_width=0.0)
@@ -641,6 +636,13 @@ class TestInvertToDensity:
             invert_to_density(RESC43, n_points=258)
         with pytest.raises(DomainError):
             invert_to_density(RESC43, n_points=512.0)
+
+    def test_non_finite_half_width_is_a_domain_error(self, exponent_calls):
+        # an infinite window makes dt = 0, where every probe has |cf| = 1
+        for half_width in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="half_width"):
+                invert_to_density(RESC43, half_width=half_width, n_points=256)
+        assert exponent_calls == []
 
 
 class TestHalfSpectrumInversion:
