@@ -162,11 +162,4 @@ def exp_sinh(
     return _refine(level_sum, f"exp_sinh on ({a}, inf)", rel_tol, abs_tol)
 
 
-@lru_cache(maxsize=8)
-def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on (0, 1)."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-__all__ = ["tanh_sinh", "exp_sinh", "gauss_legendre_nodes"]
+__all__ = ["tanh_sinh", "exp_sinh"]

@@ -180,14 +180,17 @@ def classify_sequence(family: SequenceFamily, margin: float = 0.1) -> RegimeVerd
     behaves like 4 gamma^2 d^(2 beta - 1), so beta < 1/2 gives the Gaussian
     limit, beta > 1/2 the degenerate one, and at beta = 1/2 the limit
     4 gamma^2 is compared against e*pi (the critical equality case is
-    indeterminate, it is not settled by the dichotomy). Fixed-codimension
-    families have k/d -> 1 > 1/2 and are degenerate. Explicit finite lists
-    are judged from their tail and must clear the given relative margin,
-    otherwise the verdict is indeterminate.
+    indeterminate, it is not settled by the dichotomy). An infinite gamma
+    realizes k = d - 1 at every d: degenerate, with an infinite limit, for
+    every beta. Fixed-codimension families have k/d -> 1 > 1/2 and are
+    degenerate. Explicit finite lists are judged from their tail and must
+    clear the given relative margin, otherwise the verdict is indeterminate.
     """
     if not 0.0 < margin < 1.0:
         raise DomainError(f"margin must lie in (0, 1), got {margin!r}")
     if isinstance(family, PowerLawFamily):
+        if math.isinf(family.gamma):
+            return RegimeVerdict("degenerate", math.inf, "gamma = inf realizes k = d - 1: k/d -> 1 > 1/2")
         if family.beta < 0.5:
             return RegimeVerdict(
                 "gaussian",

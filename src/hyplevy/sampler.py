@@ -18,13 +18,17 @@ variable w = (1 - x^(2/(k-1)))^(b/2) (w = (1 - x)^(b/2) for the
 codimension-limit family), in which the conditional density is bounded and
 strictly positive on [0, w_max]; quantile slopes therefore stay finite at
 both ends, which a table in x itself cannot guarantee once the codimension
-exceeds 2. The table is certified at build time: the max CDF residual over
-all cell midpoints must not exceed 1e-10. The first table has 2^11 cells
-(64 KB of coefficients, so the per-jump gathers stay in cache), and the
-cell count is doubled until the certificate holds, up to 2^20 cells. Above
-the rounding floor of the quantile the residual falls about 16x per
-doubling, so a doubling that fails to halve it means the floor is reached,
-and the build stops there with ConvergenceError instead of doubling on.
+exceeds 2. The CDF in w is a panel sum of a fixed 16-point Gauss-Legendre
+rule, and Newton inverts it at the knots to 1e-12 of the mass; only a run
+that exhausts its 60 steps is checked again, at 1e-11, and may raise
+ConvergenceError. The table is certified at build time: the max CDF
+residual over all cell midpoints must not exceed 1e-10. The first table has
+2^11 cells (64 KB of coefficients, so the per-jump gathers stay in cache),
+and the cell count is doubled until the certificate holds, up to 2^20
+cells. Above the rounding floor of the quantile the residual falls about
+16x per doubling, so a doubling that fails to halve it means the floor is
+reached, and the build stops there with ConvergenceError instead of
+doubling on.
 
 Streams are reproducible: each batch of draws gets its own SFC64 generator
 seeded by SeedSequence((seed, batch_index)), and the per-batch op order is
@@ -66,7 +70,7 @@ from .errors import (
     SamplerConfigError,
 )
 from .measures import LevyMeasure1D
-from .quadrature import exp_sinh, gauss_legendre_nodes, tanh_sinh
+from .quadrature import exp_sinh, tanh_sinh
 from .specfun import reg_inc_beta
 
 __all__ = [
@@ -85,6 +89,16 @@ _TABLE_CELLS = 1 << 11
 _TABLE_CELLS_MAX = 1 << 20
 # four chunk buffers of 256 KB plus the 64 KB starting table fit in a 2 MB L2
 _JUMP_CHUNK = 1 << 15
+# the 16-point Gauss-Legendre rule on (0, 1): 0.5 (x + 1) and 0.5 w of
+# numpy's leggauss(16), written out so no table build imports numpy.polynomial
+_GL_NODES = np.array([0.005299532504175031, 0.0277124884633837, 0.06718439880608412, 0.1222977958224985,
+                      0.19106187779867811, 0.2709916111713863, 0.35919822461037054, 0.4524937450811813,
+                      0.5475062549188188, 0.6408017753896295, 0.7290083888286136, 0.8089381222013219,
+                      0.8777022041775016, 0.9328156011939159, 0.9722875115366163, 0.994700467495825])
+_GL_WEIGHTS = np.array([0.013576229705877088, 0.031126761969323728, 0.0475792558412463, 0.062314485627767036,
+                        0.07479799440828835, 0.08457825969750132, 0.09130170752246182, 0.09472530522753432,
+                        0.09472530522753432, 0.09130170752246182, 0.08457825969750132, 0.07479799440828835,
+                        0.062314485627767036, 0.0475792558412463, 0.031126761969323728, 0.013576229705877088])
 
 
 @dataclass(frozen=True)
@@ -270,13 +284,11 @@ def _build_jump_table(shape, delta: float, cells: int) -> _JumpTable:
     def h(w: np.ndarray) -> np.ndarray:
         return two_over_b * shape.g_reg(y_of_w(w))
 
-    nodes, weights = gauss_legendre_nodes(16)
-
     bounds = _panel_boundaries(w_max, max(1024, cells // 16))
     lo = bounds[:-1]
     width = np.diff(bounds)
-    eval_pts = lo[:, None] + width[:, None] * nodes[None, :]
-    panel_mass = width * (h(eval_pts) @ weights)
+    eval_pts = lo[:, None] + width[:, None] * _GL_NODES[None, :]
+    panel_mass = width * (h(eval_pts) @ _GL_WEIGHTS)
     cum = np.concatenate(([0.0], np.cumsum(panel_mass)))
     total = cum[-1]
 
@@ -289,8 +301,8 @@ def _build_jump_table(shape, delta: float, cells: int) -> _JumpTable:
             ww = w[c0 : c0 + (1 << 18)]
             j = np.clip(np.searchsorted(bounds, ww, side="right") - 1, 0, len(lo) - 1)
             base = bounds[j]
-            pts = base[:, None] + (ww - base)[:, None] * nodes[None, :]
-            out[c0 : c0 + (1 << 18)] = cum[j] + (ww - base) * (h(pts) @ weights)
+            pts = base[:, None] + (ww - base)[:, None] * _GL_NODES[None, :]
+            out[c0 : c0 + (1 << 18)] = cum[j] + (ww - base) * (h(pts) @ _GL_WEIGHTS)
         return out
 
     # knots: invert the cumulative at probabilities q_j = s_j^P with s_j
@@ -313,8 +325,9 @@ def _build_jump_table(shape, delta: float, cells: int) -> _JumpTable:
         if np.max(np.abs(resid)) <= 1e-12 * total:
             break
         w = np.clip(w - resid / h(w), bounds[j], bounds[j + 1])
-    if np.max(np.abs(cdf_at(w) - targets)) > 1e-11 * total:
-        raise ConvergenceError("jump-table knot inversion did not converge")
+    else:
+        if np.max(np.abs(cdf_at(w) - targets)) > 1e-11 * total:
+            raise ConvergenceError("jump-table knot inversion did not converge")
     w[0] = 0.0
     w[-1] = w_max
     if np.any(np.diff(w) < 0.0):

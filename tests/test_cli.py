@@ -208,6 +208,15 @@ class TestProbeAndClassify:
         assert payload["label"] == "gaussian"
         assert payload["threshold_limit"] == 0.0
 
+    def test_classify_power_law_with_an_infinite_gamma(self, capsys):
+        # gamma = inf realizes k = d - 1: degenerate at beta < 1/2 too
+        code, out, _ = run(capsys, "classify", "--sequence", "power-law",
+                           "--gamma", "inf", "--beta", "0.3")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["label"] == "degenerate"
+        assert payload["threshold_limit"] == math.inf
+
     def test_classify_explicit_list(self, capsys):
         code, out, _ = run(capsys, "classify", "--sequence", "explicit",
                            "--pairs", "12:10,14:12,16:14")

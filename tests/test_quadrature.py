@@ -7,7 +7,8 @@ import pytest
 
 from hyplevy import quadrature
 from hyplevy.errors import QuadratureError
-from hyplevy.quadrature import _es_nodes, _ts_nodes, exp_sinh, gauss_legendre_nodes, tanh_sinh
+from hyplevy.quadrature import _es_nodes, _ts_nodes, exp_sinh, tanh_sinh
+from hyplevy.sampler import _GL_NODES, _GL_WEIGHTS
 
 
 def counted(f):
@@ -163,12 +164,20 @@ class TestBatchedRows:
 
 
 class TestGaussLegendre:
+    """The sampler's panel rule, shipped as constants: numpy's 16-point
+    leggauss mapped to (0, 1)."""
+
+    def test_constants_are_leggauss_on_the_unit_interval(self):
+        x, w = np.polynomial.legendre.leggauss(16)
+        assert np.array_equal(_GL_NODES, 0.5 * (x + 1.0))
+        assert np.array_equal(_GL_WEIGHTS, 0.5 * w)
+
+    def test_weights_sum_to_one(self):
+        assert math.isclose(float(np.sum(_GL_WEIGHTS)), 1.0, rel_tol=1e-15)
+
     def test_polynomial_exactness(self):
-        nodes, weights = gauss_legendre_nodes(4)
-        assert math.isclose(float(np.sum(weights)), 1.0, rel_tol=1e-15)
-        # degree 2n-1 = 7 is integrated exactly on (0, 1)
-        assert math.isclose(float(np.sum(weights * nodes**7)), 1.0 / 8.0, rel_tol=1e-14)
+        # degree 2n-1 = 31 is integrated exactly on (0, 1)
+        assert math.isclose(float(np.sum(_GL_WEIGHTS * _GL_NODES**31)), 1.0 / 32.0, rel_tol=1e-14)
 
     def test_nodes_inside_unit_interval(self):
-        nodes, _ = gauss_legendre_nodes(16)
-        assert np.all((nodes > 0.0) & (nodes < 1.0))
+        assert np.all((_GL_NODES > 0.0) & (_GL_NODES < 1.0))

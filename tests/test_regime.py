@@ -149,6 +149,16 @@ class TestPowerLawFamily:
         verdict = classify_sequence(fam)
         assert (verdict.label, verdict.threshold_limit) == ("degenerate", math.inf)
 
+    @pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.7])
+    def test_an_infinite_gamma_is_degenerate_for_every_beta(self, beta):
+        # k = d - 1 at every d is a codimension-1 sequence, whatever beta
+        fam = PowerLawFamily(gamma=math.inf, beta=beta)
+        assert [fam.realize(n) for n in (1, 10, 1000)] == [
+            DimensionPair(4, 3), DimensionPair(40, 39), DimensionPair(4000, 3999)
+        ]
+        verdict = classify_sequence(fam)
+        assert (verdict.label, verdict.threshold_limit) == ("degenerate", math.inf)
+
     def test_no_admissible_pair_below_dimension_four(self):
         fam = PowerLawFamily(gamma=1.0, beta=0.5, d_step=1)
         with pytest.raises(InadmissiblePairError, match="n=3"):
