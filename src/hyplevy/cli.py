@@ -18,6 +18,10 @@ Conventions shared by every subcommand:
 - Relative output paths resolve against $HYPLEVY_OUTDIR when that is set.
 - Exit codes: 0 success, 1 a sweep finished with failed runs, 2 invalid
   input, 3 a numerical procedure failed to converge.
+
+Only the handlers that need a measure, the sampler or the spectral layer
+(cumulants, density, sample and specfun's taylor-bound op) import them,
+and with them numpy; every other command runs on math and specfun alone.
 """
 
 from __future__ import annotations
@@ -25,16 +29,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import numbers
 import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import ConvergenceError, DomainError, HyplevyError
-from .measures import DimensionPair, log_variance, make_measure, variance
+from .pairs import DimensionPair, log_variance, variance
 from .regime import (
     ExplicitFamily,
     FixedCodimensionFamily,
@@ -43,8 +46,6 @@ from .regime import (
     classify_sequence,
     probe_regime,
 )
-from .sampler import SamplerConfig, empirical_cumulants, sample
-from .spectral import invert_to_density
 from .specfun import (
     beta_dist_stats,
     chebyshev_tail_bound,
@@ -55,7 +56,6 @@ from .specfun import (
     stirling_log_bounds,
     wendel_lower,
 )
-from .spectral import taylor_remainder_bound
 
 __all__ = ["main", "entrypoint", "build_parser"]
 
@@ -87,23 +87,33 @@ def _provenance(argv: list[str], **extra) -> dict:
     return prov
 
 
+def _is_int_column(col) -> bool:
+    """True for a numpy array of integer dtype, or for a sequence whose
+    every value is an integer."""
+    dtype = getattr(col, "dtype", None)
+    if dtype is not None:
+        return dtype.kind in "iu"
+    return all(isinstance(v, numbers.Integral) for v in col)
+
+
 def _write_csv(path: Path, header: list[str], columns, prov: dict) -> None:
     """Write one column per header name: integer columns as %d, the rest
-    with %.17g. Rows go out _CSV_CHUNK at a time, the chunk's values
-    interleaved row-major and formatted by one repeated row format, so the
-    Python floats and strings cost O(chunk) memory, not O(rows)."""
-    arrays = [np.asarray(col) for col in columns]
-    row_fmt = ",".join("%d" if a.dtype.kind in "iu" else "%.17g" for a in arrays) + "\n"
-    n_rows = min((len(a) for a in arrays), default=0)
-    width = len(arrays)
+    with %.17g. Columns are numpy arrays or lists. Rows go out _CSV_CHUNK
+    at a time, the chunk's values interleaved row-major and formatted by
+    one repeated row format, so the Python floats and strings cost
+    O(chunk) memory, not O(rows)."""
+    row_fmt = ",".join("%d" if _is_int_column(c) else "%.17g" for c in columns) + "\n"
+    n_rows = min((len(c) for c in columns), default=0)
+    width = len(columns)
     with open(path, "w", newline="") as fh:
         fh.write("# provenance: " + json.dumps(prov, sort_keys=True) + "\n")
         fh.write(",".join(header) + "\n")
         for c0 in range(0, n_rows, _CSV_CHUNK):
             k = min(_CSV_CHUNK, n_rows - c0)
             cells = [None] * (k * width)
-            for j, a in enumerate(arrays):
-                cells[j::width] = a[c0 : c0 + k].tolist()
+            for j, col in enumerate(columns):
+                part = col[c0 : c0 + k]
+                cells[j::width] = part.tolist() if hasattr(part, "tolist") else part
             fh.write((row_fmt * k) % tuple(cells))
 
 
@@ -132,6 +142,8 @@ def _add_measure_args(sub: argparse.ArgumentParser) -> None:
 def _measure_from_args(args: argparse.Namespace):
     """The measure --family names, and the fields that identify it in
     outputs."""
+    from .measures import make_measure
+
     if args.family == "limit":
         if args.b is None:
             raise DomainError("--family limit requires --b")
@@ -221,6 +233,8 @@ def _cmd_cumulants(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _cmd_density(args: argparse.Namespace, argv: list[str]) -> int:
+    from .spectral import invert_to_density
+
     measure, tag = _measure_from_args(args)
     grid = invert_to_density(
         measure, half_width=args.half_width, n_points=args.n_points
@@ -262,6 +276,8 @@ def _cmd_classify(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace, argv: list[str]) -> int:
+    from .sampler import SamplerConfig, empirical_cumulants, sample
+
     measure, tag = _measure_from_args(args)
     config = SamplerConfig(
         cutoff_delta=args.delta, seed=args.seed, batch_size=args.batch_size
@@ -285,6 +301,8 @@ def _cmd_sample(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _taylor_bound(order: float, x: float) -> dict:
+    from .spectral import taylor_remainder_bound
+
     if not order.is_integer():  # inf and nan included
         raise DomainError("taylor-bound order must be an integer")
     return {"value": taylor_remainder_bound(int(order), x)}

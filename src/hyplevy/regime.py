@@ -16,7 +16,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from .errors import DomainError, InadmissiblePairError
-from .measures import DimensionPair, _check_codim, log_variance
+from .pairs import DimensionPair, _check_codim, log_variance
 from .specfun import reg_inc_beta
 
 E_TIMES_PI = math.e * math.pi

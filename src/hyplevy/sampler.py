@@ -89,6 +89,8 @@ _TABLE_CELLS = 1 << 11
 _TABLE_CELLS_MAX = 1 << 20
 # four chunk buffers of 256 KB plus the 64 KB starting table fit in a 2 MB L2
 _JUMP_CHUNK = 1 << 15
+# values per pass of the central power sums: two 256 KB temporaries
+_MOMENT_CHUNK = 1 << 15
 # the 16-point Gauss-Legendre rule on (0, 1): 0.5 (x + 1) and 0.5 w of
 # numpy's leggauss(16), written out so no table build imports numpy.polynomial
 _GL_NODES = np.array([0.005299532504175031, 0.0277124884633837, 0.06718439880608412, 0.1222977958224985,
@@ -503,6 +505,22 @@ def sample(measure: LevyMeasure1D, n: int, config: SamplerConfig | None = None) 
     return SampleBatch(values=out, config=config, diagnostics=diagnostics)
 
 
+def _central_moments(x: np.ndarray, xbar: float, max_order: int) -> dict:
+    """{j: mean of (x - xbar)^j} for j = 2..max_order, summed over chunks
+    of _MOMENT_CHUNK values, so the temporaries take O(chunk) memory
+    whatever len(x); the means move from whole-array ones by rounding."""
+    sums = dict.fromkeys(range(2, max_order + 1), 0.0)
+    for c0 in range(0, len(x), _MOMENT_CHUNK):
+        d = x[c0 : c0 + _MOMENT_CHUNK] - xbar
+        # central powers by running products: d**j goes through libm pow,
+        # about 60x slower on negative bases
+        power = d.copy()
+        for j in sums:
+            power *= d
+            sums[j] += float(np.sum(power))
+    return {j: total / len(x) for j, total in sums.items()}
+
+
 def empirical_cumulants(values: np.ndarray, max_order: int = 6) -> np.ndarray:
     """Unbiased cumulant estimates (k-statistics) up to max_order <= 6.
 
@@ -519,14 +537,7 @@ def empirical_cumulants(values: np.ndarray, max_order: int = 6) -> np.ndarray:
         )
     nf = float(n)
     xbar = float(np.mean(x))
-    d = x - xbar
-    # central powers by running products: d**j goes through libm pow,
-    # about 60x slower on negative bases
-    mom = {}
-    power = d.copy()
-    for j in range(2, max_order + 1):
-        power *= d
-        mom[j] = float(np.mean(power))
+    mom = _central_moments(x, xbar, max_order)
     out = [xbar]
     if max_order >= 2:
         out.append(nf / (nf - 1.0) * mom[2])

@@ -23,11 +23,10 @@ from hyplevy.cli import main
 from hyplevy.measures import (
     DimensionPair,
     codim_limit_density,
-    cumulant,
     make_measure,
     normalized_density,
-    variance,
 )
+from hyplevy.pairs import cumulant, variance
 from hyplevy.regime import (
     E_TIMES_PI,
     FixedCodimensionFamily,

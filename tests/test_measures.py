@@ -14,15 +14,12 @@ from hyplevy.measures import (
     PairShape,
     codim_limit_cumulant,
     codim_limit_density,
-    cumulant,
-    is_admissible,
     levy_density,
     log_variance,
     make_measure,
     normalized_density,
-    sphere_surface,
-    variance,
 )
+from hyplevy.pairs import cumulant, is_admissible, sphere_surface, variance
 
 
 class TestAdmissibility:

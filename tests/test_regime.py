@@ -8,7 +8,8 @@ import pytest
 from conftest import admissible_pairs, pair_moment_oracle
 from hyplevy.errors import DomainError, InadmissiblePairError
 import hyplevy
-from hyplevy.measures import DimensionPair, is_admissible, log_variance, variance
+from hyplevy.measures import DimensionPair, log_variance
+from hyplevy.pairs import is_admissible, variance
 from hyplevy.regime import (
     E_TIMES_PI,
     ExplicitFamily,

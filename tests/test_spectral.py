@@ -10,7 +10,8 @@ import scipy.special
 
 from conftest import cached_density, peak_rss_rise_mb
 from hyplevy.errors import DecayDetectionError, DomainError
-from hyplevy.measures import DimensionPair, cumulant, levy_density, make_measure, variance
+from hyplevy.measures import DimensionPair, levy_density, make_measure
+from hyplevy.pairs import cumulant, variance
 from hyplevy.measures import LevyMeasure1D
 from hyplevy import spectral
 from hyplevy.spectral import (
