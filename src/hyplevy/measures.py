@@ -27,17 +27,16 @@ The hyperbolic measure is its pair shape with weight 1 (log_weight 0); the
 rescaled measure nu / sigma^2 has log_weight -log sigma^2, and the limit
 measure weight 1. Everything linear in the measure (moments, psi, tail
 masses, the compensator) carries the weight; the conditional jump law
-does not, so measures of one shape share one jump table. The sampler and
-spectral modules work from the shape and the weight alone. A
-LevyMeasure1D built without a shape has only its density: spectral
-integrates psi over it directly, and the sampler refuses it.
+does not, so measures of one shape share one jump table. A
+LevyMeasure1D is exactly a shape and a log_weight: its density, family
+label and second moment are derived from them, and the sampler and
+spectral modules work from the two alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,28 +60,6 @@ __all__ = [
     "codim_limit_cumulant",
     "make_measure",
 ]
-
-
-@dataclass(frozen=True)
-class LevyMeasure1D:
-    """A Levy measure on (0, 1) with finite total second moment.
-
-    density is a vectorized evaluator. The shipped measures also carry
-    their shape and log_weight (see the module docstring); the shape holds
-    the pair or codimension and the small-jump index alpha, with density
-    ~ C x^(-1 - alpha) near 0 (times a power of -log x for the limit).
-    """
-
-    family: str
-    total_second_moment: float
-    density: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
-    shape: PairShape | LimitShape | None = None
-    log_weight: float = 0.0
-
-    @property
-    def coef(self) -> float:
-        """The constant in front of the shape's integrals, weight included."""
-        return math.exp(self.shape.log_coef + self.log_weight)
 
 
 class _Shape:
@@ -204,14 +181,6 @@ class PairShape(_Shape):
         return p * np.power(x, p - 1.0)
 
 
-def _zero_the_nans(p: np.ndarray) -> np.ndarray:
-    """0 in place of NaN: at large v the limit shape's e^(-jv) underflows
-    to 0 while v^((b-2)/2) overflows (from b = 7 on), and the true product
-    underflows too."""
-    p[np.isnan(p)] = 0.0
-    return p
-
-
 @dataclass(frozen=True)
 class LimitShape(_Shape):
     """The codimension-limit measure in v = -log x: Gamma(b/2)^(-1) e^v
@@ -248,16 +217,16 @@ class LimitShape(_Shape):
 
     def integrand(self, m: int):
         """e^(-(m-1) v) v^((b-2)/2): the integral of x^m over the measure is
-        the constant times its integral in v. It accepts (and ignores) the
+        the constant times its integral in v. It is taken as one exp of
+        ((b-2)/2) log v - (m-1) v, so v^((b-2)/2) never overflows on its
+        own where the product is finite. It accepts (and ignores) the
         tanh_sinh distance argument."""
         e_log = self.end_power
 
         def f(v: np.ndarray, _unused=None) -> np.ndarray:
-            out = np.exp(-(m - 1.0) * v)
-            if e_log != 0.0:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    out = _zero_the_nans(out * np.power(v, e_log))
-            return out
+            lv = e_log * np.log(v) if e_log != 0.0 else 0.0
+            with np.errstate(over="ignore"):
+                return np.exp(lv - (m - 1.0) * v)
 
         return f
 
@@ -269,15 +238,18 @@ class LimitShape(_Shape):
     def phase_terms(self, v: np.ndarray):
         """psi's node factors at v: x = e^(-v), top = e^v v^((b-2)/2)
         (capped at v = 700, past which the mask forces the Taylor form)
-        and the products x^j top for j = 2..5, which stay finite."""
+        and the products x^j top for j = 2..5: the first is one exp of
+        ((b-2)/2) log v - v, the others follow by factors e^(-v), so none
+        forms the overflowing v^((b-2)/2) on its own."""
         e_log = self.end_power
         ev = np.exp(-v)
-        ev2 = ev * ev
-        with np.errstate(over="ignore", invalid="ignore"):
-            vpow = np.power(v, e_log) if e_log != 0.0 else 1.0
-            powers = (ev * vpow, ev2 * vpow, ev2 * ev * vpow, ev2 * ev2 * vpow)
-            top = np.exp(np.minimum(v, 700.0)) * vpow
-        return ev, top, tuple(_zero_the_nans(p) for p in powers), v > 700.0
+        lv = e_log * np.log(v) if e_log != 0.0 else 0.0
+        with np.errstate(over="ignore"):
+            p2 = np.exp(lv - v)
+            top = np.exp(np.minimum(v, 700.0) + lv)
+        p3 = p2 * ev
+        p4 = p3 * ev
+        return ev, top, (p2, p3, p4, p4 * ev), v > 700.0
 
     def upper_y(self, delta: float) -> float:
         return 1.0 - delta
@@ -307,23 +279,61 @@ class LimitShape(_Shape):
         return 1.0
 
 
-def _shape_density(shape, log_coef: float, x):
-    """exp(log_coef) x^(-1 - alpha) s(x)^(b/2 - 1), s the shape's endpoint
-    factor; 0 outside (0, 1), and inf for x below the representable range,
-    which is the honest value."""
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.zeros_like(arr)
-    inside = (arr > 0.0) & (arr < 1.0)
-    if np.any(inside):
-        lx = np.log(arr[inside])
-        logf = log_coef + (-1.0 - shape.alpha) * lx
-        if shape.end_power != 0.0:
-            logf = logf + shape.end_power * np.log(shape.end_factor(lx))
-        with np.errstate(over="ignore"):
-            out[inside] = np.exp(logf)
-    return float(out[0]) if scalar else out
+@dataclass(frozen=True)
+class LevyMeasure1D:
+    """A Levy measure on (0, 1) with finite total second moment: its shape
+    times the weight exp(log_weight) (see the module docstring).
+
+    The shape holds the pair or codimension and the small-jump index
+    alpha, with density ~ C x^(-1 - alpha) near 0 (times a power of -log x
+    for the limit); everything else is derived from the two fields.
+    """
+
+    shape: PairShape | LimitShape
+    log_weight: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.shape, (PairShape, LimitShape)):
+            raise DomainError(f"a measure needs a PairShape or LimitShape, got {self.shape!r}")
+        if not (isinstance(self.log_weight, (int, float)) and math.isfinite(self.log_weight)):
+            raise DomainError(f"log_weight must be finite, got {self.log_weight!r}")
+
+    @property
+    def family(self) -> str:
+        """The family label: "limit" for the limit shape, and for a pair
+        shape "hyperbolic" at weight 1, "rescaled" at any other weight."""
+        if isinstance(self.shape, LimitShape):
+            return "limit"
+        return "hyperbolic" if self.log_weight == 0.0 else "rescaled"
+
+    @property
+    def total_second_moment(self) -> float:
+        return self.shape.moment(2, self.log_weight)
+
+    @property
+    def coef(self) -> float:
+        """The constant in front of the shape's integrals, weight included."""
+        return math.exp(self.shape.log_coef + self.log_weight)
+
+    def density(self, x):
+        """exp(log_coef) x^(-1 - alpha) s(x)^(b/2 - 1), s the shape's
+        endpoint factor and log_coef the shape's density constant plus the
+        weight; vectorized, 0 outside (0, 1), and inf for x below the
+        representable range, which is the honest value."""
+        shape = self.shape
+        arr = np.asarray(x, dtype=float)
+        scalar = arr.ndim == 0
+        arr = np.atleast_1d(arr)
+        out = np.zeros_like(arr)
+        inside = (arr > 0.0) & (arr < 1.0)
+        if np.any(inside):
+            lx = np.log(arr[inside])
+            logf = shape.log_density_coef + self.log_weight + (-1.0 - shape.alpha) * lx
+            if shape.end_power != 0.0:
+                logf = logf + shape.end_power * np.log(shape.end_factor(lx))
+            with np.errstate(over="ignore"):
+                out[inside] = np.exp(logf)
+        return float(out[0]) if scalar else out
 
 
 def levy_density(pair: DimensionPair, x):
@@ -332,21 +342,17 @@ def levy_density(pair: DimensionPair, x):
     Accepts scalars or arrays. The factor (1 - x^(2/(k-1)))^((d-k)/2 - 1)
     goes through expm1/log1p so that values near 1 keep full precision.
     """
-    shape = PairShape(pair)
-    return _shape_density(shape, shape.log_density_coef, x)
+    return make_measure("hyperbolic", pair).density(x)
 
 
 def normalized_density(pair: DimensionPair, x):
     """Density of the unit-second-moment rescaling, levy_density / variance."""
-    shape = PairShape(pair)
-    return _shape_density(shape, shape.log_density_coef - log_variance(pair), x)
+    return make_measure("rescaled", pair).density(x)
 
 
 def codim_limit_density(b: int, x):
     """Density of the fixed-codimension limit measure; 0 outside (0, 1)."""
-    _check_codim(b)
-    shape = LimitShape(b)
-    return _shape_density(shape, shape.log_density_coef, x)
+    return make_measure("limit", b).density(x)
 
 
 def codim_limit_cumulant(b: int, m: int) -> float:
@@ -374,11 +380,4 @@ def make_measure(kind: str, param) -> LevyMeasure1D:
         shape, log_weight = LimitShape(param), 0.0
     else:
         raise DomainError(f"unknown measure kind {kind!r}")
-    log_coef = shape.log_density_coef + log_weight
-    return LevyMeasure1D(
-        family=kind,
-        total_second_moment=shape.moment(2, log_weight),
-        density=lambda x: _shape_density(shape, log_coef, x),
-        shape=shape,
-        log_weight=log_weight,
-    )
+    return LevyMeasure1D(shape, log_weight)

@@ -10,8 +10,7 @@ assembled as
 Everything here is read off the measure's shape and weight (see
 hyplevy.measures): the weight scales lambda, the compensator and the
 small-jump variance, and the shape alone fixes the conditional jump law,
-so the hyperbolic and rescaled measures of a pair share one jump table. A
-measure without a shape raises DomainError.
+so the hyperbolic and rescaled measures of a pair share one jump table.
 
 Jump sizes come from a cubic-Hermite inverse-CDF table built in the warped
 variable w = (1 - x^(2/(k-1)))^(b/2) (w = (1 - x)^(b/2) for the
@@ -140,16 +139,10 @@ def _require_delta(delta: float) -> float:
     return delta
 
 
-def _shape_of(measure: LevyMeasure1D):
-    if measure.shape is None:
-        raise DomainError(f"no sampler rule for a measure without a shape ({measure.family!r})")
-    return measure.shape
-
-
 def _upper_moment(measure: LevyMeasure1D, delta: float, m: int) -> float:
     """integral of x^m nu(dx) over (delta, 1) by tanh-sinh in the shape's
     variable."""
-    f, hi = _shape_of(measure).upper_integrand(delta, m)
+    f, hi = measure.shape.upper_integrand(delta, m)
     return measure.coef * tanh_sinh(f, a=0.0, b=hi, rel_tol=1e-12, abs_tol=1e-300)
 
 
@@ -176,7 +169,7 @@ def partial_moment(measure: LevyMeasure1D, delta: float, m: int, side: str) -> f
         raise DivergentMomentError(
             f"x^{m} is not integrable against the measure near 0"
         )
-    shape = _shape_of(measure)
+    shape = measure.shape
     beta = shape.beta_args(delta, m)
     if beta is not None:
         frac = reg_inc_beta(*beta)
@@ -397,7 +390,7 @@ def inverse_jump_cdf(measure: LevyMeasure1D, p, delta: float = 1e-3) -> np.ndarr
     p_arr = np.asarray(p, dtype=float)
     if np.any((p_arr < 0.0) | (p_arr > 1.0)):
         raise DomainError("jump quantile probabilities must lie in [0, 1]")
-    table = _certified_jump_table(_shape_of(measure), delta)
+    table = _certified_jump_table(measure.shape, delta)
     # the table runs in the upper-tail direction: x(q) with q = 1 - p
     q = np.ravel(1.0 - p_arr)
     out = table.fill_x_of_q(q, *_buffers(q.size))
@@ -442,7 +435,7 @@ def sample(measure: LevyMeasure1D, n: int, config: SamplerConfig | None = None) 
             RuntimeWarning,
             stacklevel=2,
         )
-    table = _certified_jump_table(_shape_of(measure), delta)
+    table = _certified_jump_table(measure.shape, delta)
 
     out = np.empty(n)
     u_buf = np.empty(_JUMP_CHUNK)

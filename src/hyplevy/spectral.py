@@ -9,9 +9,7 @@ psi is evaluated by double-exponential quadrature in the variable of the
 measure's shape (see hyplevy.measures): u = x^(2/(k-1)) on (0, 1) for a
 dimension pair, v = -log x on (0, inf) for the codimension limit, which
 makes the integrand analytic away from the endpoints; the measure's
-weight multiplies the result. A measure without a shape, built directly
-from a density, gets a plain tanh-sinh pass over that density
-(_psi_density) instead. Every psi quadrature runs to the relative
+weight multiplies the result. Every psi quadrature runs to the relative
 tolerance 1e-11 (_REL_TOL), which is fixed, not a parameter.
 Frequencies are evaluated in blocks: one quadrature pass per block of up
 to 32 frequencies computes the node-only factors (the u powers, the
@@ -84,16 +82,6 @@ _REL_TOL = 1e-11  # relative tolerance of every psi quadrature
 _DECAY_THRESHOLD = 1e-12  # |cf| below which the spectrum is cut
 
 
-def _osc_kernel(y: np.ndarray) -> np.ndarray:
-    """e^{iy} - 1 - iy without cancellation: real part via -2 sin^2(y/2),
-    imaginary part via a series below |y| = 1e-4."""
-    re = -2.0 * np.sin(0.5 * y) ** 2
-    small = np.abs(y) < _SMALL_PHASE
-    y3 = y * y * y
-    im = np.where(small, -y3 / 6.0 * (1.0 - y * y / 20.0), np.sin(y) - y)
-    return re + 1j * im
-
-
 _CHUNK = 2048  # columns per kernel pass: its temporaries stay (block, 2048)
 
 
@@ -153,30 +141,6 @@ def _phase_kernel(t, x, top, powers, forced=None) -> np.ndarray:
     return out
 
 
-def _psi_density(measure: LevyMeasure1D, t: np.ndarray) -> np.ndarray:
-    """psi at the column of frequencies t by a plain tanh-sinh pass over
-    the density, for a measure without a shape."""
-
-    def integrand(x: np.ndarray, _unused: np.ndarray) -> np.ndarray:
-        dens = np.asarray(measure.density(x), dtype=float)
-        u = t * x
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = _osc_kernel(u) * dens
-        bad = ~np.isfinite(out)
-        if np.any(bad):
-            # deep in the tanh-sinh tails the density overflows while u^2
-            # underflows; kernel ~ -u^2/2 there, so regroup as
-            # t * u * (x * density) to keep the product representable
-            with np.errstate(over="ignore", invalid="ignore"):
-                xd = np.broadcast_to(x * dens, out.shape)[bad]
-            ub = u[bad]
-            ser = (-0.5 + (-1j / 6.0) * ub) * ((np.broadcast_to(t, out.shape)[bad] * ub) * xd)
-            out[bad] = np.where(np.isfinite(ser), ser, 0.0)
-        return out
-
-    return tanh_sinh(integrand, rel_tol=_REL_TOL, abs_tol=1e-300)
-
-
 _BLOCK = 32  # frequencies per quadrature pass; (32, nodes) complex arrays stay cache-sized
 
 
@@ -186,8 +150,6 @@ def _exponent_rule(measure: LevyMeasure1D):
     in its shape's variable, tanh-sinh on (0, 1) or exp-sinh on
     (0, inf), of the phase kernel on the shape's node factors."""
     shape = measure.shape
-    if shape is None:
-        return lambda t: _psi_density(measure, t)
     coef = measure.coef
 
     def psi(t):
@@ -222,9 +184,8 @@ def _char_exponents(measure: LevyMeasure1D, ts: np.ndarray) -> np.ndarray:
 def char_exponent(measure: LevyMeasure1D, t: float) -> complex:
     """Log of the characteristic function at t; Re <= 0, psi(0) = 0.
 
-    Family-aware substitutions for the shipped measures; a plain
-    double-exponential pass over the density for anything else. A batch
-    of one through the block path that invert_to_density uses.
+    Quadrature in the variable of the measure's shape; a batch of one
+    through the block path that invert_to_density uses.
     """
     return _char_exponents(measure, np.array([float(t)]))[0]
 

@@ -65,31 +65,67 @@ def _log_coef(d: int, k: int) -> float:
     )
 
 
-def pair_moment_oracle(d: int, k: int, m: int, lo: float = 0.0) -> float:
-    """Quadrature of the m-th moment of the (d, k) measure over (lo, 1)."""
+def _series_below_cut(d: int, k: int, m: int, lo: float) -> float:
+    """The m-th moment kernel integrated over (lo, _SERIES_CUT) by the
+    truncated binomial series of its endpoint factor, without the
+    measure's constant."""
     alpha = (d - 1) / (k - 1)
     up = 2.0 / (k - 1)
     e1 = 0.5 * (d - k) - 1.0
+    total = 0.0
+    for j in range(_SERIES_TERMS):
+        e = m - alpha + j * up
+        total += binom(e1, j) * (-1.0) ** j * (_SERIES_CUT**e - lo**e) / e
+    return total
+
+
+def _panel_quad(f, start: float) -> float:
+    """f integrated over (start, 1) on geometric panels of at most two
+    decades each."""
+    pts = [p for p in np.logspace(-60, -2, 30) if p > start]
+    pts = [start] + pts + [p for p in (0.1, 0.5, 1.0) if p > start]
+    total = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        for a, b in zip(pts[:-1], pts[1:]):
+            total += integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=100)[0]
+    return total
+
+
+def pair_moment_oracle(d: int, k: int, m: int, lo: float = 0.0) -> float:
+    """Quadrature of the m-th moment of the (d, k) measure over (lo, 1)."""
     coef = math.exp(_log_coef(d, k))
     if lo >= 1.0:
         return 0.0
     total = 0.0
     start = lo
     if lo < _SERIES_CUT:
-        for j in range(_SERIES_TERMS):
-            e = m - alpha + j * up
-            total += (
-                binom(e1, j) * (-1.0) ** j * (_SERIES_CUT**e - lo**e) / e
-            )
+        total += _series_below_cut(d, k, m, lo)
         start = _SERIES_CUT
-    f = _stable_kernel(d, k, m)
-    pts = [p for p in np.logspace(-60, -2, 30) if p > start]
-    pts = [start] + pts + [p for p in (0.1, 0.5, 1.0) if p > start]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        for a, b in zip(pts[:-1], pts[1:]):
-            total += integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=100)[0]
-    return coef * total
+    return coef * (total + _panel_quad(_stable_kernel(d, k, m), start))
+
+
+def psi_oracle(d: int, k: int, t: float) -> complex:
+    """psi(t) of the (d, k) measure, the integral of e^{itx} - 1 - itx
+    against its density, by quadrature in raw x: -2 sin^2(tx/2) and
+    sin(tx) - tx on the moment oracle's panels, the latter by its series
+    where |tx| < 1e-2; below 1e-60 the leading terms -t^2/2 x^2 and
+    -i t^3/6 x^3 by the moment series."""
+    f = _stable_kernel(d, k, 0)
+
+    def re(x: float) -> float:
+        return -2.0 * math.sin(0.5 * t * x) ** 2 * f(x)
+
+    def im(x: float) -> float:
+        y = t * x
+        if abs(y) < 1e-2:
+            return -y**3 / 6.0 * (1.0 - y * y / 20.0 * (1.0 - y * y / 42.0)) * f(x)
+        return (math.sin(y) - y) * f(x)
+
+    below = complex(-0.5 * t**2 * _series_below_cut(d, k, 2, 0.0),
+                    -t**3 / 6.0 * _series_below_cut(d, k, 3, 0.0))
+    total = below + complex(_panel_quad(re, _SERIES_CUT), _panel_quad(im, _SERIES_CUT))
+    return math.exp(_log_coef(d, k)) * total
 
 
 def limit_moment_oracle(b: int, m: int) -> float:

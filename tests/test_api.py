@@ -15,7 +15,7 @@ from hyplevy.specfun import inc_beta, reg_inc_beta
 PARAMS = {
     "DecayDetectionError": ("message", "achieved"),
     "DimensionPair": ("d", "k"),
-    "LevyMeasure1D": ("family", "total_second_moment", "density", "shape", "log_weight"),
+    "LevyMeasure1D": ("shape", "log_weight"),
     "is_admissible": ("d", "k"),
     "variance": ("pair",),
     "log_variance": ("pair",),
@@ -98,4 +98,4 @@ def test_quadrature_and_incomplete_beta_parameters():
 
 def test_measure_fields():
     names = [f.name for f in dataclasses.fields(hyplevy.LevyMeasure1D)]
-    assert names == ["family", "total_second_moment", "density", "shape", "log_weight"]
+    assert names == ["shape", "log_weight"]

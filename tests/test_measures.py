@@ -10,6 +10,7 @@ from conftest import admissible_pairs, limit_moment_oracle, pair_moment_oracle
 from hyplevy.errors import DomainError, InadmissiblePairError
 from hyplevy.measures import (
     DimensionPair,
+    LevyMeasure1D,
     LimitShape,
     PairShape,
     codim_limit_cumulant,
@@ -256,6 +257,52 @@ class TestMakeMeasure:
         assert m.shape.end_power == 0.5
         assert m.total_second_moment == 1.0
         assert m.shape == LimitShape(3) and m.log_weight == 0.0
+
+    # (kind, param, family, total_second_moment, density at DERIVED_XS) of
+    # the measures as they were built when these three were stored fields
+    DERIVED_XS = (1e-300, 1e-3, 0.25, 0.5, 0.9, 1 - 1e-12)
+    DERIVED = [
+        ("hyperbolic", (4, 3), "0x1.921fb54442d18p+1",
+         ("inf", "0x1.e2c447dbc1309p+24", "0x1.279a74590331cp+5", "0x1.ffffffffffffep+2",
+          "0x1.075fde49beaeep+2", "0x1.e84961f416e73p+19")),
+        ("rescaled", (4, 3), "0x1.0000000000000p+0",
+         ("inf", "0x1.3356be3d69b3fp+23", "0x1.785fb53dcdc18p+3", "0x1.45f306dc9c883p+1",
+          "0x1.4f56bc42d5b75p+0", "0x1.36da5a0caed93p+18")),
+        ("hyperbolic", (7, 5), "0x1.921fb54442d18p+1",
+         ("inf", "0x1.7af976aa1c07cp+25", "0x1.921fb54442d19p+5", "0x1.1c5831add62e4p+3",
+          "0x1.05a6d64c04bafp+1", "0x1.921fb5444722dp+0")),
+        ("rescaled", (7, 5), "0x1.0000000000000p+0",
+         ("inf", "0x1.e286789a07f1bp+23", "0x1.fffffffffffffp+3", "0x1.6a09e667f3bccp+1",
+          "0x1.4d25326f508cap-1", "0x1.0000000002bfbp-1")),
+        ("limit", 1, "0x1.0000000000000p+0",
+         ("inf", "0x1.a34359e09b70ap+17", "0x1.eaadc5a5bb298p+2", "0x1.5af6599bd6134p+1",
+          "0x1.12ab7e9e97c4bp+1", "0x1.137c7a5ed1181p+19")),
+        ("limit", 3, "0x1.0000000000000p+0",
+         ("inf", "0x1.6a0556a0217dbp+21", "0x1.541cd4fa36c63p+4", "0x1.e0fdec495104cp+1",
+          "0x1.cf07a0da2e8e0p-2", "0x1.2ee4c4ab709c5p-20")),
+    ]
+
+    @pytest.mark.parametrize(
+        "kind, param, moment, density", DERIVED,
+        ids=["hyp43", "resc43", "hyp75", "resc75", "limit1", "limit3"],
+    )
+    def test_derived_values_are_the_stored_ones(self, kind, param, moment, density):
+        m = make_measure(kind, DimensionPair(*param) if kind != "limit" else param)
+        assert m.family == kind
+        assert m.total_second_moment == float.fromhex(moment)
+        got = m.density(np.array(self.DERIVED_XS))
+        assert [float(v) for v in got] == [float.fromhex(v) for v in density]
+        assert [m.density(x) for x in self.DERIVED_XS] == list(got)
+
+    def test_a_measure_is_its_shape_and_weight(self):
+        shape = PairShape(DimensionPair(4, 3))
+        with pytest.raises(DomainError):
+            LevyMeasure1D(None)
+        with pytest.raises(DomainError):
+            LevyMeasure1D(shape, math.nan)
+        with pytest.raises(DomainError):
+            LevyMeasure1D(shape, math.inf)
+        assert LevyMeasure1D(shape) == make_measure("hyperbolic", DimensionPair(4, 3))
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -19,6 +19,7 @@ from hyplevy.errors import (
     ConvergenceError,
     DivergentMomentError,
     DomainError,
+    QuadratureError,
     SamplerConfigError,
 )
 from hyplevy.measures import DimensionPair, PairShape, make_measure
@@ -183,10 +184,11 @@ class TestPartialMoment:
 
 class TestLargeCodimensionLimit:
     """From b = 7 on, the limit family's exp-sinh nodes reach v where
-    v^((b-2)/2) overflows to inf while e^(-v) underflows to 0; those
-    products count as 0, their true value underflowing too."""
+    v^((b-2)/2) alone overflows while e^(-v) underflows, and from b = 218
+    on v^((b-2)/2) overflows where the product is still finite; the
+    integrand is one exp of ((b-2)/2) log v - (m-1) v, so neither shows."""
 
-    @pytest.mark.parametrize("b", [7, 8, 10, 40])
+    @pytest.mark.parametrize("b", [7, 8, 10, 40, 218, 220, 221, 300])
     def test_moments_below_the_cutoff_are_incomplete_gammas(self, b):
         # (m-1)^(-b/2) Q(b/2, (m-1) v_cut) with v_cut = -log delta
         measure = make_measure("limit", b)
@@ -196,6 +198,13 @@ class TestLargeCodimensionLimit:
             want = float(q * mpmath.mpf(m - 1) ** (-0.5 * b))
             got = partial_moment(measure, 1e-3, m, "below")
             assert abs(got - want) <= 1e-13 * want, m
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_an_unrepresentable_integrand_raises(self):
+        # at b = 400, e^(-v) v^199 peaks at e^854: the shape's integral
+        # is not a float, and a typed error says so instead of inf or NaN
+        with pytest.raises(QuadratureError):
+            partial_moment(make_measure("limit", 400), 1e-3, 2, "below")
 
     def test_sample_is_finite(self):
         cfg = SamplerConfig(cutoff_delta=1e-2, seed=1, batch_size=128)

@@ -1,6 +1,5 @@
 """Characteristic exponents, Fourier inversion, Kolmogorov distances."""
 
-import dataclasses
 import math
 import sys
 
@@ -8,11 +7,10 @@ import numpy as np
 import pytest
 import scipy.special
 
-from conftest import cached_density, peak_rss_rise_mb
-from hyplevy.errors import DecayDetectionError, DomainError
-from hyplevy.measures import DimensionPair, levy_density, make_measure
+from conftest import cached_density, peak_rss_rise_mb, psi_oracle
+from hyplevy.errors import DecayDetectionError, DomainError, QuadratureError
+from hyplevy.measures import DimensionPair, LevyMeasure1D, make_measure
 from hyplevy.pairs import cumulant, variance
-from hyplevy.measures import LevyMeasure1D
 from hyplevy import spectral
 from hyplevy.spectral import (
     STANDARD_NORMAL,
@@ -38,12 +36,6 @@ LIMIT1 = make_measure("limit", 1)
 LIMIT2 = make_measure("limit", 2)
 LIMIT3 = make_measure("limit", 3)
 RESC40 = make_measure("rescaled", DimensionPair(40, 21))
-# HYP75 through the generic density route instead of its family substitution
-CLONE75 = LevyMeasure1D(
-    family="custom",
-    total_second_moment=variance(DimensionPair(7, 5)),
-    density=lambda x: levy_density(DimensionPair(7, 5), x),
-)
 
 
 @pytest.fixture
@@ -225,11 +217,23 @@ class TestCharExponent:
             for t in (0.01, 0.5, 2.0, 11.0):
                 assert char_exponent(measure, t).real <= 0.0
 
-    def test_generic_density_fallback_agrees_with_family_route(self):
+    def test_shape_route_agrees_with_a_raw_density_oracle(self):
         for t in (0.8, 1.5):
-            a = char_exponent(CLONE75, t)
+            a = psi_oracle(7, 5, t)
             b = char_exponent(HYP75, t)
-            assert abs(a - b) <= 1e-8 * abs(b)
+            assert abs(a - b) <= 1e-12 * abs(b)
+
+    @pytest.mark.parametrize("b", [221, 300])
+    def test_limit_family_past_the_power_overflow(self, b):
+        # kappa_m = (m-1)^(-b/2) leaves psi(1) = -1/2 to far below 1e-12
+        measure = make_measure("limit", b)
+        assert abs(char_exponent(measure, 1.0) + 0.5) <= 1e-12
+        assert abs(invert_to_density(measure).meta["variance"] - 1.0) <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_limit_family_with_an_unrepresentable_integrand_raises(self):
+        with pytest.raises(QuadratureError):
+            char_exponent(make_measure("limit", 400), 1.0)
 
     def test_small_frequency_curvature_is_the_variance(self):
         # (2 - cf(h) - cf(-h)) / h^2 recovers the second cumulant
@@ -257,8 +261,8 @@ class TestCharExponent:
 class TestBlockExponents:
     @pytest.mark.parametrize(
         "measure",
-        [RESC43, RESC40, HYP75, LIMIT1, LIMIT2, LIMIT3, CLONE75],
-        ids=["resc43", "resc40_21", "hyp75", "limit1", "limit2", "limit3", "custom"],
+        [RESC43, RESC40, HYP75, LIMIT1, LIMIT2, LIMIT3],
+        ids=["resc43", "resc40_21", "hyp75", "limit1", "limit2", "limit3"],
     )
     def test_blocks_agree_with_one_dimensional_calls(self, measure, quad_log, monkeypatch):
         ts = np.linspace(0.05, 40.0, 70)
@@ -416,11 +420,21 @@ class TestDecayThreshold:
         assert grid.meta["cf_at_cutoff"] == ladder_reference(RESC43, 12.0, 16384, threshold)[1]
 
 
-SEARCH_LAWS = [RESC43, LIMIT1, LIMIT2, HYP75, CLONE75]
-SEARCH_IDS = ["resc43", "limit1", "limit2", "hyp75", "custom"]
+SEARCH_LAWS = [RESC43, LIMIT1, LIMIT2, HYP75]
+SEARCH_IDS = ["resc43", "limit1", "limit2", "hyp75"]
+
+
+class _Understated(LevyMeasure1D):
+    """A measure that declares 1/16 of its second moment."""
+
+    @property
+    def total_second_moment(self) -> float:
+        return super().total_second_moment / 16.0
+
+
 # HYP75 declaring 1/16 of its second moment: its sigma is 4 times too
 # small, so the bound behind the seed fails
-UNDERSTATED = dataclasses.replace(HYP75, total_second_moment=HYP75.total_second_moment / 16.0)
+UNDERSTATED = _Understated(HYP75.shape, HYP75.log_weight)
 
 
 class TestSeededSearch:
