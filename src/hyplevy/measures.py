@@ -45,6 +45,7 @@ from .pairs import (
     DimensionPair,
     _check_codim,
     _log_cumulant,
+    _log_cumulant_size,
     log_sphere_surface,
     log_variance,
 )
@@ -70,6 +71,11 @@ class _Shape:
         """b/2 - 1, the power of the endpoint factor: 1 - u for a pair, v
         for the limit."""
         return 0.5 * self.codim - 1.0
+
+    def moment(self, m: int, log_weight: float = 0.0) -> float:
+        """integral of x^m over the weighted measure, m >= 2:
+        exp(log_moment), so it underflows to 0 only where the value does."""
+        return math.exp(self.log_moment(m, log_weight))
 
 
 @dataclass(frozen=True)
@@ -107,10 +113,16 @@ class PairShape(_Shape):
         """1 - x^(2/(k-1)) from lx = log x, without cancellation near 1."""
         return -np.expm1(self.pair.u_power * lx)
 
-    def moment(self, m: int, log_weight: float = 0.0) -> float:
-        """integral of x^m over the weighted measure, m >= 2; the weight
-        is added in log space, where a tiny sigma^2 cannot underflow."""
-        return math.exp(_log_cumulant(self.pair, m) + log_weight)
+    def log_moment(self, m: int, log_weight: float = 0.0) -> float:
+        """log of the integral of x^m over the weighted measure, m >= 2;
+        the weight is added in log space, where a tiny sigma^2 cannot
+        underflow."""
+        return _log_cumulant(self.pair, m) + log_weight
+
+    def log_moment_size(self, m: int) -> float:
+        """The sum of the magnitudes of the terms log_moment adds up, weight
+        aside: a few ulp of it bound log_moment's rounding error."""
+        return _log_cumulant_size(self.pair, m)
 
     def beta_args(self, delta: float, m: int):
         """(p, q, y) such that the share of moment(m) below delta is the
@@ -205,10 +217,15 @@ class LimitShape(_Shape):
         """-log x from lx = log x."""
         return -lx
 
-    def moment(self, m: int, log_weight: float = 0.0) -> float:
-        """integral of x^m over the weighted measure, (m - 1)^(-b/2) times
-        the weight, m >= 2."""
-        return math.exp(log_weight) * float(m - 1.0) ** (-0.5 * self.codim)
+    def log_moment(self, m: int, log_weight: float = 0.0) -> float:
+        """log of the integral of x^m over the weighted measure,
+        log_weight - (b/2) log(m - 1), m >= 2: finite at every b, where
+        (m - 1)^(-b/2) itself underflows."""
+        return log_weight - 0.5 * self.codim * math.log(m - 1.0)
+
+    def log_moment_size(self, m: int) -> float:
+        """(b/2) log(m - 1), in the sense of PairShape.log_moment_size."""
+        return 0.5 * self.codim * math.log(m - 1.0)
 
     def beta_args(self, delta: float, m: int):
         """None: the partial moments are incomplete Gammas, integrated by

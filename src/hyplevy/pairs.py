@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InadmissiblePairError
-from .specfun import log_gamma, log_gamma_ratio
+from .specfun import _log_gamma_ratio_size, log_gamma, log_gamma_ratio
 
 __all__ = [
     "DimensionPair",
@@ -93,6 +93,13 @@ def _log_cumulant(pair: DimensionPair, m: int) -> float:
     pi^((d-k)/2) Gamma(p) / Gamma(p + (d-k)/2) with p = ((k-1)m - (d-1))/2."""
     p = 0.5 * ((pair.k - 1) * m - (pair.d - 1))
     return 0.5 * pair.codim * math.log(math.pi) - log_gamma_ratio(p, 0.5 * pair.codim)
+
+
+def _log_cumulant_size(pair: DimensionPair, m: int) -> float:
+    """The sum of the magnitudes of the terms _log_cumulant adds up: a few
+    ulp of it bound that log's rounding error."""
+    p = 0.5 * ((pair.k - 1) * m - (pair.d - 1))
+    return 0.5 * pair.codim * math.log(math.pi) + _log_gamma_ratio_size(p, 0.5 * pair.codim)
 
 
 def log_variance(pair: DimensionPair) -> float:

@@ -99,6 +99,27 @@ def log_gamma_ratio(z: float, a: float) -> float:
     return a * math.log(z) + ((w - 0.5) * math.log1p(a / z) - a) + tail
 
 
+def _log_gamma_size(x: float) -> float:
+    """The sum of the magnitudes of the terms log_gamma(x) adds up, plus
+    one for the Stirling tail and the compensated table: each is rounded
+    to a few ulp of itself, so a few ulp of this size bound the error."""
+    two_x = 2.0 * x
+    if two_x == math.floor(two_x) and two_x <= len(_LADDER):
+        return abs(_LADDER[int(two_x) - 1]) + 1.0
+    if x < _STIRLING_MIN:
+        n = math.ceil(_STIRLING_MIN - x)
+        return _log_gamma_size(x + n) + abs(math.log(math.prod([x + i for i in range(n)]))) + n
+    return (x - 0.5) * abs(math.log(x)) + x + 2.0
+
+
+def _log_gamma_ratio_size(z: float, a: float) -> float:
+    """The size, in the sense of _log_gamma_size, of log_gamma_ratio(z, a)."""
+    w = z + a
+    if min(z, w) < _STIRLING_MIN:
+        return _log_gamma_size(w) + _log_gamma_size(z)
+    return abs(a * math.log(z)) + abs((w - 0.5) * math.log1p(a / z)) + abs(a) + 1.0
+
+
 def log_beta(p: float, q: float) -> float:
     """log B(p, q) for p, q > 0."""
     if not (p > 0.0 and q > 0.0):

@@ -5,16 +5,38 @@ Levy measure nu is exp(psi(t)) with
 
     psi(t) = integral of (e^{itx} - 1 - itx) nu(dx) over (0, 1).
 
-psi is evaluated by double-exponential quadrature in the variable of the
-measure's shape (see hyplevy.measures): u = x^(2/(k-1)) on (0, 1) for a
-dimension pair, v = -log x on (0, inf) for the codimension limit, which
-makes the integrand analytic away from the endpoints; the measure's
-weight multiplies the result. Every psi quadrature runs to the relative
-tolerance 1e-11 (_REL_TOL), which is fixed, not a parameter.
-Frequencies are evaluated in blocks: one quadrature pass per block of up
-to 32 frequencies computes the node-only factors (the u powers, the
-endpoint factor) once per level and only the phase terms per frequency,
-and each frequency keeps the level at which it alone converges. The scalar char_exponent is a block of one. Each
+psi has two routes, and each frequency takes exactly one.
+
+The cumulant series. The jumps lie in (0, 1), so psi(t) = sum over
+m >= 2 of kappa_m (it)^m / m! converges for every t, and kappa_m is the
+measure's closed-form moment (its shape's log_moment plus the weight).
+The series is summed over the orders m = 2..89 as one (frequencies x
+orders) array, one exp per term, with row sums by np.sum and einsum.
+Each sum carries a stated a-priori bound, first order in the unit
+roundoff u: each term's exp-of-log error (the coefficient's own, which
+4 u of its logs' term sizes bound, 2 u (|log kappa_m - log m!| +
+|log_weight|), 4 u m |log|t|| and 2 u for the exp), the summation
+error (43 u / (1 - 43 u) of the sum of |terms| over either half of the
+orders), and the truncation remainder (kappa_(m+1) <= kappa_m on (0, 1), so past the top
+order M the terms shrink at least geometrically, by |t| / (M + 2)). A
+frequency takes the series when that bound is at most 1e-13 |psi|
+(_SERIES_TOL, 100 times the quadrature's tolerance, fixed like it). The
+frequencies are tried in order of |t|, and the first that fails ends
+the run, so the series answers the |t| below some edge and the
+quadrature every one above. The coefficients depend on the shape alone
+and are cached per shape.
+
+The quadrature, for the rest: double-exponential quadrature in the
+variable of the measure's shape (see hyplevy.measures): u = x^(2/(k-1))
+on (0, 1) for a dimension pair, v = -log x on (0, inf) for the
+codimension limit, which makes the integrand analytic away from the
+endpoints; the measure's weight multiplies the result. Every psi
+quadrature runs to the relative tolerance 1e-11 (_REL_TOL), which is
+fixed, not a parameter. Frequencies are evaluated in blocks: one
+quadrature pass per block of up to 32 frequencies computes the node-only
+factors (the u powers, the endpoint factor) once per level and only the
+phase terms per frequency, and each frequency keeps the level at which
+it alone converges. The scalar char_exponent is a block of one. Each
 phase term e^{itx} - 1 - itx is computed in one form, its quartic Taylor
 form in t where |t x| < 1e-4 and the sine form elsewhere: the nodes are
 monotone in x within a level, so comparing max|t| x and min|t| x with
@@ -28,7 +50,7 @@ found by a doubling search over grid frequencies 4 dt, 8 dt, ..., seeded
 by a bound: 1 - cos u <= u^2 / 2 gives |cf(t)| >= exp(-sigma^2 t^2 / 2),
 and on the grid sigma t = k pi / half_width, so every probe k <= k_safe =
 half_width sqrt(2 ln(1/threshold) - 2) / pi passes with |cf| >= e
-threshold. The first quadrature call therefore evaluates k = 1 up to the
+threshold. The first psi call therefore evaluates k = 1 up to the
 first probe >= k_safe as one block (1..32 at the defaults); the probes
 above it are evaluated one at a time, and the grid then evaluates the
 remaining frequencies up to the cutoff in blocks. The probes are still
@@ -54,6 +76,7 @@ more than 8192 elements to the BLAS thread pool.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -62,6 +85,7 @@ import numpy as np
 from .errors import DecayDetectionError, DomainError
 from .measures import LevyMeasure1D
 from .quadrature import exp_sinh, tanh_sinh
+from .specfun import log_gamma
 
 __all__ = [
     "DensityGrid",
@@ -96,9 +120,11 @@ def _phase_kernel(t, x, top, powers, forced=None) -> np.ndarray:
     and, the nodes x being monotone (ascending or descending, as their
     ends show), along the row, so the columns small at max |t| are small
     in every row, those large at min |t| are large in every row, and only
-    the span between needs the row mask. The forms are the ones a where()
-    over both would pick, so the values do not depend on the spans; the
-    output is filled _CHUNK columns at a time.
+    the span between needs the row mask. Where x rounds to 1.0 (tanh-sinh
+    nodes near u = 1, exp-sinh nodes near v = 0) y is t itself, and the
+    large form's sines are taken once per row. The forms and their steps
+    are the ones a where() over both would pick, so the values do not
+    depend on the spans; the output is filled _CHUNK columns at a time.
     """
     t = np.asarray(t)
     at = np.abs(t)
@@ -106,10 +132,23 @@ def _phase_kernel(t, x, top, powers, forced=None) -> np.ndarray:
     forced = np.zeros(n, dtype=bool) if forced is None else forced
     n_all = np.count_nonzero((np.max(at) * x < _SMALL_PHASE) | forced)
     n_any = np.count_nonzero((np.min(at) * x < _SMALL_PHASE) | forced)
+    # the columns at the large end where x is 1.0 have y = t, so there the
+    # large form is a per-row factor times top
+    n_one = min(int(np.count_nonzero(x == 1.0)), n - n_any)
     if n and x[0] > x[-1]:
-        spans = ((0, n - n_any, "large"), (n - n_any, n - n_all, "mixed"), (n - n_all, n, "small"))
+        spans = (
+            (0, n_one, "one"),
+            (n_one, n - n_any, "large"),
+            (n - n_any, n - n_all, "mixed"),
+            (n - n_all, n, "small"),
+        )
     else:
-        spans = ((0, n_all, "small"), (n_all, n_any, "mixed"), (n_any, n, "large"))
+        spans = (
+            (0, n_all, "small"),
+            (n_all, n_any, "mixed"),
+            (n_any, n - n_one, "large"),
+            (n - n_one, n, "one"),
+        )
     p2, p3, p4, p5 = powers
     t2 = t * t
     # per-row factors of the Taylor form, grouped as the full expression
@@ -119,9 +158,17 @@ def _phase_kernel(t, x, top, powers, forced=None) -> np.ndarray:
     out = np.empty(np.broadcast_shapes(t.shape, x.shape), dtype=complex)
     re, im = out.real, out.imag
     with np.errstate(over="ignore", invalid="ignore"):
+        if n_one:
+            # the large form's own steps on y = t, so its values are the same
+            one_re = np.square(np.sin(np.multiply(t, 0.5))) * -2.0
+            one_im = np.sin(t) - t
         for lo, hi, form in spans:
             for start in range(lo, hi, _CHUNK):
                 cols = slice(start, min(start + _CHUNK, hi))
+                if form == "one":
+                    np.multiply(one_re, top[cols], out=re[..., cols])
+                    np.multiply(one_im, top[cols], out=im[..., cols])
+                    continue
                 if form != "small":
                     # -2 sin(y/2)^2 top and (sin y - y) top, in place
                     y = t * x[cols]
@@ -162,8 +209,8 @@ def _exponent_rule(measure: LevyMeasure1D):
     return psi
 
 
-def _char_exponents(measure: LevyMeasure1D, ts: np.ndarray) -> np.ndarray:
-    """psi at every frequency of the 1-D array ts.
+def _quadrature_exponents(measure: LevyMeasure1D, ts: np.ndarray) -> np.ndarray:
+    """psi at every frequency of the 1-D array ts by quadrature.
 
     Nonzero frequencies go through the family's quadrature in blocks of
     at most _BLOCK, one pass per block: the node-only factors are computed
@@ -181,11 +228,167 @@ def _char_exponents(measure: LevyMeasure1D, ts: np.ndarray) -> np.ndarray:
     return out
 
 
+_U = 2.0**-53  # unit roundoff of a double
+_SERIES_TOL = 1e-13  # the series answers where its error bound is below this times |psi|
+_SERIES_ORDERS = 88  # the series runs over the orders m = 2..89
+_N_EVEN = (_SERIES_ORDERS + 1) // 2  # of them even, the larger half
+# an n-term sum in any order errs by at most (n - 1) u / (1 - (n - 1) u) of its sum of |terms|
+_SUM_ERR = (_N_EVEN - 1) * _U / (1.0 - (_N_EVEN - 1) * _U)
+
+
+@dataclass(frozen=True)
+class _SeriesTable:
+    """A shape's cumulant series psi(t) = sum_m kappa_m (it)^m / m!.
+
+    orders holds m = 2..89, the even ones first (they make Re psi) and
+    then the odd ones (Im psi); coef the weight-free log kappa_m - log m!;
+    signs the sign of i^m's real or imaginary unit; err the per-term
+    error weights, one row each for the parts of the bound that do not
+    depend on the frequency or weight, that scale with |log_weight| and
+    that scale with |log |t||; reach the |t| from which no frequency can
+    pass (see _series_table)."""
+
+    orders: np.ndarray
+    coef: np.ndarray
+    signs: np.ndarray
+    err: np.ndarray
+    reach: float
+
+
+def _remainder(term_top: np.ndarray, at: np.ndarray, m_top: float) -> np.ndarray:
+    """Bound on the series past its top order m_top, for |t| < m_top + 2:
+    kappa_(m+1) <= kappa_m on (0, 1), so each later term is at most
+    |t| / (m + 1) times the one before, and the remainder is at most
+    |term_top| r / (1 - q), r = |t| / (m_top + 1), q = |t| / (m_top + 2)."""
+    return term_top * (at / (m_top + 1.0)) / (1.0 - at / (m_top + 2.0))
+
+
+@functools.lru_cache(maxsize=256)
+def _series_table(shape) -> _SeriesTable:
+    """Keyed by shape, which fixes every coefficient; the weight is added
+    per call. 256 entries hold the shapes of a 128-law sweep.
+
+    Each coefficient is a log_moment less log_gamma(m + 1), and 4 u of
+    the two logs' sizes bound its error. The reach is where the part of
+    the bound that every frequency carries, over the second term
+    kappa_2 t^2 / 2 (an upper bound on |psi|), reaches _SERIES_TOL:
+    the coefficients', sums' and exps' errors, the |log t| part for
+    t > 1, and the remainder. Each grows with |t|, so no frequency at or
+    above the reach can pass; it is found by bisection in log t.
+    """
+    orders = np.concatenate(
+        [np.arange(2, 2 + _SERIES_ORDERS, 2), np.arange(3, 2 + _SERIES_ORDERS, 2)]
+    ).astype(float)
+    log_fact = [log_gamma(m + 1.0) for m in orders]
+    coef = np.array([shape.log_moment(int(m)) - lf for m, lf in zip(orders, log_fact)])
+    size = np.array([shape.log_moment_size(int(m)) + lf + 2.0 for m, lf in zip(orders, log_fact)])
+    # per term, over |term|: the coefficient, the exponent's sum and
+    # weight addition (2 u |coef + log_weight|), the exp and the sums
+    base = 4.0 * _U * size + 2.0 * _U * (np.abs(coef) + 1.0) + _SUM_ERR
+    err = np.stack([base, np.full_like(base, 2.0 * _U), 4.0 * _U * orders])
+    top = int(np.argmax(orders))
+
+    def excess(lt: float) -> float:
+        rel = np.exp(coef - coef[0] + (orders - 2.0) * lt)  # term_m / term_2
+        return (
+            float(np.sum(rel * (base + 4.0 * _U * orders * max(lt, 0.0))))
+            + float(_remainder(rel[top], math.exp(lt), orders[top]))
+            - _SERIES_TOL
+        )
+
+    # up to the remainder's pole at m_top + 2; a frequency the reach
+    # excludes goes to the quadrature, so the reach costs no accuracy
+    lo, hi = math.log(1e-3), math.log(orders[top] + 2.0)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if excess(mid) <= 0.0 else (lo, mid)
+    signs = np.where(orders % 4.0 < 2.0, 1.0, -1.0)
+    for shared in (orders, coef, signs, err):  # every caller gets these arrays
+        shared.flags.writeable = False
+    return _SeriesTable(orders=orders, coef=coef, signs=signs, err=err, reach=math.exp(hi))
+
+
+def _series_exponents(measure: LevyMeasure1D, ts: np.ndarray):
+    """psi by the cumulant series on the leading run of the frequencies ts
+    (nonzero, ascending in |t|) whose error bound is at most _SERIES_TOL
+    |psi|: (the values, their bounds), both as long as that run.
+
+    Every term is one exp of w + log kappa_m - log m! + m log|t|, w the
+    log_weight; its sign comes from i^m and sign(t)^m. The bound has
+    three parts, first order in the unit roundoff u:
+    - each term's exp-of-log, relative to the term: the coefficient's
+      own error, 2 u (|log kappa_m - log m!| + |w|) for the weight's
+      addition and the exponent's sum, 4 u m |log|t|| for log|t| (1 ulp)
+      and its product, and 2 u for the exp;
+    - the two sums, Re over the even orders and Im over the odd ones, in
+      any order: _SUM_ERR times their sum of |terms|;
+    - the truncation after the top order (_remainder);
+    plus 2^-1074 per term for subnormal underflow. A frequency is kept
+    when bound <= _SERIES_TOL (|psi| - bound), so the bound is at most
+    _SERIES_TOL times the true |psi|; the run ends at the first that is
+    not, and the frequencies from the table's reach on are not tried.
+    Each row's value is computed from its own frequency alone, so it is
+    the same in any block; rows go _BLOCK at a time.
+    """
+    table = _series_table(measure.shape)
+    at = np.abs(ts)
+    n = int(np.searchsorted(at, table.reach, side="left"))
+    g = table.coef + measure.log_weight
+    top = int(np.argmax(table.orders))
+    psis, bounds = [], []
+    for start in range(0, n, _BLOCK):
+        rows = slice(start, min(start + _BLOCK, n))
+        lam = np.log(at[rows])
+        terms = np.exp(g + lam[:, None] * table.orders)
+        signed = terms * table.signs
+        psi = np.empty(len(lam), dtype=complex)
+        psi.real = np.sum(signed[:, :_N_EVEN], axis=1)
+        psi.imag = np.sum(signed[:, _N_EVEN:], axis=1) * np.sign(ts[rows])
+        parts = np.einsum("ij,kj->ki", terms, table.err)
+        bound = parts[0] + abs(measure.log_weight) * parts[1] + np.abs(lam) * parts[2]
+        bound += _remainder(terms[:, top], at[rows], table.orders[top])
+        bound += len(table.orders) * 2.0**-1074
+        ok = bound <= _SERIES_TOL * (np.abs(psi) - bound)
+        kept = len(lam) if ok.all() else int(np.argmin(ok))
+        psis.append(psi[:kept])
+        bounds.append(bound[:kept])
+        if kept < len(lam):
+            break
+    if not psis:
+        return np.zeros(0, dtype=complex), np.zeros(0)
+    return np.concatenate(psis), np.concatenate(bounds)
+
+
+def _char_exponents(measure: LevyMeasure1D, ts: np.ndarray) -> np.ndarray:
+    """psi at every frequency of the 1-D array ts, each by one route.
+
+    The nonzero frequencies, taken in order of |t|, go to the cumulant
+    series (_series_exponents) as long as its stated bound is at most
+    _SERIES_TOL |psi|; the rest, in their given order, go to the
+    quadrature (_quadrature_exponents). The frequencies the series
+    answers are therefore those of |t| below the first it cannot.
+    """
+    ts = np.asarray(ts, dtype=float)
+    out = np.zeros(ts.shape, dtype=complex)
+    todo = ts != 0.0
+    nonzero = np.flatnonzero(todo)
+    by_size = nonzero[np.argsort(np.abs(ts[nonzero]), kind="stable")]
+    psi, _ = _series_exponents(measure, ts[by_size])
+    series = by_size[: len(psi)]
+    out[series] = psi
+    todo[series] = False
+    rest = np.flatnonzero(todo)
+    if rest.size:
+        out[rest] = _quadrature_exponents(measure, ts[rest])
+    return out
+
+
 def char_exponent(measure: LevyMeasure1D, t: float) -> complex:
     """Log of the characteristic function at t; Re <= 0, psi(0) = 0.
 
-    Quadrature in the variable of the measure's shape; a batch of one
-    through the block path that invert_to_density uses.
+    A batch of one through the path invert_to_density uses: the cumulant
+    series where its bound certifies 1e-13 relative, else quadrature in
+    the variable of the measure's shape.
     """
     return _char_exponents(measure, np.array([float(t)]))[0]
 

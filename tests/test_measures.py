@@ -139,6 +139,18 @@ class TestExactMoments:
                     )
                 assert abs(log_variance(pair) - want) <= 1e-14, (b, d)
 
+    @pytest.mark.parametrize(
+        "shape", [PairShape(DimensionPair(4, 3)), PairShape(DimensionPair(40, 21)), LimitShape(1),
+                  LimitShape(3)],
+        ids=["p43", "p40_21", "l1", "l3"],
+    )
+    def test_moment_is_the_exp_of_log_moment(self, shape):
+        for log_weight in (0.0, -1.25, 3.5):
+            for m in (2, 3, 7, 40):
+                log_moment = shape.log_moment(m, log_weight)
+                assert shape.moment(m, log_weight) == math.exp(log_moment)
+                assert log_moment == shape.log_moment(m) + log_weight
+
     def test_third_cumulant_frozen(self):
         assert math.isclose(cumulant(DimensionPair(4, 3), 3), 0.5 * math.pi, rel_tol=1e-14)
 
@@ -201,6 +213,15 @@ class TestCodimLimit:
                 want = limit_moment_oracle(b, m)
                 got = codim_limit_cumulant(b, m)
                 assert math.isclose(got, want, rel_tol=1e-9), (b, m)
+
+    def test_log_moment_stays_finite_where_the_moment_underflows(self):
+        # (m - 1)^(-b/2) is below the double range at b = 342, m = 89
+        shape = LimitShape(342)
+        assert shape.moment(89) == 0.0
+        assert shape.log_moment(89) == -171.0 * math.log(88.0)
+        with mpmath.workdps(30):
+            want = -171 * mpmath.log(88)
+        assert abs(shape.log_moment(89) - want) <= 4.0 * 2.0**-53 * shape.log_moment_size(89)
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -3,14 +3,16 @@
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
 
-from conftest import cached_density, peak_rss_rise_mb, psi_oracle
+from conftest import admissible_pairs, cached_density, peak_rss_rise_mb, psi_oracle
 from hyplevy.errors import DecayDetectionError, DomainError, QuadratureError
-from hyplevy.measures import DimensionPair, LevyMeasure1D, make_measure
+from hyplevy.measures import DimensionPair, LevyMeasure1D, LimitShape, PairShape, make_measure
 from hyplevy.pairs import cumulant, variance
+from hyplevy.specfun import log_gamma
 from hyplevy import spectral
 from hyplevy.spectral import (
     STANDARD_NORMAL,
@@ -27,7 +29,9 @@ from hyplevy.spectral import (
     _char_exponents,
     _exponent_rule,
     _phase_kernel,
+    _quadrature_exponents,
     _safe_index,
+    _series_exponents,
 )
 
 RESC43 = make_measure("rescaled", DimensionPair(4, 3))
@@ -58,6 +62,15 @@ def quad_log(monkeypatch):
 
         monkeypatch.setattr(spectral, name, wrapper)
     return log
+
+
+@pytest.fixture
+def quadrature_route(monkeypatch):
+    """Every frequency through the quadrature route: the cumulant series
+    answers none."""
+    monkeypatch.setattr(
+        spectral, "_series_exponents", lambda measure, ts: (np.zeros(0, complex), np.zeros(0))
+    )
 
 
 @pytest.fixture
@@ -230,10 +243,16 @@ class TestCharExponent:
         assert abs(char_exponent(measure, 1.0) + 0.5) <= 1e-12
         assert abs(invert_to_density(measure).meta["variance"] - 1.0) <= 1e-12
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_limit_family_with_an_unrepresentable_integrand_raises(self):
-        with pytest.raises(QuadratureError):
-            char_exponent(make_measure("limit", 400), 1.0)
+    @pytest.mark.parametrize("b", [344, 400])
+    def test_limit_family_past_the_quadrature_range(self, b):
+        # the quadrature's integrand is unrepresentable here (it raises
+        # QuadratureError), and the cumulant series answers every grid
+        # frequency up to the cutoff
+        measure = make_measure("limit", b)
+        assert abs(char_exponent(measure, 1.0) + 0.5) <= 1e-12
+        assert abs(invert_to_density(measure).meta["variance"] - 1.0) <= 1e-12
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(QuadratureError):
+            _quadrature_exponents(measure, np.array([1.0]))
 
     def test_small_frequency_curvature_is_the_variance(self):
         # (2 - cf(h) - cf(-h)) / h^2 recovers the second cumulant
@@ -267,7 +286,7 @@ class TestBlockExponents:
     def test_blocks_agree_with_one_dimensional_calls(self, measure, quad_log, monkeypatch):
         ts = np.linspace(0.05, 40.0, 70)
         ts[40] = 300.0  # needs level >= 7, so the second block refines past 6
-        got = _char_exponents(measure, ts)
+        got = _quadrature_exponents(measure, ts)
         assert _BLOCK == 32
         assert [rec["rows"] for rec in quad_log] == [(32,), (32,), (6,)]
         assert quad_log[1]["points"] >= 1565 > quad_log[0]["points"]
@@ -279,19 +298,152 @@ class TestBlockExponents:
         # every row, the ones frozen at level 6 beside the level-7 row
         # included, meets its own tolerance against a tighter evaluation
         monkeypatch.setattr(spectral, "_REL_TOL", 1e-13)
-        tight = _char_exponents(measure, ts)
+        tight = _quadrature_exponents(measure, ts)
         assert np.all(np.abs(got - tight) <= 1e-11 * np.abs(tight))
 
     def test_zero_frequencies_cost_nothing(self, quad_log):
-        got = _char_exponents(RESC43, np.array([0.0, 1.0, 0.0]))
+        got = _quadrature_exponents(RESC43, np.array([0.0, 1.0, 0.0]))
         assert got[0] == got[2] == 0.0
-        assert got[1] == char_exponent(RESC43, 1.0)
+        assert got[1] == _quadrature_exponents(RESC43, np.array([1.0]))[0]
         assert [rec["rows"] for rec in quad_log] == [(1,), (1,)]
 
     def test_level_five_to_six_evaluates_783_points(self, quad_log):
-        char_exponent(RESC43, 1.0)
-        char_exponent(LIMIT2, 1.0)
+        _quadrature_exponents(RESC43, np.array([1.0]))
+        _quadrature_exponents(LIMIT2, np.array([1.0]))
         assert [rec["points"] for rec in quad_log] == [783, 783]
+
+
+def log_kappa_mp(shape, m):
+    """log kappa_m of the weight-free shape at the working precision."""
+    if isinstance(shape, LimitShape):
+        return -mpmath.mpf(shape.codim) / 2 * mpmath.log(m - 1)
+    d, k = shape.pair.d, shape.pair.k
+    p = mpmath.mpf((k - 1) * m - (d - 1)) / 2
+    b = mpmath.mpf(d - k) / 2
+    return b * mpmath.log(mpmath.pi) + mpmath.loggamma(p) - mpmath.loggamma(p + b)
+
+
+def psi_series_mp(measure, t):
+    """psi of the measure as its two fields define it (the float
+    log_weight taken as exact) by the cumulant series at 30 digits, summed
+    until a term falls below 10^-40 of the sum of |terms| so far."""
+    with mpmath.workdps(30):
+        t = mpmath.mpf(float(t))
+        total, size, m = mpmath.mpc(0), mpmath.mpf(0), 2
+        while True:
+            log_term = (
+                mpmath.mpf(measure.log_weight) + log_kappa_mp(measure.shape, m)
+                + m * mpmath.log(abs(t)) - mpmath.loggamma(m + 1)
+            )
+            term = mpmath.exp(log_term)
+            total += term * (1j * mpmath.sign(t)) ** m
+            size += term
+            if m > abs(t) + 2 and term < mpmath.mpf(10) ** -40 * size:
+                return total
+            m += 1
+
+
+SERIES_LAWS = [RESC43, HYP75, LIMIT1, LIMIT2, LIMIT3]
+SERIES_IDS = ["resc43", "hyp75", "limit1", "limit2", "limit3"]
+
+
+class TestSeriesExponents:
+    """The cumulant-series route and its stated error bound."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("measure", SERIES_LAWS, ids=SERIES_IDS)
+    def test_error_is_within_the_stated_bound(self, measure, sign):
+        ts = sign * np.geomspace(1e-3, 40.0, 60)
+        psi, bound = _series_exponents(measure, ts)
+        # a run of them passes, not all
+        assert 30 <= len(psi) < len(ts)
+        for t, got, b in zip(ts, psi, bound):
+            want = psi_series_mp(measure, t)
+            assert abs(mpmath.mpc(got) - want) <= b, t
+            assert b <= 1e-13 * abs(want), t
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            [PairShape(DimensionPair(d, k)) for d, k in admissible_pairs(24)],
+            [PairShape(DimensionPair(d, k)) for d, k in ((40, 21), (60, 31), (200, 199), (1000, 990))],
+            [LimitShape(b) for b in (1, 2, 3, 4, 5, 6, 221, 344, 1000)],
+        ],
+        ids=["pairs_to_d24", "large_pairs", "limits"],
+    )
+    def test_coefficients_are_within_their_stated_error(self, shapes):
+        # log kappa_m - log m! within 4 u of the two logs' term sizes
+        for shape in shapes:
+            table = spectral._series_table(shape)
+            for m, coef in zip(table.orders, table.coef):
+                m = int(m)
+                with mpmath.workdps(30):
+                    want = log_kappa_mp(shape, m) - mpmath.loggamma(m + 1)
+                size = shape.log_moment_size(m) + log_gamma(m + 1.0) + 2.0
+                assert abs(coef - want) <= 4.0 * spectral._U * size, (shape, m)
+
+    @pytest.mark.parametrize("measure", SERIES_LAWS, ids=SERIES_IDS)
+    def test_the_series_answers_an_initial_interval_of_frequencies(self, measure, monkeypatch):
+        # +- t in shuffled order: the series takes every |t| below the
+        # first it cannot certify and the quadrature every one above
+        quadrature = []
+        real = spectral._quadrature_exponents
+
+        def record(m, ts):
+            quadrature.extend(np.abs(ts))
+            return real(m, ts)
+
+        monkeypatch.setattr(spectral, "_quadrature_exponents", record)
+        grid = np.linspace(0.05, 12.0, 60)
+        ts = np.random.default_rng(5).permutation(np.concatenate([grid, -grid]))
+        got = _char_exponents(measure, ts)
+        through_series = np.setdiff1d(np.abs(ts), quadrature)
+        assert through_series.size and quadrature
+        assert np.max(through_series) < np.min(quadrature)
+        # and each value is the one of its own route
+        series = np.isin(np.abs(ts), through_series)
+        alone, _ = _series_exponents(measure, ts[series][np.argsort(np.abs(ts[series]))])
+        np.testing.assert_array_equal(np.sort_complex(got[series]), np.sort_complex(alone))
+        want = real(measure, ts)
+        assert np.all(np.abs(got - want) <= 1e-11 * np.abs(want))
+
+    @pytest.mark.parametrize("measure", SERIES_LAWS, ids=SERIES_IDS)
+    def test_a_row_is_the_same_alone_as_in_a_block(self, measure):
+        ts = np.linspace(0.01, 8.0, 3 * _BLOCK)
+        block, _ = _series_exponents(measure, ts)
+        assert len(block) > _BLOCK // 2
+        for t, want in zip(ts, block):
+            alone, _ = _series_exponents(measure, np.array([t]))
+            assert alone.tobytes() == np.array([want]).tobytes()
+
+    @pytest.mark.parametrize(
+        "measure, mixed",
+        [(RESC43, True), (LIMIT2, True), (make_measure("rescaled", DimensionPair(20, 15)), False)],
+        ids=["resc43", "limit2", "resc20_15"],
+    )
+    def test_each_grid_frequency_is_evaluated_once_by_one_route(self, measure, mixed, monkeypatch):
+        routes = {"series": [], "quadrature": []}
+        series, quadrature = spectral._series_exponents, spectral._quadrature_exponents
+
+        def record_series(m, ts):
+            psi, bound = series(m, ts)
+            routes["series"].extend(ts[: len(psi)])
+            return psi, bound
+
+        def record_quadrature(m, ts):
+            routes["quadrature"].extend(ts)
+            return quadrature(m, ts)
+
+        monkeypatch.setattr(spectral, "_series_exponents", record_series)
+        monkeypatch.setattr(spectral, "_quadrature_exponents", record_quadrature)
+        grid = invert_to_density(measure)
+        dt = grid_step(measure)
+        i_cut = round(grid.meta["cf_cutoff"] / dt)
+        ks = {route: [round(t / dt) for t in ts] for route, ts in routes.items()}
+        assert sorted(ks["series"] + ks["quadrature"]) == list(range(1, i_cut + 1))
+        # the series takes the grid's first frequencies, 1..j
+        assert sorted(ks["series"]) == list(range(1, len(ks["series"]) + 1))
+        assert bool(ks["quadrature"]) == mixed
 
 
 class TestInversionWork:
@@ -330,7 +482,7 @@ class TestInversionWork:
         ids=["resc43", "limit2"],
     )
     def test_each_grid_frequency_up_to_the_cutoff_is_evaluated_once(
-        self, measure, i_cut, rows, exponent_calls, quad_log
+        self, measure, i_cut, rows, quadrature_route, exponent_calls, quad_log
     ):
         grid = invert_to_density(measure)
         dt = grid_step(measure)
@@ -366,7 +518,9 @@ class TestInversionWork:
         nyquist = dt / (2.0 * math.pi) * abs(cf[n // 2])
         assert nyquist > 1e6 * bound
 
-    def test_undetected_decay_evaluates_only_the_probes(self, exponent_calls, quad_log):
+    def test_undetected_decay_evaluates_only_the_probes(
+        self, quadrature_route, exponent_calls, quad_log
+    ):
         # k_safe = 1e6 sqrt(2 ln 1e12 - 2) / pi is far above n/2 = 128: no
         # probe can reach the threshold, and only the top one is evaluated
         # for the |cf| the error reports
@@ -378,7 +532,7 @@ class TestInversionWork:
         assert info.value.achieved == ladder_reference(LIMIT2, 1e6, 256, 1e-12)[1]
 
     def test_a_top_probe_seed_that_passes_raises_after_one_evaluation(
-        self, exponent_calls, quad_log, monkeypatch
+        self, quadrature_route, exponent_calls, quad_log, monkeypatch
     ):
         # k_safe = 96 sqrt(2 ln 100 - 2) / pi = 82 makes the top probe 128 the
         # seed; limit b = 1 keeps |cf| >= 1e-2 there, so no probe can be the
@@ -531,8 +685,10 @@ class TestPhaseKernel:
             return real(t, x, top, powers, forced)
 
         monkeypatch.setattr(spectral, "_phase_kernel", record)
-        _char_exponents(measure, np.geomspace(1e-3, 3e3, 32))
+        _quadrature_exponents(measure, np.geomspace(1e-3, 3e3, 32))
         assert max(len(c[1]) for c in calls) > spectral._CHUNK
+        # and columns where x rounds to 1.0, which take y = t per row
+        assert any(np.any(c[1] == 1.0) for c in calls)
         for t, x, top, powers, forced in calls:
             # the nodes are monotone, as the spans assume
             steps = np.diff(x)
