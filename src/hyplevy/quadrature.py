@@ -18,17 +18,25 @@ Refinement runs from level 5 to level 12 at most; the levels are fixed,
 not parameters. The tolerances rel_tol and abs_tol are the callers': the
 sampler's moments ask for 1e-12 and the characteristic exponent for 1e-11.
 
-An integrand may return a (..., n_nodes) array, one row per integral
-sharing the nodes; the sum runs over the last axis. Each row converges on
-its own test |S_L - S_{L-1}| <= max(abs_tol, rel_tol |S_L|) and keeps the
-value of the first level that passes it, which is the value a 1-D call on
-that row alone returns; the rule returns once every row has passed.
+An integrand returns its (n_nodes,) values for one integral, or a
+RowBatch for n integrals sharing the nodes: n, and a function of an index
+array of rows that gives those rows' (len(rows), n_nodes) values. The
+integrand is called once per level, so a batch's node-only factors are
+computed once per level, and its rows are evaluated in tiles of at most
+_TILE elements (rows x nodes), whole rows each, which bounds the
+temporaries whatever the batch's size. Each row converges on its own
+test |S_L - S_{L-1}| <= max(abs_tol, rel_tol |S_L|) and keeps the value
+of the first level that passes it; a level evaluates only the rows that
+have not passed yet, and the rule returns once every row has passed.
+Every step is elementwise or a sum over one row's nodes, so a row's value
+is the one a batch of that row alone returns.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,6 +45,7 @@ from .errors import QuadratureError
 _T_MAX = 6.11  # |(pi/2) sinh t| ~ 350 here, transformed weights underflow beyond
 _MIN_LEVEL = 5  # the first level, 391 nodes
 _MAX_LEVEL = 12  # the last level tried before QuadratureError
+_TILE = 1 << 16  # elements (rows x nodes) per call of a batch's row function
 
 
 def _level_steps(level: int, new_only: bool) -> tuple[float, np.ndarray]:
@@ -88,24 +97,56 @@ def _weighted_sum(w: np.ndarray, vals) -> np.ndarray:
     return np.sum(w * vals, axis=-1)
 
 
+class RowBatch(NamedTuple):
+    """n integrals sharing a level's nodes: values(rows) gives the
+    (len(rows), n_nodes) values of the rows in the index array rows, as a
+    fresh array the rule may weight in place."""
+
+    n: int
+    values: Callable[[np.ndarray], np.ndarray]
+
+
+def _level_sums(values, w: np.ndarray, live) -> np.ndarray:
+    """The weighted sums over one level's nodes w of an integrand's values
+    there: of its one integral, or of a RowBatch's rows live (all of them
+    if None), in tiles of at most _TILE elements."""
+    if not isinstance(values, RowBatch):
+        if np.ndim(values) != 1:
+            raise ValueError("an integrand returns (n_nodes,) values or a RowBatch")
+        return _weighted_sum(w, values)
+    live = np.arange(values.n) if live is None else live
+    step = max(1, _TILE // len(w))
+    return np.concatenate(
+        [_weighted_sum(w, values.values(live[i : i + step])) for i in range(0, len(live), step)]
+    )
+
+
 def _refine(level_sum, where: str, rel_tol: float, abs_tol: float):
     """Run the nested levels _MIN_LEVEL.._MAX_LEVEL; level_sum(level,
-    new_only) is the weighted sum over that level's (new) nodes. Returns
-    each row's value at the first level where it passes its test."""
-    cur = level_sum(_MIN_LEVEL, False)
-    result = cur
-    done = np.zeros(np.shape(cur), dtype=bool)
+    new_only, live) is the weighted sum over that level's (new) nodes: a
+    scalar for one integral, or an array over the rows live of a batch
+    (all of them at the first level). Returns each row's value at the
+    first level where it passes its test; after each level only the rows
+    that have not passed go on."""
+    cur = level_sum(_MIN_LEVEL, False, None)
+    batch = np.ndim(cur) == 1
+    live = np.arange(len(cur)) if batch else None
+    result = np.empty_like(cur)
     for level in range(_MIN_LEVEL + 1, _MAX_LEVEL + 1):
         prev = cur
-        cur = 0.5 * prev + level_sum(level, True)
+        cur = 0.5 * prev + level_sum(level, True, live)
         err = np.abs(cur - prev)
         passed = err <= np.maximum(abs_tol, rel_tol * np.abs(cur))
-        result = np.where(done, result, cur)
-        done |= passed
-        if np.all(done):
-            return result[()]
-    worst = float(np.max(err[~done]))
-    rows = f", the worst of {np.count_nonzero(~done)} unconverged rows" if done.ndim else ""
+        if passed.all():
+            if not batch:
+                return cur
+            result[live] = cur
+            return result
+        if passed.any():
+            result[live[passed]] = cur[passed]
+            live, cur, err = live[~passed], cur[~passed], err[~passed]
+    worst = float(np.max(err))
+    rows = f", the worst of {len(live)} unconverged rows" if batch else ""
     raise QuadratureError(
         f"{where} did not converge by level {_MAX_LEVEL} (last delta {worst:.3e}{rows})"
     )
@@ -122,19 +163,19 @@ def tanh_sinh(
     """Integrate f over (a, b).
 
     f(x, dist_b) is called with node arrays, dist_b = b - x computed
-    stably; it may return real or complex values, of shape (n_nodes,) or
-    (..., n_nodes) for a batch of integrals (an array of results). The
-    returned array is handed over: the rule may weight it in place, so f
-    must not return an array it keeps. Raises
-    QuadratureError if consecutive levels never agree to tolerance.
+    stably; it may return real or complex values of shape (n_nodes,), or
+    a RowBatch of n integrals, whose result is an array of n. The
+    returned values are handed over: the rule may weight them in place,
+    so f must not return an array it keeps. Raises QuadratureError if
+    consecutive levels never agree to tolerance.
     """
     if not b > a:
         raise QuadratureError(f"empty interval ({a}, {b})")
     scale = b - a
 
-    def level_sum(level: int, new_only: bool):
+    def level_sum(level: int, new_only: bool, live):
         s, s1, w = _ts_nodes(level, new_only)
-        return scale * _weighted_sum(w, f(a + scale * s, scale * s1))
+        return scale * _level_sums(f(a + scale * s, scale * s1), w, live)
 
     return _refine(level_sum, f"tanh_sinh on ({a}, {b})", rel_tol, abs_tol)
 
@@ -151,13 +192,13 @@ def exp_sinh(
     f(x) is called with node arrays (positions a + u, u on a
     double-exponential grid spanning roughly 1e-300 .. 1e300); the
     integrand must return finite values (for example 0) over that whole
-    range, of shape (n_nodes,) or (..., n_nodes), and handed over, as for
+    range, of shape (n_nodes,) or as a RowBatch, and handed over, as for
     tanh_sinh.
     """
 
-    def level_sum(level: int, new_only: bool):
+    def level_sum(level: int, new_only: bool, live):
         x, w = _es_nodes(level, new_only)
-        return _weighted_sum(w, f(a + x))
+        return _level_sums(f(a + x), w, live)
 
     return _refine(level_sum, f"exp_sinh on ({a}, inf)", rel_tol, abs_tol)
 

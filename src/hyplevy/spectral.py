@@ -32,16 +32,19 @@ on (0, 1) for a dimension pair, v = -log x on (0, inf) for the
 codimension limit, which makes the integrand analytic away from the
 endpoints; the measure's weight multiplies the result. Every psi
 quadrature runs to the relative tolerance 1e-11 (_REL_TOL), which is
-fixed, not a parameter. Frequencies are evaluated in blocks: one
-quadrature pass per block of up to 32 frequencies computes the node-only
-factors (the u powers, the endpoint factor) once per level and only the
-phase terms per frequency, and each frequency keeps the level at which
-it alone converges. The scalar char_exponent is a block of one. Each
-phase term e^{itx} - 1 - itx is computed in one form, its quartic Taylor
-form in t where |t x| < 1e-4 and the sine form elsewhere: the nodes are
-monotone in x within a level, so comparing max|t| x and min|t| x with
-1e-4 splits the columns into all-small, all-large and mixed spans, and
-only the mixed span needs a per-element mask.
+fixed, not a parameter. The frequencies of one call are one batch: a
+single quadrature pass computes the node-only factors (the u powers, the
+endpoint factor) once per level and the phase terms only for the
+frequencies not yet converged, in row tiles of at most 2^16 elements
+(hyplevy.quadrature._TILE), so the temporaries stay cache-sized however
+many frequencies there are; each frequency keeps the level at which it
+alone converges, and so its value does not depend on the batch. The
+scalar char_exponent is a batch of one. Each phase term
+e^{itx} - 1 - itx is computed in one form, its quartic Taylor form in t
+where |t x| < 1e-4 and the sine form elsewhere: the nodes are monotone
+in x within a level, so comparing max|t| x and min|t| x with 1e-4 splits
+the columns into all-small, all-large and mixed spans, and only the
+mixed span needs a per-element mask.
 
 Densities come from sampling exp(psi) on a uniform frequency grid,
 truncating where |cf| falls below the threshold 1e-12 (_DECAY_THRESHOLD,
@@ -51,12 +54,14 @@ by a bound: 1 - cos u <= u^2 / 2 gives |cf(t)| >= exp(-sigma^2 t^2 / 2),
 and on the grid sigma t = k pi / half_width, so every probe k <= k_safe =
 half_width sqrt(2 ln(1/threshold) - 2) / pi passes with |cf| >= e
 threshold. The first psi call therefore evaluates k = 1 up to the
-first probe >= k_safe as one block (1..32 at the defaults); the probes
-above it are evaluated one at a time, and the grid then evaluates the
-remaining frequencies up to the cutoff in blocks. The probes are still
-checked in order from their values, so the cutoff is that of the plain
-search; no frequency is evaluated twice and none above the cutoff is
-used.
+first probe >= k_safe as one batch (1..32 at the defaults); each probe
+above it is evaluated together with the grid frequencies between it and
+the probe below (33..64, then 65..128, ...), which the grid needs anyway
+if it is the cutoff. So a density makes one quadrature pass for the
+seed's batch and one per probe checked above it, and none for a probe
+alone. The probes are still checked in order from their values, so the
+cutoff is that of the plain search; no frequency is evaluated twice and
+none above the cutoff is used.
 
 Only the half spectrum k = 0..N/2 is built: cf(-t) = conj(cf(t))
 supplies the rest. With
@@ -84,7 +89,7 @@ import numpy as np
 
 from .errors import DecayDetectionError, DomainError
 from .measures import LevyMeasure1D
-from .quadrature import exp_sinh, tanh_sinh
+from .quadrature import _TILE, RowBatch, exp_sinh, tanh_sinh
 from .specfun import log_gamma
 
 __all__ = [
@@ -106,11 +111,11 @@ _REL_TOL = 1e-11  # relative tolerance of every psi quadrature
 _DECAY_THRESHOLD = 1e-12  # |cf| below which the spectrum is cut
 
 
-_CHUNK = 2048  # columns per kernel pass: its temporaries stay (block, 2048)
+_CHUNK = 2048  # columns per kernel pass: its temporaries stay (tile rows, 2048)
 
 
 def _phase_kernel(t, x, top, powers, forced=None) -> np.ndarray:
-    """(e^{iy} - 1 - iy) top on the (block, nodes) phases y = t x, with
+    """(e^{iy} - 1 - iy) top on the (rows, nodes) phases y = t x, with
     its quartic Taylor form in t where |y| < _SMALL_PHASE (or where the
     node mask forced is set); powers = (x^2, x^3, x^4, x^5) times top,
     which the caller builds in a form that stays finite where top alone
@@ -188,43 +193,32 @@ def _phase_kernel(t, x, top, powers, forced=None) -> np.ndarray:
     return out
 
 
-_BLOCK = 32  # frequencies per quadrature pass; (32, nodes) complex arrays stay cache-sized
-
-
-def _exponent_rule(measure: LevyMeasure1D):
-    """The measure's psi as a function of a column of frequencies (a
-    scalar frequency gives a 1-D integrand and a scalar psi): quadrature
-    in its shape's variable, tanh-sinh on (0, 1) or exp-sinh on
-    (0, inf), of the phase kernel on the shape's node factors."""
-    shape = measure.shape
-    coef = measure.coef
-
-    def psi(t):
-        def integrand(*nodes):
-            return _phase_kernel(t, *shape.phase_terms(*nodes))
-
-        rule = exp_sinh if shape.half_line else tanh_sinh
-        return coef * rule(integrand, rel_tol=_REL_TOL, abs_tol=1e-300)
-
-    return psi
-
-
 def _quadrature_exponents(measure: LevyMeasure1D, ts: np.ndarray) -> np.ndarray:
     """psi at every frequency of the 1-D array ts by quadrature.
 
-    Nonzero frequencies go through the family's quadrature in blocks of
-    at most _BLOCK, one pass per block: the node-only factors are computed
-    once per level and only the (block, nodes) phase terms per frequency.
-    Each row keeps the level at which it alone converges, so a value does
-    not depend on the block it shares.
+    The nonzero frequencies are one batch of the family's quadrature,
+    tanh-sinh on (0, 1) or exp-sinh on (0, inf) in its shape's variable,
+    so one pass runs over all of them: the shape's node factors are
+    computed once per level, and the (rows, nodes) phase terms only for
+    the rows that have not converged, in the rule's row tiles. Each row
+    keeps the level at which it alone converges, so its value is the one
+    a call with that frequency alone returns.
     """
     ts = np.asarray(ts, dtype=float)
     out = np.zeros(ts.shape, dtype=complex)
-    psi = _exponent_rule(measure)
     nonzero = np.flatnonzero(ts != 0.0)
-    for start in range(0, len(nonzero), _BLOCK):
-        rows = nonzero[start : start + _BLOCK]
-        out[rows] = psi(ts[rows, None])
+    if not nonzero.size:
+        return out
+    shape = measure.shape
+    t = ts[nonzero, None]
+
+    def integrand(*nodes):
+        terms = shape.phase_terms(*nodes)
+        return RowBatch(len(t), lambda rows: _phase_kernel(t[rows], *terms))
+
+    rule = exp_sinh if shape.half_line else tanh_sinh
+    psi = rule(integrand, rel_tol=_REL_TOL, abs_tol=1e-300)
+    out[nonzero] = measure.coef * psi
     return out
 
 
@@ -328,16 +322,18 @@ def _series_exponents(measure: LevyMeasure1D, ts: np.ndarray):
     _SERIES_TOL times the true |psi|; the run ends at the first that is
     not, and the frequencies from the table's reach on are not tried.
     Each row's value is computed from its own frequency alone, so it is
-    the same in any block; rows go _BLOCK at a time.
+    the same in any tile; rows go in tiles of at most _TILE elements
+    (rows x orders), the quadrature's budget.
     """
     table = _series_table(measure.shape)
     at = np.abs(ts)
     n = int(np.searchsorted(at, table.reach, side="left"))
     g = table.coef + measure.log_weight
     top = int(np.argmax(table.orders))
+    step = _TILE // len(table.orders)
     psis, bounds = [], []
-    for start in range(0, n, _BLOCK):
-        rows = slice(start, min(start + _BLOCK, n))
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
         lam = np.log(at[rows])
         terms = np.exp(g + lam[:, None] * table.orders)
         signed = terms * table.signs
@@ -497,16 +493,19 @@ def invert_to_density(
     |cf(t)| >= exp(-sigma^2 t^2 / 2), no probe up to
     k_safe = half_width sqrt(2 ln(1/threshold) - 2) / pi can be the
     cutoff, so k = 1 up to the first probe >= k_safe is evaluated as one
-    block and checked in order; the probes above it one at a time. When
+    batch and checked in order; each probe above it is evaluated in one
+    batch with the grid frequencies between it and the probe below. When
     that first probe is the top one n/2, or every probe is below k_safe
     (a window too wide for n_points), the top probe is evaluated alone
     first: if it does not drop below the threshold, DecayDetectionError
     is raised with its |cf| and nothing else is evaluated; otherwise
-    k = 1..n/2 - 1 follow as one block. DecayDetectionError is also
-    raised when no probe drops below the threshold. The bound takes
-    measure.total_second_moment as sigma^2; should the top probe of a
-    measure that understates it fail all the same, the whole ladder is
-    searched. The density on x_m = (m - n/2) dx, dx = 2 pi / (n dt), is
+    k = 1..n/2 - 1 follow as one batch. DecayDetectionError is also
+    raised when no probe drops below the threshold, once every frequency
+    up to the top probe (at most n/2 of them) has been evaluated. The
+    bound takes measure.total_second_moment as sigma^2; should the top
+    probe of a measure that understates it fail all the same, the whole
+    ladder is searched, each probe with the frequencies below it. The
+    density on x_m = (m - n/2) dx, dx = 2 pi / (n dt), is
     the half-spectrum sum
 
         f(x_m) = (dt / 2 pi) hfft[a]_m,  a_k = (-1)^k cf(k dt), k = 0..n/2,
@@ -529,12 +528,12 @@ def invert_to_density(
 
     # doubling search for the truncation frequency over the grid probes
     # i = 4, 8, 16, ... <= n/2. Every probe up to k_safe passes (see
-    # _safe_index), so the first call evaluates k = 1..seed as one block,
-    # seed being the first probe >= k_safe; above the seed, one probe per
-    # call. When the seed is the top probe, or no probe reaches k_safe,
-    # the top probe goes alone first. The probes are checked in order from
-    # their values, so the cutoff is the first probe below the threshold,
-    # as in a plain search.
+    # _safe_index), so the first call evaluates k = 1..seed as one batch,
+    # seed being the first probe >= k_safe; above the seed, one call per
+    # probe, with the frequencies below it. When the seed is the top
+    # probe, or no probe reaches k_safe, the top probe goes alone first.
+    # The probes are checked in order from their values, so the cutoff is
+    # the first probe below the threshold, as in a plain search.
     half = n // 2
     ladder = [4 << m for m in range((half // 4).bit_length())]
     top = ladder[-1]
@@ -567,8 +566,9 @@ def invert_to_density(
         evaluate(np.arange(1, seed + 1))
     for i_cut in checked:
         if not known[i_cut]:
-            a[i_cut] = char_function(measure, i_cut * dt)
-            known[i_cut] = True
+            # the probe goes with the grid frequencies below it not yet
+            # evaluated, all of which the grid needs if it is the cutoff
+            evaluate(np.flatnonzero(~known[: i_cut + 1]))
         achieved = float(abs(a[i_cut]))
         if achieved < _DECAY_THRESHOLD:
             break
@@ -580,8 +580,9 @@ def invert_to_density(
         )
     t_cut = i_cut * dt
 
-    # the rest up to the cutoff; nothing above it is placed, and neither
-    # is a probe at n/2, since the grid's top frequency is (n/2 - 1) dt
+    # the rest up to the cutoff, which only a top-probe cutoff after a
+    # failed bound leaves; nothing above it is placed, and neither is a
+    # probe at n/2, since the grid's top frequency is (n/2 - 1) dt
     ks = np.flatnonzero(~known[: i_cut + 1])
     if ks.size:
         evaluate(ks)

@@ -7,7 +7,7 @@ import pytest
 
 from hyplevy import quadrature
 from hyplevy.errors import QuadratureError
-from hyplevy.quadrature import _es_nodes, _ts_nodes, exp_sinh, tanh_sinh
+from hyplevy.quadrature import RowBatch, _es_nodes, _ts_nodes, exp_sinh, tanh_sinh
 from hyplevy.sampler import _GL_NODES, _GL_WEIGHTS
 
 
@@ -77,7 +77,7 @@ class TestLevelBounds:
         monkeypatch.setattr(quadrature, "_MAX_LEVEL", 8)
         scale = np.array([[1.0], [3.0]])
         with pytest.raises(QuadratureError) as batch:
-            tanh_sinh(lambda x, bm: scale / x)
+            tanh_sinh(lambda x, bm: RowBatch(2, lambda rows: scale[rows] / x))
         with pytest.raises(QuadratureError) as alone:
             tanh_sinh(lambda x, bm: 3.0 / x)
         assert "did not converge by level 8" in str(batch.value)
@@ -129,36 +129,71 @@ class TestNestedLevels:
 class TestBatchedRows:
     def test_rows_match_their_own_one_dimensional_calls(self):
         p = np.array([[0.5], [1.5], [4.0]])
-        got = tanh_sinh(lambda x, bm: x**p * np.log(x) ** 2)
+        got = tanh_sinh(lambda x, bm: RowBatch(3, lambda rows: x ** p[rows] * np.log(x) ** 2))
         assert got.shape == (3,)
         for row, pk in zip(got, p[:, 0]):
             alone = tanh_sinh(lambda x, bm: x**pk * np.log(x) ** 2)
             assert abs(row - alone) <= 1e-15 * abs(alone)
             assert math.isclose(row, 2.0 / (pk + 1.0) ** 3, rel_tol=1e-12)
         k = np.array([[1.0], [2.5]])
-        got = exp_sinh(lambda x: np.exp(k * np.log(x) - x))
+        got = exp_sinh(lambda x: RowBatch(2, lambda rows: np.exp(k[rows] * np.log(x) - x)))
         assert np.allclose(got, [1.0, math.gamma(3.5)], rtol=1e-12, atol=0.0)
 
     def test_each_row_stops_at_its_own_level(self, monkeypatch):
         # started at level 4 with abs_tol = 1, the unit row passes at level
         # 5 while the scaled row needs level 7; the unit row keeps its
         # level-5 value, the one its own 1-D call returns, and not the
-        # sharper level-7 sum
+        # sharper level-7 sum; levels 6 and 7 evaluate the scaled row only
         monkeypatch.setattr(quadrature, "_MIN_LEVEL", 4)
         kw = {"rel_tol": 0.0, "abs_tol": 1.0}
         scale = np.array([[1.0], [1e7]])
-        f = counted(lambda x, bm: scale * np.cos(200.0 * x))
+        live = []
+
+        def values(x, rows):
+            live.append(list(rows))
+            return scale[rows] * np.cos(200.0 * x)
+
+        f = counted(lambda x, bm: RowBatch(2, lambda rows: values(x, rows)))
         got = tanh_sinh(f, **kw)
         assert len(f.calls) == 4
+        assert live == [[0, 1], [0, 1], [1], [1]]
         alone = tanh_sinh(lambda x, bm: np.cos(200.0 * x), **kw)
         exact = math.sin(200.0) / 200.0
         assert got[0] == alone
         assert abs(alone - exact) > 1e-7
         assert abs(got[1] - 1e7 * exact) <= 1e-6
 
+    def test_rows_go_in_tiles_of_whole_rows(self, monkeypatch):
+        # 50 rows on level 5's 391 nodes and level 6's 392: a 4096-element
+        # budget gives tiles of 10 rows, each row whole, and the same bits
+        # as the one tile of the default budget
+        t = np.linspace(0.5, 3.0, 50)[:, None]
+        tiles = []
+
+        def f(x, bm):
+            def values(rows):
+                tiles.append((len(rows), np.size(x)))
+                return np.exp(1j * t[rows] * x)
+
+            return RowBatch(50, values)
+
+        whole = tanh_sinh(f)
+        assert [r for r, _ in tiles] == [50, 50]
+        tiles.clear()
+        monkeypatch.setattr(quadrature, "_TILE", 4096)
+        tiled = tanh_sinh(f)
+        assert [r for r, _ in tiles] == [10] * 10
+        assert max(r * n for r, n in tiles) <= 4096
+        assert tiled.tobytes() == whole.tobytes()
+
+    def test_an_array_integrand_is_one_integral(self):
+        # a batch comes as a RowBatch; an array must be (n_nodes,)
+        with pytest.raises(ValueError):
+            tanh_sinh(lambda x, bm: np.ones((2, len(x))))
+
     def test_complex_rows(self):
         t = np.array([[1.0], [-2.0]])
-        got = tanh_sinh(lambda x, bm: np.exp(1j * t * x))
+        got = tanh_sinh(lambda x, bm: RowBatch(2, lambda rows: np.exp(1j * t[rows] * x)))
         want = (np.exp(1j * t[:, 0]) - 1.0) / (1j * t[:, 0])
         assert np.max(np.abs(got - want)) <= 1e-13
 

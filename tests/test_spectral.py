@@ -1,5 +1,7 @@
 """Characteristic exponents, Fourier inversion, Kolmogorov distances."""
 
+import hashlib
+import json
 import math
 import sys
 
@@ -7,13 +9,15 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings, strategies as st
 
 from conftest import admissible_pairs, cached_density, peak_rss_rise_mb, psi_oracle
 from hyplevy.errors import DecayDetectionError, DomainError, QuadratureError
 from hyplevy.measures import DimensionPair, LevyMeasure1D, LimitShape, PairShape, make_measure
 from hyplevy.pairs import cumulant, variance
+from hyplevy.quadrature import RowBatch
 from hyplevy.specfun import log_gamma
-from hyplevy import spectral
+from hyplevy import quadrature, spectral
 from hyplevy.spectral import (
     STANDARD_NORMAL,
     CdfTable,
@@ -24,10 +28,8 @@ from hyplevy.spectral import (
     ks_distance,
     ks_distance_sample,
     taylor_remainder_bound,
-    _BLOCK,
     _SMALL_PHASE,
     _char_exponents,
-    _exponent_rule,
     _phase_kernel,
     _quadrature_exponents,
     _safe_index,
@@ -44,19 +46,26 @@ RESC40 = make_measure("rescaled", DimensionPair(40, 21))
 
 @pytest.fixture
 def quad_log(monkeypatch):
-    """One record per spectral quadrature call: the batch shape of the
-    integrand's values (() for a 1-D integrand) and the points evaluated."""
+    """One record per spectral quadrature pass: its rows (the batch's
+    size), and per level the points (nodes) evaluated and the rows whose
+    phase terms were computed there, summed over the row tiles."""
     log = []
     for name in ("tanh_sinh", "exp_sinh"):
         def wrapper(f, *args, rule=getattr(spectral, name), **kwargs):
-            rec = {"rows": None, "points": 0}
+            rec = {"rows": None, "points": [], "live": []}
             log.append(rec)
 
             def counted(x, *rest):
-                vals = f(x, *rest)
-                rec["rows"] = np.shape(vals)[:-1]
-                rec["points"] += np.size(x)
-                return vals
+                batch = f(x, *rest)
+                rec["rows"] = batch.n
+                rec["points"].append(np.size(x))
+                rec["live"].append(0)
+
+                def tile(rows):
+                    rec["live"][-1] += len(rows)
+                    return batch.values(rows)
+
+                return RowBatch(batch.n, tile)
 
             return rule(counted, *args, **kwargs)
 
@@ -285,16 +294,16 @@ class TestBlockExponents:
     )
     def test_blocks_agree_with_one_dimensional_calls(self, measure, quad_log, monkeypatch):
         ts = np.linspace(0.05, 40.0, 70)
-        ts[40] = 300.0  # needs level >= 7, so the second block refines past 6
+        ts[40] = 300.0  # needs level 7, the others pass at level 6
         got = _quadrature_exponents(measure, ts)
-        assert _BLOCK == 32
-        assert [rec["rows"] for rec in quad_log] == [(32,), (32,), (6,)]
-        assert quad_log[1]["points"] >= 1565 > quad_log[0]["points"]
+        # one pass: levels 5 and 6 over all 70 rows, level 7 over that row
+        assert [rec["rows"] for rec in quad_log] == [70]
+        assert quad_log[0]["points"] == [391, 392, 782]
+        assert quad_log[0]["live"] == [70, 70, 1]
         quad_log.clear()
-        psi = _exponent_rule(measure)
-        alone = np.array([psi(float(t)) for t in ts])
-        assert all(rec["rows"] == () for rec in quad_log)
-        assert np.all(np.abs(got - alone) <= 1e-14 * np.abs(alone))
+        alone = np.array([_quadrature_exponents(measure, np.array([t]))[0] for t in ts])
+        assert [rec["rows"] for rec in quad_log] == [1] * len(ts)
+        np.testing.assert_array_equal(got, alone)
         # every row, the ones frozen at level 6 beside the level-7 row
         # included, meets its own tolerance against a tighter evaluation
         monkeypatch.setattr(spectral, "_REL_TOL", 1e-13)
@@ -305,12 +314,14 @@ class TestBlockExponents:
         got = _quadrature_exponents(RESC43, np.array([0.0, 1.0, 0.0]))
         assert got[0] == got[2] == 0.0
         assert got[1] == _quadrature_exponents(RESC43, np.array([1.0]))[0]
-        assert [rec["rows"] for rec in quad_log] == [(1,), (1,)]
+        assert [rec["rows"] for rec in quad_log] == [1, 1]
+        assert _quadrature_exponents(RESC43, np.zeros(3)).tolist() == [0.0] * 3
+        assert len(quad_log) == 2
 
     def test_level_five_to_six_evaluates_783_points(self, quad_log):
         _quadrature_exponents(RESC43, np.array([1.0]))
         _quadrature_exponents(LIMIT2, np.array([1.0]))
-        assert [rec["points"] for rec in quad_log] == [783, 783]
+        assert [sum(rec["points"]) for rec in quad_log] == [783, 783]
 
 
 def log_kappa_mp(shape, m):
@@ -409,9 +420,9 @@ class TestSeriesExponents:
 
     @pytest.mark.parametrize("measure", SERIES_LAWS, ids=SERIES_IDS)
     def test_a_row_is_the_same_alone_as_in_a_block(self, measure):
-        ts = np.linspace(0.01, 8.0, 3 * _BLOCK)
+        ts = np.linspace(0.01, 8.0, 96)
         block, _ = _series_exponents(measure, ts)
-        assert len(block) > _BLOCK // 2
+        assert len(block) > 16
         for t, want in zip(ts, block):
             alone, _ = _series_exponents(measure, np.array([t]))
             assert alone.tobytes() == np.array([want]).tobytes()
@@ -474,10 +485,10 @@ class TestInversionWork:
     @pytest.mark.parametrize(
         "measure, i_cut, rows",
         [
-            # 1..32, probe 64, the 31 frequencies 33..63
-            (RESC43, 64, [(32,), (1,), (31,)]),
-            # 1..32, probes 64 and 128, the 94 frequencies left below 128
-            (LIMIT2, 128, [(32,), (1,), (1,), (32,), (32,), (30,)]),
+            # 1..32, then probe 64 with 33..63
+            (RESC43, 64, [32, 32]),
+            # 1..32, probe 64 with 33..63, probe 128 with 65..127
+            (LIMIT2, 128, [32, 32, 64]),
         ],
         ids=["resc43", "limit2"],
     )
@@ -488,14 +499,13 @@ class TestInversionWork:
         dt = grid_step(measure)
         assert round(grid.meta["cf_cutoff"] / dt) == i_cut
         index = [list(np.round(ts / dt).astype(int)) for ts in exponent_calls]
-        # k = 1..32 as one block (32 is the first probe >= k_safe = 27.9),
-        # the probes above it one per call, then the rest in blocks
-        assert index[0] == list(range(1, 33))
+        # k = 1..32 as one call (32 is the first probe >= k_safe = 27.9),
+        # then each probe above it with the frequencies below it: 33..64,
+        # 65..128, ...; so each k <= cutoff once, and none above it
         above = [p for p in probes(16384) if 32 < p <= i_cut]
-        assert index[1 : 1 + len(above)] == [[p] for p in above]
-        assert sorted(np.concatenate(index)) == list(range(1, i_cut + 1))
+        assert index == [list(range(1, 33))] + [list(range(p // 2 + 1, p + 1)) for p in above]
+        # one quadrature pass per call, none of them a one-row probe
         assert [rec["rows"] for rec in quad_log] == rows
-        assert max(r[0] for r in rows) <= _BLOCK
 
     def test_cutoff_at_the_grid_top_skips_the_nyquist_frequency(
         self, exponent_values, monkeypatch
@@ -528,7 +538,7 @@ class TestInversionWork:
             invert_to_density(LIMIT2, half_width=1e6, n_points=256)
         dt = grid_step(LIMIT2, 1e6)
         assert [list(np.round(ts / dt)) for ts in exponent_calls] == [[128]]
-        assert [rec["rows"] for rec in quad_log] == [(1,)]
+        assert [rec["rows"] for rec in quad_log] == [1]
         assert info.value.achieved == ladder_reference(LIMIT2, 1e6, 256, 1e-12)[1]
 
     def test_a_top_probe_seed_that_passes_raises_after_one_evaluation(
@@ -543,7 +553,7 @@ class TestInversionWork:
         with pytest.raises(DecayDetectionError) as info:
             invert_to_density(LIMIT1, half_width=96.0, n_points=256)
         assert [list(np.round(ts / dt)) for ts in exponent_calls] == [[128]]
-        assert [rec["rows"] for rec in quad_log] == [(1,)]
+        assert [rec["rows"] for rec in quad_log] == [1]
         assert info.value.achieved == ladder_reference(LIMIT1, 96.0, 256, 1e-2)[1]
 
     def test_a_top_probe_seed_that_fails_is_followed_by_the_block_below(
@@ -614,7 +624,9 @@ class TestSeededSearch:
                 # the top probe, evaluated alone first, decides the raise
                 assert sorted(cf) == ladder[-1:]
             else:
-                assert sorted(cf) == block + [p for p in ladder if p > block[-1]]
+                # each probe went with the frequencies below it, so every
+                # k up to the top probe was evaluated, once
+                assert sorted(cf) == list(range(1, ladder[-1] + 1))
             assert ladder_reference(measure, half_width, n, threshold) == (None, exc.achieved)
             return
         cf = exponent_values(dt)
@@ -651,6 +663,42 @@ class TestSeededSearch:
         placed = {k: c for k, c in cf.items() if k <= i_cut}
         assert sorted(placed) == list(range(1, i_cut + 1))
         assert_matches_direct_sum(grid, placed, dt)
+
+    def test_a_failed_bound_with_the_top_probe_as_cutoff_evaluates_the_rest(
+        self, exponent_calls, monkeypatch
+    ):
+        # no seed, and the top probe 128 fails first, then every probe
+        # below it passes: each goes with its frequencies, and 65..127,
+        # which no probe took, follow; each k <= 128 once
+        monkeypatch.setattr(spectral, "_DECAY_THRESHOLD", 1e-2)
+        half_width, n = 300.0, 256
+        assert _safe_index(half_width) > n // 2
+        grid = invert_to_density(UNDERSTATED, half_width=half_width, n_points=n)
+        dt = grid_step(UNDERSTATED, half_width)
+        index = [list(np.round(ts / dt).astype(int)) for ts in exponent_calls]
+        segments = [(0, 4)] + [(p // 2, p) for p in probes(n)[1:-1]]
+        assert index == (
+            [[128]] + [list(range(lo + 1, hi + 1)) for lo, hi in segments] + [list(range(65, 128))]
+        )
+        i_cut = round(grid.meta["cf_cutoff"] / dt)
+        assert (i_cut, grid.meta["cf_at_cutoff"]) == ladder_reference(
+            UNDERSTATED, half_width, n, 1e-2
+        )
+        assert i_cut == n // 2
+
+    @pytest.mark.parametrize("half_width", [3.0, 12.0, 96.0])
+    @pytest.mark.parametrize("measure", SEARCH_LAWS, ids=SEARCH_IDS)
+    def test_one_quadrature_pass_per_probe_above_the_seed(
+        self, measure, half_width, quadrature_route, quad_log
+    ):
+        # the seed's block and then one pass per probe checked above it,
+        # which takes the frequencies between it and the probe below
+        grid = invert_to_density(measure, half_width=half_width)
+        dt = grid_step(measure, half_width)
+        i_cut = round(grid.meta["cf_cutoff"] / dt)
+        seed = seeded_block(half_width, 16384)[-1]
+        above = [p for p in probes(16384) if seed < p <= i_cut]
+        assert [rec["rows"] for rec in quad_log] == [seed] + [p // 2 for p in above]
 
     @pytest.mark.parametrize("measure", SEARCH_LAWS, ids=SEARCH_IDS)
     def test_cf_modulus_bound_holds_up_to_the_seed(self, measure, monkeypatch):
@@ -725,6 +773,62 @@ def test_a_deep_block_keeps_its_temporaries_small():
     assert rise <= 0.5 * 40.6
 
 
+# frequencies whose quadrature passes at level 6, 7 or 8 on each of the
+# SEARCH_LAWS, of either sign
+ROW_POOL = [
+    sign * t for t in (0.3, 3.0, 30.0, 100.0, 200.0, 300.0, 500.0, 700.0) for sign in (1, -1)
+]
+
+
+class TestRowIndependence:
+    @pytest.mark.parametrize("measure", SEARCH_LAWS, ids=SEARCH_IDS)
+    def test_the_pool_spans_levels_six_to_eight(self, measure, quad_log):
+        _quadrature_exponents(measure, np.array(ROW_POOL))
+        assert len(quad_log[0]["points"]) == 4  # levels 5..8
+        assert quad_log[0]["live"][0] > quad_log[0]["live"][2] > quad_log[0]["live"][3] > 0
+
+    @pytest.mark.parametrize("measure", SEARCH_LAWS, ids=SEARCH_IDS)
+    @settings(max_examples=15, derandomize=True, deadline=None, database=None)
+    @given(
+        ts=st.lists(st.sampled_from(ROW_POOL), min_size=1, max_size=8, unique=True),
+        tile=st.sampled_from([391, 1500, quadrature._TILE]),
+    )
+    def test_each_row_is_its_one_frequency_call(self, measure, ts, tile):
+        # any subset, in any order, under any tile budget (391 elements
+        # make one-row tiles): a row's value is bitwise the one of its
+        # frequency alone, whichever rows share its tiles and levels
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadrature, "_TILE", tile)
+            got = _quadrature_exponents(measure, np.array(ts))
+        alone = [_quadrature_exponents(measure, np.array([t]))[0] for t in ts]
+        assert got.tobytes() == np.array(alone).tobytes()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+def test_a_deep_pass_keeps_its_row_tiles_small(quad_log):
+    """200 frequencies in [9e3, 1e4] on rescaled (4,3) refine to level 12,
+    whose 25026 new nodes would make one (200, nodes) complex array of
+    80 MB. Passes over blocks of 32 rows raised the peak RSS of a fresh
+    interpreter by 17.9 MB over the call, and one pass without row tiles
+    by 92.6 MB; tiles of at most 2^16 elements read 4.1 MB."""
+    ts = np.linspace(9e3, 1e4, 200)
+    _char_exponents(RESC43, ts)
+    assert [rec["rows"] for rec in quad_log] == [200]
+    assert len(quad_log[0]["points"]) == 8  # levels 5..12
+    rise = peak_rss_rise_mb(
+        setup="""
+            import numpy as np
+            from hyplevy.measures import DimensionPair, make_measure
+            from hyplevy.spectral import _char_exponents
+
+            measure = make_measure("rescaled", DimensionPair(4, 3))
+            _char_exponents(measure, np.array([1.0]))
+        """,
+        measured="_char_exponents(measure, np.linspace(9e3, 1e4, 200))",
+    )
+    assert rise <= 0.5 * 17.9
+
+
 class TestCharFunction:
     def test_modulus_bounded_by_one(self):
         for measure in (RESC43, LIMIT2):
@@ -754,6 +858,33 @@ class TestTaylorRemainderBound:
 
 
 class TestInvertToDensity:
+    @pytest.mark.parametrize(
+        "kw", [{}, {"half_width": 3.0, "n_points": 4096}], ids=["defaults", "hw3_n4096"]
+    )
+    @pytest.mark.parametrize(
+        "measure, digests",
+        [
+            (RESC43, ("ddd7c41bcf3a05b5062192a3b6c68e5c5c17f182ce3693bff61e839a9b2ac65a",
+                      "bfcef0b18823b6b9f556c52733d998e8642135af7f09a7fcd9d6104f161fdba8")),
+            (HYP75, ("b0a1f282ff1ae3c787970ddd0aa2f455a1f8165709a538e868991b996e8c857e",
+                     "7ee55c0a4e4eb3ced44e9810636774c26b37cfe16a714f81f9111b131227c8b6")),
+            (LIMIT1, ("8e60a8d958b984d7504cb7802d93c9d09c7dba5abd5c4bdd45255bcd703f6d37",
+                      "59a88b213e72e7ba0209e7034de0a5a8e2ec89e4985757fb93001a8efcdb1747")),
+            (LIMIT2, ("817315fc909e78d2377c632a8818d0f4ada5dbe2fca7a1b1cd122a473078d606",
+                      "e5b9f1102f82dcb7f1dc3f95fd2c3ec7830fd825f7b090cdcff57d0ddb2f0453")),
+        ],
+        ids=["resc43", "hyp75", "limit1", "limit2"],
+    )
+    def test_density_digest_is_pinned(self, measure, digests, kw):
+        # SHA-256 of the float64 bytes of the values, then of the meta as
+        # JSON with sorted keys (floats by repr, so bit for bit); recorded
+        # before the quadrature ran as one pass with merged probes, which
+        # moved no bit
+        grid = invert_to_density(measure, **kw)
+        h = hashlib.sha256(grid.values.tobytes())
+        h.update(json.dumps(grid.meta, sort_keys=True).encode())
+        assert h.hexdigest() == digests[0 if not kw else 1]
+
     def test_moment_posts(self):
         grid = cached_density("rescaled", (4, 3), half_width=12.0, n_points=4096)
         meta = grid.meta
