@@ -84,54 +84,7 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 
 __version__ = "0.2.0"
 
-__all__ = [
-    "__version__",
-    "HyplevyError",
-    "DomainError",
-    "InadmissiblePairError",
-    "DivergentMomentError",
-    "ConvergenceError",
-    "QuadratureError",
-    "DecayDetectionError",
-    "SamplerConfigError",
-    "DimensionPair",
-    "LevyMeasure1D",
-    "is_admissible",
-    "variance",
-    "log_variance",
-    "cumulant",
-    "levy_density",
-    "normalized_density",
-    "codim_limit_density",
-    "codim_limit_cumulant",
-    "make_measure",
-    "E_TIMES_PI",
-    "threshold_stat",
-    "tail_second_moment",
-    "FixedCodimensionFamily",
-    "PowerLawFamily",
-    "ExplicitFamily",
-    "RegimeVerdict",
-    "ProbeTable",
-    "classify_sequence",
-    "probe_regime",
-    "CdfTable",
-    "DensityGrid",
-    "STANDARD_NORMAL",
-    "char_exponent",
-    "char_function",
-    "invert_to_density",
-    "ks_distance",
-    "ks_distance_sample",
-    "taylor_remainder_bound",
-    "SamplerConfig",
-    "SampleBatch",
-    "sample",
-    "tail_mass",
-    "partial_moment",
-    "inverse_jump_cdf",
-    "empirical_cumulants",
-]
+__all__ = ["__version__", *_MODULE_OF]
 
 
 def __getattr__(name: str):

@@ -452,9 +452,7 @@ def _execute(argv: list[str], parser: argparse.ArgumentParser) -> tuple[int, str
         return args.func(args, argv), None
     except ConvergenceError as exc:
         return _EXIT_NUMERICAL, str(exc)
-    except (DomainError, HyplevyError, ValueError) as exc:
-        return _EXIT_INVALID, str(exc)
-    except OSError as exc:
+    except (HyplevyError, ValueError, OSError) as exc:
         return _EXIT_INVALID, str(exc)
 
 

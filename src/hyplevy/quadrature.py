@@ -68,7 +68,10 @@ def _ts_nodes(level: int, new_only: bool = False) -> tuple[np.ndarray, np.ndarra
     s1 = 1.0 / (1.0 + np.exp(2.0 * a))
     w = h * 0.25 * math.pi * np.cosh(t) / np.cosh(a) ** 2
     keep = (s > 0.0) & (s1 > 0.0) & (w > 0.0)
-    return s[keep], s1[keep], w[keep]
+    nodes = (s[keep], s1[keep], w[keep])
+    for shared in nodes:  # every caller gets these arrays
+        shared.flags.writeable = False
+    return nodes
 
 
 @lru_cache(maxsize=32)
@@ -79,7 +82,10 @@ def _es_nodes(level: int, new_only: bool = False) -> tuple[np.ndarray, np.ndarra
     x = np.exp(a)
     w = h * x * 0.5 * math.pi * np.cosh(t)
     keep = np.isfinite(w) & (x > 0.0) & (x < 1e300)
-    return x[keep], w[keep]
+    nodes = (x[keep], w[keep])
+    for shared in nodes:  # every caller gets these arrays
+        shared.flags.writeable = False
+    return nodes
 
 
 def _weighted_sum(w: np.ndarray, vals) -> np.ndarray:

@@ -371,6 +371,9 @@ def _certified_jump_table(shape, delta: float) -> _JumpTable:
     while True:
         table = _build_jump_table(shape, delta, cells)
         if table.cert_error <= _CERT_TARGET:
+            # every caller gets these arrays
+            for shared in (table.x_knots, table.slopes, table.c0, table.c1, table.c2, table.c3):
+                shared.flags.writeable = False
             return table
         # a doubling that does not halve the residual (or a NaN residual)
         # means the floor is reached and more cells cannot certify

@@ -239,6 +239,8 @@ def chebyshev_tail_bound(p: float, q: float, x: float) -> tuple[str, float]:
     """
     if not (p > 0.0 and q > 0.0):
         raise DomainError(f"chebyshev_tail_bound requires p, q > 0, got {(p, q)!r}")
+    if math.isnan(x):
+        raise DomainError("chebyshev_tail_bound requires a number x, got nan")
     mu = p / (p + q)
     if x == mu:
         raise DomainError("chebyshev_tail_bound is undefined at the Beta mean")

@@ -53,15 +53,15 @@ found by a doubling search over grid frequencies 4 dt, 8 dt, ..., seeded
 by a bound: 1 - cos u <= u^2 / 2 gives |cf(t)| >= exp(-sigma^2 t^2 / 2),
 and on the grid sigma t = k pi / half_width, so every probe k <= k_safe =
 half_width sqrt(2 ln(1/threshold) - 2) / pi passes with |cf| >= e
-threshold. The first psi call therefore evaluates k = 1 up to the
-first probe >= k_safe as one batch (1..32 at the defaults); each probe
-above it is evaluated together with the grid frequencies between it and
-the probe below (33..64, then 65..128, ...), which the grid needs anyway
-if it is the cutoff. So a density makes one quadrature pass for the
-seed's batch and one per probe checked above it, and none for a probe
-alone. The probes are still checked in order from their values, so the
-cutoff is that of the plain search; no frequency is evaluated twice and
-none above the cutoff is used.
+threshold. The seed is the first probe >= k_safe (the top probe n/2 if
+none is), and a probe not yet evaluated goes in one batch with every
+k <= max(probe, seed) not yet evaluated: k = 1..seed first (1..32 at the
+defaults), then each probe above the seed with the grid frequencies
+between it and the probe below (33..64, then 65..128, ...), which the
+grid needs anyway if it is the cutoff. A top seed goes alone first, as
+it alone decides whether any probe can be the cutoff. The probes are
+checked in order from their values, so the cutoff is that of the plain
+search; no frequency is evaluated twice and none above the cutoff is used.
 
 Only the half spectrum k = 0..N/2 is built: cf(-t) = conj(cf(t))
 supplies the rest. With
@@ -111,9 +111,6 @@ _REL_TOL = 1e-11  # relative tolerance of every psi quadrature
 _DECAY_THRESHOLD = 1e-12  # |cf| below which the spectrum is cut
 
 
-_CHUNK = 2048  # columns per kernel pass: its temporaries stay (tile rows, 2048)
-
-
 def _phase_kernel(t, x, top, powers, forced=None) -> np.ndarray:
     """(e^{iy} - 1 - iy) top on the (rows, nodes) phases y = t x, with
     its quartic Taylor form in t where |y| < _SMALL_PHASE (or where the
@@ -129,7 +126,8 @@ def _phase_kernel(t, x, top, powers, forced=None) -> np.ndarray:
     nodes near u = 1, exp-sinh nodes near v = 0) y is t itself, and the
     large form's sines are taken once per row. The forms and their steps
     are the ones a where() over both would pick, so the values do not
-    depend on the spans; the output is filled _CHUNK columns at a time.
+    depend on the spans. Its temporaries are the size of the output, which
+    the caller's row tiles (hyplevy.quadrature._TILE) bound.
     """
     t = np.asarray(t)
     at = np.abs(t)
@@ -168,28 +166,29 @@ def _phase_kernel(t, x, top, powers, forced=None) -> np.ndarray:
             one_re = np.square(np.sin(np.multiply(t, 0.5))) * -2.0
             one_im = np.sin(t) - t
         for lo, hi, form in spans:
-            for start in range(lo, hi, _CHUNK):
-                cols = slice(start, min(start + _CHUNK, hi))
-                if form == "one":
-                    np.multiply(one_re, top[cols], out=re[..., cols])
-                    np.multiply(one_im, top[cols], out=im[..., cols])
-                    continue
-                if form != "small":
-                    # -2 sin(y/2)^2 top and (sin y - y) top, in place
-                    y = t * x[cols]
-                    h = np.multiply(y, 0.5)
-                    np.sin(h, out=h)
-                    np.square(h, out=h)
-                    h *= -2.0
-                    np.multiply(h, top[cols], out=re[..., cols])
-                    s = np.sin(y)
-                    s -= y
-                    np.multiply(s, top[cols], out=im[..., cols])
-                if form != "large":
-                    # over the large form where the row mask says small
-                    small = True if form == "small" else (np.abs(y) < _SMALL_PHASE) | forced[cols]
-                    np.copyto(re[..., cols], r2 * p2[cols] + r4 * p4[cols], where=small)
-                    np.copyto(im[..., cols], i3 * p3[cols] + i5 * p5[cols], where=small)
+            if lo == hi:
+                continue
+            cols = slice(lo, hi)
+            if form == "one":
+                np.multiply(one_re, top[cols], out=re[..., cols])
+                np.multiply(one_im, top[cols], out=im[..., cols])
+                continue
+            if form != "small":
+                # -2 sin(y/2)^2 top and (sin y - y) top, in place
+                y = t * x[cols]
+                h = np.multiply(y, 0.5)
+                np.sin(h, out=h)
+                np.square(h, out=h)
+                h *= -2.0
+                np.multiply(h, top[cols], out=re[..., cols])
+                s = np.sin(y)
+                s -= y
+                np.multiply(s, top[cols], out=im[..., cols])
+            if form != "large":
+                # over the large form where the row mask says small
+                small = True if form == "small" else (np.abs(y) < _SMALL_PHASE) | forced[cols]
+                np.copyto(re[..., cols], r2 * p2[cols] + r4 * p4[cols], where=small)
+                np.copyto(im[..., cols], i3 * p3[cols] + i5 * p5[cols], where=small)
     return out
 
 
@@ -384,9 +383,12 @@ def char_exponent(measure: LevyMeasure1D, t: float) -> complex:
 
     A batch of one through the path invert_to_density uses: the cumulant
     series where its bound certifies 1e-13 relative, else quadrature in
-    the variable of the measure's shape.
+    the variable of the measure's shape. t must be finite.
     """
-    return _char_exponents(measure, np.array([float(t)]))[0]
+    t = float(t)
+    if not math.isfinite(t):
+        raise DomainError(f"char_exponent requires a finite frequency, got {t!r}")
+    return _char_exponents(measure, np.array([t]))[0]
 
 
 def char_function(measure: LevyMeasure1D, t: float) -> complex:
@@ -399,6 +401,8 @@ def taylor_remainder_bound(n: int, x: float) -> float:
     bound for the exponential truncated after n terms."""
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"taylor_remainder_bound requires integer n >= 1, got {n!r}")
+    if math.isnan(x):
+        raise DomainError("taylor_remainder_bound requires a number x, got nan")
     a = abs(x)
     return min(2.0 * a**n / math.factorial(n), a ** (n + 1) / math.factorial(n + 1))
 
@@ -492,21 +496,19 @@ def invert_to_density(
     fixed threshold 1e-12, and treated as zero beyond. Since
     |cf(t)| >= exp(-sigma^2 t^2 / 2), no probe up to
     k_safe = half_width sqrt(2 ln(1/threshold) - 2) / pi can be the
-    cutoff, so k = 1 up to the first probe >= k_safe is evaluated as one
-    batch and checked in order; each probe above it is evaluated in one
-    batch with the grid frequencies between it and the probe below. When
-    that first probe is the top one n/2, or every probe is below k_safe
-    (a window too wide for n_points), the top probe is evaluated alone
-    first: if it does not drop below the threshold, DecayDetectionError
-    is raised with its |cf| and nothing else is evaluated; otherwise
-    k = 1..n/2 - 1 follow as one batch. DecayDetectionError is also
-    raised when no probe drops below the threshold, once every frequency
-    up to the top probe (at most n/2 of them) has been evaluated. The
-    bound takes measure.total_second_moment as sigma^2; should the top
-    probe of a measure that understates it fail all the same, the whole
-    ladder is searched, each probe with the frequencies below it. The
-    density on x_m = (m - n/2) dx, dx = 2 pi / (n dt), is
-    the half-spectrum sum
+    cutoff, so the search is seeded at the first probe >= k_safe, or at
+    the top probe n/2 when none is (a window too wide for n_points). The
+    probes are checked in order, and one not yet evaluated goes in one
+    batch with every k <= max(probe, seed) not yet evaluated. A top seed
+    is evaluated alone first: if it does not drop below the threshold,
+    DecayDetectionError is raised with its |cf| and nothing else is
+    evaluated. DecayDetectionError is also raised when no probe drops
+    below the threshold, once every frequency up to the top probe (at
+    most n/2 of them) has been evaluated. The bound takes
+    measure.total_second_moment as sigma^2; should a measure understate
+    it, the cutoff is still the first probe below the threshold. The
+    density on x_m = (m - n/2) dx, dx = 2 pi / (n dt), is the
+    half-spectrum sum
 
         f(x_m) = (dt / 2 pi) hfft[a]_m,  a_k = (-1)^k cf(k dt), k = 0..n/2,
 
@@ -528,47 +530,33 @@ def invert_to_density(
 
     # doubling search for the truncation frequency over the grid probes
     # i = 4, 8, 16, ... <= n/2. Every probe up to k_safe passes (see
-    # _safe_index), so the first call evaluates k = 1..seed as one batch,
-    # seed being the first probe >= k_safe; above the seed, one call per
-    # probe, with the frequencies below it. When the seed is the top
-    # probe, or no probe reaches k_safe, the top probe goes alone first.
-    # The probes are checked in order from their values, so the cutoff is
-    # the first probe below the threshold, as in a plain search.
+    # _safe_index); a probe not yet evaluated goes with every k <=
+    # max(probe, seed) not yet evaluated, which the grid needs if it or a
+    # probe above it is the cutoff.
     half = n // 2
     ladder = [4 << m for m in range((half // 4).bit_length())]
     top = ladder[-1]
     k_safe = _safe_index(half_width)
-    seed = next((i for i in ladder if i >= k_safe), None)
+    seed = next((i for i in ladder if i >= k_safe), top)
     # half spectrum a_k = (-1)^k cf(k dt), k = 0..n/2
     a = np.zeros(half + 1, dtype=complex)
     a[0] = 1.0
     known = np.zeros(half + 1, dtype=bool)
     known[0] = True
-
-    def evaluate(ks: np.ndarray) -> None:
-        a[ks] = np.exp(_char_exponents(measure, ks * dt))
-        known[ks] = True
-
     checked = ladder
-    if seed is None or seed == top:
+    if seed == top:
         # every probe below the top one is below k_safe and passes, so the
         # top probe alone decides whether any probe reaches the threshold;
-        # if it does not, its |cf| is reported. (A measure whose
-        # total_second_moment understates its second moment can break the
-        # bound; with no seed its failing top probe then has the whole
-        # ladder searched.)
-        evaluate(np.array([top]))
+        # if it does not, its |cf| is reported
+        a[top] = np.exp(_char_exponents(measure, np.array([top * dt])))[0]
+        known[top] = True
         if abs(a[top]) >= _DECAY_THRESHOLD:
             checked = [top]
-        elif seed is not None:
-            evaluate(np.arange(1, top))
-    else:
-        evaluate(np.arange(1, seed + 1))
     for i_cut in checked:
         if not known[i_cut]:
-            # the probe goes with the grid frequencies below it not yet
-            # evaluated, all of which the grid needs if it is the cutoff
-            evaluate(np.flatnonzero(~known[: i_cut + 1]))
+            ks = np.flatnonzero(~known[: max(i_cut, seed) + 1])
+            a[ks] = np.exp(_char_exponents(measure, ks * dt))
+            known[ks] = True
         achieved = float(abs(a[i_cut]))
         if achieved < _DECAY_THRESHOLD:
             break
@@ -580,12 +568,8 @@ def invert_to_density(
         )
     t_cut = i_cut * dt
 
-    # the rest up to the cutoff, which only a top-probe cutoff after a
-    # failed bound leaves; nothing above it is placed, and neither is a
-    # probe at n/2, since the grid's top frequency is (n/2 - 1) dt
-    ks = np.flatnonzero(~known[: i_cut + 1])
-    if ks.size:
-        evaluate(ks)
+    # nothing above the cutoff is placed, and neither is a probe at n/2,
+    # since the grid's top frequency is (n/2 - 1) dt
     a[min(i_cut + 1, half) :] = 0.0
     a[1::2] *= -1.0
     values = np.fft.hfft(a, n)

@@ -435,6 +435,11 @@ class TestSpecfun:
             code, _, err = run(capsys, "specfun", "--op", "taylor-bound", order, "1.0")
             assert code == 2 and "integer" in err, order
 
+    def test_nan_taylor_point_exits_2(self, capsys):
+        # a nan bound would print "value": NaN, which is not JSON
+        code, out, err = run(capsys, "specfun", "--op", "taylor-bound", "2", "nan")
+        assert code == 2 and out == "" and "nan" in err
+
 
 class TestTopLevel:
     def test_import_leaves_out_concurrent_futures(self):

@@ -106,6 +106,13 @@ class TestNestedLevels:
             got = rows(np.r_[x, n_x], np.r_[0.5 * v, n_v])
             assert all(np.array_equal(g, h) for g, h in zip(got, want))
 
+    def test_cached_nodes_are_read_only(self):
+        # the caches hand the same arrays to every caller
+        for nodes in (_ts_nodes(6), _ts_nodes(6, True), _es_nodes(6), _es_nodes(6, True)):
+            for a in nodes:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0.0
+
     def test_level_five_to_six_evaluates_783_points(self):
         # 391 nodes at level 5, then only the 392 nodes level 6 adds
         f = counted(lambda x, bm: x * x)

@@ -321,6 +321,13 @@ class TestInverseJumpCdf:
         h.update(np.float64(table.cert_error).tobytes())
         assert h.hexdigest() == digest
 
+    def test_a_cached_table_is_read_only(self):
+        # every sample and quantile call at this shape and delta shares it
+        table = sampler._certified_jump_table(RESC43.shape, 1e-3)
+        for a in (table.x_knots, table.slopes, table.c0, table.c1, table.c2, table.c3):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
     def test_a_table_build_leaves_out_numpy_polynomial(self):
         # the panel rule is a module constant; importing numpy.polynomial
         # costs each process a few ms

@@ -265,6 +265,11 @@ class TestChebyshevTail:
         with pytest.raises(DomainError):
             chebyshev_tail_bound(2.0, 3.0, 0.4)
 
+    def test_nan_point_is_a_domain_error(self):
+        # nan compares false with the mean on both sides, which read as "above"
+        with pytest.raises(DomainError):
+            chebyshev_tail_bound(1.0, 1.0, math.nan)
+
     def test_dominates_the_cdf(self):
         # below the mean the bound caps I_x from above, past it from below
         for p, q in ((1.5, 4.0), (3.0, 3.0), (8.0, 2.0)):

@@ -664,22 +664,19 @@ class TestSeededSearch:
         assert sorted(placed) == list(range(1, i_cut + 1))
         assert_matches_direct_sum(grid, placed, dt)
 
-    def test_a_failed_bound_with_the_top_probe_as_cutoff_evaluates_the_rest(
+    def test_a_failed_bound_with_the_top_probe_as_cutoff_evaluates_the_block_below(
         self, exponent_calls, monkeypatch
     ):
-        # no seed, and the top probe 128 fails first, then every probe
-        # below it passes: each goes with its frequencies, and 65..127,
-        # which no probe took, follow; each k <= 128 once
+        # no probe reaches k_safe, so the top probe 128 is the seed: it
+        # fails first, then k = 1..127 go as one block, as for any top
+        # seed that drops below; each k <= 128 once
         monkeypatch.setattr(spectral, "_DECAY_THRESHOLD", 1e-2)
         half_width, n = 300.0, 256
         assert _safe_index(half_width) > n // 2
         grid = invert_to_density(UNDERSTATED, half_width=half_width, n_points=n)
         dt = grid_step(UNDERSTATED, half_width)
         index = [list(np.round(ts / dt).astype(int)) for ts in exponent_calls]
-        segments = [(0, 4)] + [(p // 2, p) for p in probes(n)[1:-1]]
-        assert index == (
-            [[128]] + [list(range(lo + 1, hi + 1)) for lo, hi in segments] + [list(range(65, 128))]
-        )
+        assert index == [[128], list(range(1, 128))]
         i_cut = round(grid.meta["cf_cutoff"] / dt)
         assert (i_cut, grid.meta["cf_at_cutoff"]) == ladder_reference(
             UNDERSTATED, half_width, n, 1e-2
@@ -724,7 +721,8 @@ class TestPhaseKernel:
     )
     def test_single_form_equals_the_two_form_where(self, measure, monkeypatch):
         # frequencies from 1e-3 to 3e3 in one block put columns in all
-        # three spans and drive the levels past _CHUNK nodes
+        # three spans and drive the levels to 9 and beyond, whose new nodes
+        # (3128 or more) are the widest spans
         calls = []
         real = spectral._phase_kernel
 
@@ -734,7 +732,7 @@ class TestPhaseKernel:
 
         monkeypatch.setattr(spectral, "_phase_kernel", record)
         _quadrature_exponents(measure, np.geomspace(1e-3, 3e3, 32))
-        assert max(len(c[1]) for c in calls) > spectral._CHUNK
+        assert max(len(c[1]) for c in calls) > 2048  # some call at level 9 or above
         # and columns where x rounds to 1.0, which take y = t per row
         assert any(np.any(c[1] == 1.0) for c in calls)
         for t, x, top, powers, forced in calls:
@@ -757,8 +755,8 @@ def test_a_deep_block_keeps_its_temporaries_small():
     whose 25026 new nodes make the block's (32, nodes) complex values
     12.8 MB. Evaluating both kernel forms over the whole block and
     weighting them out of place raised the peak RSS of a fresh
-    interpreter by 40.6-41.4 MB; the single-form column chunks and the
-    in-place weighting must keep the rise to at most half of 40.6 MB."""
+    interpreter by 40.6-41.4 MB; the single-form kernel on row tiles and
+    the in-place weighting must keep the rise to at most half of 40.6 MB."""
     rise = peak_rss_rise_mb(
         setup="""
             import numpy as np
@@ -838,6 +836,13 @@ class TestCharFunction:
     def test_unit_at_zero(self):
         assert char_function(RESC43, 0.0) == 1.0 + 0.0j
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_frequency_is_a_domain_error(self, t):
+        # not a quadrature run to level 12 that ends in QuadratureError
+        for f in (char_exponent, char_function):
+            with pytest.raises(DomainError, match="finite frequency"):
+                f(RESC43, t)
+
 
 class TestTaylorRemainderBound:
     def test_frozen_values(self):
@@ -855,6 +860,8 @@ class TestTaylorRemainderBound:
             taylor_remainder_bound(0, 1.0)
         with pytest.raises(DomainError):
             taylor_remainder_bound(1.5, 1.0)
+        with pytest.raises(DomainError):  # not min() of two nan bounds, nan
+            taylor_remainder_bound(2, math.nan)
 
 
 class TestInvertToDensity:
