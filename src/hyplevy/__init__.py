@@ -77,8 +77,8 @@ _EXPORTS = {
         "invert_to_density",
         "ks_distance",
         "ks_distance_sample",
-        "taylor_remainder_bound",
     ),
+    "specfun": ("taylor_remainder_bound",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -20,8 +20,8 @@ Conventions shared by every subcommand:
   input, 3 a numerical procedure failed to converge.
 
 Only the handlers that need a measure, the sampler or the spectral layer
-(cumulants, density, sample and specfun's taylor-bound op) import them,
-and with them numpy; every other command runs on math and specfun alone.
+(cumulants, density and sample) import them, and with them numpy; every
+other command runs on math and specfun alone.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import numbers
 import os
 import sys
@@ -54,6 +55,7 @@ from .specfun import (
     log_gamma,
     reg_inc_beta,
     stirling_log_bounds,
+    taylor_remainder_bound,
     wendel_lower,
 )
 
@@ -301,8 +303,6 @@ def _cmd_sample(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _taylor_bound(order: float, x: float) -> dict:
-    from .spectral import taylor_remainder_bound
-
     if not order.is_integer():  # inf and nan included
         raise DomainError("taylor-bound order must be an integer")
     return {"value": taylor_remainder_bound(int(order), x)}
@@ -333,6 +333,9 @@ def _cmd_specfun(args: argparse.Namespace, argv: list[str]) -> int:
     if len(vals) != n_args:
         raise DomainError(f"op {op!r} takes {n_args} numeric arguments, got {len(vals)}")
     result = fn(*vals)
+    # JSON carries no inf, which a bound may be (the Gamma-ratio lower log at p = 1)
+    if any(isinstance(v, float) and not math.isfinite(v) for v in result.values()):
+        raise DomainError(f"op {op!r} gives {result}, which JSON cannot carry")
     result["op"] = op
     result["args"] = vals
     _print_json(result)

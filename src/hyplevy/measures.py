@@ -138,37 +138,37 @@ class PairShape(_Shape):
 
         It is the integral of u^((k-1)m/2 - (d+1)/2) (1-u)^(b/2-1) du over
         (a, 1), a = delta^(2/(k-1)), run in y = 1 - u: the node gives
-        1 - u, and u = a + (y_max - y) keeps full precision at both ends."""
+        1 - u, and u = a + (y_max - y) keeps full precision at both ends.
+        A node y that rounds to 0 (y_max below 1e-16 or so) is taken as
+        the least subnormal, so y^(b/2-1) stays finite and 1 at b = 2."""
         pair = self.pair
         a = delta**pair.u_power
         e_pow = 0.5 * ((pair.k - 1.0) * m - pair.d - 1.0)
         e_side = self.end_power
+        tiny = math.ulp(0.0)
 
         def integrand(y: np.ndarray, dist: np.ndarray) -> np.ndarray:
-            out = np.exp(e_pow * np.log(a + dist))
-            if e_side != 0.0:
-                out = out * np.exp(e_side * np.log(y))
-            return out
+            side = np.exp(e_side * np.log(np.maximum(y, tiny)))
+            return np.exp(e_pow * np.log(a + dist)) * side
 
         return integrand, self.upper_y(delta)
 
     def phase_terms(self, u: np.ndarray, um1: np.ndarray):
         """psi's node factors at u (um1 = 1 - u): x, the measure's factor
-        top = u^(-(d+1)/2) (1-u)^(b/2-1), the products x^j top for
-        j = 2..5 built from the finite exponent (r/2 - 1) upward, so they
-        stay finite where top overflows, and no forced-small mask."""
+        top = u^(-(d+1)/2) (1-u)^(b/2-1) and the products x^j top for
+        j = 2..5, built from the finite exponent (r/2 - 1) upward, so they
+        stay finite where top overflows."""
         pair = self.pair
         lu = np.log(u)
         x = np.exp(0.5 * (pair.k - 1.0) * lu)
-        e_side = self.end_power
-        side = np.exp(e_side * np.log(um1)) if e_side != 0.0 else 1.0
+        side = np.exp(self.end_power * np.log(um1))
         w2 = np.exp((0.5 * pair.r - 1.0) * lu) * side
         w3 = w2 * x
         w4 = w3 * x
         w5 = w4 * x
         with np.errstate(over="ignore", invalid="ignore"):
             top = np.exp(-0.5 * (pair.d + 1.0) * lu) * side
-        return x, top, (w2, w3, w4, w5), None
+        return x, top, (w2, w3, w4, w5)
 
     def upper_y(self, delta: float) -> float:
         """y at the cutoff, 1 - delta^(2/(k-1)), without the cancellation
@@ -229,52 +229,47 @@ class LimitShape(_Shape):
 
     def beta_args(self, delta: float, m: int):
         """None: the partial moments are incomplete Gammas, integrated by
-        quadrature of integrand(m)."""
+        quadrature of upper_integrand's f."""
         return None
 
-    def integrand(self, m: int):
-        """e^(-(m-1) v) v^((b-2)/2): the integral of x^m over the measure is
-        the constant times its integral in v. It is taken as one exp of
+    def upper_integrand(self, delta: float, m: int):
+        """(f, v_cut): the integral of x^m over the measure above delta is
+        the constant times the tanh_sinh integral of f over (0, v_cut),
+        and below delta its exp_sinh integral over (v_cut, inf).
+
+        f is e^(-(m-1) v) v^((b-2)/2), taken as one exp of
         ((b-2)/2) log v - (m-1) v, so v^((b-2)/2) never overflows on its
         own where the product is finite. It accepts (and ignores) the
         tanh_sinh distance argument."""
         e_log = self.end_power
 
         def f(v: np.ndarray, _unused=None) -> np.ndarray:
-            lv = e_log * np.log(v) if e_log != 0.0 else 0.0
             with np.errstate(over="ignore"):
-                return np.exp(lv - (m - 1.0) * v)
+                return np.exp(e_log * np.log(v) - (m - 1.0) * v)
 
-        return f
-
-    def upper_integrand(self, delta: float, m: int):
-        """(f, v_cut): the integral of x^m over the measure above delta is
-        the constant times the tanh_sinh integral of f over (0, v_cut)."""
-        return self.integrand(m), -math.log(delta)
+        return f, -math.log(delta)
 
     def phase_terms(self, v: np.ndarray):
         """psi's node factors at v: x = e^(-v), top = e^v v^((b-2)/2)
-        (capped at v = 700, past which the mask forces the Taylor form)
         and the products x^j top for j = 2..5: the first is one exp of
         ((b-2)/2) log v - v, the others follow by factors e^(-v), so none
-        forms the overflowing v^((b-2)/2) on its own."""
-        e_log = self.end_power
+        forms the overflowing v^((b-2)/2) on its own. Past v = 700,
+        x < 1e-304 puts |t| x below 1e-4 for every |t| < 1e300, so the
+        kernel takes the Taylor form there and never reads top."""
         ev = np.exp(-v)
-        lv = e_log * np.log(v) if e_log != 0.0 else 0.0
+        lv = self.end_power * np.log(v)
         with np.errstate(over="ignore"):
             p2 = np.exp(lv - v)
-            top = np.exp(np.minimum(v, 700.0) + lv)
+            top = np.exp(v + lv)
         p3 = p2 * ev
         p4 = p3 * ev
-        return ev, top, (p2, p3, p4, p4 * ev), v > 700.0
+        return ev, top, (p2, p3, p4, p4 * ev)
 
     def upper_y(self, delta: float) -> float:
         return 1.0 - delta
 
     def g_reg(self, y: np.ndarray) -> np.ndarray:
         base = np.power(1.0 - y, -2.0)
-        if self.end_power == 0.0:
-            return base
         # (-log(1-y))/y -> 1 as y -> 0; series guard below 1e-8
         ratio = np.where(
             y > 1e-8,
@@ -343,13 +338,13 @@ class LevyMeasure1D:
         arr = np.atleast_1d(arr)
         out = np.zeros_like(arr)
         inside = (arr > 0.0) & (arr < 1.0)
-        if np.any(inside):
-            lx = np.log(arr[inside])
-            logf = shape.log_density_coef + self.log_weight + (-1.0 - shape.alpha) * lx
-            if shape.end_power != 0.0:
-                logf = logf + shape.end_power * np.log(shape.end_factor(lx))
-            with np.errstate(over="ignore"):
-                out[inside] = np.exp(logf)
+        lx = np.log(arr[inside])
+        logf = (
+            shape.log_density_coef + self.log_weight + (-1.0 - shape.alpha) * lx
+            + shape.end_power * np.log(shape.end_factor(lx))
+        )
+        with np.errstate(over="ignore"):
+            out[inside] = np.exp(logf)
         return float(out[0]) if scalar else out
 
 

@@ -178,8 +178,8 @@ def partial_moment(measure: LevyMeasure1D, delta: float, m: int, side: str) -> f
     if side == "above":
         return _upper_moment(measure, delta, m)
     # below the cutoff with no Beta form: the limit shape, over v > -log delta
-    v_cut = -math.log(delta)
-    return measure.coef * exp_sinh(shape.integrand(m), a=v_cut, rel_tol=1e-12, abs_tol=1e-300)
+    f, v_cut = shape.upper_integrand(delta, m)
+    return measure.coef * exp_sinh(f, a=v_cut, rel_tol=1e-12, abs_tol=1e-300)
 
 
 class _JumpTable:
@@ -325,11 +325,10 @@ def _build_jump_table(shape, delta: float, cells: int) -> _JumpTable:
             raise ConvergenceError("jump-table knot inversion did not converge")
     w[0] = 0.0
     w[-1] = w_max
-    if np.any(np.diff(w) < 0.0):
-        # knots whose targets sit below the Newton tolerance can land out
-        # of order at the noise scale; order them without moving anything
-        # beyond that tolerance, and let certification judge the result
-        w = np.maximum.accumulate(w)
+    # knots whose targets sit below the Newton tolerance can land out of
+    # order at the noise scale; order them without moving anything beyond
+    # that tolerance, and let certification judge the result
+    w = np.maximum.accumulate(w)
 
     y = y_of_w(w)
     x_knots = shape.x_of_y(y)

@@ -9,18 +9,23 @@ The fraction stops once a step changes it by less than 1e-12 relative, and
 raises ConvergenceError after 500 steps; neither is a parameter.
 Alongside the evaluators, the module exposes the classical bracketing
 bounds (Wendel, Stirling, Gamma-ratio sandwich, Chebyshev tails of the Beta
-law) as plain functions so tests can sweep them; the Stirling and
-Gamma-ratio brackets are given in log space only.
+law, the exponential's Taylor remainder) as plain functions so tests can
+sweep them; the Stirling and Gamma-ratio brackets are given in log space
+only. Arguments must be finite, and a value that overflows a double is a
+DomainError.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import ConvergenceError, DomainError
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 _LOG_TWO_PI = math.log(2.0 * math.pi)
+_LOG_MAX = math.log(sys.float_info.max)  # exp overflows above this
+_TINY = math.ulp(0.0)  # the least subnormal
 _FPMIN = 1e-300
 # the continued fraction's stopping step and iteration budget
 _CF_REL_TOL = 1e-12
@@ -68,17 +73,21 @@ def log_gamma(x: float) -> float:
     import, so log_gamma(1/2) is exactly log(pi)/2 and log_gamma(1) and
     log_gamma(2) are exactly 0. Other arguments of at least 10 take the
     Stirling series; smaller ones are shifted there through
-    Gamma(x) = Gamma(x + n) / (x (x+1) ... (x+n-1)).
+    Gamma(x) = Gamma(x + n) / (x (x+1) ... (x+n-1)). Above about 2.5e305
+    log Gamma(x) overflows a double, and DomainError is raised.
     """
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"log_gamma requires finite x > 0, got {x!r}")
     two_x = 2.0 * x
-    if two_x == math.floor(two_x) and two_x <= len(_LADDER):
+    if two_x <= len(_LADDER) and two_x == math.floor(two_x):
         return _LADDER[int(two_x) - 1]
     if x < _STIRLING_MIN:
         n = math.ceil(_STIRLING_MIN - x)
         return log_gamma(x + n) - math.log(math.prod([x + i for i in range(n)]))
-    return (x - 0.5) * math.log(x) - x + 0.5 * _LOG_TWO_PI + _stirling_tail(x)
+    value = (x - 0.5) * math.log(x) - x + 0.5 * _LOG_TWO_PI + _stirling_tail(x)
+    if value == math.inf:
+        raise DomainError(f"log_gamma({x!r}) overflows a double")
+    return value
 
 
 def log_gamma_ratio(z: float, a: float) -> float:
@@ -104,7 +113,7 @@ def _log_gamma_size(x: float) -> float:
     one for the Stirling tail and the compensated table: each is rounded
     to a few ulp of itself, so a few ulp of this size bound the error."""
     two_x = 2.0 * x
-    if two_x == math.floor(two_x) and two_x <= len(_LADDER):
+    if two_x <= len(_LADDER) and two_x == math.floor(two_x):
         return abs(_LADDER[int(two_x) - 1]) + 1.0
     if x < _STIRLING_MIN:
         n = math.ceil(_STIRLING_MIN - x)
@@ -130,7 +139,10 @@ def log_beta(p: float, q: float) -> float:
 
 def beta(p: float, q: float) -> float:
     """Euler Beta function B(p, q) = Gamma(p) Gamma(q) / Gamma(p + q)."""
-    return math.exp(log_beta(p, q))
+    try:
+        return math.exp(log_beta(p, q))
+    except OverflowError:
+        raise DomainError(f"B({p!r}, {q!r}) overflows a double") from None
 
 
 def _beta_cont_frac(a: float, b: float, x: float) -> float:
@@ -199,7 +211,10 @@ def reg_inc_beta(p: float, q: float, x: float) -> float:
     if x >= 1.0:
         return 1.0
     log_front = p * math.log(x) + q * math.log1p(-x) - log_beta(p, q)
-    front = math.exp(log_front)
+    try:  # front is at most about sqrt(p + q): this is the logs' cancellation
+        front = math.exp(log_front)
+    except OverflowError:
+        raise DomainError(f"reg_inc_beta loses its prefactor at {(p, q, x)!r}") from None
     if x < (p + 1.0) / (p + q + 2.0):
         value = front * _beta_cont_frac(p, q, x) / p
     else:
@@ -219,13 +234,13 @@ def inc_beta(p: float, q: float, x: float) -> float:
 
 
 def beta_dist_stats(p: float, q: float) -> tuple[float, float]:
-    """Mean and variance of the Beta(p, q) distribution."""
-    if not (p > 0.0 and q > 0.0):
-        raise DomainError(f"beta_dist_stats requires p, q > 0, got {(p, q)!r}")
+    """Mean and variance of the Beta(p, q) distribution, the variance as
+    mean (q / s) / (s + 1), s = p + q, so no product of p and q overflows."""
     s = p + q
+    if not (p > 0.0 and q > 0.0 and s < math.inf):
+        raise DomainError(f"beta_dist_stats requires p, q > 0 with a finite sum, got {(p, q)!r}")
     mean = p / s
-    var = p * q / (s * s * (s + 1.0))
-    return mean, var
+    return mean, mean * (q / s) / (s + 1.0)
 
 
 def chebyshev_tail_bound(p: float, q: float, x: float) -> tuple[str, float]:
@@ -237,15 +252,18 @@ def chebyshev_tail_bound(p: float, q: float, x: float) -> tuple[str, float]:
     negative (a vacuous but valid lower bound). Returns (kind, bound) with
     kind in {"below", "above"}.
     """
-    if not (p > 0.0 and q > 0.0):
-        raise DomainError(f"chebyshev_tail_bound requires p, q > 0, got {(p, q)!r}")
-    if math.isnan(x):
-        raise DomainError("chebyshev_tail_bound requires a number x, got nan")
+    if not (p > 0.0 and q > 0.0 and p + q < math.inf and math.isfinite(x)):
+        raise DomainError(
+            f"chebyshev_tail_bound requires p, q > 0 with a finite sum and a finite x, "
+            f"got {(p, q, x)!r}"
+        )
     mu = p / (p + q)
     if x == mu:
         raise DomainError("chebyshev_tail_bound is undefined at the Beta mean")
-    t = x / mu - 1.0
-    raw = 1.0 / (p * t * t)
+    # a subnormal p can take mu and p t^2 to 0; the floors leave the
+    # quotients finite or inf, and change nothing elsewhere
+    t = x / max(mu, _TINY) - 1.0
+    raw = 1.0 / max(p * t * t, _TINY)
     if x < mu:
         return "below", raw
     return "above", max(0.0, 1.0 - raw)
@@ -254,9 +272,10 @@ def chebyshev_tail_bound(p: float, q: float, x: float) -> tuple[str, float]:
 def gamma_ratio_log_bounds(p: float, q: float) -> tuple[float, float]:
     """Logs of the sandwich Gamma(p) (p-1)^q <= Gamma(p+q) <= Gamma(p) (p+q)^q.
 
-    Requires p >= 1 and q >= 0. The lower log is -inf at p = 1 with q > 0.
+    Requires finite p >= 1 and q >= 0. The lower log is -inf at p = 1
+    with q > 0.
     """
-    if not (p >= 1.0 and q >= 0.0):
+    if not (1.0 <= p < math.inf and 0.0 <= q < math.inf):
         raise DomainError(f"gamma_ratio bounds require p >= 1, q >= 0, got {(p, q)!r}")
     lg = log_gamma(p)
     if q == 0.0:
@@ -267,9 +286,10 @@ def gamma_ratio_log_bounds(p: float, q: float) -> tuple[float, float]:
 
 
 def stirling_log_bounds(z: float) -> tuple[float, float]:
-    """Logs of sqrt(2 pi / z) (z/e)^z <= Gamma(z) <= same * e^(1/(12 z)), z >= 1."""
-    if not z >= 1.0:
-        raise DomainError(f"stirling bounds require z >= 1, got {z!r}")
+    """Logs of sqrt(2 pi / z) (z/e)^z <= Gamma(z) <= same * e^(1/(12 z)),
+    finite z >= 1."""
+    if not 1.0 <= z < math.inf:
+        raise DomainError(f"stirling bounds require finite z >= 1, got {z!r}")
     lower = 0.5 * (_LOG_TWO_PI - math.log(z)) + z * (math.log(z) - 1.0)
     return lower, lower + 1.0 / (12.0 * z)
 
@@ -281,9 +301,32 @@ def wendel_lower(z: float, t: float) -> float:
     equality at the corners; plain float exponentiation already realizes
     the 0^0 case.
     """
-    if not (z >= 0.0 and 0.0 <= t <= 1.0):
-        raise DomainError(f"wendel_lower requires z >= 0 and t in [0, 1], got {(z, t)!r}")
+    if not (0.0 <= z < math.inf and 0.0 <= t <= 1.0):
+        raise DomainError(f"wendel_lower requires finite z >= 0 and t in [0, 1], got {(z, t)!r}")
     return z ** (1.0 - t)
+
+
+def taylor_remainder_bound(n: int, x: float) -> float:
+    """min(2 |x|^n / n!, |x|^(n+1) / (n+1)!), the two-regime remainder
+    bound for the exponential truncated after n terms, for finite x.
+
+    Where both terms and both factorials are finite doubles (n < 170 and
+    |x|^(n+1) below the largest double) it is formed as written, elsewhere
+    in logs through log_gamma, so no large factorial is ever built."""
+    if not (isinstance(n, int) and n >= 1 and math.isfinite(x)):
+        raise DomainError(
+            f"taylor_remainder_bound requires integer n >= 1 and finite x, got {(n, x)!r}"
+        )
+    a = abs(x)
+    if n < 170 and (a <= 1.0 or (n + 1) * math.log(a) < _LOG_MAX):
+        return min(2.0 * a**n / math.factorial(n), a ** (n + 1) / math.factorial(n + 1))
+    log_a = math.log(a) if a else -math.inf
+    log_bound = min(
+        math.log(2.0) + n * log_a - log_gamma(n + 1.0), (n + 1) * log_a - log_gamma(n + 2.0)
+    )
+    if log_bound > _LOG_MAX:
+        raise DomainError(f"taylor_remainder_bound({n!r}, {x!r}) overflows a double")
+    return math.exp(log_bound)
 
 
 __all__ = [
@@ -298,4 +341,5 @@ __all__ = [
     "gamma_ratio_log_bounds",
     "stirling_log_bounds",
     "wendel_lower",
+    "taylor_remainder_bound",
 ]

@@ -13,18 +13,13 @@ measure's closed-form moment (its shape's log_moment plus the weight).
 The series is summed over the orders m = 2..89 as one (frequencies x
 orders) array, one exp per term, with row sums by np.sum and einsum.
 Each sum carries a stated a-priori bound, first order in the unit
-roundoff u: each term's exp-of-log error (the coefficient's own, which
-4 u of its logs' term sizes bound, 2 u (|log kappa_m - log m!| +
-|log_weight|), 4 u m |log|t|| and 2 u for the exp), the summation
-error (43 u / (1 - 43 u) of the sum of |terms| over either half of the
-orders), and the truncation remainder (kappa_(m+1) <= kappa_m on (0, 1), so past the top
-order M the terms shrink at least geometrically, by |t| / (M + 2)). A
-frequency takes the series when that bound is at most 1e-13 |psi|
-(_SERIES_TOL, 100 times the quadrature's tolerance, fixed like it). The
-frequencies are tried in order of |t|, and the first that fails ends
-the run, so the series answers the |t| below some edge and the
-quadrature every one above. The coefficients depend on the shape alone
-and are cached per shape.
+roundoff, on its terms' rounding, its summation and its truncation
+(_series_exponents states the parts). A frequency takes the series when
+that bound is at most 1e-13 |psi| (_SERIES_TOL, 100 times the
+quadrature's tolerance, fixed like it). The frequencies are tried in
+order of |t|, and the first that fails ends the run, so the series
+answers the |t| below some edge and the quadrature every one above. The
+coefficients depend on the shape alone and are cached per shape.
 
 The quadrature, for the rest: double-exponential quadrature in the
 variable of the measure's shape (see hyplevy.measures): u = x^(2/(k-1))
@@ -32,36 +27,18 @@ on (0, 1) for a dimension pair, v = -log x on (0, inf) for the
 codimension limit, which makes the integrand analytic away from the
 endpoints; the measure's weight multiplies the result. Every psi
 quadrature runs to the relative tolerance 1e-11 (_REL_TOL), which is
-fixed, not a parameter. The frequencies of one call are one batch: a
-single quadrature pass computes the node-only factors (the u powers, the
-endpoint factor) once per level and the phase terms only for the
-frequencies not yet converged, in row tiles of at most 2^16 elements
-(hyplevy.quadrature._TILE), so the temporaries stay cache-sized however
-many frequencies there are; each frequency keeps the level at which it
-alone converges, and so its value does not depend on the batch. The
-scalar char_exponent is a batch of one. Each phase term
-e^{itx} - 1 - itx is computed in one form, its quartic Taylor form in t
-where |t x| < 1e-4 and the sine form elsewhere: the nodes are monotone
-in x within a level, so comparing max|t| x and min|t| x with 1e-4 splits
-the columns into all-small, all-large and mixed spans, and only the
-mixed span needs a per-element mask.
+fixed, not a parameter. The frequencies of one call are one batch, a
+single quadrature pass in row tiles whose values do not depend on the
+batch (_quadrature_exponents); the scalar char_exponent is a batch of
+one. Each phase term e^{itx} - 1 - itx is computed in one form, its
+quartic Taylor form in t where |t x| < 1e-4 and the sine form elsewhere
+(_phase_kernel).
 
 Densities come from sampling exp(psi) on a uniform frequency grid,
 truncating where |cf| falls below the threshold 1e-12 (_DECAY_THRESHOLD,
-fixed like _REL_TOL), and applying one real-output FFT. The cutoff is
-found by a doubling search over grid frequencies 4 dt, 8 dt, ..., seeded
-by a bound: 1 - cos u <= u^2 / 2 gives |cf(t)| >= exp(-sigma^2 t^2 / 2),
-and on the grid sigma t = k pi / half_width, so every probe k <= k_safe =
-half_width sqrt(2 ln(1/threshold) - 2) / pi passes with |cf| >= e
-threshold. The seed is the first probe >= k_safe (the top probe n/2 if
-none is), and a probe not yet evaluated goes in one batch with every
-k <= max(probe, seed) not yet evaluated: k = 1..seed first (1..32 at the
-defaults), then each probe above the seed with the grid frequencies
-between it and the probe below (33..64, then 65..128, ...), which the
-grid needs anyway if it is the cutoff. A top seed goes alone first, as
-it alone decides whether any probe can be the cutoff. The probes are
-checked in order from their values, so the cutoff is that of the plain
-search; no frequency is evaluated twice and none above the cutoff is used.
+fixed like _REL_TOL), and applying one real-output FFT. The cutoff comes
+from a doubling search over the grid, seeded by a lower bound on |cf|;
+invert_to_density's docstring states it in full.
 
 Only the half spectrum k = 0..N/2 is built: cf(-t) = conj(cf(t))
 supplies the rest. With
@@ -97,7 +74,6 @@ __all__ = [
     "CdfTable",
     "char_exponent",
     "char_function",
-    "taylor_remainder_bound",
     "invert_to_density",
     "ks_distance",
     "ks_distance_sample",
@@ -111,12 +87,11 @@ _REL_TOL = 1e-11  # relative tolerance of every psi quadrature
 _DECAY_THRESHOLD = 1e-12  # |cf| below which the spectrum is cut
 
 
-def _phase_kernel(t, x, top, powers, forced=None) -> np.ndarray:
+def _phase_kernel(t, x, top, powers) -> np.ndarray:
     """(e^{iy} - 1 - iy) top on the (rows, nodes) phases y = t x, with
-    its quartic Taylor form in t where |y| < _SMALL_PHASE (or where the
-    node mask forced is set); powers = (x^2, x^3, x^4, x^5) times top,
-    which the caller builds in a form that stays finite where top alone
-    overflows.
+    its quartic Taylor form in t where |y| < _SMALL_PHASE; powers =
+    (x^2, x^3, x^4, x^5) times top, which the caller builds in a form
+    that stays finite where top alone overflows.
 
     Each element is computed in one form only. |y| = |t| x grows with |t|
     and, the nodes x being monotone (ascending or descending, as their
@@ -132,13 +107,12 @@ def _phase_kernel(t, x, top, powers, forced=None) -> np.ndarray:
     t = np.asarray(t)
     at = np.abs(t)
     n = len(x)
-    forced = np.zeros(n, dtype=bool) if forced is None else forced
-    n_all = np.count_nonzero((np.max(at) * x < _SMALL_PHASE) | forced)
-    n_any = np.count_nonzero((np.min(at) * x < _SMALL_PHASE) | forced)
+    n_all = np.count_nonzero(np.max(at) * x < _SMALL_PHASE)
+    n_any = np.count_nonzero(np.min(at) * x < _SMALL_PHASE)
     # the columns at the large end where x is 1.0 have y = t, so there the
     # large form is a per-row factor times top
     n_one = min(int(np.count_nonzero(x == 1.0)), n - n_any)
-    if n and x[0] > x[-1]:
+    if x[0] > x[-1]:
         spans = (
             (0, n_one, "one"),
             (n_one, n - n_any, "large"),
@@ -153,14 +127,14 @@ def _phase_kernel(t, x, top, powers, forced=None) -> np.ndarray:
             (n - n_one, n, "one"),
         )
     p2, p3, p4, p5 = powers
-    t2 = t * t
-    # per-row factors of the Taylor form, grouped as the full expression
-    # -0.5 t2 p2 + t2 t2 / 24 p4 (and its imaginary twin) would group them
-    r2, r4 = -0.5 * t2, t2 * t2 / 24.0
-    i3, i5 = -t2 * t / 6.0, t2 * t2 * t / 120.0
     out = np.empty(np.broadcast_shapes(t.shape, x.shape), dtype=complex)
     re, im = out.real, out.imag
     with np.errstate(over="ignore", invalid="ignore"):
+        t2 = t * t
+        # per-row factors of the Taylor form, grouped as the full expression
+        # -0.5 t2 p2 + t2 t2 / 24 p4 (and its imaginary twin) would group them
+        r2, r4 = -0.5 * t2, t2 * t2 / 24.0
+        i3, i5 = -t2 * t / 6.0, t2 * t2 * t / 120.0
         if n_one:
             # the large form's own steps on y = t, so its values are the same
             one_re = np.square(np.sin(np.multiply(t, 0.5))) * -2.0
@@ -186,39 +160,36 @@ def _phase_kernel(t, x, top, powers, forced=None) -> np.ndarray:
                 np.multiply(s, top[cols], out=im[..., cols])
             if form != "large":
                 # over the large form where the row mask says small
-                small = True if form == "small" else (np.abs(y) < _SMALL_PHASE) | forced[cols]
+                small = True if form == "small" else np.abs(y) < _SMALL_PHASE
                 np.copyto(re[..., cols], r2 * p2[cols] + r4 * p4[cols], where=small)
                 np.copyto(im[..., cols], i3 * p3[cols] + i5 * p5[cols], where=small)
     return out
 
 
 def _quadrature_exponents(measure: LevyMeasure1D, ts: np.ndarray) -> np.ndarray:
-    """psi at every frequency of the 1-D array ts by quadrature.
+    """psi at every frequency of the nonempty 1-D array ts by quadrature.
 
-    The nonzero frequencies are one batch of the family's quadrature,
-    tanh-sinh on (0, 1) or exp-sinh on (0, inf) in its shape's variable,
-    so one pass runs over all of them: the shape's node factors are
-    computed once per level, and the (rows, nodes) phase terms only for
-    the rows that have not converged, in the rule's row tiles. Each row
-    keeps the level at which it alone converges, so its value is the one
-    a call with that frequency alone returns.
+    The frequencies are one batch of the family's quadrature, tanh-sinh
+    on (0, 1) or exp-sinh on (0, inf) in its shape's variable, so one
+    pass runs over all of them: the shape's node factors are computed
+    once per level, and the (rows, nodes) phase terms only for the rows
+    that have not converged, in the rule's row tiles. Each row keeps the
+    level at which it alone converges, so its value is the one a call
+    with that frequency alone returns. Zero frequencies are the caller's
+    to drop (_char_exponents does).
     """
-    ts = np.asarray(ts, dtype=float)
-    out = np.zeros(ts.shape, dtype=complex)
-    nonzero = np.flatnonzero(ts != 0.0)
-    if not nonzero.size:
-        return out
     shape = measure.shape
-    t = ts[nonzero, None]
+    t = np.asarray(ts, dtype=float)[:, None]
 
     def integrand(*nodes):
         terms = shape.phase_terms(*nodes)
         return RowBatch(len(t), lambda rows: _phase_kernel(t[rows], *terms))
 
     rule = exp_sinh if shape.half_line else tanh_sinh
-    psi = rule(integrand, rel_tol=_REL_TOL, abs_tol=1e-300)
-    out[nonzero] = measure.coef * psi
-    return out
+    # a phase term that overflows (|t| near 1e300) makes its row nan, which
+    # never converges: QuadratureError reports it, and no warning repeats it
+    with np.errstate(invalid="ignore"):
+        return measure.coef * rule(integrand, rel_tol=_REL_TOL, abs_tol=1e-300)
 
 
 _U = 2.0**-53  # unit roundoff of a double
@@ -330,7 +301,7 @@ def _series_exponents(measure: LevyMeasure1D, ts: np.ndarray):
     g = table.coef + measure.log_weight
     top = int(np.argmax(table.orders))
     step = _TILE // len(table.orders)
-    psis, bounds = [], []
+    psis, bounds = [np.zeros(0, dtype=complex)], [np.zeros(0)]
     for start in range(0, n, step):
         rows = slice(start, min(start + step, n))
         lam = np.log(at[rows])
@@ -349,8 +320,6 @@ def _series_exponents(measure: LevyMeasure1D, ts: np.ndarray):
         bounds.append(bound[:kept])
         if kept < len(lam):
             break
-    if not psis:
-        return np.zeros(0, dtype=complex), np.zeros(0)
     return np.concatenate(psis), np.concatenate(bounds)
 
 
@@ -394,17 +363,6 @@ def char_exponent(measure: LevyMeasure1D, t: float) -> complex:
 def char_function(measure: LevyMeasure1D, t: float) -> complex:
     """exp(char_exponent); |value| <= 1."""
     return complex(np.exp(char_exponent(measure, t)))
-
-
-def taylor_remainder_bound(n: int, x: float) -> float:
-    """min(2 |x|^n / n!, |x|^(n+1) / (n+1)!), the two-regime remainder
-    bound for the exponential truncated after n terms."""
-    if not (isinstance(n, int) and n >= 1):
-        raise DomainError(f"taylor_remainder_bound requires integer n >= 1, got {n!r}")
-    if math.isnan(x):
-        raise DomainError("taylor_remainder_bound requires a number x, got nan")
-    a = abs(x)
-    return min(2.0 * a**n / math.factorial(n), a ** (n + 1) / math.factorial(n + 1))
 
 
 @dataclass(frozen=True)
@@ -493,22 +451,25 @@ def invert_to_density(
     The frequency step is pinned by the requested window (dt = pi /
     (half_width sigma)); the cf is evaluated out to the first doubling
     probe k dt (k = 4, 8, 16, ... <= n/2) where |cf| drops below the
-    fixed threshold 1e-12, and treated as zero beyond. Since
-    |cf(t)| >= exp(-sigma^2 t^2 / 2), no probe up to
-    k_safe = half_width sqrt(2 ln(1/threshold) - 2) / pi can be the
+    fixed threshold 1e-12, and treated as zero beyond. No probe up to
+    k_safe (_safe_index, from |cf(t)| >= exp(-sigma^2 t^2 / 2)) can be the
     cutoff, so the search is seeded at the first probe >= k_safe, or at
     the top probe n/2 when none is (a window too wide for n_points). The
     probes are checked in order, and one not yet evaluated goes in one
-    batch with every k <= max(probe, seed) not yet evaluated. A top seed
-    is evaluated alone first: if it does not drop below the threshold,
+    batch with every k <= max(probe, seed) not yet evaluated: k = 1..seed
+    first (1..32 at the defaults), then each probe above the seed with the
+    grid frequencies between it and the probe below (33..64, 65..128,
+    ...), which the grid needs if it is the cutoff. So the cutoff is that
+    of the plain search, and no frequency is evaluated twice or above it.
+    A top seed is evaluated alone first, as it alone decides whether any
+    probe can be the cutoff: if it does not drop below the threshold,
     DecayDetectionError is raised with its |cf| and nothing else is
     evaluated. DecayDetectionError is also raised when no probe drops
-    below the threshold, once every frequency up to the top probe (at
-    most n/2 of them) has been evaluated. The bound takes
-    measure.total_second_moment as sigma^2; should a measure understate
-    it, the cutoff is still the first probe below the threshold. The
-    density on x_m = (m - n/2) dx, dx = 2 pi / (n dt), is the
-    half-spectrum sum
+    below the threshold, once every k up to the top probe (at most n/2 of
+    them) has been evaluated. The bound takes measure.total_second_moment
+    as sigma^2; should a measure understate it, the cutoff is still the
+    first probe below the threshold. The density on x_m = (m - n/2) dx,
+    dx = 2 pi / (n dt), is the half-spectrum sum
 
         f(x_m) = (dt / 2 pi) hfft[a]_m,  a_k = (-1)^k cf(k dt), k = 0..n/2,
 
@@ -528,11 +489,7 @@ def invert_to_density(
     n = n_points
     t_grid_max = 0.5 * n * dt
 
-    # doubling search for the truncation frequency over the grid probes
-    # i = 4, 8, 16, ... <= n/2. Every probe up to k_safe passes (see
-    # _safe_index); a probe not yet evaluated goes with every k <=
-    # max(probe, seed) not yet evaluated, which the grid needs if it or a
-    # probe above it is the cutoff.
+    # the cutoff search of the docstring, over the probes 4, 8, ... <= n/2
     half = n // 2
     ladder = [4 << m for m in range((half // 4).bit_length())]
     top = ladder[-1]

@@ -440,6 +440,54 @@ class TestSpecfun:
         code, out, err = run(capsys, "specfun", "--op", "taylor-bound", "2", "nan")
         assert code == 2 and out == "" and "nan" in err
 
+    @pytest.mark.parametrize(
+        "op_args",
+        [
+            # OverflowError (exit 1) and inf
+            ("log-gamma", "1e308"),
+            ("log-gamma", "3e305"),
+            # OverflowError in B(p, q)
+            ("inc-beta", "1e-320", "1e-320", "0.5"),
+            # OverflowError in the prefactor
+            ("reg-inc-beta", "1e200", "1e200", "0.5"),
+            # Infinity in "args", and a NaN variance
+            ("beta-stats", "inf", "1"),
+            ("beta-stats", "1e308", "1e308"),
+            ("chebyshev-tail", "2", "3", "inf"),
+            # the documented -inf lower log
+            ("gamma-ratio-bounds", "1", "2"),
+            # Infinity for both logs
+            ("stirling-bounds", "3e305"),
+            ("wendel-lower", "inf", "0.5"),
+            # OverflowError
+            ("taylor-bound", "2", "1e200"),
+        ],
+        ids=lambda a: " ".join(a),
+    )
+    def test_a_value_json_cannot_carry_exits_2(self, capsys, op_args):
+        code, out, err = run(capsys, "specfun", "--op", *op_args)
+        assert code == 2 and out == "" and err.startswith("hyplevy: error:")
+
+    @pytest.mark.parametrize(
+        "op_args, field, want",
+        [
+            # a NaN variance
+            (("beta-stats", "2", "1e308"), "mean", 2e-308),
+            # ZeroDivisionError
+            (("chebyshev-tail", "5e-324", "2", "5e-324"), "bound", 0.0),
+            # OverflowError from float(1000!)
+            (("taylor-bound", "1000", "0.5"), "value", 0.0),
+        ],
+        ids=lambda a: " ".join(a) if isinstance(a, tuple) else None,
+    )
+    def test_extreme_arguments_print_strict_json(self, capsys, op_args, field, want):
+        def reject(constant):
+            raise ValueError(constant)
+
+        code, out, _ = run(capsys, "specfun", "--op", *op_args)
+        assert code == 0
+        assert json.loads(out, parse_constant=reject)[field] == want
+
 
 class TestTopLevel:
     def test_import_leaves_out_concurrent_futures(self):

@@ -17,7 +17,7 @@ import pytest
 from conftest import hyplevy_env
 import hyplevy
 
-SUBMODULES = ("errors", "pairs", "measures", "regime", "sampler", "spectral")
+SUBMODULES = ("errors", "pairs", "measures", "regime", "sampler", "spectral", "specfun")
 NUMPY_FREE = ("errors", "specfun", "pairs", "regime", "cli")
 SRC = Path(hyplevy.__file__).resolve().parent
 
@@ -72,6 +72,7 @@ CLI_CASES = [
     (["--version"], False),
     (["variance", "40", "21"], False),
     (["specfun", "--op", "reg-inc-beta", "2.5", "3", "0.4"], False),
+    (["specfun", "--op", "taylor-bound", "4", "0.5"], False),
     (["classify", "--sequence", "power-law", "--gamma", "1.0", "--beta", "0.3"], False),
     (["probe", "--sequence", "power-law", "--gamma", "1.0", "--beta", "0.7",
       "--n", "1,1000000", "--eps", "0.1,0.5", "--out", "p.csv"], False),
@@ -81,7 +82,8 @@ CLI_CASES = [
 
 @pytest.mark.parametrize(
     "argv, loads_numpy", CLI_CASES,
-    ids=["import", "help", "version", "variance", "specfun", "classify", "probe", "cumulants"],
+    ids=["import", "help", "version", "variance", "specfun", "taylor-bound", "classify", "probe",
+         "cumulants"],
 )
 def test_cli_start_imports_numpy_only_where_needed(tmp_path, argv, loads_numpy):
     script = "import sys\nfrom hyplevy.cli import main\n"

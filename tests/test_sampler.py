@@ -37,6 +37,7 @@ from hyplevy.spectral import ks_distance_sample
 
 HYP43 = make_measure("hyperbolic", DimensionPair(4, 3))
 RESC43 = make_measure("rescaled", DimensionPair(4, 3))
+HYP75 = make_measure("hyperbolic", DimensionPair(7, 5))
 LIMIT2 = make_measure("limit", 2)
 
 
@@ -84,23 +85,35 @@ class TestTailMass:
         vals = [tail_mass(RESC43, float(d)) for d in np.geomspace(1e-4, 0.9, 25)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
-    def test_cutoff_near_one_against_mpmath(self):
+    @staticmethod
+    def assert_upper_moments_match_mpmath(d, k, delta):
         # both sides integrate in y = 1 - u on (0, y_max), y_max = 1 - delta^(2/(k-1));
         # mpmath scales y = y_max t so its integrand stays O(1) at 50 digits
+        measure = make_measure("hyperbolic", DimensionPair(d, k))
+        got = (tail_mass(measure, delta), partial_moment(measure, delta, 1, "above"))
+        with mpmath.workdps(50):
+            half_b = mpmath.mpf(d - k) / 2
+            coef = mpmath.pi**half_b / mpmath.gamma(half_b)
+            y_max = -mpmath.expm1(2 * mpmath.log(mpmath.mpf(delta)) / (k - 1))
+            for m in (0, 1):
+                e_pow = mpmath.mpf((k - 1) * m - d - 1) / 2
+                want = coef * y_max**half_b * mpmath.quad(
+                    lambda t: (1 - y_max * t) ** e_pow * t ** (half_b - 1), [0, 1]
+                )
+                assert abs(got[m] / want - 1) <= 1e-12, (d, k, delta, m)
+
+    def test_cutoff_near_one_against_mpmath(self):
         for d, k in ((4, 3), (24, 13), (40, 21), (100, 99)):
-            measure = make_measure("hyperbolic", DimensionPair(d, k))
             for delta in (1e-3, 0.5, 1.0 - 1e-9, 0.99999999999999745):
-                got = (tail_mass(measure, delta), partial_moment(measure, delta, 1, "above"))
-                with mpmath.workdps(50):
-                    half_b = mpmath.mpf(d - k) / 2
-                    coef = mpmath.pi**half_b / mpmath.gamma(half_b)
-                    y_max = -mpmath.expm1(2 * mpmath.log(mpmath.mpf(delta)) / (k - 1))
-                    for m in (0, 1):
-                        e_pow = mpmath.mpf((k - 1) * m - d - 1) / 2
-                        want = coef * y_max**half_b * mpmath.quad(
-                            lambda t: (1 - y_max * t) ** e_pow * t ** (half_b - 1), [0, 1]
-                        )
-                        assert abs(got[m] / want - 1) <= 1e-12, (d, k, delta, m)
+                self.assert_upper_moments_match_mpmath(d, k, delta)
+
+    @pytest.mark.parametrize("d, k", [(100, 99), (101, 99), (1002, 1000)])
+    def test_a_node_that_rounds_to_zero_counts_as_positive(self, d, k):
+        # at delta = 1 - 2^-53, y_max = 2.3e-18 (k = 99) or 2.2e-19
+        # (k = 1000), and the outermost tanh-sinh node y = 6.7e-308 y_max
+        # rounds to 0: y^(b/2-1) there was inf for b = 1 (tail_mass inf)
+        # and would be nan for b = 2, where 0 * log 0 is nan
+        self.assert_upper_moments_match_mpmath(d, k, 1.0 - 2.0**-53)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -494,6 +507,31 @@ class TestSampleDeterminism:
         cfg = SamplerConfig(cutoff_delta=delta, seed=7, batch_size=batch_size)
         values = sample(measure, n, cfg).values
         assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+
+    def test_a_codimension_two_pair_is_pinned(self):
+        # b = 2: the endpoint power b/2 - 1 is 0, and exp(0 log y) = 1
+        # exactly in the general expressions; recorded while b = 2 took
+        # branches of its own
+        delta = 1e-2
+        table = sampler._certified_jump_table(HYP75.shape, delta)
+        h = hashlib.sha256()
+        for a in (table.x_knots, table.slopes, table.c0, table.c1, table.c2, table.c3):
+            h.update(a.tobytes())
+        h.update(np.int64(table.cells).tobytes())
+        h.update(np.float64(table.cert_error).tobytes())
+        assert h.hexdigest() == "b809cf50585650bf2ed3a61bd9a28e36a7394d7e876a92decd72b21387839f00"
+        values = sample(HYP75, 700, SamplerConfig(cutoff_delta=delta, seed=7, batch_size=1000)).values
+        assert (
+            hashlib.sha256(values.tobytes()).hexdigest()
+            == "ee4bcd0e348da4f3909f3465b5a5daeaac74926bf764ad550659dfc49a5a9076"
+        )
+        assert tail_mass(HYP75, delta) == 1046.1503536454009
+        assert partial_moment(HYP75, delta, 1, "above") == 28.274333882308127
+        xs = np.array([1e-3, 0.1, 0.5, 0.9, 1.0 - 2.0**-40])
+        assert HYP75.density(xs).tolist() == [
+            49672941.328980416, 496.7294132898045, 8.885765876316732,
+            2.044153964155576, 1.570796326798468,
+        ]
 
     def test_partial_final_batch(self):
         cfg = SamplerConfig(cutoff_delta=0.05, seed=2, batch_size=64)

@@ -26,6 +26,7 @@ from hyplevy.specfun import (
     log_gamma_ratio,
     reg_inc_beta,
     stirling_log_bounds,
+    taylor_remainder_bound,
     wendel_lower,
 )
 
@@ -79,6 +80,14 @@ class TestLogGamma:
         for bad in (0.0, -1.0, -0.5, math.inf, math.nan):
             with pytest.raises(DomainError):
                 log_gamma(bad)
+
+    def test_an_overflowing_value_is_a_domain_error(self):
+        # x log x passes the largest double near x = 2.56e305: 3e305 gave
+        # inf, and 1e308 an OverflowError from floor(2 x) = floor(inf)
+        assert math.isfinite(log_gamma(2e305))
+        for x in (3e305, 1e308, 1.7976931348623157e308):
+            with pytest.raises(DomainError, match="overflows"):
+                log_gamma(x)
 
 
 class TestLogGammaRatio:
@@ -175,6 +184,11 @@ class TestBeta:
         with pytest.raises(DomainError):
             beta(1.0, -2.0)
 
+    def test_an_overflowing_value_is_a_domain_error(self):
+        # B(p, q) ~ 1/p + 1/q; math.exp raised OverflowError
+        with pytest.raises(DomainError, match="overflows"):
+            beta(1e-320, 1e-320)
+
 
 class TestRegIncBeta:
     def test_arcsine_closed_form(self):
@@ -229,6 +243,12 @@ class TestRegIncBeta:
         with pytest.raises(DomainError):
             reg_inc_beta(1.0, 1.0, math.nan)
 
+    def test_a_lost_prefactor_is_a_domain_error(self):
+        # the prefactor's logs cancel at p = q = 1e200, and their rounding
+        # made exp overflow (OverflowError)
+        with pytest.raises(DomainError, match="prefactor"):
+            reg_inc_beta(1e200, 1e200, 0.5)
+
 
 class TestIncBeta:
     def test_frozen_value(self):
@@ -254,6 +274,19 @@ class TestBetaDistStats:
     def test_domain(self):
         with pytest.raises(DomainError):
             beta_dist_stats(-1.0, 2.0)
+        # an overflowing p + q gave a nan variance
+        for bad in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1e308, 1e308)):
+            with pytest.raises(DomainError):
+                beta_dist_stats(*bad)
+
+    def test_extreme_shapes_give_finite_stats(self):
+        # p q or (p + q)^3 overflowed (a nan variance), and subnormal
+        # shapes divided 0 by 0
+        mean, var = beta_dist_stats(2.0, 1e308)
+        assert mean == 2e-308 and var == 0.0
+        assert beta_dist_stats(5e-324, 5e-324) == (0.5, 0.25)
+        mean, var = beta_dist_stats(1e150, 3e150)
+        assert mean == 0.25 and math.isclose(var, 0.1875 / 4e150, rel_tol=1e-15)
 
 
 class TestChebyshevTail:
@@ -269,6 +302,19 @@ class TestChebyshevTail:
         # nan compares false with the mean on both sides, which read as "above"
         with pytest.raises(DomainError):
             chebyshev_tail_bound(1.0, 1.0, math.nan)
+
+    def test_non_finite_arguments_are_domain_errors(self):
+        bad_args = ((math.inf, 1.0, 0.5), (1.0, math.inf, 0.5), (1.0, 1.0, math.inf), (1e308, 1e308, 0.25))
+        for bad in bad_args:
+            with pytest.raises(DomainError):
+                chebyshev_tail_bound(*bad)
+
+    def test_extreme_shapes_need_no_division_by_zero(self):
+        # the mean 5e-324 / 2 underflows to 0, and p t^2 to 0 near the
+        # mean: both raised ZeroDivisionError
+        assert chebyshev_tail_bound(5e-324, 2.0, 5e-324) == ("above", 0.0)
+        assert chebyshev_tail_bound(5e-324, 2.0, -1.0) == ("below", 0.0)
+        assert chebyshev_tail_bound(5e-324, 5e-324, 0.5 + 2.0**-53) == ("above", 0.0)
 
     def test_dominates_the_cdf(self):
         # below the mean the bound caps I_x from above, past it from below
@@ -309,6 +355,11 @@ class TestGammaRatioBounds:
             gamma_ratio_log_bounds(0.5, 1.0)
         with pytest.raises(DomainError):
             gamma_ratio_log_bounds(2.0, -0.1)
+        for bad in ((math.inf, 1.0), (2.0, math.inf), (2.0, math.nan)):
+            with pytest.raises(DomainError):
+                gamma_ratio_log_bounds(*bad)
+        with pytest.raises(DomainError):  # log Gamma(p) overflows
+            gamma_ratio_log_bounds(1e308, 1.0)
 
 
 class TestStirlingBounds:
@@ -326,6 +377,8 @@ class TestStirlingBounds:
     def test_domain(self):
         with pytest.raises(DomainError):
             stirling_log_bounds(0.99)
+        with pytest.raises(DomainError):  # was nan for both logs
+            stirling_log_bounds(math.inf)
 
 
 class TestWendelLower:
@@ -350,3 +403,45 @@ class TestWendelLower:
             wendel_lower(-0.1, 0.5)
         with pytest.raises(DomainError):
             wendel_lower(1.0, 1.5)
+        with pytest.raises(DomainError):  # was inf
+            wendel_lower(math.inf, 0.5)
+
+
+class TestTaylorRemainderBound:
+    def test_frozen_values(self):
+        assert math.isclose(taylor_remainder_bound(2, 0.1), 1e-3 / 6.0, rel_tol=1e-15)
+        assert taylor_remainder_bound(1, 10.0) == 20.0
+
+    def test_dominates_the_exponential_remainder(self):
+        for x in np.linspace(-10.0, 10.0, 10001):
+            x = float(x)
+            lhs = math.hypot(2.0 * math.sin(0.5 * x) ** 2, x - math.sin(x))
+            assert lhs <= taylor_remainder_bound(1, x) * (1.0 + 1e-12) + 1e-300
+
+    def test_validation(self):
+        with pytest.raises(DomainError):
+            taylor_remainder_bound(0, 1.0)
+        with pytest.raises(DomainError):
+            taylor_remainder_bound(1.5, 1.0)
+        with pytest.raises(DomainError):  # not min() of two nan bounds, nan
+            taylor_remainder_bound(2, math.nan)
+        with pytest.raises(DomainError):
+            taylor_remainder_bound(2, math.inf)
+
+    def test_a_bound_past_the_largest_double_is_a_domain_error(self):
+        # 2 x^2 / 2 = 1e400; x ** 3 raised OverflowError
+        with pytest.raises(DomainError, match="overflows"):
+            taylor_remainder_bound(2, 1e200)
+
+    def test_the_log_form_where_a_term_or_a_factorial_overflows(self):
+        # x^2 overflows, the smaller term 2 x does not
+        assert math.isclose(taylor_remainder_bound(1, 1e155), 2e155, rel_tol=1e-13)
+        # 171! is no double; the log form never builds a factorial, so a
+        # large order costs no more than a small one
+        assert math.isclose(
+            taylor_remainder_bound(180, 30.0),
+            float(mpmath.mpf(30) ** 181 / mpmath.factorial(181)),
+            rel_tol=1e-12,
+        )
+        assert taylor_remainder_bound(10**6, 0.5) == 0.0
+        assert taylor_remainder_bound(10**6, 0.0) == 0.0

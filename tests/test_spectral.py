@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -27,7 +28,6 @@ from hyplevy.spectral import (
     invert_to_density,
     ks_distance,
     ks_distance_sample,
-    taylor_remainder_bound,
     _SMALL_PHASE,
     _char_exponents,
     _phase_kernel,
@@ -193,13 +193,13 @@ def seeded_block(half_width, n):
     return list(range(1, seed + 1)) if seed else ladder[-1:]
 
 
-def where_kernel(t, x, top, powers, forced):
+def where_kernel(t, x, top, powers):
     """Both forms of the phase kernel over the whole block, one picked per
     element by where(): the reference the single-form kernel must equal."""
     p2, p3, p4, p5 = powers
     t2 = t * t
     y = t * x
-    small = (np.abs(y) < _SMALL_PHASE) | forced
+    small = np.abs(y) < _SMALL_PHASE
     out = np.empty(np.shape(y), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         out.real = np.where(
@@ -263,6 +263,17 @@ class TestCharExponent:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(QuadratureError):
             _quadrature_exponents(measure, np.array([1.0]))
 
+    @pytest.mark.parametrize("measure", [LIMIT1, LIMIT2], ids=["limit1", "limit2"])
+    @pytest.mark.parametrize("t", [1e299, -1e299, 1e301])
+    def test_a_frequency_near_the_top_of_the_doubles_is_a_quadrature_error(self, measure, t):
+        # the only |t| at which nodes past v = 700 (x < 1e-304) leave the
+        # Taylor form's all-small span; psi is out of reach there, and the
+        # overflowing phase terms say so quietly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(QuadratureError):
+                char_exponent(measure, t)
+
     def test_small_frequency_curvature_is_the_variance(self):
         # (2 - cf(h) - cf(-h)) / h^2 recovers the second cumulant
         h = 1e-3
@@ -310,12 +321,12 @@ class TestBlockExponents:
         tight = _quadrature_exponents(measure, ts)
         assert np.all(np.abs(got - tight) <= 1e-11 * np.abs(tight))
 
-    def test_zero_frequencies_cost_nothing(self, quad_log):
-        got = _quadrature_exponents(RESC43, np.array([0.0, 1.0, 0.0]))
+    def test_zero_frequencies_cost_nothing(self, quadrature_route, quad_log):
+        got = _char_exponents(RESC43, np.array([0.0, 1.0, 0.0]))
         assert got[0] == got[2] == 0.0
-        assert got[1] == _quadrature_exponents(RESC43, np.array([1.0]))[0]
+        assert got[1] == _char_exponents(RESC43, np.array([1.0]))[0]
         assert [rec["rows"] for rec in quad_log] == [1, 1]
-        assert _quadrature_exponents(RESC43, np.zeros(3)).tolist() == [0.0] * 3
+        assert _char_exponents(RESC43, np.zeros(3)).tolist() == [0.0] * 3
         assert len(quad_log) == 2
 
     def test_level_five_to_six_evaluates_783_points(self, quad_log):
@@ -726,27 +737,26 @@ class TestPhaseKernel:
         calls = []
         real = spectral._phase_kernel
 
-        def record(t, x, top, powers, forced=None):
-            calls.append((t, x, top, powers, forced))
-            return real(t, x, top, powers, forced)
+        def record(t, x, top, powers):
+            calls.append((t, x, top, powers))
+            return real(t, x, top, powers)
 
         monkeypatch.setattr(spectral, "_phase_kernel", record)
         _quadrature_exponents(measure, np.geomspace(1e-3, 3e3, 32))
         assert max(len(c[1]) for c in calls) > 2048  # some call at level 9 or above
         # and columns where x rounds to 1.0, which take y = t per row
         assert any(np.any(c[1] == 1.0) for c in calls)
-        for t, x, top, powers, forced in calls:
+        for t, x, top, powers in calls:
             # the nodes are monotone, as the spans assume
             steps = np.diff(x)
             assert np.all(steps <= 0.0) or np.all(steps >= 0.0)
-            mask = np.zeros(len(x), dtype=bool) if forced is None else forced
-            want = where_kernel(t, x, top, powers, mask)
-            got = _phase_kernel(t, x, top, powers, forced)
+            want = where_kernel(t, x, top, powers)
+            got = _phase_kernel(t, x, top, powers)
             np.testing.assert_array_equal(got, want)
             # a scalar frequency and a negative one take the same forms
             for one in (t[0, 0], -t[-1:]):
-                got = _phase_kernel(one, x, top, powers, forced)
-                np.testing.assert_array_equal(got, where_kernel(one, x, top, powers, mask))
+                got = _phase_kernel(one, x, top, powers)
+                np.testing.assert_array_equal(got, where_kernel(one, x, top, powers))
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
@@ -842,26 +852,6 @@ class TestCharFunction:
         for f in (char_exponent, char_function):
             with pytest.raises(DomainError, match="finite frequency"):
                 f(RESC43, t)
-
-
-class TestTaylorRemainderBound:
-    def test_frozen_values(self):
-        assert math.isclose(taylor_remainder_bound(2, 0.1), 1e-3 / 6.0, rel_tol=1e-15)
-        assert taylor_remainder_bound(1, 10.0) == 20.0
-
-    def test_dominates_the_exponential_remainder(self):
-        for x in np.linspace(-10.0, 10.0, 10001):
-            x = float(x)
-            lhs = math.hypot(2.0 * math.sin(0.5 * x) ** 2, x - math.sin(x))
-            assert lhs <= taylor_remainder_bound(1, x) * (1.0 + 1e-12) + 1e-300
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            taylor_remainder_bound(0, 1.0)
-        with pytest.raises(DomainError):
-            taylor_remainder_bound(1.5, 1.0)
-        with pytest.raises(DomainError):  # not min() of two nan bounds, nan
-            taylor_remainder_bound(2, math.nan)
 
 
 class TestInvertToDensity:
