@@ -70,7 +70,7 @@ from .errors import (
 )
 from .measures import LevyMeasure1D
 from .quadrature import exp_sinh, tanh_sinh
-from .specfun import reg_inc_beta
+from .specfun import _LOG_MAX, reg_inc_beta, reg_upper_gamma
 
 __all__ = [
     "SamplerConfig",
@@ -158,7 +158,9 @@ def partial_moment(measure: LevyMeasure1D, delta: float, m: int, side: str) -> f
     infinite mass and infinite first absolute moment near 0); m < 2 there
     raises DivergentMomentError. Pair shapes split their closed-form
     moments by an incomplete Beta; the rest is quadrature in the shape's
-    variable.
+    variable, except the limit shape below the cutoff at codimensions
+    where that quadrature overflows (b >= 344 at m = 2), which takes the
+    upper incomplete Gamma (m-1)^(-b/2) Q(b/2, -(m-1) log delta).
     """
     delta = _require_delta(delta)
     if not (isinstance(m, int) and m >= 0):
@@ -179,6 +181,12 @@ def partial_moment(measure: LevyMeasure1D, delta: float, m: int, side: str) -> f
         return _upper_moment(measure, delta, m)
     # below the cutoff with no Beta form: the limit shape, over v > -log delta
     f, v_cut = shape.upper_integrand(delta, m)
+    if shape.log_moment(m) - shape.log_coef > _LOG_MAX:
+        # f's integral over (0, inf), Gamma(b/2) (m-1)^(-b/2), overflows a
+        # double (from b = 344 at m = 2), and so do the quadrature's sums:
+        # the share below delta is Q(b/2, (m-1) v_cut) instead
+        a = 0.5 * shape.codim
+        return shape.moment(m, measure.log_weight) * reg_upper_gamma(a, (m - 1.0) * v_cut)
     return measure.coef * exp_sinh(f, a=v_cut, rel_tol=1e-12, abs_tol=1e-300)
 
 

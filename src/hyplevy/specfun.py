@@ -4,9 +4,11 @@ Scalar, pure-Python evaluation kernels without mutable state. Everything
 that can overflow is computed in log space, and Gamma ratios at large
 arguments go through a Stirling difference (log_gamma_ratio) instead of
 two cancelling log-Gamma values. The incomplete Beta uses a modified Lentz
-continued fraction with the standard symmetry switch at x = (p+1)/(p+q+2).
-The fraction stops once a step changes it by less than 1e-12 relative, and
-raises ConvergenceError after 500 steps; neither is a parameter.
+continued fraction with the standard symmetry switch at x = (p+1)/(p+q+2),
+and the upper incomplete Gamma the same kind of fraction above x = a + 1
+and its power series below. A fraction or series stops once a step
+changes it by less than 1e-12 relative, and raises ConvergenceError after
+500 steps; neither is a parameter.
 Alongside the evaluators, the module exposes the classical bracketing
 bounds (Wendel, Stirling, Gamma-ratio sandwich, Chebyshev tails of the Beta
 law, the exponential's Taylor remainder) as plain functions so tests can
@@ -226,6 +228,60 @@ def reg_inc_beta(p: float, q: float, x: float) -> float:
     return value
 
 
+def reg_upper_gamma(a: float, x: float) -> float:
+    """Regularized upper incomplete Gamma Q(a, x) = Gamma(a, x) / Gamma(a).
+
+    Below x = a + 1 it is 1 - P, P summed by its power series
+    x^a e^-x / Gamma(a + 1) (1 + x / (a + 1) + ...); above, Q itself by
+    the modified Lentz continued fraction, as for the incomplete Beta.
+    Both multiply the front factor x^a e^-x / Gamma(a), taken as one exp
+    of its logs, so it carries their rounding (a few ulp of
+    a log x + log Gamma(a)). Below a = 1 a Q far under 1 can sit below
+    x = a + 1, where 1 - P keeps only P's absolute accuracy. Near x = a
+    both need about sqrt(a) steps and run out of them from a ~ 5000 on.
+    a must be positive and x nonnegative, both finite.
+    """
+    if not (0.0 < a < math.inf) or not (0.0 <= x < math.inf):
+        raise DomainError(f"reg_upper_gamma requires finite a > 0 and x >= 0, got {(a, x)!r}")
+    if x == 0.0:
+        return 1.0
+    try:  # the front is at most about sqrt(a): an overflow is the logs' rounding
+        front = math.exp(a * math.log(x) - x - log_gamma(a))
+    except OverflowError:
+        raise DomainError(f"reg_upper_gamma loses its prefactor at {(a, x)!r}") from None
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        ap = a
+        for _ in range(_CF_MAX_ITER):
+            ap += 1.0
+            term *= x / ap
+            total += term
+            if term < total * _CF_REL_TOL:
+                return max(0.0, 1.0 - front * total)
+    else:
+        b = x + 1.0 - a
+        c = 1.0 / _FPMIN
+        d = 1.0 / (b if abs(b) >= _FPMIN else _FPMIN)
+        h = d
+        for i in range(1, _CF_MAX_ITER + 1):
+            an = -i * (i - a)
+            b += 2.0
+            d = an * d + b
+            if abs(d) < _FPMIN:
+                d = _FPMIN
+            c = b + an / c
+            if abs(c) < _FPMIN:
+                c = _FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+            if abs(delta - 1.0) < _CF_REL_TOL:
+                return min(1.0, front * h)
+    raise ConvergenceError(
+        f"incomplete Gamma did not converge in {_CF_MAX_ITER} iterations (a={a}, x={x})"
+    )
+
+
 def inc_beta(p: float, q: float, x: float) -> float:
     """Unregularized incomplete Beta B_x(p, q) = B(p, q) I_x(p, q), x in [0, 1]."""
     if not 0.0 <= x <= 1.0:
@@ -335,6 +391,7 @@ __all__ = [
     "log_beta",
     "beta",
     "reg_inc_beta",
+    "reg_upper_gamma",
     "inc_beta",
     "beta_dist_stats",
     "chebyshev_tail_bound",

@@ -31,8 +31,13 @@ fixed, not a parameter. The frequencies of one call are one batch, a
 single quadrature pass in row tiles whose values do not depend on the
 batch (_quadrature_exponents); the scalar char_exponent is a batch of
 one. Each phase term e^{itx} - 1 - itx is computed in one form, its
-quartic Taylor form in t where |t x| < 1e-4 and the sine form elsewhere
-(_phase_kernel).
+quartic Taylor form in t where |t x| < 1e-4 and the large form
+elsewhere (_phase_kernel). The large form has two routes. Any batch can
+take two sines per term. The grid frequencies k dt that invert_to_density
+passes come in runs of consecutive k, where the phases at a node form an
+arithmetic progression; there a doubling recurrence gives each row from
+a few rows of sines by one complex multiply-add, within a stated error
+that the tests check against mpmath.
 
 Densities come from sampling exp(psi) on a uniform frequency grid,
 truncating where |cf| falls below the threshold 1e-12 (_DECAY_THRESHOLD,
@@ -83,11 +88,56 @@ __all__ = [
 STANDARD_NORMAL = "standard_normal"
 
 _SMALL_PHASE = 1e-4
+_QUADRATIC_PHASE = 2.0**-27  # |y| below which the quartic Taylor terms vanish in rounding
 _REL_TOL = 1e-11  # relative tolerance of every psi quadrature
 _DECAY_THRESHOLD = 1e-12  # |cf| below which the spectrum is cut
+_SEED_ROWS = 4  # rows of a frequency run whose phase terms are direct
+_PROGRESSION_ERR = 16.0  # the recurrence's stated error, in u (|E| + |y|) |top|
 
 
-def _phase_kernel(t, x, top, powers) -> np.ndarray:
+def _unit_phase(y):
+    """e^{iy} - 1 as its two parts, -2 sin(y/2)^2 and sin y, each to a few
+    ulp of itself."""
+    h = np.multiply(y, 0.5)
+    np.sin(h, out=h)
+    np.square(h, out=h)
+    h *= -2.0
+    return h, np.sin(y)
+
+
+def _progression(t, x, top, dt) -> np.ndarray:
+    """(e^{iy} - 1) top as a (rows, nodes) complex array, on the phases
+    y = t x of a run of consecutive grid frequencies t = k dt.
+
+    The first _SEED_ROWS rows are direct (_unit_phase). Then the filled
+    rows [0, h) give rows [h, 2h) at once: with s = h dt x per node and
+    G(y) = e^{iy} - 1, G(y + s) = G(y) (1 + G(s)) + G(s), and h doubles.
+    So a row is at most ceil(log2(rows / _SEED_ROWS)) steps from its
+    seed, and each step is one multiply-add over the rows it fills. The
+    seeds and the shifts G(s) take their sines in one call. G(s) is
+    taken from its sines, never as e^{is} - 1, and for small y and s every
+    term of a new real or imaginary part has the sign of their total, so
+    no step cancels (Reinsch's stable form of the rotation; Gentleman
+    1969, Computer J. 12:160).
+    """
+    n = len(t)
+    seed = min(n, _SEED_ROWS)
+    shifts = seed << np.arange(max(0, math.ceil(math.log2(n / seed))))
+    phases = np.concatenate((t[:seed, 0], shifts * dt))[:, None] * x
+    g = np.empty(phases.shape, dtype=complex)
+    g.real, g.imag = _unit_phase(phases)
+    block = np.empty((n, len(x)), dtype=complex)
+    np.multiply(g[:seed], top, out=block[:seed])
+    turn = g[seed:] + 1.0  # e^{is}
+    lift = g[seed:] * top  # G(s) top
+    for h, turn_h, lift_h in zip(shifts, turn, lift):
+        new = block[h : 2 * h]
+        np.multiply(block[: len(new)], turn_h, out=new)
+        new += lift_h
+    return block
+
+
+def _phase_kernel(t, x, top, powers, run=None) -> np.ndarray:
     """(e^{iy} - 1 - iy) top on the (rows, nodes) phases y = t x, with
     its quartic Taylor form in t where |y| < _SMALL_PHASE; powers =
     (x^2, x^3, x^4, x^5) times top, which the caller builds in a form
@@ -101,33 +151,52 @@ def _phase_kernel(t, x, top, powers) -> np.ndarray:
     nodes near u = 1, exp-sinh nodes near v = 0) y is t itself, and the
     large form's sines are taken once per row. The forms and their steps
     are the ones a where() over both would pick, so the values do not
-    depend on the spans. Its temporaries are the size of the output, which
-    the caller's row tiles (hyplevy.quadrature._TILE) bound.
+    depend on the spans. Where |y| < _QUADRATIC_PHASE the quartic terms
+    are below half an ulp of the quadratic ones and are left out, which
+    changes no bit.
+
+    The large form is (G(y) - iy) top, G(y) = e^{iy} - 1, and it has two
+    routes. Without run, each element takes two sines (_unit_phase):
+    -2 sin(y/2)^2 top and (sin y - y) top. With run = (k, dt), the rows'
+    frequencies are t = k dt for integers k, and each run of consecutive
+    k takes the doubling recurrence (_progression) from its first row: a
+    few rows of sines, one complex multiply-add for each other row, and
+    the imaginary part less t (x top). Against the exact value at the
+    given t and x, such an element errs by at most _PROGRESSION_ERR
+    u (|E| + |y|) |top|, u the unit roundoff and E = e^{iy} - 1 - iy
+    (the tests check it against mpmath); the |y| part is the
+    cancellation in sin y - y, which the sine route has too. The
+    temporaries are the size of the output, which the caller's row tiles
+    (hyplevy.quadrature._TILE) bound.
     """
     t = np.asarray(t)
     at = np.abs(t)
     n = len(x)
-    n_all = np.count_nonzero(np.max(at) * x < _SMALL_PHASE)
-    n_any = np.count_nonzero(np.min(at) * x < _SMALL_PHASE)
+    at_max = at.max()
+    top_y = at_max * x  # |y| in the row of max |t|
+    n_all = np.count_nonzero(top_y < _SMALL_PHASE)
+    n_any = np.count_nonzero(at.min() * x < _SMALL_PHASE)
     # the columns at the large end where x is 1.0 have y = t, so there the
     # large form is a per-row factor times top
     n_one = min(int(np.count_nonzero(x == 1.0)), n - n_any)
+    # the small columns where the quartic Taylor terms are below half an
+    # ulp of the quadratic ones, |y|^2 / 12 < 2^-54 with room for their
+    # rounding, so leaving them out changes no bit (none where t^4 nears
+    # overflow)
+    n_two = np.count_nonzero(top_y < _QUADRATIC_PHASE) if at_max < 1e64 else 0
+    # the spans: one, large (the large form, the mixed span included), mixed
+    # (the large form masked back to Taylor), small, and quartic, the part
+    # of small beyond the n_two columns
     if x[0] > x[-1]:
-        spans = (
-            (0, n_one, "one"),
-            (n_one, n - n_any, "large"),
-            (n - n_any, n - n_all, "mixed"),
-            (n - n_all, n, "small"),
-        )
+        one, large = slice(0, n_one), slice(n_one, n - n_all)
+        mixed, small = slice(n - n_any, n - n_all), slice(n - n_all, n)
+        quartic = slice(n - n_all, n - n_two)
     else:
-        spans = (
-            (0, n_all, "small"),
-            (n_all, n_any, "mixed"),
-            (n_any, n - n_one, "large"),
-            (n - n_one, n, "one"),
-        )
+        small, mixed = slice(0, n_all), slice(n_all, n_any)
+        large, one = slice(n_all, n - n_one), slice(n - n_one, n)
+        quartic = slice(n_two, n_all)
     p2, p3, p4, p5 = powers
-    out = np.empty(np.broadcast_shapes(t.shape, x.shape), dtype=complex)
+    out = np.empty((*t.shape[:-1], n), dtype=complex)
     re, im = out.real, out.imag
     with np.errstate(over="ignore", invalid="ignore"):
         t2 = t * t
@@ -137,36 +206,43 @@ def _phase_kernel(t, x, top, powers) -> np.ndarray:
         i3, i5 = -t2 * t / 6.0, t2 * t2 * t / 120.0
         if n_one:
             # the large form's own steps on y = t, so its values are the same
-            one_re = np.square(np.sin(np.multiply(t, 0.5))) * -2.0
-            one_im = np.sin(t) - t
-        for lo, hi, form in spans:
-            if lo == hi:
-                continue
-            cols = slice(lo, hi)
-            if form == "one":
-                np.multiply(one_re, top[cols], out=re[..., cols])
-                np.multiply(one_im, top[cols], out=im[..., cols])
-                continue
-            if form != "small":
-                # -2 sin(y/2)^2 top and (sin y - y) top, in place
-                y = t * x[cols]
-                h = np.multiply(y, 0.5)
-                np.sin(h, out=h)
-                np.square(h, out=h)
-                h *= -2.0
-                np.multiply(h, top[cols], out=re[..., cols])
-                s = np.sin(y)
+            # (a zero's sign aside: top is taken as a complex factor)
+            g = np.empty(np.shape(t), dtype=complex)
+            g.real, g.imag = _unit_phase(np.atleast_1d(t))
+            g.imag -= t
+            np.multiply(g, top[one], out=out[..., one])
+        if large.start < large.stop:
+            xl, tl = x[large], top[large]
+            if run is None:
+                y = t * xl
+                h, s = _unit_phase(y)
+                np.multiply(h, tl, out=re[..., large])
                 s -= y
-                np.multiply(s, top[cols], out=im[..., cols])
-            if form != "large":
-                # over the large form where the row mask says small
-                small = True if form == "small" else np.abs(y) < _SMALL_PHASE
-                np.copyto(re[..., cols], r2 * p2[cols] + r4 * p4[cols], where=small)
-                np.copyto(im[..., cols], i3 * p3[cols] + i5 * p5[cols], where=small)
+                np.multiply(s, tl, out=im[..., large])
+            else:
+                k, dt = run
+                # each run of consecutive k, from its first row
+                cuts = np.flatnonzero(k[1:] - k[:-1] != 1.0) + 1
+                xtop = xl * tl
+                for a, b in zip([0, *cuts], [*cuts, len(k)]):
+                    block = _progression(t[a:b], xl, tl, dt)
+                    re[a:b, large] = block.real
+                    np.subtract(block.imag, t[a:b] * xtop, out=im[a:b, large])
+        if mixed.start < mixed.stop:
+            # over the large form where the row mask says small
+            masked = np.abs(t * x[mixed]) < _SMALL_PHASE
+            np.copyto(re[..., mixed], r2 * p2[mixed] + r4 * p4[mixed], where=masked)
+            np.copyto(im[..., mixed], i3 * p3[mixed] + i5 * p5[mixed], where=masked)
+        if small.start < small.stop:
+            np.multiply(r2, p2[small], out=re[..., small])
+            np.multiply(i3, p3[small], out=im[..., small])
+            if quartic.start < quartic.stop:
+                re[..., quartic] += r4 * p4[quartic]
+                im[..., quartic] += i5 * p5[quartic]
     return out
 
 
-def _quadrature_exponents(measure: LevyMeasure1D, ts: np.ndarray) -> np.ndarray:
+def _quadrature_exponents(measure: LevyMeasure1D, ts: np.ndarray, dt=None) -> np.ndarray:
     """psi at every frequency of the nonempty 1-D array ts by quadrature.
 
     The frequencies are one batch of the family's quadrature, tanh-sinh
@@ -174,16 +250,24 @@ def _quadrature_exponents(measure: LevyMeasure1D, ts: np.ndarray) -> np.ndarray:
     pass runs over all of them: the shape's node factors are computed
     once per level, and the (rows, nodes) phase terms only for the rows
     that have not converged, in the rule's row tiles. Each row keeps the
-    level at which it alone converges, so its value is the one a call
-    with that frequency alone returns. Zero frequencies are the caller's
-    to drop (_char_exponents does).
+    level at which it converges. Without dt its value is the one a call
+    with that frequency alone returns. With dt, ts must be grid
+    frequencies k dt for integers k, and the runs of consecutive k among
+    a tile's rows take _phase_kernel's recurrence, so a row's value also
+    depends on where its run starts, within the recurrence's stated
+    error. Zero frequencies are the caller's to drop (_char_exponents
+    does).
     """
     shape = measure.shape
     t = np.asarray(ts, dtype=float)[:, None]
+    k = None if dt is None else np.rint(t[:, 0] / dt)
 
     def integrand(*nodes):
         terms = shape.phase_terms(*nodes)
-        return RowBatch(len(t), lambda rows: _phase_kernel(t[rows], *terms))
+        return RowBatch(
+            len(t),
+            lambda rows: _phase_kernel(t[rows], *terms, run=None if k is None else (k[rows], dt)),
+        )
 
     rule = exp_sinh if shape.half_line else tanh_sinh
     # a phase term that overflows (|t| near 1e300) makes its row nan, which
@@ -323,14 +407,15 @@ def _series_exponents(measure: LevyMeasure1D, ts: np.ndarray):
     return np.concatenate(psis), np.concatenate(bounds)
 
 
-def _char_exponents(measure: LevyMeasure1D, ts: np.ndarray) -> np.ndarray:
+def _char_exponents(measure: LevyMeasure1D, ts: np.ndarray, dt=None) -> np.ndarray:
     """psi at every frequency of the 1-D array ts, each by one route.
 
     The nonzero frequencies, taken in order of |t|, go to the cumulant
     series (_series_exponents) as long as its stated bound is at most
     _SERIES_TOL |psi|; the rest, in their given order, go to the
-    quadrature (_quadrature_exponents). The frequencies the series
-    answers are therefore those of |t| below the first it cannot.
+    quadrature (_quadrature_exponents), with dt when ts are the grid
+    frequencies k dt. The frequencies the series answers are therefore
+    those of |t| below the first it cannot.
     """
     ts = np.asarray(ts, dtype=float)
     out = np.zeros(ts.shape, dtype=complex)
@@ -343,7 +428,7 @@ def _char_exponents(measure: LevyMeasure1D, ts: np.ndarray) -> np.ndarray:
     todo[series] = False
     rest = np.flatnonzero(todo)
     if rest.size:
-        out[rest] = _quadrature_exponents(measure, ts[rest])
+        out[rest] = _quadrature_exponents(measure, ts[rest], dt)
     return out
 
 
@@ -512,7 +597,7 @@ def invert_to_density(
     for i_cut in checked:
         if not known[i_cut]:
             ks = np.flatnonzero(~known[: max(i_cut, seed) + 1])
-            a[ks] = np.exp(_char_exponents(measure, ks * dt))
+            a[ks] = np.exp(_char_exponents(measure, ks * dt, dt))
             known[ks] = True
         achieved = float(abs(a[i_cut]))
         if achieved < _DECAY_THRESHOLD:

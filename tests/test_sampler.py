@@ -19,7 +19,6 @@ from hyplevy.errors import (
     ConvergenceError,
     DivergentMomentError,
     DomainError,
-    QuadratureError,
     SamplerConfigError,
 )
 from hyplevy.measures import DimensionPair, PairShape, make_measure
@@ -212,12 +211,19 @@ class TestLargeCodimensionLimit:
             got = partial_moment(measure, 1e-3, m, "below")
             assert abs(got - want) <= 1e-13 * want, m
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_an_unrepresentable_integrand_raises(self):
-        # at b = 400, e^(-v) v^199 peaks at e^854: the shape's integral
-        # is not a float, and a typed error says so instead of inf or NaN
-        with pytest.raises(QuadratureError):
-            partial_moment(make_measure("limit", 400), 1e-3, 2, "below")
+    @pytest.mark.parametrize("b", [344, 400, 1000, 5000])
+    def test_past_the_quadrature_range_the_closed_form_answers(self, b):
+        # from b = 344 at m = 2 the shape's integral Gamma(b/2) overflows
+        # (at b = 400, e^(-v) v^199 peaks at e^854), and the quadrature
+        # raised QuadratureError; the share below the cutoff is then the
+        # upper incomplete Gamma, whatever the size of the integral
+        measure = make_measure("limit", b)
+        v_cut = -math.log(1e-3)
+        for m in (2, 3):
+            q = mpmath.gammainc(0.5 * b, (m - 1) * v_cut, mpmath.inf, regularized=True)
+            want = float(q * mpmath.mpf(m - 1) ** (-0.5 * b))  # 0.0 where it underflows
+            got = partial_moment(measure, 1e-3, m, "below")
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), m
 
     def test_sample_is_finite(self):
         cfg = SamplerConfig(cutoff_delta=1e-2, seed=1, batch_size=128)

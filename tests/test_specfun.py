@@ -25,6 +25,7 @@ from hyplevy.specfun import (
     log_gamma,
     log_gamma_ratio,
     reg_inc_beta,
+    reg_upper_gamma,
     stirling_log_bounds,
     taylor_remainder_bound,
     wendel_lower,
@@ -248,6 +249,33 @@ class TestRegIncBeta:
         # made exp overflow (OverflowError)
         with pytest.raises(DomainError, match="prefactor"):
             reg_inc_beta(1e200, 1e200, 0.5)
+
+
+class TestRegUpperGamma:
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 10.0, 172.0, 2500.0])
+    def test_against_mpmath(self, a):
+        # both branches: the series below x = a + 1, the fraction above
+        for x in (1e-5, 0.3, 1.0, 6.9, 13.8, 100.0, 0.9 * a, a, 1.2 * a, 3.0 * a + 50.0):
+            want = mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+            assert math.isclose(reg_upper_gamma(a, x), float(want), rel_tol=1e-11), x
+
+    def test_endpoints_and_domain(self):
+        assert reg_upper_gamma(2.5, 0.0) == 1.0
+        assert reg_upper_gamma(2.5, 1e6) == 0.0
+        for a, x in ((0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (1.0, -0.5), (1.0, math.nan)):
+            with pytest.raises(DomainError):
+                reg_upper_gamma(a, x)
+
+    def test_exhaustion(self, monkeypatch):
+        # near x = a the steps grow as sqrt(a); at a = x = 1e20 the fraction's
+        # first denominator x + 1 - a rounds to 0, which is no ZeroDivisionError
+        for a in (1e4, 1e20):
+            with pytest.raises(ConvergenceError, match="in 500 iterations"):
+                reg_upper_gamma(a, a)
+        monkeypatch.setattr(specfun, "_CF_MAX_ITER", 1)
+        for x in (0.3, 30.0):
+            with pytest.raises(ConvergenceError, match="in 1 iterations"):
+                reg_upper_gamma(2.5, x)
 
 
 class TestIncBeta:

@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import admissible_pairs, cached_density, peak_rss_rise_mb, psi_oracle
 from hyplevy.errors import DecayDetectionError, DomainError, QuadratureError
@@ -88,9 +88,9 @@ def exponent_calls(monkeypatch):
     calls = []
     real = spectral._char_exponents
 
-    def record(measure, ts):
+    def record(measure, ts, *rest):
         calls.append(np.array(ts, dtype=float))
-        return real(measure, ts)
+        return real(measure, ts, *rest)
 
     monkeypatch.setattr(spectral, "_char_exponents", record)
     return calls
@@ -103,8 +103,8 @@ def exponent_values(monkeypatch):
     seen = []
     real = spectral._char_exponents
 
-    def record(measure, ts):
-        psi = real(measure, ts)
+    def record(measure, ts, *rest):
+        psi = real(measure, ts, *rest)
         seen.extend(zip(np.array(ts, dtype=float), np.exp(psi)))
         return psi
 
@@ -411,9 +411,9 @@ class TestSeriesExponents:
         quadrature = []
         real = spectral._quadrature_exponents
 
-        def record(m, ts):
+        def record(m, ts, *rest):
             quadrature.extend(np.abs(ts))
-            return real(m, ts)
+            return real(m, ts, *rest)
 
         monkeypatch.setattr(spectral, "_quadrature_exponents", record)
         grid = np.linspace(0.05, 12.0, 60)
@@ -452,9 +452,9 @@ class TestSeriesExponents:
             routes["series"].extend(ts[: len(psi)])
             return psi, bound
 
-        def record_quadrature(m, ts):
+        def record_quadrature(m, ts, *rest):
             routes["quadrature"].extend(ts)
-            return quadrature(m, ts)
+            return quadrature(m, ts, *rest)
 
         monkeypatch.setattr(spectral, "_series_exponents", record_series)
         monkeypatch.setattr(spectral, "_quadrature_exponents", record_quadrature)
@@ -643,9 +643,15 @@ class TestSeededSearch:
         cf = exponent_values(dt)
         i_cut = round(grid.meta["cf_cutoff"] / dt)
         assert grid.meta["cf_cutoff"] == i_cut * dt
-        assert (i_cut, grid.meta["cf_at_cutoff"]) == ladder_reference(
-            measure, half_width, n, threshold
-        )
+        ref_cut, ref_achieved = ladder_reference(measure, half_width, n, threshold)
+        assert i_cut == ref_cut
+        # the |cf| reported is the one placed; it came in a grid block, by the
+        # phase recurrence, and the ladder's from a lone call, by the sines,
+        # so the two agree to the route's stated 1e-13 |psi|
+        achieved = grid.meta["cf_at_cutoff"]
+        assert achieved == abs(cf[i_cut])
+        psi = char_exponent(measure, i_cut * dt)
+        assert abs(math.log(achieved) - math.log(ref_achieved)) <= 1e-13 * abs(psi)
         # each k <= cutoff once (exponent_values rejects repeats), none above
         assert sorted(cf) == list(range(1, i_cut + 1))
         assert set(block) <= set(cf)
@@ -737,7 +743,8 @@ class TestPhaseKernel:
         calls = []
         real = spectral._phase_kernel
 
-        def record(t, x, top, powers):
+        def record(t, x, top, powers, run):
+            assert run is None  # frequencies that are no grid: the sine route
             calls.append((t, x, top, powers))
             return real(t, x, top, powers)
 
@@ -789,6 +796,10 @@ ROW_POOL = [
 
 
 class TestRowIndependence:
+    """The sine route of the quadrature (frequencies passed without a grid
+    step) keeps every row bit for bit the value of its frequency alone;
+    the grid's recurrence route is TestProgressionRoute's."""
+
     @pytest.mark.parametrize("measure", SEARCH_LAWS, ids=SEARCH_IDS)
     def test_the_pool_spans_levels_six_to_eight(self, measure, quad_log):
         _quadrature_exponents(measure, np.array(ROW_POOL))
@@ -810,6 +821,123 @@ class TestRowIndependence:
             got = _quadrature_exponents(measure, np.array(ts))
         alone = [_quadrature_exponents(measure, np.array([t]))[0] for t in ts]
         assert got.tobytes() == np.array(alone).tobytes()
+
+
+def phase_exact(t, x):
+    """e^{iy} - 1 - iy at y = t x, the product of the two doubles taken
+    exactly, at 40 digits: (the value, |y|)."""
+    with mpmath.workdps(40):
+        y = mpmath.mpf(float(t)) * mpmath.mpf(float(x))
+        return complex(mpmath.expj(y) - 1 - 1j * y), abs(float(y))
+
+
+def kernel_tiles(t, x, top, powers, live, tile, run=None):
+    """_phase_kernel over the rows live in the row tiles the quadrature
+    makes at level 5 (391 nodes) under the budget tile, as (rows, values)."""
+    step = max(1, tile // 391)
+    for i in range(0, len(live), step):
+        rows = np.array(live[i : i + step])
+        got = _phase_kernel(t[rows], x, top, powers, None if run is None else (run[0][rows], run[1]))
+        yield rows, got
+
+
+# the rows a level keeps live: a run of up to 64 of 128 rows, less a few
+LIVE_ROWS = st.builds(
+    lambda lo, n, drops: sorted(set(range(lo, lo + n)) - set(drops)) or [lo],
+    st.integers(0, 63),
+    st.integers(1, 64),
+    st.lists(st.integers(0, 127), max_size=6),
+)
+
+
+class TestProgressionRoute:
+    """Grid frequencies k dt: the runs of consecutive k take the doubling
+    recurrence of _phase_kernel (_progression)."""
+
+    @settings(max_examples=15, derandomize=True, deadline=None, database=None)
+    @given(
+        dt=st.sampled_from([1e-3, 0.05, 0.5]),
+        k0=st.integers(1, 4096),
+        live=LIVE_ROWS,
+        tile=st.sampled_from([391, 1500, quadrature._TILE]),
+    )
+    # and whole runs, the longest reaching k = 4096
+    @example(dt=1e-3, k0=1, live=list(range(64)), tile=quadrature._TILE)
+    @example(dt=0.05, k0=700, live=list(range(64)), tile=1500)
+    @example(dt=0.5, k0=4033, live=list(range(64)), tile=quadrature._TILE)
+    def test_each_element_is_within_the_stated_bound(self, dt, k0, live, tile):
+        # theta = dt x from 1e-7 to 0.5 over the nodes, live rows among 128
+        # consecutive k from k0 on, in the tiles of each budget (391
+        # elements make one-row tiles: seeds only)
+        x = np.geomspace(1e-7, 0.5, 24) / dt
+        top = np.ones_like(x)
+        powers = (x**2, x**3, x**4, x**5)
+        k = k0 + np.arange(128.0)
+        t = (k * dt)[:, None]
+        u = 2.0**-53
+        worst = {"progression": 0.0, "sines": 0.0}
+        tiles = zip(
+            kernel_tiles(t, x, top, powers, live, tile, run=(k, dt)),
+            kernel_tiles(t, x, top, powers, live, tile),
+        )
+        for (rows, got), (_, sines) in tiles:
+            for i, row in enumerate(rows):
+                for j in range(len(x)):
+                    want, y = phase_exact(t[row, 0], x[j])
+                    if y < _SMALL_PHASE:
+                        # the Taylor form, the same in both routes
+                        assert got[i, j] == sines[i, j]
+                        continue
+                    scale = u * (abs(want) + y)
+                    for route, value in (("progression", got[i, j]), ("sines", sines[i, j])):
+                        worst[route] = max(worst[route], abs(value - want) / scale)
+        # the bound the docstring states, which the sine route meets too
+        assert worst["progression"] <= spectral._PROGRESSION_ERR
+        assert worst["sines"] <= spectral._PROGRESSION_ERR
+
+    @pytest.mark.parametrize("measure", SEARCH_LAWS, ids=SEARCH_IDS)
+    @settings(max_examples=10, derandomize=True, deadline=None, database=None)
+    @given(
+        k0=st.integers(1, 4096),
+        live=LIVE_ROWS,
+        tile=st.sampled_from([391, 1500, quadrature._TILE]),
+    )
+    @example(k0=1, live=list(range(32)), tile=quadrature._TILE)
+    @example(k0=4033, live=list(range(64)), tile=quadrature._TILE)
+    def test_psi_agrees_with_the_sine_route_row_by_row(self, measure, k0, live, tile):
+        dt = grid_step(measure)
+        ts = (k0 + np.array(live, dtype=float)) * dt
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadrature, "_TILE", tile)
+            got = _quadrature_exponents(measure, ts, dt)
+        want = _quadrature_exponents(measure, ts)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    def test_a_default_density_takes_the_recurrence(self, monkeypatch):
+        # the large form's direct sines cover at most the seed rows and one
+        # row of shifts per doubling in each kernel call; a fall-back to the
+        # sine route would take them for every row
+        calls = []
+        kernel, unit_phase = spectral._phase_kernel, spectral._unit_phase
+
+        def record_kernel(t, x, top, powers, run):
+            assert run is not None
+            calls.append({"rows": len(t), "direct": 0})
+            return kernel(t, x, top, powers, run)
+
+        def record_unit_phase(y):
+            if np.shape(y)[-1] > 1:  # over the nodes, not the per-row x = 1 factor
+                calls[-1]["direct"] += np.shape(y)[0]
+            return unit_phase(y)
+
+        monkeypatch.setattr(spectral, "_phase_kernel", record_kernel)
+        monkeypatch.setattr(spectral, "_unit_phase", record_unit_phase)
+        invert_to_density(RESC43)
+        seed = spectral._SEED_ROWS
+        assert max(call["rows"] for call in calls) >= 8 * seed
+        for call in calls:
+            rows = call["rows"]
+            assert 0 < call["direct"] <= min(rows, seed) + math.ceil(math.log2(max(rows / seed, 1.0)))
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
@@ -861,22 +989,22 @@ class TestInvertToDensity:
     @pytest.mark.parametrize(
         "measure, digests",
         [
-            (RESC43, ("ddd7c41bcf3a05b5062192a3b6c68e5c5c17f182ce3693bff61e839a9b2ac65a",
-                      "bfcef0b18823b6b9f556c52733d998e8642135af7f09a7fcd9d6104f161fdba8")),
-            (HYP75, ("b0a1f282ff1ae3c787970ddd0aa2f455a1f8165709a538e868991b996e8c857e",
-                     "7ee55c0a4e4eb3ced44e9810636774c26b37cfe16a714f81f9111b131227c8b6")),
-            (LIMIT1, ("8e60a8d958b984d7504cb7802d93c9d09c7dba5abd5c4bdd45255bcd703f6d37",
-                      "59a88b213e72e7ba0209e7034de0a5a8e2ec89e4985757fb93001a8efcdb1747")),
-            (LIMIT2, ("817315fc909e78d2377c632a8818d0f4ada5dbe2fca7a1b1cd122a473078d606",
-                      "e5b9f1102f82dcb7f1dc3f95fd2c3ec7830fd825f7b090cdcff57d0ddb2f0453")),
+            (RESC43, ("9ba07ae3693a963066c8c7d32333251c23302e71d78cc38b99025791bd995a48",
+                      "08ca520c1685be61f83faa76fcdcb8f2a6de060b48609c261103800118c92a0a")),
+            (HYP75, ("6bb6520dd37c6499073ad6fb8bcceda3b661dec2ff539ca41c47c23504976a84",
+                     "756540005c6d8310f8b3b702984b9433de0b27396187a145132da297ee5455d5")),
+            (LIMIT1, ("89ffae1be357b94bd99534b81c323c731282f80152ec909550dea9c36607c719",
+                      "6b94d58ac2bd7db5b1164fd563fbcb20dafdda0f07b2c2697933dfbbdeb92524")),
+            (LIMIT2, ("968d07ea2e3ac9eead7e3bac1455226aeeae4c5b2889feadea2b2eb556659cb4",
+                      "ed24631c194f1518d2c9d94e9965dd030a3a4246ebdc709d8528bf41d7780c01")),
         ],
         ids=["resc43", "hyp75", "limit1", "limit2"],
     )
     def test_density_digest_is_pinned(self, measure, digests, kw):
         # SHA-256 of the float64 bytes of the values, then of the meta as
         # JSON with sorted keys (floats by repr, so bit for bit); recorded
-        # before the quadrature ran as one pass with merged probes, which
-        # moved no bit
+        # when the grid frequencies took the phase recurrence, whose
+        # rounding moved them
         grid = invert_to_density(measure, **kw)
         h = hashlib.sha256(grid.values.tobytes())
         h.update(json.dumps(grid.meta, sort_keys=True).encode())
