@@ -22,12 +22,20 @@ rule, and Newton inverts it at the knots to 1e-12 of the mass; only a run
 that exhausts its 60 steps is checked again, at 1e-11, and may raise
 ConvergenceError. The table is certified at build time: the max CDF
 residual over all cell midpoints must not exceed 1e-10. The first table has
-2^11 cells (64 KB of coefficients, so the per-jump gathers stay in cache),
-and the cell count is doubled until the certificate holds, up to 2^20
-cells. Above the rounding floor of the quantile the residual falls about
-16x per doubling, so a doubling that fails to halve it means the floor is
-reached, and the build stops there with ConvergenceError instead of
-doubling on.
+2^11 cells, and the cell count is doubled until the certificate holds, up
+to 2^20 cells. Above the rounding floor of the quantile the residual falls
+about 16x per doubling, so a doubling that fails to halve it means the
+floor is reached, and the build stops there with ConvergenceError instead
+of doubling on.
+
+A table is one 4 x (cells + 1) array of doubles (64 KB at 2^11 cells, so
+the per-jump gathers stay in cache): the monomial coefficients c0..c3 of
+each cell's cubic, plus a sentinel cell that holds the last cubic's value
+at fraction 1 as a constant. A jump's quantile at table coordinate s in
+[0, 1] is then s * cells, its float floor as the cell and the rest as the
+fraction, four wrap-mode gathers of the cell's coefficients and one Horner
+pass. s = 1 lands on the sentinel with fraction 0, so no index needs a
+clamp and the gathers never wrap.
 
 Streams are reproducible: each batch of draws gets its own SFC64 generator
 seeded by SeedSequence((seed, batch_index)), and the per-batch op order is
@@ -49,14 +57,18 @@ drawn straight into it and scaled in place, and the compensated jump sums
 are added last. Per batch the sampler allocates the counts (batch_size
 int64, sliced to the batch), their running ends and the jump sums (one
 int64 and one float64 per draw of the batch), plus a batch_size Gaussian
-scratch for a partial last batch only; the jump loop reuses four chunk
-buffers of _JUMP_CHUNK elements for the whole run.
+scratch for a partial last batch only. The non-empty draws' indices and
+first jumps take over the buffers of the counts and ends, so each chunk's
+pieces are two slices of them, found for all chunks at once before the
+jump loop; that loop reuses four chunk buffers of _JUMP_CHUNK elements for
+the whole run.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -115,12 +127,16 @@ class SamplerConfig:
             raise SamplerConfigError(
                 f"cutoff_delta must lie in (0, 1), got {self.cutoff_delta!r}"
             )
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        seed, batch_size = _integer(self.seed), _integer(self.batch_size)
+        if seed is None or seed < 0:
             raise SamplerConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not (isinstance(self.batch_size, int) and self.batch_size >= 1):
+        if batch_size is None or batch_size < 1:
             raise SamplerConfigError(
                 f"batch_size must be a positive integer, got {self.batch_size!r}"
             )
+        # Python ints, so SeedSequence and the CLI's JSON see the same values
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "batch_size", batch_size)
 
 
 @dataclass(frozen=True)
@@ -130,6 +146,14 @@ class SampleBatch:
     values: np.ndarray = field(compare=False, repr=False)
     config: SamplerConfig = field(default_factory=SamplerConfig)
     diagnostics: dict = field(compare=False, default_factory=dict)
+
+
+def _integer(value) -> int | None:
+    """value as a Python int if it is an integer, numpy's included; None
+    for anything else, a bool too."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    return None
 
 
 def _require_delta(delta: float) -> float:
@@ -163,8 +187,10 @@ def partial_moment(measure: LevyMeasure1D, delta: float, m: int, side: str) -> f
     upper incomplete Gamma (m-1)^(-b/2) Q(b/2, -(m-1) log delta).
     """
     delta = _require_delta(delta)
-    if not (isinstance(m, int) and m >= 0):
+    order = _integer(m)
+    if order is None or order < 0:
         raise DomainError(f"moment order must be a nonnegative integer, got {m!r}")
+    m = order
     if side not in ("below", "above"):
         raise DomainError(f"side must be 'below' or 'above', got {side!r}")
     if side == "below" and m < 2:
@@ -194,7 +220,12 @@ class _JumpTable:
     """Cubic-Hermite inverse CDF indexed by s = q^(1/P), q the upper-tail
     probability. The quantile x(s) is a smooth function of s at the
     large-jump corner for every codimension and nearly flat at the cutoff
-    end, so the interpolation error stays O(cells^-4) with small constants."""
+    end, so the interpolation error stays O(cells^-4) with small constants.
+
+    coef is the read-only (4, cells + 1) array of the cells' monomial
+    coefficients, row j holding c_j, and c0..c3 are its cells-long row
+    views; column cells is the sentinel cell (c0 the last cubic's value at
+    fraction 1, c1 = c2 = c3 = 0) that fill_x_of_s reads at s = 1."""
 
     def __init__(self, x_knots: np.ndarray, slopes: np.ndarray, index_pow: int,
                  cells: int, cert_error: float):
@@ -203,15 +234,21 @@ class _JumpTable:
         self.index_pow = index_pow
         self.cells = cells
         self.cert_error = cert_error
-        # per-cell monomial coefficients of the Hermite cubic, so the hot
-        # path runs four gathers and one Horner evaluation per point
+        # the sentinel's c0 is evaluated in fill_x_of_s's own Horner order,
+        # so s = 1 gets the bits the last cell gives at fraction 1
         d = slopes / cells
         x0, x1 = x_knots[:-1], x_knots[1:]
         d0, d1 = d[:-1], d[1:]
-        self.c0 = x0.copy()
-        self.c1 = d0.copy()
-        self.c2 = 3.0 * (x1 - x0) - 2.0 * d0 - d1
-        self.c3 = 2.0 * (x0 - x1) + d0 + d1
+        coef = np.zeros((4, cells + 1))
+        coef[0, :cells] = x0
+        coef[1, :cells] = d0
+        coef[2, :cells] = 3.0 * (x1 - x0) - 2.0 * d0 - d1
+        coef[3, :cells] = 2.0 * (x0 - x1) + d0 + d1
+        c0, c1, c2, c3 = coef[:, cells - 1]
+        coef[0, cells] = ((c3 * 1.0 + c2) * 1.0 + c1) * 1.0 + c0
+        coef.flags.writeable = False
+        self.coef = coef
+        self.c0, self.c1, self.c2, self.c3 = (row[:cells] for row in coef)
 
     def fill_x_of_q(self, q: np.ndarray, idx: np.ndarray, scratch: np.ndarray,
                     acc: np.ndarray) -> np.ndarray:
@@ -229,22 +266,25 @@ class _JumpTable:
 
     def fill_x_of_s(self, s: np.ndarray, idx: np.ndarray, scratch: np.ndarray,
                     acc: np.ndarray) -> np.ndarray:
-        """x at the table coordinates s by one Horner pass per cell cubic:
-        clobbers s and works through the caller's buffers (see _buffers),
-        so a chunk of the jump loop costs no allocations at all."""
+        """x at the table coordinates s in [0, 1] by one Horner pass per
+        cell cubic: cell floor(s cells), which is the sentinel at s = 1, so
+        the wrap-mode gathers never wrap. Clobbers s and works through the
+        caller's buffers (see _buffers), so a chunk of the jump loop costs
+        no allocations at all."""
+        k0, k1, k2, k3 = self.coef
         np.multiply(s, self.cells, out=s)
-        np.copyto(idx, s, casting="unsafe")
-        np.minimum(idx, self.cells - 1, out=idx)
-        np.subtract(s, idx, out=s)
-        np.take(self.c3, idx, out=acc, mode="clip")
+        np.floor(s, out=scratch)
+        s -= scratch
+        np.copyto(idx, scratch, casting="unsafe")
+        np.take(k3, idx, out=acc, mode="wrap")
         acc *= s
-        np.take(self.c2, idx, out=scratch, mode="clip")
+        np.take(k2, idx, out=scratch, mode="wrap")
         acc += scratch
         acc *= s
-        np.take(self.c1, idx, out=scratch, mode="clip")
+        np.take(k1, idx, out=scratch, mode="wrap")
         acc += scratch
         acc *= s
-        np.take(self.c0, idx, out=scratch, mode="clip")
+        np.take(k0, idx, out=scratch, mode="wrap")
         acc += scratch
         return acc
 
@@ -379,7 +419,8 @@ def _certified_jump_table(shape, delta: float) -> _JumpTable:
         table = _build_jump_table(shape, delta, cells)
         if table.cert_error <= _CERT_TARGET:
             # every caller gets these arrays
-            for shared in (table.x_knots, table.slopes, table.c0, table.c1, table.c2, table.c3):
+            # (the coefficients are read-only from the start)
+            for shared in (table.x_knots, table.slopes):
                 shared.flags.writeable = False
             return table
         # a doubling that does not halve the residual (or a NaN residual)
@@ -398,8 +439,8 @@ def inverse_jump_cdf(measure: LevyMeasure1D, p, delta: float = 1e-3) -> np.ndarr
     returns x with P(jump <= x) = p. Scalar in, scalar out."""
     delta = _require_delta(delta)
     p_arr = np.asarray(p, dtype=float)
-    if np.any((p_arr < 0.0) | (p_arr > 1.0)):
-        raise DomainError("jump quantile probabilities must lie in [0, 1]")
+    if not np.all((p_arr >= 0.0) & (p_arr <= 1.0)):
+        raise DomainError("jump quantile probabilities must lie in [0, 1], NaN excluded")
     table = _certified_jump_table(measure.shape, delta)
     # the table runs in the upper-tail direction: x(q) with q = 1 - p
     q = np.ravel(1.0 - p_arr)
@@ -413,8 +454,10 @@ def sample(measure: LevyMeasure1D, n: int, config: SamplerConfig | None = None) 
     """Draw n values of the zero-mean law. Deterministic given config.seed
     and config.batch_size; growing n extends the stream without altering
     the values a shorter run produced."""
-    if not (isinstance(n, int) and n >= 1):
+    count = _integer(n)
+    if count is None or count < 1:
         raise DomainError(f"sample count must be a positive integer, got {n!r}")
+    n = count
     if config is None:
         config = SamplerConfig()
     delta = config.cutoff_delta
@@ -468,26 +511,34 @@ def sample(measure: LevyMeasure1D, n: int, config: SamplerConfig | None = None) 
         counts = rng.poisson(lam, size=config.batch_size)[:m]
         ends = np.cumsum(counts)
         total = int(ends[-1])
+        # draw d owns jumps [ends[d] - counts[d], ends[d]), and the live
+        # (non-empty) draws tile [0, total) in order; only they get pieces,
+        # as reduceat would hand an empty piece x[lo], not 0. Their first
+        # jumps and indices take over the buffers of counts and ends, and
+        # the index array is freed before sums is allocated, so the batch
+        # holds no more per-draw arrays than those two and sums (clip mode:
+        # take buffers its output in raise mode)
+        np.subtract(ends, counts, out=ends)
+        nonzero = np.flatnonzero(counts)
+        first = np.take(ends, nonzero, out=counts[: nonzero.size], mode="clip")
+        live = ends[: nonzero.size]
+        live[:] = nonzero
+        del nonzero
         sums = np.zeros(m)
         # the jump uniforms are one stream read in fixed-size chunks
         # (partitioned Generator.random calls agree with a single call);
-        # each chunk adds the sums of its pieces of the draws it overlaps.
-        # Draw d owns jumps [ends[d] - counts[d], ends[d]), and its start is
-        # ends[d - 1], so the last draw starting before c1 is found in ends
-        # (at most m - 1, since c1 <= ends[-1])
-        for c0 in range(0, total, _JUMP_CHUNK):
-            c1 = min(c0 + _JUMP_CHUNK, total)
-            k = c1 - c0
+        # each chunk adds the sums of its pieces of the live draws it
+        # overlaps, live[a:b], whose first one holds the chunk's first jump
+        chunk_starts = np.arange(0, total, _JUMP_CHUNK)
+        lo = np.searchsorted(first, chunk_starts, side="right") - 1
+        hi = np.searchsorted(first, chunk_starts + _JUMP_CHUNK, side="left")
+        for c0, a, b in zip(chunk_starts.tolist(), lo.tolist(), hi.tolist()):
+            k = min(_JUMP_CHUNK, total - c0)
             rng.random(out=u_buf[:k])
             x = table.fill_x_of_q(u_buf[:k], i_buf[:k], g_buf[:k], a_buf[:k])
-            d_lo = int(np.searchsorted(ends, c0, side="right"))
-            d_hi = int(np.searchsorted(ends, c1, side="left")) + 1
-            # the non-empty pieces tile the chunk in order; reduceat would
-            # hand an empty piece x[lo] instead of 0, so those are masked
-            seg_counts = counts[d_lo:d_hi]
-            live = seg_counts > 0
-            seg_lo = np.maximum((ends[d_lo:d_hi] - seg_counts)[live], c0) - c0
-            sums[d_lo:d_hi][live] += np.add.reduceat(x, seg_lo)
+            seg = first[a:b] - c0
+            seg[0] = 0
+            sums[live[a:b]] += np.add.reduceat(x, seg)
         # (sums - compensator) + small_sd z, the operands and order of the
         # stream's definition
         sums -= compensator
@@ -530,8 +581,10 @@ def empirical_cumulants(values: np.ndarray, max_order: int = 6) -> np.ndarray:
     Entry [m-1] estimates the order-m cumulant; E over samples equals the
     law's cumulant exactly at every order and sample size covered.
     """
-    if not (isinstance(max_order, int) and 1 <= max_order <= 6):
+    order = _integer(max_order)
+    if order is None or not 1 <= order <= 6:
         raise DomainError(f"max_order must be an integer in [1, 6], got {max_order!r}")
+    max_order = order
     x = np.asarray(values, dtype=float).ravel()
     n = len(x)
     if n < max_order + 1:

@@ -65,6 +65,25 @@ def hermite_reference(table, q):
     )
 
 
+def clamped_kernel(table, s):
+    """The table's quantile at the coordinates s by the Horner kernel with
+    an explicit clamp: cell i = min(trunc(s cells), cells - 1), fraction
+    s cells - i as a float minus an int64, and clip-mode gathers from
+    c0..c3. Stream 0.2.0 was recorded through these bits."""
+    s = np.array(s, dtype=float)
+    idx, scratch, acc = sampler._buffers(s.size)
+    np.multiply(s, table.cells, out=s)
+    np.copyto(idx, s, casting="unsafe")
+    np.minimum(idx, table.cells - 1, out=idx)
+    np.subtract(s, idx, out=s)
+    np.take(table.c3, idx, out=acc, mode="clip")
+    for c in (table.c2, table.c1, table.c0):
+        acc *= s
+        np.take(c, idx, out=scratch, mode="clip")
+        acc += scratch
+    return acc
+
+
 @pytest.fixture(scope="module")
 def resc43_draws():
     """One shared 20k-draw run at the default cutoff."""
@@ -192,6 +211,8 @@ class TestPartialMoment:
             partial_moment(HYP43, 0.1, -1, "above")
         with pytest.raises(DomainError):
             partial_moment(HYP43, 0.0, 2, "above")
+        with pytest.raises(DomainError):
+            partial_moment(HYP43, 0.1, True, "above")
 
 
 class TestLargeCodimensionLimit:
@@ -236,6 +257,7 @@ class TestInverseJumpCdf:
     def test_endpoints_are_pinned(self):
         assert inverse_jump_cdf(HYP43, 0.0, 0.25) == 0.25
         assert inverse_jump_cdf(HYP43, 1.0, 0.25) == 1.0
+        assert inverse_jump_cdf(RESC43, [0.0, 1.0], 1e-3).tolist() == [1e-3, 1.0]
 
     def test_median_frozen(self):
         got = inverse_jump_cdf(HYP43, 0.5, 0.25)
@@ -303,8 +325,8 @@ class TestInverseJumpCdf:
         assert hyp.shape == resc.shape == PairShape(pair)
 
     def test_hot_loop_quantile_matches_the_reference_at_the_edges(self):
-        # fill_x_of_q gathers in clip mode behind its own clamp; q just below
-        # 1 gives s = 1.0, which only the clamp maps onto the last cell
+        # q just below 1 gives s = 1.0, which fill_x_of_q reads from the
+        # sentinel cell past the last one
         rng = np.random.default_rng(17)
         delta = 1e-3
         q = np.concatenate(
@@ -318,6 +340,26 @@ class TestInverseJumpCdf:
             assert np.all(np.abs(got - want) <= 4.0 * np.spacing(got)), measure
             assert got[-3] == table.x_knots[0] == 1.0, measure
             assert abs(got[-1] - delta) <= 2.0 * np.spacing(delta), measure
+
+    @pytest.mark.parametrize(
+        "measure, delta, cells",
+        [(RESC43, 1e-3, 1 << 11), (make_measure("limit", 3), 1e-3, 1 << 11),
+         (make_measure("limit", 1), 1e-4, 1 << 12)],
+        ids=["resc43", "limit3", "limit1-4096"],
+    )
+    def test_hot_loop_is_the_clamped_kernel_bit_for_bit(self, measure, delta, cells):
+        # the sentinel cell and the float floor stand in for the clamp and
+        # the mixed subtract; every draw depends on these bits
+        table = sampler._certified_jump_table(measure.shape, delta)
+        assert table.cells == cells and table.index_pow in (3, 4)
+        rng = np.random.default_rng(29)
+        s = np.concatenate((
+            [0.0, 2.0**-53, np.nextafter(1.0, 0.0), 1.0],
+            np.arange(cells + 1) / cells,
+            rng.random(1 << 15),
+        ))
+        got = table.fill_x_of_s(s.copy(), *sampler._buffers(s.size))
+        assert got.tobytes() == clamped_kernel(table, s).tobytes(), measure
 
     @pytest.mark.parametrize(
         "measure, digest",
@@ -341,11 +383,19 @@ class TestInverseJumpCdf:
         assert h.hexdigest() == digest
 
     def test_a_cached_table_is_read_only(self):
-        # every sample and quantile call at this shape and delta shares it
+        # every sample and quantile call at this shape and delta shares it;
+        # c0..c3 are the rows of one coefficient array, whose last column
+        # is the sentinel cell
         table = sampler._certified_jump_table(RESC43.shape, 1e-3)
-        for a in (table.x_knots, table.slopes, table.c0, table.c1, table.c2, table.c3):
+        sentinel = table.coef[:, table.cells]
+        for a in (table.x_knots, table.slopes, table.c0, table.c1, table.c2, table.c3, sentinel):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
+        assert table.coef.shape == (4, table.cells + 1)
+        for j, row in enumerate((table.c0, table.c1, table.c2, table.c3)):
+            assert row.base is table.coef
+            assert np.shares_memory(row, table.coef[j, : table.cells])
+        assert sentinel[1:].tolist() == [0.0, 0.0, 0.0]
 
     def test_a_table_build_leaves_out_numpy_polynomial(self):
         # the panel rule is a module constant; importing numpy.polynomial
@@ -396,6 +446,13 @@ class TestInverseJumpCdf:
             inverse_jump_cdf(HYP43, 1.1, 0.25)
         with pytest.raises(DomainError):
             inverse_jump_cdf(HYP43, 0.5, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_probabilities_are_rejected(self):
+        with pytest.raises(DomainError):
+            inverse_jump_cdf(RESC43, float("nan"))
+        with pytest.raises(DomainError):
+            inverse_jump_cdf(RESC43, np.array([0.25, np.nan, 0.75]))
 
 
 def _rebuild_from_stream(measure, n, cfg, chunk):
@@ -632,12 +689,32 @@ class TestSampleDiagnostics:
             SamplerConfig(seed=0.5)
         with pytest.raises(SamplerConfigError):
             SamplerConfig(batch_size=0)
+        with pytest.raises(SamplerConfigError):
+            SamplerConfig(seed=True)
+        with pytest.raises(SamplerConfigError):
+            SamplerConfig(batch_size=True)
 
     def test_sample_count_validation(self):
         with pytest.raises(DomainError):
             sample(RESC43, 0)
         with pytest.raises(DomainError):
             sample(RESC43, 3.5)
+        with pytest.raises(DomainError):
+            sample(RESC43, True, SamplerConfig(cutoff_delta=0.05))
+
+    @pytest.mark.filterwarnings("ignore:small-jump Gaussian proxy is thin")
+    def test_numpy_integers_are_integers(self):
+        # stored as Python ints, so the config and its stream are those of
+        # the equal Python-int arguments
+        cfg = SamplerConfig(cutoff_delta=0.05, seed=np.int64(3), batch_size=np.int32(64))
+        assert type(cfg.seed) is int and type(cfg.batch_size) is int
+        plain = SamplerConfig(cutoff_delta=0.05, seed=3, batch_size=64)
+        assert cfg == plain
+        got = sample(RESC43, np.int64(100), cfg).values
+        assert got.tobytes() == sample(RESC43, 100, plain).values.tobytes()
+        for side in ("below", "above"):
+            got = partial_moment(RESC43, 0.1, np.int64(2), side)
+            assert got == partial_moment(RESC43, 0.1, 2, side)
 
 
 def _integer_partitions(r, largest=None):
@@ -763,3 +840,7 @@ class TestEmpiricalCumulants:
             empirical_cumulants(np.arange(10.0), 7)
         with pytest.raises(DomainError):
             empirical_cumulants(np.arange(4.0), 4)
+        with pytest.raises(DomainError):
+            empirical_cumulants(np.arange(10.0), True)
+        got = empirical_cumulants(np.arange(10.0), np.int64(4))
+        assert got.tobytes() == empirical_cumulants(np.arange(10.0), 4).tobytes()
