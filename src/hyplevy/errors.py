@@ -1,4 +1,5 @@
-"""Exception hierarchy for hyplevy.
+"""Exception hierarchy for hyplevy, and the argument type tests that
+decide when its modules raise it.
 
 Every error raised deliberately by the library derives from HyplevyError, so
 callers can catch one base class. Domain violations also derive from
@@ -7,6 +8,8 @@ standard library would raise in the same situation.
 """
 
 from __future__ import annotations
+
+import numbers
 
 __all__ = [
     "HyplevyError",
@@ -56,3 +59,19 @@ class DecayDetectionError(ConvergenceError):
 class SamplerConfigError(HyplevyError, ValueError):
     """A sampler configuration is unusable (for example the jump intensity
     at the requested cutoff overflows practical Poisson simulation)."""
+
+
+def _integer(value) -> int | None:
+    """value as a Python int if it is an integer, numpy's included; None
+    for anything else, a bool too."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    return None
+
+
+def _real(value) -> float | None:
+    """value as a Python float if it is a real number, numpy's included;
+    None for anything else (a complex, a string, None), a bool too."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    return None

@@ -156,19 +156,20 @@ class PairShape(_Shape):
     def phase_terms(self, u: np.ndarray, um1: np.ndarray):
         """psi's node factors at u (um1 = 1 - u): x, the measure's factor
         top = u^(-(d+1)/2) (1-u)^(b/2-1) and the products x^j top for
-        j = 2..5, built from the finite exponent (r/2 - 1) upward, so they
-        stay finite where top overflows."""
+        j = 2..5 as the rows of one (4, nodes) array, built from the finite
+        exponent (r/2 - 1) upward, so they stay finite where top
+        overflows."""
         pair = self.pair
         lu = np.log(u)
         x = np.exp(0.5 * (pair.k - 1.0) * lu)
         side = np.exp(self.end_power * np.log(um1))
-        w2 = np.exp((0.5 * pair.r - 1.0) * lu) * side
-        w3 = w2 * x
-        w4 = w3 * x
-        w5 = w4 * x
+        powers = np.empty((4, len(u)))
+        np.multiply(np.exp((0.5 * pair.r - 1.0) * lu), side, out=powers[0])
+        for j in range(1, 4):
+            np.multiply(powers[j - 1], x, out=powers[j])
         with np.errstate(over="ignore", invalid="ignore"):
             top = np.exp(-0.5 * (pair.d + 1.0) * lu) * side
-        return x, top, (w2, w3, w4, w5)
+        return x, top, powers
 
     def upper_y(self, delta: float) -> float:
         """y at the cutoff, 1 - delta^(2/(k-1)), without the cancellation
@@ -251,19 +252,21 @@ class LimitShape(_Shape):
 
     def phase_terms(self, v: np.ndarray):
         """psi's node factors at v: x = e^(-v), top = e^v v^((b-2)/2)
-        and the products x^j top for j = 2..5: the first is one exp of
-        ((b-2)/2) log v - v, the others follow by factors e^(-v), so none
-        forms the overflowing v^((b-2)/2) on its own. Past v = 700,
-        x < 1e-304 puts |t| x below 1e-4 for every |t| < 1e300, so the
-        kernel takes the Taylor form there and never reads top."""
+        and the products x^j top for j = 2..5 as the rows of one
+        (4, nodes) array: the first is one exp of ((b-2)/2) log v - v, the
+        others follow by factors e^(-v), so none forms the overflowing
+        v^((b-2)/2) on its own. Past v = 700, x < 1e-304 puts |t| x below
+        1e-4 for every |t| < 1e300, so the kernel takes the Taylor form
+        there and never sums top."""
         ev = np.exp(-v)
         lv = self.end_power * np.log(v)
+        powers = np.empty((4, len(v)))
         with np.errstate(over="ignore"):
-            p2 = np.exp(lv - v)
+            np.exp(lv - v, out=powers[0])
             top = np.exp(v + lv)
-        p3 = p2 * ev
-        p4 = p3 * ev
-        return ev, top, (p2, p3, p4, p4 * ev)
+        for j in range(1, 4):
+            np.multiply(powers[j - 1], ev, out=powers[j])
+        return ev, top, powers
 
     def upper_y(self, delta: float) -> float:
         return 1.0 - delta

@@ -19,17 +19,25 @@ not parameters. The tolerances rel_tol and abs_tol are the callers': the
 sampler's moments ask for 1e-12 and the characteristic exponent for 1e-11.
 
 An integrand returns its (n_nodes,) values for one integral, or a
-RowBatch for n integrals sharing the nodes: n, and a function of an index
-array of rows that gives those rows' (len(rows), n_nodes) values. The
-integrand is called once per level, so a batch's node-only factors are
-computed once per level, and its rows are evaluated in tiles of at most
-_TILE elements (rows x nodes), whole rows each, which bounds the
-temporaries whatever the batch's size. Each row converges on its own
-test |S_L - S_{L-1}| <= max(abs_tol, rel_tol |S_L|) and keeps the value
-of the first level that passes it; a level evaluates only the rows that
-have not passed yet, and the rule returns once every row has passed.
-Every step is elementwise or a sum over one row's nodes, so a row's value
-is the one a batch of that row alone returns.
+RowBatch for n integrals sharing the nodes: n, and a function sums(rows,
+w) that gives the rows in the index array rows their weighted sums over
+the level's nodes under the weights w, a (len(rows),) array. The rule
+weights and sums a plain integrand's values itself (np.sum of w times
+them); a batch does its own weighting, so it can sum a node-only factor
+once per level and scale it per row rather than weight (rows, nodes)
+values element by element. The characteristic exponent does
+(hyplevy.spectral): its Taylor-form columns and those where the node
+rounds to 1 cost O(1) per row, and only its large-form columns cost work
+per element. The integrand is called once per level, so a batch's
+node-only factors are computed once per level, and its rows are summed
+in tiles of at most _TILE elements (rows x nodes), whole rows each,
+which bounds the temporaries whatever the batch's size. Each row
+converges on its own test
+|S_L - S_{L-1}| <= max(abs_tol, rel_tol |S_L|) and keeps the value of the
+first level that passes it; a level sums only the rows that have not
+passed yet, and the rule returns once every row has passed. So a row's
+value is the one a batch of that row alone returns whenever the batch's
+sums give each row the value of that row alone.
 """
 
 from __future__ import annotations
@@ -88,28 +96,13 @@ def _es_nodes(level: int, new_only: bool = False) -> tuple[np.ndarray, np.ndarra
     return nodes
 
 
-def _weighted_sum(w: np.ndarray, vals) -> np.ndarray:
-    """The row sums of w * vals. The integrand's result belongs to the
-    rule, so the product is formed in it when it can hold the product's
-    type and shape, which spares a (rows, nodes) temporary."""
-    if (
-        isinstance(vals, np.ndarray)
-        and vals.flags.writeable
-        and vals.shape[-1:] == w.shape
-        and vals.dtype == np.result_type(vals, w)
-    ):
-        vals *= w
-        return np.sum(vals, axis=-1)
-    return np.sum(w * vals, axis=-1)
-
-
 class RowBatch(NamedTuple):
-    """n integrals sharing a level's nodes: values(rows) gives the
-    (len(rows), n_nodes) values of the rows in the index array rows, as a
-    fresh array the rule may weight in place."""
+    """n integrals sharing a level's nodes: sums(rows, w) gives the
+    (len(rows),) weighted sums over the nodes, under the level's weights
+    w, of the rows in the index array rows."""
 
     n: int
-    values: Callable[[np.ndarray], np.ndarray]
+    sums: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _level_sums(values, w: np.ndarray, live) -> np.ndarray:
@@ -119,12 +112,10 @@ def _level_sums(values, w: np.ndarray, live) -> np.ndarray:
     if not isinstance(values, RowBatch):
         if np.ndim(values) != 1:
             raise ValueError("an integrand returns (n_nodes,) values or a RowBatch")
-        return _weighted_sum(w, values)
+        return np.sum(w * values)
     live = np.arange(values.n) if live is None else live
     step = max(1, _TILE // len(w))
-    return np.concatenate(
-        [_weighted_sum(w, values.values(live[i : i + step])) for i in range(0, len(live), step)]
-    )
+    return np.concatenate([values.sums(live[i : i + step], w) for i in range(0, len(live), step)])
 
 
 def _refine(level_sum, where: str, rel_tol: float, abs_tol: float):
@@ -170,10 +161,8 @@ def tanh_sinh(
 
     f(x, dist_b) is called with node arrays, dist_b = b - x computed
     stably; it may return real or complex values of shape (n_nodes,), or
-    a RowBatch of n integrals, whose result is an array of n. The
-    returned values are handed over: the rule may weight them in place,
-    so f must not return an array it keeps. Raises QuadratureError if
-    consecutive levels never agree to tolerance.
+    a RowBatch of n integrals, whose result is an array of n. Raises
+    QuadratureError if consecutive levels never agree to tolerance.
     """
     if not b > a:
         raise QuadratureError(f"empty interval ({a}, {b})")
@@ -198,8 +187,7 @@ def exp_sinh(
     f(x) is called with node arrays (positions a + u, u on a
     double-exponential grid spanning roughly 1e-300 .. 1e300); the
     integrand must return finite values (for example 0) over that whole
-    range, of shape (n_nodes,) or as a RowBatch, and handed over, as for
-    tanh_sinh.
+    range, of shape (n_nodes,), or a RowBatch, as for tanh_sinh.
     """
 
     def level_sum(level: int, new_only: bool, live):

@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -79,6 +78,8 @@ from .errors import (
     DivergentMomentError,
     DomainError,
     SamplerConfigError,
+    _integer,
+    _real,
 )
 from .measures import LevyMeasure1D
 from .quadrature import exp_sinh, tanh_sinh
@@ -123,7 +124,8 @@ class SamplerConfig:
     batch_size: int = 100_000
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.cutoff_delta < 1.0):
+        delta = _real(self.cutoff_delta)
+        if delta is None or not (0.0 < delta < 1.0):
             raise SamplerConfigError(
                 f"cutoff_delta must lie in (0, 1), got {self.cutoff_delta!r}"
             )
@@ -134,7 +136,8 @@ class SamplerConfig:
             raise SamplerConfigError(
                 f"batch_size must be a positive integer, got {self.batch_size!r}"
             )
-        # Python ints, so SeedSequence and the CLI's JSON see the same values
+        # Python numbers, so SeedSequence and the CLI's JSON see the same values
+        object.__setattr__(self, "cutoff_delta", delta)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "batch_size", batch_size)
 
@@ -146,14 +149,6 @@ class SampleBatch:
     values: np.ndarray = field(compare=False, repr=False)
     config: SamplerConfig = field(default_factory=SamplerConfig)
     diagnostics: dict = field(compare=False, default_factory=dict)
-
-
-def _integer(value) -> int | None:
-    """value as a Python int if it is an integer, numpy's included; None
-    for anything else, a bool too."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    return None
 
 
 def _require_delta(delta: float) -> float:

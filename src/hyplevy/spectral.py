@@ -30,14 +30,19 @@ quadrature runs to the relative tolerance 1e-11 (_REL_TOL), which is
 fixed, not a parameter. The frequencies of one call are one batch, a
 single quadrature pass in row tiles whose values do not depend on the
 batch (_quadrature_exponents); the scalar char_exponent is a batch of
-one. Each phase term e^{itx} - 1 - itx is computed in one form, its
-quartic Taylor form in t where |t x| < 1e-4 and the large form
-elsewhere (_phase_kernel). The large form has two routes. Any batch can
-take two sines per term. The grid frequencies k dt that invert_to_density
-passes come in runs of consecutive k, where the phases at a node form an
-arithmetic progression; there a doubling recurrence gives each row from
-a few rows of sines by one complex multiply-add, within a stated error
-that the tests check against mpmath.
+one. The batch hands the rule each row's weighted sum over a level's
+nodes (_PhaseLevel). Each phase term e^{itx} - 1 - itx is taken in one
+form, its quartic Taylor form in t where |t x| < 1e-4 and the large form
+elsewhere. Where the Taylor form holds, and where x rounds to 1.0 (so
+the phase is t itself), a row's sum is a node-only sum, formed once per
+level, times a factor of the row: those columns, about two thirds of the
+density grid's, cost no work per element. The large form has two
+routes. Any batch can take two sines per term. The grid frequencies
+k dt that invert_to_density passes come in runs of consecutive k, where
+the phases at a node form an arithmetic progression; there a doubling
+recurrence gives each row from a few rows of sines by one complex
+multiply-add. Each route has a stated error per term and per row sum,
+which the tests check against mpmath.
 
 Densities come from sampling exp(psi) on a uniform frequency grid,
 truncating where |cf| falls below the threshold 1e-12 (_DECAY_THRESHOLD,
@@ -69,7 +74,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DecayDetectionError, DomainError
+from .errors import DecayDetectionError, DomainError, _integer, _real
 from .measures import LevyMeasure1D
 from .quadrature import _TILE, RowBatch, exp_sinh, tanh_sinh
 from .specfun import log_gamma
@@ -88,11 +93,11 @@ __all__ = [
 STANDARD_NORMAL = "standard_normal"
 
 _SMALL_PHASE = 1e-4
-_QUADRATIC_PHASE = 2.0**-27  # |y| below which the quartic Taylor terms vanish in rounding
 _REL_TOL = 1e-11  # relative tolerance of every psi quadrature
 _DECAY_THRESHOLD = 1e-12  # |cf| below which the spectrum is cut
 _SEED_ROWS = 4  # rows of a frequency run whose phase terms are direct
 _PROGRESSION_ERR = 16.0  # the recurrence's stated error, in u (|E| + |y|) |top|
+_TAYLOR_COEF = np.array([-1.0 / 2.0, -1.0 / 6.0, 1.0 / 24.0, 1.0 / 120.0])  # of t^2 .. t^5
 
 
 def _unit_phase(y):
@@ -105,9 +110,9 @@ def _unit_phase(y):
     return h, np.sin(y)
 
 
-def _progression(t, x, top, dt) -> np.ndarray:
-    """(e^{iy} - 1) top as a (rows, nodes) complex array, on the phases
-    y = t x of a run of consecutive grid frequencies t = k dt.
+def _progression(t, x, top, dt, out) -> None:
+    """(e^{iy} - 1) top into the (rows, nodes) complex array out, on the
+    phases y = t x of a run of consecutive grid frequencies t = k dt.
 
     The first _SEED_ROWS rows are direct (_unit_phase). Then the filled
     rows [0, h) give rows [h, 2h) at once: with s = h dt x per node and
@@ -123,123 +128,159 @@ def _progression(t, x, top, dt) -> np.ndarray:
     n = len(t)
     seed = min(n, _SEED_ROWS)
     shifts = seed << np.arange(max(0, math.ceil(math.log2(n / seed))))
-    phases = np.concatenate((t[:seed, 0], shifts * dt))[:, None] * x
+    phases = np.concatenate((t[:seed], shifts * dt))[:, None] * x
     g = np.empty(phases.shape, dtype=complex)
     g.real, g.imag = _unit_phase(phases)
-    block = np.empty((n, len(x)), dtype=complex)
-    np.multiply(g[:seed], top, out=block[:seed])
+    np.multiply(g[:seed], top, out=out[:seed])
     turn = g[seed:] + 1.0  # e^{is}
     lift = g[seed:] * top  # G(s) top
     for h, turn_h, lift_h in zip(shifts, turn, lift):
-        new = block[h : 2 * h]
-        np.multiply(block[: len(new)], turn_h, out=new)
+        new = out[h : 2 * h]
+        np.multiply(out[: len(new)], turn_h, out=new)
         new += lift_h
-    return block
 
 
-def _phase_kernel(t, x, top, powers, run=None) -> np.ndarray:
-    """(e^{iy} - 1 - iy) top on the (rows, nodes) phases y = t x, with
-    its quartic Taylor form in t where |y| < _SMALL_PHASE; powers =
-    (x^2, x^3, x^4, x^5) times top, which the caller builds in a form
-    that stays finite where top alone overflows.
+class _PhaseLevel:
+    """psi's integrand on one quadrature level's nodes, summed by row: for
+    rows of frequencies t, the sums over the nodes of w E(y) top, y = t x
+    and E(y) = e^{iy} - 1 - iy (sums). x, top and powers, the (4, nodes)
+    array of x^m top for m = 2..5, come from the shape's phase_terms,
+    which keeps the powers finite where top alone overflows; x lies in
+    [0, 1]. The weights w come with the first rows, as the rule passes
+    them.
 
-    Each element is computed in one form only. |y| = |t| x grows with |t|
-    and, the nodes x being monotone (ascending or descending, as their
-    ends show), along the row, so the columns small at max |t| are small
-    in every row, those large at min |t| are large in every row, and only
-    the span between needs the row mask. Where x rounds to 1.0 (tanh-sinh
-    nodes near u = 1, exp-sinh nodes near v = 0) y is t itself, and the
-    large form's sines are taken once per row. The forms and their steps
-    are the ones a where() over both would pick, so the values do not
-    depend on the spans. Where |y| < _QUADRATIC_PHASE the quartic terms
-    are below half an ulp of the quadratic ones and are left out, which
-    changes no bit.
+    Each term is taken in one form: its quartic Taylor form in t where
+    |y| < _SMALL_PHASE, the large form elsewhere. The nodes are put in
+    ascending x (exp-sinh's x = e^-v descend), so a row's Taylor columns
+    are its first b, b = searchsorted(x, _SMALL_PHASE / |t|), a function
+    of t alone, and its large ones run from b to the end. Per level, once,
+    _weigh forms the node-only sums. Per row, the Taylor columns and the
+    columns where x rounds to 1.0 cost O(1):
+    - Taylor: -t^2/2 P2 + t^4/24 P4 + i(-t^3/6 P3 + t^5/120 P5), P_m the
+      prefix sum of w x^m top over the first b columns (a sequential
+      np.add.accumulate in ascending x);
+    - x == 1.0: there y = t, and the sum is (G(t) - it) S1, S1 the sum of
+      w top over those columns and G(y) = e^{iy} - 1 (_unit_phase), in
+      every row with |t| >= 1e-4 (below, b takes them into the prefix
+      sums).
+    Only the large columns below x = 1.0 cost work per element: a block
+    over the span from the least b of the rows (of each run's rows, on
+    the recurrence) to those columns, of (G(y) - iy) w top (terms), and
+    each row is summed over its own columns b.. by one np.add.reduceat.
+    So every step of a row reads its own frequency and the level's node
+    arrays only, and a row's sum is the one it has alone, bit for bit,
+    whichever rows share its call (with run, its run start aside).
 
-    The large form is (G(y) - iy) top, G(y) = e^{iy} - 1, and it has two
-    routes. Without run, each element takes two sines (_unit_phase):
-    -2 sin(y/2)^2 top and (sin y - y) top. With run = (k, dt), the rows'
-    frequencies are t = k dt for integers k, and each run of consecutive
-    k takes the doubling recurrence (_progression) from its first row: a
-    few rows of sines, one complex multiply-add for each other row, and
-    the imaginary part less t (x top). Against the exact value at the
-    given t and x, such an element errs by at most _PROGRESSION_ERR
-    u (|E| + |y|) |top|, u the unit roundoff and E = e^{iy} - 1 - iy
-    (the tests check it against mpmath); the |y| part is the
-    cancellation in sin y - y, which the sine route has too. The
-    temporaries are the size of the output, which the caller's row tiles
+    The large form has two routes. Without run, each element takes two
+    sines (_unit_phase): -2 sin(y/2)^2 w top and (sin y - y) w top. With
+    run = (k, dt), the rows' frequencies are t = k dt for integers k, and
+    each run of consecutive k takes the doubling recurrence (_progression)
+    from its first row with w top as its top: a few rows of sines, one
+    complex multiply-add for each other row, and the imaginary part less
+    t (x w top) per element, so no cancellation moves into a sum. Against
+    the exact value at the given t, x and w top, such an element errs by
+    at most _PROGRESSION_ERR u (|E| + |y|) |w top|, u the unit roundoff;
+    the |y| part is the cancellation in sin y - y, which the sine route
+    has too. A row's sum then errs, to first order in u, by at most the
+    sum of those element bounds over its large columns (the x == 1.0 ones
+    included), plus (n + 10) u times the sum over all n nodes of
+    w (|Re F| + |Im F|), F the exact term in its form. The second part
+    covers the products with w, every sum of at most n terms (the prefix
+    sums, S1 and the reduction) and the row factors' roundings; the tests
+    check both parts against mpmath. The temporaries are the size of the
+    span times the rows, which the rule's row tiles
     (hyplevy.quadrature._TILE) bound.
     """
-    t = np.asarray(t)
-    at = np.abs(t)
-    n = len(x)
-    at_max = at.max()
-    top_y = at_max * x  # |y| in the row of max |t|
-    n_all = np.count_nonzero(top_y < _SMALL_PHASE)
-    n_any = np.count_nonzero(at.min() * x < _SMALL_PHASE)
-    # the columns at the large end where x is 1.0 have y = t, so there the
-    # large form is a per-row factor times top
-    n_one = min(int(np.count_nonzero(x == 1.0)), n - n_any)
-    # the small columns where the quartic Taylor terms are below half an
-    # ulp of the quadratic ones, |y|^2 / 12 < 2^-54 with room for their
-    # rounding, so leaving them out changes no bit (none where t^4 nears
-    # overflow)
-    n_two = np.count_nonzero(top_y < _QUADRATIC_PHASE) if at_max < 1e64 else 0
-    # the spans: one, large (the large form, the mixed span included), mixed
-    # (the large form masked back to Taylor), small, and quartic, the part
-    # of small beyond the n_two columns
-    if x[0] > x[-1]:
-        one, large = slice(0, n_one), slice(n_one, n - n_all)
-        mixed, small = slice(n - n_any, n - n_all), slice(n - n_all, n)
-        quartic = slice(n - n_all, n - n_two)
-    else:
-        small, mixed = slice(0, n_all), slice(n_all, n_any)
-        large, one = slice(n_all, n - n_one), slice(n - n_one, n)
-        quartic = slice(n_two, n_all)
-    p2, p3, p4, p5 = powers
-    out = np.empty((*t.shape[:-1], n), dtype=complex)
-    re, im = out.real, out.imag
-    with np.errstate(over="ignore", invalid="ignore"):
-        t2 = t * t
-        # per-row factors of the Taylor form, grouped as the full expression
-        # -0.5 t2 p2 + t2 t2 / 24 p4 (and its imaginary twin) would group them
-        r2, r4 = -0.5 * t2, t2 * t2 / 24.0
-        i3, i5 = -t2 * t / 6.0, t2 * t2 * t / 120.0
-        if n_one:
-            # the large form's own steps on y = t, so its values are the same
-            # (a zero's sign aside: top is taken as a complex factor)
-            g = np.empty(np.shape(t), dtype=complex)
-            g.real, g.imag = _unit_phase(np.atleast_1d(t))
-            g.imag -= t
-            np.multiply(g, top[one], out=out[..., one])
-        if large.start < large.stop:
-            xl, tl = x[large], top[large]
-            if run is None:
-                y = t * xl
-                h, s = _unit_phase(y)
-                np.multiply(h, tl, out=re[..., large])
-                s -= y
-                np.multiply(s, tl, out=im[..., large])
-            else:
-                k, dt = run
-                # each run of consecutive k, from its first row
-                cuts = np.flatnonzero(k[1:] - k[:-1] != 1.0) + 1
-                xtop = xl * tl
-                for a, b in zip([0, *cuts], [*cuts, len(k)]):
-                    block = _progression(t[a:b], xl, tl, dt)
-                    re[a:b, large] = block.real
-                    np.subtract(block.imag, t[a:b] * xtop, out=im[a:b, large])
-        if mixed.start < mixed.stop:
-            # over the large form where the row mask says small
-            masked = np.abs(t * x[mixed]) < _SMALL_PHASE
-            np.copyto(re[..., mixed], r2 * p2[mixed] + r4 * p4[mixed], where=masked)
-            np.copyto(im[..., mixed], i3 * p3[mixed] + i5 * p5[mixed], where=masked)
-        if small.start < small.stop:
-            np.multiply(r2, p2[small], out=re[..., small])
-            np.multiply(i3, p3[small], out=im[..., small])
-            if quartic.start < quartic.stop:
-                re[..., quartic] += r4 * p4[quartic]
-                im[..., quartic] += i5 * p5[quartic]
-    return out
+
+    def __init__(self, x, top, powers):
+        self.order = slice(None, None, -1 if x[0] > x[-1] else 1)
+        self.x, self.top = x[self.order], top[self.order]
+        self.powers = powers[:, self.order]
+        self.end = int(np.searchsorted(self.x, 1.0))  # x rounds to 1.0 from here on
+        self.wtop = None
+
+    def _weigh(self, w) -> None:
+        """The node-only sums under the weights w, once: the prefix sums
+        of w x^m top as a (nodes + 1, 4) array with a leading 0 (m = 2..5
+        across), w top and x w top, and the sum of w top over the
+        x == 1.0 columns, all in ascending x."""
+        w = w[self.order]
+        self.prefix = np.zeros((len(w) + 1, 4))
+        np.add.accumulate(w[:, None] * self.powers.T, axis=0, out=self.prefix[1:])
+        # inf or nan only in columns small for every finite frequency below
+        # about 1e300, where top overflows (x tiny or 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.wtop = w * self.top
+            self.xwtop = self.x * self.wtop
+        self.one = np.add.reduce(self.wtop[self.end :])
+
+    def sums(self, t, w, run=None) -> np.ndarray:
+        """The row sums at the 1-D frequencies t (nonzero), with run = (k,
+        dt) for grid frequencies t = k dt."""
+        if self.wtop is None:
+            self._weigh(w)
+        end = self.end
+        b = np.searchsorted(self.x, _SMALL_PHASE / np.abs(t))
+        # Taylor: the prefix sums times (-t^2/2, -t^3/6, t^4/24, t^5/120),
+        # the real parts summed beside the imaginary ones
+        factors = np.empty((len(t), 4))
+        np.multiply(t, t, out=factors[:, 0])
+        for j in range(1, 4):
+            np.multiply(factors[:, j - 1], t, out=factors[:, j])
+        factors *= _TAYLOR_COEF
+        factors *= self.prefix[b]
+        parts = factors[:, :2] + factors[:, 2:]
+        if end < len(self.x):
+            # the x == 1.0 columns, large in every row with b <= end
+            one = (b <= end) * self.one
+            h, s = _unit_phase(t)
+            s -= t
+            parts[:, 0] += h * one
+            parts[:, 1] += s * one
+        out = parts.view(complex)[:, 0]
+        lo = int(b.min())
+        if lo < end:
+            out += self._large(t, b, lo, run)
+        return out
+
+    def _large(self, t, b, lo, run) -> np.ndarray:
+        """Each row's sum of its large-form terms over its columns b..end,
+        from one (rows, end - lo) block of them over the span lo..end."""
+        n, span = len(t), self.end - lo
+        flat = np.empty(n * span + 1, dtype=complex)  # one spare: every index below is in range
+        self.terms(t, b, lo, run, flat[:-1].reshape(n, span))
+        # row i's columns are flat[i span + b_i - lo : (i + 1) span]; the
+        # segments between them are summed too and dropped
+        own = np.minimum(b, self.end) - lo
+        row = np.arange(0, n * span, span)
+        bounds = np.empty((n, 2), dtype=np.intp)
+        np.add(row, own, out=bounds[:, 0])
+        np.add(row, span, out=bounds[:, 1])
+        sums = np.add.reduceat(flat, bounds.ravel())[0::2]
+        sums[own == span] = 0.0  # no large column: reduceat would give flat[start]
+        return sums
+
+    def terms(self, t, b, lo, run, out) -> None:
+        """The large form (G(y) - iy) w top of the rows t, whose Taylor
+        columns end at b, over the columns lo..end into the (rows,
+        end - lo) complex array out; on the recurrence, a run's columns
+        below its least b are set to 0 instead."""
+        x, wtop = self.x[lo : self.end], self.wtop[lo : self.end]
+        if run is None:
+            y = t[:, None] * x
+            h, s = _unit_phase(y)
+            np.multiply(h, wtop, out=out.real)
+            s -= y
+            np.multiply(s, wtop, out=out.imag)
+            return
+        k, dt = run
+        # each run of consecutive k, from its first row, over its own span
+        cuts = np.flatnonzero(k[1:] - k[:-1] != 1.0) + 1
+        for a, c in zip([0, *cuts], [*cuts, len(t)]):
+            first = min(int(b[a:c].min()) - lo, len(x))
+            out[a:c, :first] = 0.0
+            _progression(t[a:c], x[first:], wtop[first:], dt, out[a:c, first:])
+        out.imag -= t[:, None] * self.xwtop[lo : self.end]
 
 
 def _quadrature_exponents(measure: LevyMeasure1D, ts: np.ndarray, dt=None) -> np.ndarray:
@@ -247,32 +288,31 @@ def _quadrature_exponents(measure: LevyMeasure1D, ts: np.ndarray, dt=None) -> np
 
     The frequencies are one batch of the family's quadrature, tanh-sinh
     on (0, 1) or exp-sinh on (0, inf) in its shape's variable, so one
-    pass runs over all of them: the shape's node factors are computed
-    once per level, and the (rows, nodes) phase terms only for the rows
-    that have not converged, in the rule's row tiles. Each row keeps the
-    level at which it converges. Without dt its value is the one a call
-    with that frequency alone returns. With dt, ts must be grid
-    frequencies k dt for integers k, and the runs of consecutive k among
-    a tile's rows take _phase_kernel's recurrence, so a row's value also
-    depends on where its run starts, within the recurrence's stated
-    error. Zero frequencies are the caller's to drop (_char_exponents
-    does).
+    pass runs over all of them: the shape's node factors and their
+    weighted node sums are computed once per level, and each row's sum
+    (_PhaseLevel) only for the rows that have not converged, in the
+    rule's row tiles. Each row keeps the level at which it converges.
+    Without dt its value is the one a call with that frequency alone
+    returns. With dt, ts must be grid frequencies k dt for integers k,
+    and the runs of consecutive k among a tile's rows take the
+    recurrence, so a row's value also depends on where its run starts,
+    within the recurrence's stated error. Zero frequencies are the
+    caller's to drop (_char_exponents does).
     """
     shape = measure.shape
-    t = np.asarray(ts, dtype=float)[:, None]
-    k = None if dt is None else np.rint(t[:, 0] / dt)
+    t = np.asarray(ts, dtype=float)
+    k = None if dt is None else np.rint(t / dt)
 
     def integrand(*nodes):
-        terms = shape.phase_terms(*nodes)
+        level = _PhaseLevel(*shape.phase_terms(*nodes))
         return RowBatch(
-            len(t),
-            lambda rows: _phase_kernel(t[rows], *terms, run=None if k is None else (k[rows], dt)),
+            len(t), lambda rows, w: level.sums(t[rows], w, None if k is None else (k[rows], dt))
         )
 
     rule = exp_sinh if shape.half_line else tanh_sinh
     # a phase term that overflows (|t| near 1e300) makes its row nan, which
     # never converges: QuadratureError reports it, and no warning repeats it
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return measure.coef * rule(integrand, rel_tol=_REL_TOL, abs_tol=1e-300)
 
 
@@ -559,19 +599,21 @@ def invert_to_density(
         f(x_m) = (dt / 2 pi) hfft[a]_m,  a_k = (-1)^k cf(k dt), k = 0..n/2,
 
     with a_k = 0 above the cutoff and at k = n/2 (numpy.fft.hfft, length
-    n). half_width must be positive and finite, n_points a multiple of 4
-    and at least 256. Negative ripple is clipped, the grid renormalized,
-    and both amounts recorded in meta.
+    n). half_width must be a positive finite real number and n_points an
+    integer multiple of 4, at least 256; numpy numbers count, and meta
+    holds them as a Python float and int. Negative ripple is clipped, the
+    grid renormalized, and both amounts recorded in meta.
     """
-    if not (0.0 < half_width < math.inf):
+    width, n = _real(half_width), _integer(n_points)
+    if width is None or not (0.0 < width < math.inf):
         raise DomainError(f"half_width must be positive and finite, got {half_width!r}")
-    if not (isinstance(n_points, int) and n_points >= 256 and n_points % 4 == 0):
+    if n is None or n < 256 or n % 4 != 0:
         raise DomainError(
             f"n_points must be an integer multiple of 4, >= 256, got {n_points!r}"
         )
+    half_width = width
     sigma_law = math.sqrt(measure.total_second_moment)
     dt = math.pi / (half_width * sigma_law)
-    n = n_points
     t_grid_max = 0.5 * n * dt
 
     # the cutoff search of the docstring, over the probes 4, 8, ... <= n/2

@@ -23,6 +23,12 @@ def counted(f):
     return g
 
 
+def rows_of(n, values):
+    """A RowBatch of n integrals whose rows' values at the level's nodes
+    are values(rows), summed under the weights by np.sum."""
+    return RowBatch(n, lambda rows, w: np.sum(w * values(rows), axis=-1))
+
+
 def last_delta(info) -> str:
     return str(info.value).split("last delta ")[1].split(")")[0].split(",")[0]
 
@@ -77,7 +83,7 @@ class TestLevelBounds:
         monkeypatch.setattr(quadrature, "_MAX_LEVEL", 8)
         scale = np.array([[1.0], [3.0]])
         with pytest.raises(QuadratureError) as batch:
-            tanh_sinh(lambda x, bm: RowBatch(2, lambda rows: scale[rows] / x))
+            tanh_sinh(lambda x, bm: rows_of(2, lambda rows: scale[rows] / x))
         with pytest.raises(QuadratureError) as alone:
             tanh_sinh(lambda x, bm: 3.0 / x)
         assert "did not converge by level 8" in str(batch.value)
@@ -136,14 +142,14 @@ class TestNestedLevels:
 class TestBatchedRows:
     def test_rows_match_their_own_one_dimensional_calls(self):
         p = np.array([[0.5], [1.5], [4.0]])
-        got = tanh_sinh(lambda x, bm: RowBatch(3, lambda rows: x ** p[rows] * np.log(x) ** 2))
+        got = tanh_sinh(lambda x, bm: rows_of(3, lambda rows: x ** p[rows] * np.log(x) ** 2))
         assert got.shape == (3,)
         for row, pk in zip(got, p[:, 0]):
             alone = tanh_sinh(lambda x, bm: x**pk * np.log(x) ** 2)
             assert abs(row - alone) <= 1e-15 * abs(alone)
             assert math.isclose(row, 2.0 / (pk + 1.0) ** 3, rel_tol=1e-12)
         k = np.array([[1.0], [2.5]])
-        got = exp_sinh(lambda x: RowBatch(2, lambda rows: np.exp(k[rows] * np.log(x) - x)))
+        got = exp_sinh(lambda x: rows_of(2, lambda rows: np.exp(k[rows] * np.log(x) - x)))
         assert np.allclose(got, [1.0, math.gamma(3.5)], rtol=1e-12, atol=0.0)
 
     def test_each_row_stops_at_its_own_level(self, monkeypatch):
@@ -160,7 +166,7 @@ class TestBatchedRows:
             live.append(list(rows))
             return scale[rows] * np.cos(200.0 * x)
 
-        f = counted(lambda x, bm: RowBatch(2, lambda rows: values(x, rows)))
+        f = counted(lambda x, bm: rows_of(2, lambda rows: values(x, rows)))
         got = tanh_sinh(f, **kw)
         assert len(f.calls) == 4
         assert live == [[0, 1], [0, 1], [1], [1]]
@@ -182,7 +188,7 @@ class TestBatchedRows:
                 tiles.append((len(rows), np.size(x)))
                 return np.exp(1j * t[rows] * x)
 
-            return RowBatch(50, values)
+            return rows_of(50, values)
 
         whole = tanh_sinh(f)
         assert [r for r, _ in tiles] == [50, 50]
@@ -200,7 +206,7 @@ class TestBatchedRows:
 
     def test_complex_rows(self):
         t = np.array([[1.0], [-2.0]])
-        got = tanh_sinh(lambda x, bm: RowBatch(2, lambda rows: np.exp(1j * t[rows] * x)))
+        got = tanh_sinh(lambda x, bm: rows_of(2, lambda rows: np.exp(1j * t[rows] * x)))
         want = (np.exp(1j * t[:, 0]) - 1.0) / (1j * t[:, 0])
         assert np.max(np.abs(got - want)) <= 1e-13
 

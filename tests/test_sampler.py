@@ -693,6 +693,11 @@ class TestSampleDiagnostics:
             SamplerConfig(seed=True)
         with pytest.raises(SamplerConfigError):
             SamplerConfig(batch_size=True)
+        # a cutoff must be a real number, not a string, None, a complex or
+        # a bool
+        for bad in ("0.5", None, 0.5 + 0j, True):
+            with pytest.raises(SamplerConfigError, match="cutoff_delta"):
+                SamplerConfig(cutoff_delta=bad)
 
     def test_sample_count_validation(self):
         with pytest.raises(DomainError):
@@ -704,10 +709,11 @@ class TestSampleDiagnostics:
 
     @pytest.mark.filterwarnings("ignore:small-jump Gaussian proxy is thin")
     def test_numpy_integers_are_integers(self):
-        # stored as Python ints, so the config and its stream are those of
-        # the equal Python-int arguments
-        cfg = SamplerConfig(cutoff_delta=0.05, seed=np.int64(3), batch_size=np.int32(64))
+        # stored as Python numbers, so the config and its stream are those
+        # of the equal Python arguments
+        cfg = SamplerConfig(cutoff_delta=np.float64(0.05), seed=np.int64(3), batch_size=np.int32(64))
         assert type(cfg.seed) is int and type(cfg.batch_size) is int
+        assert type(cfg.cutoff_delta) is float
         plain = SamplerConfig(cutoff_delta=0.05, seed=3, batch_size=64)
         assert cfg == plain
         got = sample(RESC43, np.int64(100), cfg).values

@@ -29,8 +29,8 @@ from hyplevy.spectral import (
     ks_distance,
     ks_distance_sample,
     _SMALL_PHASE,
+    _PhaseLevel,
     _char_exponents,
-    _phase_kernel,
     _quadrature_exponents,
     _safe_index,
     _series_exponents,
@@ -61,9 +61,9 @@ def quad_log(monkeypatch):
                 rec["points"].append(np.size(x))
                 rec["live"].append(0)
 
-                def tile(rows):
+                def tile(rows, w):
                     rec["live"][-1] += len(rows)
-                    return batch.values(rows)
+                    return batch.sums(rows, w)
 
                 return RowBatch(batch.n, tile)
 
@@ -731,39 +731,124 @@ class TestSeededSearch:
             assert np.all(got[safe] >= math.e * threshold)
 
 
+U = 2.0**-53  # unit roundoff of a double
+
+
+def level_at(measure, level):
+    """_PhaseLevel on the nodes the quadrature of measure evaluates at
+    level (the new ones past the first level), weighed: (the level, its
+    weights as the rule passes them)."""
+    new_only = level > quadrature._MIN_LEVEL
+    if measure.shape.half_line:
+        x, w = quadrature._es_nodes(level, new_only)
+        terms = measure.shape.phase_terms(x)
+    else:
+        s, s1, w = quadrature._ts_nodes(level, new_only)
+        terms = measure.shape.phase_terms(s, s1)
+    phase = _PhaseLevel(*terms)
+    phase._weigh(w)
+    return phase, w
+
+
+def taylor_columns(phase, t):
+    """The number of Taylor columns of each row: b = searchsorted(x,
+    _SMALL_PHASE / |t|), the rule _PhaseLevel states."""
+    return np.searchsorted(phase.x, _SMALL_PHASE / np.abs(t))
+
+
+def row_sum_exact(phase, w, t):
+    """The sum over a weighed _PhaseLevel's nodes of w F at the frequency
+    t, at 30 digits, F the exact term in the form the level takes (the
+    quartic Taylor polynomial in its powers over the first b columns,
+    E(t x) top from b on), and the bound its docstring states on the
+    computed sum: (the sum, the bound)."""
+    b = int(taylor_columns(phase, np.array([t]))[0])
+    with mpmath.workdps(30):
+        tm = mpmath.mpf(float(t))
+        total, size, elements = mpmath.mpc(0), mpmath.mpf(0), mpmath.mpf(0)
+        for j in range(len(w)):
+            wj = mpmath.mpf(float(w[j]))
+            if j < b:
+                p2, p3, p4, p5 = (mpmath.mpf(float(p)) for p in phase.powers[:, j])
+                f = mpmath.mpc(
+                    -(tm**2) / 2 * p2 + tm**4 / 24 * p4, -(tm**3) / 6 * p3 + tm**5 / 120 * p5
+                )
+            else:
+                y = tm * mpmath.mpf(float(phase.x[j]))
+                e = mpmath.expj(y) - 1 - 1j * y
+                top = mpmath.mpf(float(phase.top[j]))
+                f = e * top
+                elements += spectral._PROGRESSION_ERR * U * (abs(e) + abs(y)) * wj * top
+            total += wj * f
+            size += wj * (abs(f.real) + abs(f.imag))
+        return complex(total), float(elements + (len(w) + 10) * U * size)
+
+
 class TestPhaseKernel:
     @pytest.mark.parametrize(
         "measure", [RESC43, RESC40, HYP75, LIMIT1, LIMIT2, LIMIT3],
         ids=["resc43", "resc40_21", "hyp75", "limit1", "limit2", "limit3"],
     )
-    def test_single_form_equals_the_two_form_where(self, measure, monkeypatch):
-        # frequencies from 1e-3 to 3e3 in one block put columns in all
-        # three spans and drive the levels to 9 and beyond, whose new nodes
-        # (3128 or more) are the widest spans
+    def test_row_sums_match_the_two_form_where(self, measure, monkeypatch):
+        # frequencies from 1e-3 to 3e3 in one block put columns in every
+        # form and drive the levels to 9 and beyond, whose new nodes (3128
+        # or more) are the widest spans; each row sum must match the exact
+        # sum of the two-form where() reference, weighted, within the
+        # stated bound of both
         calls = []
-        real = spectral._phase_kernel
+        real = _PhaseLevel.sums
 
-        def record(t, x, top, powers, run):
+        def record(phase, t, w, run=None):
             assert run is None  # frequencies that are no grid: the sine route
-            calls.append((t, x, top, powers))
-            return real(t, x, top, powers)
+            got = real(phase, t, w)
+            calls.append((phase, t, w[phase.order], got))
+            return got
 
-        monkeypatch.setattr(spectral, "_phase_kernel", record)
+        monkeypatch.setattr(_PhaseLevel, "sums", record)
         _quadrature_exponents(measure, np.geomspace(1e-3, 3e3, 32))
-        assert max(len(c[1]) for c in calls) > 2048  # some call at level 9 or above
+        assert max(len(c[2]) for c in calls) > 2048  # some call at level 9 or above
         # and columns where x rounds to 1.0, which take y = t per row
-        assert any(np.any(c[1] == 1.0) for c in calls)
-        for t, x, top, powers in calls:
-            # the nodes are monotone, as the spans assume
-            steps = np.diff(x)
-            assert np.all(steps <= 0.0) or np.all(steps >= 0.0)
-            want = where_kernel(t, x, top, powers)
-            got = _phase_kernel(t, x, top, powers)
-            np.testing.assert_array_equal(got, want)
-            # a scalar frequency and a negative one take the same forms
-            for one in (t[0, 0], -t[-1:]):
-                got = _phase_kernel(one, x, top, powers)
-                np.testing.assert_array_equal(got, where_kernel(one, x, top, powers))
+        assert any(np.any(c[0].x == 1.0) for c in calls)
+        for phase, t, w, got in calls:
+            # the nodes are in ascending x, as the spans assume
+            assert np.all(np.diff(phase.x) >= 0.0)
+            n = len(w)
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms = where_kernel(t[:, None], phase.x, phase.top, phase.powers) * w
+                large = (np.arange(n) >= taylor_columns(phase, t)[:, None]) | (
+                    np.abs(t[:, None] * phase.x) >= _SMALL_PHASE
+                )
+                y_top = np.where(large, np.abs(t[:, None] * phase.x) * w * phase.top, 0.0)
+            elements = np.where(large, np.abs(terms) + y_top, 0.0).sum(axis=1)
+            size = (np.abs(terms.real) + np.abs(terms.imag)).sum(axis=1)
+            bound = 2.0 * spectral._PROGRESSION_ERR * U * elements + (n + 20) * U * size
+            want = np.array(
+                [complex(math.fsum(row.real), math.fsum(row.imag)) for row in terms]
+            )
+            assert np.all(np.abs(got - want) <= bound)
+            # a negative frequency gives the conjugate sum, bit for bit
+            assert np.array_equal(real(phase, -t, w), np.conj(got))
+
+    @pytest.mark.parametrize("measure", SEARCH_LAWS, ids=SEARCH_IDS)
+    @settings(max_examples=8, derandomize=True, deadline=None, database=None)
+    @given(
+        level=st.sampled_from([5, 6]),
+        k0=st.integers(1, 4096),
+        live=st.lists(st.integers(0, 63), min_size=1, max_size=4, unique=True).map(sorted),
+    )
+    @example(level=5, k0=1, live=[0, 1, 2, 3])
+    def test_each_row_sum_is_within_the_stated_bound(self, measure, level, k0, live):
+        # grid rows on a level's real nodes and weights, both routes, each
+        # row against the exact sum of its terms in the forms it takes
+        phase, w = level_at(measure, level)
+        dt = grid_step(measure)
+        k = k0 + np.array(live, dtype=float)
+        t = k * dt
+        routes = {"sines": phase.sums(t, w), "progression": phase.sums(t, w, (k, dt))}
+        for i, ti in enumerate(t):
+            want, bound = row_sum_exact(phase, w[phase.order], ti)
+            for got in routes.values():
+                assert abs(got[i] - want) <= bound
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
@@ -772,8 +857,8 @@ def test_a_deep_block_keeps_its_temporaries_small():
     whose 25026 new nodes make the block's (32, nodes) complex values
     12.8 MB. Evaluating both kernel forms over the whole block and
     weighting them out of place raised the peak RSS of a fresh
-    interpreter by 40.6-41.4 MB; the single-form kernel on row tiles and
-    the in-place weighting must keep the rise to at most half of 40.6 MB."""
+    interpreter by 40.6-41.4 MB; the row sums on row tiles must keep the
+    rise to at most half of 40.6 MB."""
     rise = peak_rss_rise_mb(
         setup="""
             import numpy as np
@@ -831,14 +916,19 @@ def phase_exact(t, x):
         return complex(mpmath.expj(y) - 1 - 1j * y), abs(float(y))
 
 
-def kernel_tiles(t, x, top, powers, live, tile, run=None):
-    """_phase_kernel over the rows live in the row tiles the quadrature
-    makes at level 5 (391 nodes) under the budget tile, as (rows, values)."""
+def large_tiles(phase, t, live, tile, run=None):
+    """_PhaseLevel's large-form block over the rows live, in the row tiles
+    the quadrature makes at level 5 (391 nodes) under the budget tile, as
+    (rows, their Taylor column counts b, the block's first column lo, the
+    block)."""
     step = max(1, tile // 391)
     for i in range(0, len(live), step):
         rows = np.array(live[i : i + step])
-        got = _phase_kernel(t[rows], x, top, powers, None if run is None else (run[0][rows], run[1]))
-        yield rows, got
+        b = taylor_columns(phase, t[rows])
+        lo = int(b.min())
+        block = np.empty((len(rows), phase.end - lo), dtype=complex)
+        phase.terms(t[rows], b, lo, None if run is None else (run[0][rows], run[1]), block)
+        yield rows, b, lo, block
 
 
 # the rows a level keeps live: a run of up to 64 of 128 rows, less a few
@@ -852,7 +942,7 @@ LIVE_ROWS = st.builds(
 
 class TestProgressionRoute:
     """Grid frequencies k dt: the runs of consecutive k take the doubling
-    recurrence of _phase_kernel (_progression)."""
+    recurrence of _PhaseLevel (_progression)."""
 
     @settings(max_examples=15, derandomize=True, deadline=None, database=None)
     @given(
@@ -866,30 +956,27 @@ class TestProgressionRoute:
     @example(dt=0.05, k0=700, live=list(range(64)), tile=1500)
     @example(dt=0.5, k0=4033, live=list(range(64)), tile=quadrature._TILE)
     def test_each_element_is_within_the_stated_bound(self, dt, k0, live, tile):
-        # theta = dt x from 1e-7 to 0.5 over the nodes, live rows among 128
-        # consecutive k from k0 on, in the tiles of each budget (391
-        # elements make one-row tiles: seeds only)
-        x = np.geomspace(1e-7, 0.5, 24) / dt
+        # theta = dt x from 2e-7 dt to dt over the nodes (x below 1, as
+        # phase_terms gives them), live rows among 128 consecutive k from
+        # k0 on, in the tiles of each budget (391 elements make one-row
+        # tiles: seeds only); each row's large columns are checked
+        x = np.geomspace(2e-7, 0.999, 24)
         top = np.ones_like(x)
-        powers = (x**2, x**3, x**4, x**5)
+        phase = _PhaseLevel(x, top, np.array([x**2, x**3, x**4, x**5]) * top)
+        phase._weigh(np.ones_like(x))
         k = k0 + np.arange(128.0)
-        t = (k * dt)[:, None]
-        u = 2.0**-53
+        t = k * dt
         worst = {"progression": 0.0, "sines": 0.0}
         tiles = zip(
-            kernel_tiles(t, x, top, powers, live, tile, run=(k, dt)),
-            kernel_tiles(t, x, top, powers, live, tile),
+            large_tiles(phase, t, live, tile, run=(k, dt)), large_tiles(phase, t, live, tile)
         )
-        for (rows, got), (_, sines) in tiles:
+        for (rows, b, lo, got), (_, _, _, sines) in tiles:
             for i, row in enumerate(rows):
-                for j in range(len(x)):
-                    want, y = phase_exact(t[row, 0], x[j])
-                    if y < _SMALL_PHASE:
-                        # the Taylor form, the same in both routes
-                        assert got[i, j] == sines[i, j]
-                        continue
-                    scale = u * (abs(want) + y)
-                    for route, value in (("progression", got[i, j]), ("sines", sines[i, j])):
+                for j in range(b[i], phase.end):
+                    want, y = phase_exact(t[row], x[j])
+                    assert y >= _SMALL_PHASE * (1.0 - 2.0 * U)  # a large column
+                    scale = U * (abs(want) + y)
+                    for route, value in (("progression", got[i, j - lo]), ("sines", sines[i, j - lo])):
                         worst[route] = max(worst[route], abs(value - want) / scale)
         # the bound the docstring states, which the sine route meets too
         assert worst["progression"] <= spectral._PROGRESSION_ERR
@@ -915,22 +1002,22 @@ class TestProgressionRoute:
 
     def test_a_default_density_takes_the_recurrence(self, monkeypatch):
         # the large form's direct sines cover at most the seed rows and one
-        # row of shifts per doubling in each kernel call; a fall-back to the
-        # sine route would take them for every row
+        # row of shifts per doubling in each row-sum call; a fall-back to
+        # the sine route would take them for every row
         calls = []
-        kernel, unit_phase = spectral._phase_kernel, spectral._unit_phase
+        sums, unit_phase = _PhaseLevel.sums, spectral._unit_phase
 
-        def record_kernel(t, x, top, powers, run):
+        def record_sums(phase, t, w, run=None):
             assert run is not None
             calls.append({"rows": len(t), "direct": 0})
-            return kernel(t, x, top, powers, run)
+            return sums(phase, t, w, run)
 
         def record_unit_phase(y):
-            if np.shape(y)[-1] > 1:  # over the nodes, not the per-row x = 1 factor
+            if np.ndim(y) == 2:  # over the nodes, not the per-row x = 1 factor
                 calls[-1]["direct"] += np.shape(y)[0]
             return unit_phase(y)
 
-        monkeypatch.setattr(spectral, "_phase_kernel", record_kernel)
+        monkeypatch.setattr(_PhaseLevel, "sums", record_sums)
         monkeypatch.setattr(spectral, "_unit_phase", record_unit_phase)
         invert_to_density(RESC43)
         seed = spectral._SEED_ROWS
@@ -938,6 +1025,38 @@ class TestProgressionRoute:
         for call in calls:
             rows = call["rows"]
             assert 0 < call["direct"] <= min(rows, seed) + math.ceil(math.log2(max(rows / seed, 1.0)))
+
+    def test_a_default_density_sums_the_small_and_unit_columns_per_row(self, monkeypatch):
+        # the work guard: no Taylor column (small in every row of the run)
+        # and no x == 1.0 column reaches _progression, and every sine over
+        # the nodes is the recurrence's own; the x == 1.0 columns take one
+        # sine pair per row
+        runs, inside = [], []
+        progression, unit_phase = spectral._progression, spectral._unit_phase
+
+        def record_progression(t, x, top, dt, out):
+            runs.append((t, x))
+            inside.append(True)
+            try:
+                return progression(t, x, top, dt, out)
+            finally:
+                inside.pop()
+
+        def record_unit_phase(y):
+            assert inside or np.ndim(y) == 1
+            return unit_phase(y)
+
+        monkeypatch.setattr(spectral, "_progression", record_progression)
+        monkeypatch.setattr(spectral, "_unit_phase", record_unit_phase)
+        invert_to_density(RESC43)
+        assert runs
+        # and two runs far apart in one tile, each over its own columns
+        dt = grid_step(RESC43)
+        k = np.r_[1.0:9.0, 300.0:308.0]
+        _quadrature_exponents(RESC43, k * dt, dt)
+        for t, x in runs:
+            assert np.all(x < 1.0)
+            assert np.all(x >= _SMALL_PHASE / np.abs(t).max())
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
@@ -989,22 +1108,24 @@ class TestInvertToDensity:
     @pytest.mark.parametrize(
         "measure, digests",
         [
-            (RESC43, ("9ba07ae3693a963066c8c7d32333251c23302e71d78cc38b99025791bd995a48",
-                      "08ca520c1685be61f83faa76fcdcb8f2a6de060b48609c261103800118c92a0a")),
+            (RESC43, ("1dd255a5eacf1f516227eda967882a63834a31e7a70c71fcb62215f95e942f12",
+                      "de7ee0048bec01bc57e89d407aed4306965a2c0680ecd9e2f319d9177e9ac423")),
             (HYP75, ("6bb6520dd37c6499073ad6fb8bcceda3b661dec2ff539ca41c47c23504976a84",
                      "756540005c6d8310f8b3b702984b9433de0b27396187a145132da297ee5455d5")),
-            (LIMIT1, ("89ffae1be357b94bd99534b81c323c731282f80152ec909550dea9c36607c719",
-                      "6b94d58ac2bd7db5b1164fd563fbcb20dafdda0f07b2c2697933dfbbdeb92524")),
-            (LIMIT2, ("968d07ea2e3ac9eead7e3bac1455226aeeae4c5b2889feadea2b2eb556659cb4",
-                      "ed24631c194f1518d2c9d94e9965dd030a3a4246ebdc709d8528bf41d7780c01")),
+            (LIMIT1, ("22bb3eda60057e818ab9f5138a55316559d22d0fd7d7e988d0d5cba8b31db872",
+                      "d139e07920397be79586e13bb9d9832e1543dba72a72a64de4c720b1a4a5883a")),
+            (LIMIT2, ("0efe271e9c150f30564a349c9d458f97c138a21f49b0bb8f68119dd6ac60b666",
+                      "b1b7a89d7540e96f36fa7bcf6a7977bdb8999280e51cbd7ea153a422b2fc4481")),
         ],
         ids=["resc43", "hyp75", "limit1", "limit2"],
     )
     def test_density_digest_is_pinned(self, measure, digests, kw):
         # SHA-256 of the float64 bytes of the values, then of the meta as
         # JSON with sorted keys (floats by repr, so bit for bit); recorded
-        # when the grid frequencies took the phase recurrence, whose
-        # rounding moved them
+        # when psi's quadrature took its Taylor and x == 1.0 columns as
+        # weighted row sums, whose rounding moved them (hyp75's stayed:
+        # its quadrature rows have |cf| below 2e-18, too small to move a
+        # bit of its grid or meta)
         grid = invert_to_density(measure, **kw)
         h = hashlib.sha256(grid.values.tobytes())
         h.update(json.dumps(grid.meta, sort_keys=True).encode())
@@ -1063,6 +1184,21 @@ class TestInvertToDensity:
             invert_to_density(RESC43, n_points=258)
         with pytest.raises(DomainError):
             invert_to_density(RESC43, n_points=512.0)
+        # bools are not integers, and a window must be a real number
+        with pytest.raises(DomainError):
+            invert_to_density(RESC43, n_points=True)
+        for half_width in ("12", None, 12.0 + 0j, True):
+            with pytest.raises(DomainError, match="half_width"):
+                invert_to_density(RESC43, half_width=half_width, n_points=256)
+
+    def test_numpy_numbers_are_numbers(self):
+        # held as a Python int and float, so the grid and its meta are
+        # those of the equal Python arguments
+        got = invert_to_density(LIMIT2, half_width=np.float64(6.0), n_points=np.int64(1024))
+        want = invert_to_density(LIMIT2, half_width=6.0, n_points=1024)
+        assert type(got.meta["n_points"]) is int and type(got.meta["half_width"]) is float
+        assert got.meta == want.meta
+        assert got.values.tobytes() == want.values.tobytes()
 
     def test_non_finite_half_width_is_a_domain_error(self, exponent_calls):
         # an infinite window makes dt = 0, where every probe has |cf| = 1
