@@ -39,14 +39,7 @@ _EXPORTS = {
         "SamplerConfigError",
     ),
     "pairs": ("DimensionPair", "cumulant", "is_admissible", "log_variance", "variance"),
-    "measures": (
-        "LevyMeasure1D",
-        "codim_limit_cumulant",
-        "codim_limit_density",
-        "levy_density",
-        "make_measure",
-        "normalized_density",
-    ),
+    "measures": ("LevyMeasure1D", "make_measure"),
     "regime": (
         "E_TIMES_PI",
         "ExplicitFamily",

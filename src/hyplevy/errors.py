@@ -63,15 +63,16 @@ class SamplerConfigError(HyplevyError, ValueError):
 
 def _integer(value) -> int | None:
     """value as a Python int if it is an integer, numpy's included; None
-    for anything else, a bool too."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+    for anything else, a bool too. A Python int skips the slow ABC test."""
+    if type(value) is int or (isinstance(value, numbers.Integral) and type(value) is not bool):
         return int(value)
     return None
 
 
 def _real(value) -> float | None:
     """value as a Python float if it is a real number, numpy's included;
-    None for anything else (a complex, a string, None), a bool too."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+    None for anything else (a complex, a string, None), a bool too. A
+    Python float or int skips the slow ABC test."""
+    if type(value) in (float, int) or (isinstance(value, numbers.Real) and type(value) is not bool):
         return float(value)
     return None

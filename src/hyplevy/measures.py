@@ -40,10 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _integer, _real
 from .pairs import (
     DimensionPair,
-    _check_codim,
     _log_cumulant,
     _log_cumulant_size,
     log_sphere_surface,
@@ -55,10 +54,6 @@ __all__ = [
     "LevyMeasure1D",
     "PairShape",
     "LimitShape",
-    "levy_density",
-    "normalized_density",
-    "codim_limit_density",
-    "codim_limit_cumulant",
     "make_measure",
 ]
 
@@ -310,8 +305,10 @@ class LevyMeasure1D:
     def __post_init__(self) -> None:
         if not isinstance(self.shape, (PairShape, LimitShape)):
             raise DomainError(f"a measure needs a PairShape or LimitShape, got {self.shape!r}")
-        if not (isinstance(self.log_weight, (int, float)) and math.isfinite(self.log_weight)):
+        weight = _real(self.log_weight)
+        if weight is None or not math.isfinite(weight):
             raise DomainError(f"log_weight must be finite, got {self.log_weight!r}")
+        object.__setattr__(self, "log_weight", weight)
 
     @property
     def family(self) -> str:
@@ -351,33 +348,6 @@ class LevyMeasure1D:
         return float(out[0]) if scalar else out
 
 
-def levy_density(pair: DimensionPair, x):
-    """Density of the finite-dimension measure at x; 0 outside (0, 1).
-
-    Accepts scalars or arrays. The factor (1 - x^(2/(k-1)))^((d-k)/2 - 1)
-    goes through expm1/log1p so that values near 1 keep full precision.
-    """
-    return make_measure("hyperbolic", pair).density(x)
-
-
-def normalized_density(pair: DimensionPair, x):
-    """Density of the unit-second-moment rescaling, levy_density / variance."""
-    return make_measure("rescaled", pair).density(x)
-
-
-def codim_limit_density(b: int, x):
-    """Density of the fixed-codimension limit measure; 0 outside (0, 1)."""
-    return make_measure("limit", b).density(x)
-
-
-def codim_limit_cumulant(b: int, m: int) -> float:
-    """m-th cumulant (1/(m-1))^(b/2) of the fixed-codimension limit law."""
-    _check_codim(b)
-    if not (isinstance(m, int) and m >= 2):
-        raise DomainError(f"cumulant requires integer order m >= 2, got {m!r}")
-    return LimitShape(b).moment(m)
-
-
 def make_measure(kind: str, param) -> LevyMeasure1D:
     """Build one of the shipped measures.
 
@@ -391,8 +361,10 @@ def make_measure(kind: str, param) -> LevyMeasure1D:
         shape = PairShape(param)
         log_weight = -log_variance(param) if kind == "rescaled" else 0.0
     elif kind == "limit":
-        _check_codim(param)
-        shape, log_weight = LimitShape(param), 0.0
+        b = _integer(param)
+        if b is None or b < 1:
+            raise DomainError(f"codimension must be an integer >= 1, got {param!r}")
+        shape, log_weight = LimitShape(b), 0.0
     else:
         raise DomainError(f"unknown measure kind {kind!r}")
     return LevyMeasure1D(shape, log_weight)

@@ -17,13 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InadmissiblePairError
+from .errors import DomainError, InadmissiblePairError, _integer, _real
 from .specfun import _log_gamma_ratio_size, log_gamma, log_gamma_ratio
 
 __all__ = [
     "DimensionPair",
     "is_admissible",
-    "sphere_surface",
     "log_sphere_surface",
     "variance",
     "log_variance",
@@ -36,15 +35,16 @@ def is_admissible(d: int, k: int) -> bool:
 
     The second constraint is what makes the total second moment finite;
     together they force the small-jump index (d-1)/(k-1) into (1, 2).
+    False for anything but two integers (numpy's count, bools do not).
     """
-    if not (isinstance(d, int) and isinstance(k, int)):
-        return False
-    return 1 <= k <= d - 1 and 2 * k > d + 1
+    d, k = _integer(d), _integer(k)
+    return d is not None and k is not None and 1 <= k <= d - 1 and 2 * k > d + 1
 
 
 @dataclass(frozen=True)
 class DimensionPair:
-    """An admissible (dimension, flat-dimension) pair."""
+    """An admissible (dimension, flat-dimension) pair; numpy integers are
+    held as Python ints, so equal pairs hash and serialize alike."""
 
     d: int
     k: int
@@ -52,8 +52,10 @@ class DimensionPair:
     def __post_init__(self) -> None:
         if not is_admissible(self.d, self.k):
             raise InadmissiblePairError(
-                f"(d, k) = ({self.d}, {self.k}) violates 1 <= k <= d-1, 2k > d+1"
+                f"(d, k) = ({self.d!r}, {self.k!r}) violates 1 <= k <= d-1, 2k > d+1"
             )
+        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "k", int(self.k))
 
     @property
     def r(self) -> int:
@@ -77,15 +79,12 @@ class DimensionPair:
 
 
 def log_sphere_surface(b: float) -> float:
-    """log of the surface measure of the unit sphere in R^b."""
-    if not b > 0:
-        raise DomainError(f"sphere_surface requires b > 0, got {b!r}")
-    return math.log(2.0) + 0.5 * b * math.log(math.pi) - log_gamma(0.5 * b)
-
-
-def sphere_surface(b: float) -> float:
-    """Surface measure omega_b = 2 pi^(b/2) / Gamma(b/2); omega_1 = 2."""
-    return math.exp(log_sphere_surface(b))
+    """log of the surface measure omega_b = 2 pi^(b/2) / Gamma(b/2) of the
+    unit sphere in R^b."""
+    value = _real(b)
+    if value is None or not value > 0:
+        raise DomainError(f"log_sphere_surface requires b > 0, got {b!r}")
+    return math.log(2.0) + 0.5 * value * math.log(math.pi) - log_gamma(0.5 * value)
 
 
 def _log_cumulant(pair: DimensionPair, m: int) -> float:
@@ -122,11 +121,7 @@ def cumulant(pair: DimensionPair, m: int) -> float:
     Equals the m-th moment of the measure,
     (omega_(d-k)/2) B(((k-1)m - (d-1))/2, (d-k)/2).
     """
-    if not (isinstance(m, int) and m >= 2):
+    order = _integer(m)
+    if order is None or order < 2:
         raise DomainError(f"cumulant requires integer order m >= 2, got {m!r}")
-    return math.exp(_log_cumulant(pair, m))
-
-
-def _check_codim(b: int) -> None:
-    if not (isinstance(b, int) and b >= 1):
-        raise DomainError(f"codimension must be an integer >= 1, got {b!r}")
+    return math.exp(_log_cumulant(pair, order))

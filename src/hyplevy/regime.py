@@ -15,8 +15,8 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from .errors import DomainError, InadmissiblePairError
-from .pairs import DimensionPair, _check_codim, log_variance
+from .errors import DomainError, InadmissiblePairError, _integer, _real
+from .pairs import DimensionPair, log_variance
 from .specfun import reg_inc_beta
 
 E_TIMES_PI = math.e * math.pi
@@ -51,9 +51,10 @@ def tail_second_moment(pair: DimensionPair, eps: float) -> float:
     evaluated as exp((2/(k-1)) (log sigma + log eps)) to keep precision
     when sigma*eps is tiny.
     """
-    if not eps > 0.0:
+    cut = _real(eps)
+    if cut is None or not cut > 0.0:
         raise DomainError(f"tail_second_moment requires eps > 0, got {eps!r}")
-    log_cut = 0.5 * log_variance(pair) + math.log(eps)
+    log_cut = 0.5 * log_variance(pair) + math.log(cut)
     if log_cut >= 0.0:
         return 0.0
     y = math.exp(pair.u_power * log_cut)
@@ -77,7 +78,13 @@ class FixedCodimensionFamily(SequenceFamily):
     d_offset: int = 2
 
     def __post_init__(self) -> None:
-        _check_codim(self.b)
+        b, offset = _integer(self.b), _integer(self.d_offset)
+        if b is None or b < 1:
+            raise DomainError(f"codimension must be an integer >= 1, got {self.b!r}")
+        if offset is None:
+            raise DomainError(f"d_offset must be an integer, got {self.d_offset!r}")
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "d_offset", offset)
 
     def realize(self, n: int) -> DimensionPair:
         d = n + self.d_offset
@@ -105,14 +112,18 @@ class PowerLawFamily(SequenceFamily):
     rounding: str = "ceil"
 
     def __post_init__(self) -> None:
-        if not self.gamma > 0.0:
+        gamma, beta, step = _real(self.gamma), _real(self.beta), _integer(self.d_step)
+        if gamma is None or not gamma > 0.0:
             raise DomainError(f"gamma must be positive, got {self.gamma!r}")
-        if not 0.0 < self.beta < 1.0:
+        if beta is None or not 0.0 < beta < 1.0:
             raise DomainError(f"beta must lie in (0, 1), got {self.beta!r}")
-        if not (isinstance(self.d_step, int) and self.d_step >= 1):
+        if step is None or step < 1:
             raise DomainError(f"d_step must be a positive integer, got {self.d_step!r}")
         if self.rounding not in ("ceil", "floor"):
             raise DomainError(f"rounding must be 'ceil' or 'floor', got {self.rounding!r}")
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "d_step", step)
 
     def realize(self, n: int) -> DimensionPair:
         d = self.d_step * n
@@ -186,8 +197,10 @@ def classify_sequence(family: SequenceFamily, margin: float = 0.1) -> RegimeVerd
     degenerate. Explicit finite lists are judged from their tail and must
     clear the given relative margin, otherwise the verdict is indeterminate.
     """
-    if not 0.0 < margin < 1.0:
+    tol = _real(margin)
+    if tol is None or not 0.0 < tol < 1.0:
         raise DomainError(f"margin must lie in (0, 1), got {margin!r}")
+    margin = tol
     if isinstance(family, PowerLawFamily):
         if math.isinf(family.gamma):
             return RegimeVerdict("degenerate", math.inf, "gamma = inf realizes k = d - 1: k/d -> 1 > 1/2")
@@ -262,13 +275,18 @@ def probe_regime(family: SequenceFamily, n_values, eps_values) -> ProbeTable:
     """Tabulate (n, d, k, r, sigma, threshold_stat, epsilon, tail,
     log_sigma) rows.
 
-    Admissibility failures propagate, tagged with the offending index.
+    Indices are integers and epsilons real numbers, numpy's included;
+    admissibility failures propagate, tagged with the offending index.
     """
-    eps_list = [float(e) for e in eps_values]
-    if not eps_list:
-        raise DomainError("probe_regime needs at least one epsilon")
+    eps_given = list(eps_values)
+    eps_list = [_real(e) for e in eps_given]
+    if not eps_list or None in eps_list:
+        raise DomainError(f"probe_regime needs real epsilons, at least one, got {eps_given!r}")
     rows = []
-    for n in n_values:
+    for index in n_values:
+        n = _integer(index)
+        if n is None:
+            raise DomainError(f"sequence indices must be integers, got {index!r}")
         pair = family.realize(n)
         log_sigma = 0.5 * log_variance(pair)
         sigma = math.exp(log_sigma)

@@ -151,23 +151,9 @@ class SampleBatch:
     diagnostics: dict = field(compare=False, default_factory=dict)
 
 
-def _require_delta(delta: float) -> float:
-    delta = float(delta)
-    if not (0.0 < delta < 1.0):
-        raise DomainError(f"cutoff delta must lie in (0, 1), got {delta!r}")
-    return delta
-
-
-def _upper_moment(measure: LevyMeasure1D, delta: float, m: int) -> float:
-    """integral of x^m nu(dx) over (delta, 1) by tanh-sinh in the shape's
-    variable."""
-    f, hi = measure.shape.upper_integrand(delta, m)
-    return measure.coef * tanh_sinh(f, a=0.0, b=hi, rel_tol=1e-12, abs_tol=1e-300)
-
-
 def tail_mass(measure: LevyMeasure1D, delta: float) -> float:
     """nu((delta, 1)): the expected jump count per draw at truncation delta."""
-    return _upper_moment(measure, _require_delta(delta), 0)
+    return partial_moment(measure, delta, 0, "above")
 
 
 def partial_moment(measure: LevyMeasure1D, delta: float, m: int, side: str) -> float:
@@ -181,11 +167,12 @@ def partial_moment(measure: LevyMeasure1D, delta: float, m: int, side: str) -> f
     where that quadrature overflows (b >= 344 at m = 2), which takes the
     upper incomplete Gamma (m-1)^(-b/2) Q(b/2, -(m-1) log delta).
     """
-    delta = _require_delta(delta)
-    order = _integer(m)
+    cut, order = _real(delta), _integer(m)
+    if cut is None or not 0.0 < cut < 1.0:
+        raise DomainError(f"cutoff delta must lie in (0, 1), got {delta!r}")
     if order is None or order < 0:
         raise DomainError(f"moment order must be a nonnegative integer, got {m!r}")
-    m = order
+    delta, m = cut, order
     if side not in ("below", "above"):
         raise DomainError(f"side must be 'below' or 'above', got {side!r}")
     if side == "below" and m < 2:
@@ -198,17 +185,18 @@ def partial_moment(measure: LevyMeasure1D, delta: float, m: int, side: str) -> f
         frac = reg_inc_beta(*beta)
         total = shape.moment(m, measure.log_weight)
         return total * (frac if side == "below" else 1.0 - frac)
+    # quadrature in the shape's variable: tanh-sinh over (0, end) above the
+    # cutoff; below it, the limit shape's exp-sinh over v > end = -log delta
+    f, end = shape.upper_integrand(delta, m)
     if side == "above":
-        return _upper_moment(measure, delta, m)
-    # below the cutoff with no Beta form: the limit shape, over v > -log delta
-    f, v_cut = shape.upper_integrand(delta, m)
+        return measure.coef * tanh_sinh(f, a=0.0, b=end, rel_tol=1e-12, abs_tol=1e-300)
     if shape.log_moment(m) - shape.log_coef > _LOG_MAX:
         # f's integral over (0, inf), Gamma(b/2) (m-1)^(-b/2), overflows a
         # double (from b = 344 at m = 2), and so do the quadrature's sums:
-        # the share below delta is Q(b/2, (m-1) v_cut) instead
+        # the share below delta is Q(b/2, (m-1) end) instead
         a = 0.5 * shape.codim
-        return shape.moment(m, measure.log_weight) * reg_upper_gamma(a, (m - 1.0) * v_cut)
-    return measure.coef * exp_sinh(f, a=v_cut, rel_tol=1e-12, abs_tol=1e-300)
+        return shape.moment(m, measure.log_weight) * reg_upper_gamma(a, (m - 1.0) * end)
+    return measure.coef * exp_sinh(f, a=end, rel_tol=1e-12, abs_tol=1e-300)
 
 
 class _JumpTable:
@@ -432,11 +420,13 @@ def _certified_jump_table(shape, delta: float) -> _JumpTable:
 def inverse_jump_cdf(measure: LevyMeasure1D, p, delta: float = 1e-3) -> np.ndarray:
     """Quantile function of the single-jump law conditioned on (delta, 1):
     returns x with P(jump <= x) = p. Scalar in, scalar out."""
-    delta = _require_delta(delta)
+    cut = _real(delta)
+    if cut is None or not 0.0 < cut < 1.0:
+        raise DomainError(f"cutoff delta must lie in (0, 1), got {delta!r}")
     p_arr = np.asarray(p, dtype=float)
     if not np.all((p_arr >= 0.0) & (p_arr <= 1.0)):
         raise DomainError("jump quantile probabilities must lie in [0, 1], NaN excluded")
-    table = _certified_jump_table(measure.shape, delta)
+    table = _certified_jump_table(measure.shape, cut)
     # the table runs in the upper-tail direction: x(q) with q = 1 - p
     q = np.ravel(1.0 - p_arr)
     out = table.fill_x_of_q(q, *_buffers(q.size))

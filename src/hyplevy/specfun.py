@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _integer, _real
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 _LOG_TWO_PI = math.log(2.0 * math.pi)
@@ -369,11 +369,12 @@ def taylor_remainder_bound(n: int, x: float) -> float:
     Where both terms and both factorials are finite doubles (n < 170 and
     |x|^(n+1) below the largest double) it is formed as written, elsewhere
     in logs through log_gamma, so no large factorial is ever built."""
-    if not (isinstance(n, int) and n >= 1 and math.isfinite(x)):
+    order, point = _integer(n), _real(x)
+    if order is None or order < 1 or point is None or not math.isfinite(point):
         raise DomainError(
             f"taylor_remainder_bound requires integer n >= 1 and finite x, got {(n, x)!r}"
         )
-    a = abs(x)
+    n, a = order, abs(point)
     if n < 170 and (a <= 1.0 or (n + 1) * math.log(a) < _LOG_MAX):
         return min(2.0 * a**n / math.factorial(n), a ** (n + 1) / math.factorial(n + 1))
     log_a = math.log(a) if a else -math.inf

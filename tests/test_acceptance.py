@@ -20,12 +20,7 @@ from conftest import (
     record_criterion,
 )
 from hyplevy.cli import main
-from hyplevy.measures import (
-    DimensionPair,
-    codim_limit_density,
-    make_measure,
-    normalized_density,
-)
+from hyplevy.measures import DimensionPair, make_measure
 from hyplevy.pairs import cumulant, variance
 from hyplevy.regime import (
     E_TIMES_PI,
@@ -230,11 +225,12 @@ def test_pair_densities_approach_the_limit_profile():
     ok = True
     parts = []
     for b in (1, 2, 3):
-        target = codim_limit_density(b, xs)
+        target = make_measure("limit", b).density(xs)
         errs = []
         for k in (10, 20, 40, 80, 160):
             pair = DimensionPair(k + b, k)
-            errs.append(float(np.max(np.abs(normalized_density(pair, xs) - target))))
+            got = make_measure("rescaled", pair).density(xs)
+            errs.append(float(np.max(np.abs(got - target))))
         ok = ok and errs[-1] < 0.2 * errs[0] and all(
             later < earlier for earlier, later in zip(errs, errs[1:])
         )

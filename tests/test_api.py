@@ -6,9 +6,32 @@ option is a tolerance or a level; a new one shows up here as a diff.
 
 import dataclasses
 import inspect
+import json
+
+import numpy as np
+import pytest
 
 import hyplevy
-from hyplevy.errors import HyplevyError
+from hyplevy import (
+    DimensionPair,
+    ExplicitFamily,
+    FixedCodimensionFamily,
+    LevyMeasure1D,
+    PowerLawFamily,
+    classify_sequence,
+    cumulant,
+    inverse_jump_cdf,
+    is_admissible,
+    make_measure,
+    partial_moment,
+    probe_regime,
+    tail_mass,
+    tail_second_moment,
+    taylor_remainder_bound,
+)
+from hyplevy.errors import DomainError, HyplevyError
+from hyplevy.measures import PairShape
+from hyplevy.pairs import log_sphere_surface
 from hyplevy.quadrature import exp_sinh, tanh_sinh
 from hyplevy.specfun import inc_beta, reg_inc_beta
 
@@ -20,10 +43,6 @@ PARAMS = {
     "variance": ("pair",),
     "log_variance": ("pair",),
     "cumulant": ("pair", "m"),
-    "levy_density": ("pair", "x"),
-    "normalized_density": ("pair", "x"),
-    "codim_limit_density": ("b", "x"),
-    "codim_limit_cumulant": ("b", "m"),
     "make_measure": ("kind", "param"),
     "threshold_stat": ("pair",),
     "tail_second_moment": ("pair", "eps"),
@@ -99,3 +118,77 @@ def test_quadrature_and_incomplete_beta_parameters():
 def test_measure_fields():
     names = [f.name for f in dataclasses.fields(hyplevy.LevyMeasure1D)]
     assert names == ["shape", "log_weight"]
+
+
+PAIR = DimensionPair(7, 5)
+MEASURE = make_measure("rescaled", PAIR)
+# each integer or real argument of the public calls: the call with that
+# argument, a valid Python value, and what the result keeps of it (None
+# where the result is a plain number)
+ARGUMENTS = {
+    "DimensionPair.d": (lambda v: DimensionPair(v, 5), 7, lambda r: r.d),
+    "DimensionPair.k": (lambda v: DimensionPair(7, v), 5, lambda r: r.k),
+    "cumulant.m": (lambda v: cumulant(PAIR, v), 3, None),
+    "log_sphere_surface.b": (log_sphere_surface, 3, None),
+    "make_measure.param": (lambda v: make_measure("limit", v), 3, lambda r: r.shape.codim),
+    "LevyMeasure1D.log_weight": (
+        lambda v: LevyMeasure1D(PairShape(PAIR), v), -0.5, lambda r: r.log_weight
+    ),
+    "FixedCodimensionFamily.b": (FixedCodimensionFamily, 2, lambda r: r.b),
+    "FixedCodimensionFamily.d_offset": (
+        lambda v: FixedCodimensionFamily(2, v), 3, lambda r: r.d_offset
+    ),
+    "PowerLawFamily.gamma": (lambda v: PowerLawFamily(v, 0.3), 1.5, lambda r: r.gamma),
+    "PowerLawFamily.beta": (lambda v: PowerLawFamily(1.0, v), 0.3, lambda r: r.beta),
+    "PowerLawFamily.d_step": (lambda v: PowerLawFamily(1.0, 0.3, v), 4, lambda r: r.d_step),
+    "classify_sequence.margin": (
+        lambda v: classify_sequence(ExplicitFamily((PAIR,)), v), 0.2, None
+    ),
+    "tail_second_moment.eps": (lambda v: tail_second_moment(PAIR, v), 0.1, None),
+    "probe_regime.n_values": (
+        lambda v: probe_regime(FixedCodimensionFamily(2), [v], [0.1]), 5, lambda r: r.rows[0].n
+    ),
+    "probe_regime.eps_values": (
+        lambda v: probe_regime(FixedCodimensionFamily(2), [5], [v]),
+        0.1,
+        lambda r: r.rows[0].epsilon,
+    ),
+    "taylor_remainder_bound.n": (lambda v: taylor_remainder_bound(v, 0.5), 3, None),
+    "taylor_remainder_bound.x": (lambda v: taylor_remainder_bound(3, v), 0.5, None),
+    "tail_mass.delta": (lambda v: tail_mass(MEASURE, v), 0.01, None),
+    "partial_moment.delta": (lambda v: partial_moment(MEASURE, v, 2, "below"), 0.01, None),
+    "partial_moment.m": (lambda v: partial_moment(MEASURE, 0.01, v, "above"), 3, None),
+    "inverse_jump_cdf.delta": (lambda v: inverse_jump_cdf(MEASURE, 0.5, v), 0.01, None),
+}
+
+
+@pytest.mark.parametrize("bad", [True, "0.5", None, 1 + 0j], ids=repr)
+@pytest.mark.parametrize("name", ARGUMENTS)
+def test_a_non_number_argument_is_a_domain_error(name, bad):
+    # never a bare TypeError, and never accepted as the number it converts to
+    call, _, _ = ARGUMENTS[name]
+    with pytest.raises(DomainError):
+        call(bad)
+
+
+@pytest.mark.parametrize("name", ARGUMENTS)
+def test_numpy_numbers_are_held_as_python_numbers(name):
+    call, value, kept = ARGUMENTS[name]
+    np_value = np.int64(value) if type(value) is int else np.float64(value)
+    got, want = call(np_value), call(value)
+    assert got == want
+    if kept is not None:
+        assert type(kept(got)) is type(value) and kept(got) == value
+
+
+def test_numpy_integer_pairs_are_the_python_pairs():
+    # an equal pair hashes alike, keys the same jump table and serializes
+    pair = DimensionPair(np.int64(7), np.int32(5))
+    assert pair == PAIR and hash(pair) == hash(PAIR)
+    assert hash(PairShape(pair)) == hash(PairShape(PAIR))
+    assert json.loads(json.dumps(dataclasses.asdict(pair))) == {"d": 7, "k": 5}
+    assert is_admissible(np.int64(7), np.int64(5))
+    assert not any(is_admissible(*bad) for bad in ((True, 5), (7, "5"), (7.0, 5), (None, 5)))
+    # d = n + d_offset at a numpy index, which was refused as inadmissible
+    row = probe_regime(FixedCodimensionFamily(2), [np.int64(5)], [0.1]).rows[0]
+    assert (row.d, row.k) == (7, 5) and type(row.d) is int

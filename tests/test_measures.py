@@ -13,14 +13,10 @@ from hyplevy.measures import (
     LevyMeasure1D,
     LimitShape,
     PairShape,
-    codim_limit_cumulant,
-    codim_limit_density,
-    levy_density,
     log_variance,
     make_measure,
-    normalized_density,
 )
-from hyplevy.pairs import cumulant, is_admissible, sphere_surface, variance
+from hyplevy.pairs import cumulant, is_admissible, log_sphere_surface, variance
 
 
 class TestAdmissibility:
@@ -59,47 +55,47 @@ class TestAdmissibility:
 
 class TestSphereSurface:
     def test_frozen_values(self):
-        assert math.isclose(sphere_surface(1), 2.0, rel_tol=1e-14)
-        assert math.isclose(sphere_surface(2), 2.0 * math.pi, rel_tol=1e-14)
-        assert math.isclose(sphere_surface(3), 4.0 * math.pi, rel_tol=1e-14)
+        assert math.isclose(math.exp(log_sphere_surface(1)), 2.0, rel_tol=1e-14)
+        assert math.isclose(math.exp(log_sphere_surface(2)), 2.0 * math.pi, rel_tol=1e-14)
+        assert math.isclose(math.exp(log_sphere_surface(3)), 4.0 * math.pi, rel_tol=1e-14)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            sphere_surface(0.0)
+        with pytest.raises(DomainError, match="log_sphere_surface"):
+            log_sphere_surface(0.0)
 
 
 class TestPairDensity:
     def test_frozen_values(self):
         # codimension 1: x^(-5/2) (1-x)^(-1/2), unit front factor
         want = 64.0 / math.sqrt(3.0)
-        assert math.isclose(levy_density(DimensionPair(4, 3), 0.25), want, rel_tol=1e-13)
+        m = make_measure("hyperbolic", DimensionPair(4, 3))
+        assert math.isclose(m.density(0.25), want, rel_tol=1e-13)
         # codimension 2: the (1 - x^(2/(k-1))) factor drops out entirely
-        pair = DimensionPair(7, 5)
+        m = make_measure("hyperbolic", DimensionPair(7, 5))
         want = 0.5 * math.pi * 2.0**2.5
-        assert math.isclose(levy_density(pair, 0.5), want, rel_tol=1e-13)
+        assert math.isclose(m.density(0.5), want, rel_tol=1e-13)
 
     def test_zero_outside_support(self):
-        pair = DimensionPair(6, 4)
-        assert levy_density(pair, 0.0) == 0.0
-        assert levy_density(pair, 1.0) == 0.0
-        assert levy_density(pair, -0.5) == 0.0
-        assert levy_density(pair, 2.0) == 0.0
+        m = make_measure("hyperbolic", DimensionPair(6, 4))
+        assert m.density(0.0) == 0.0
+        assert m.density(1.0) == 0.0
+        assert m.density(-0.5) == 0.0
+        assert m.density(2.0) == 0.0
 
     def test_scalar_and_array_modes(self):
-        pair = DimensionPair(6, 4)
+        m = make_measure("hyperbolic", DimensionPair(6, 4))
         xs = np.array([-1.0, 0.3, 0.7, 1.5])
-        vals = levy_density(pair, xs)
+        vals = m.density(xs)
         assert vals.shape == (4,)
         assert vals[0] == 0.0 and vals[3] == 0.0
-        assert isinstance(levy_density(pair, 0.3), float)
-        assert vals[1] == levy_density(pair, 0.3)
+        assert isinstance(m.density(0.3), float)
+        assert vals[1] == m.density(0.3)
 
     def test_stable_near_the_right_endpoint(self):
         # codimension 1 diverges like (1-x)^(-1/2); the log1p/expm1 route
         # must track it down to the last representable point below 1
-        pair = DimensionPair(4, 3)
         x = np.nextafter(1.0, 0.0)
-        val = levy_density(pair, float(x))
+        val = make_measure("hyperbolic", DimensionPair(4, 3)).density(float(x))
         want = x ** (-2.5) / math.sqrt(1.0 - x)
         assert math.isclose(val, want, rel_tol=1e-7)
         assert np.isfinite(val)
@@ -108,8 +104,8 @@ class TestPairDensity:
         pair = DimensionPair(4, 3)
         x = 0.37
         assert math.isclose(
-            normalized_density(pair, x) * variance(pair),
-            levy_density(pair, x),
+            make_measure("rescaled", pair).density(x) * variance(pair),
+            make_measure("hyperbolic", pair).density(x),
             rel_tol=1e-13,
         )
 
@@ -185,33 +181,33 @@ class TestExactMoments:
 
 class TestCodimLimit:
     def test_density_frozen_values(self):
-        assert math.isclose(codim_limit_density(2, 0.3), 0.3**-2, rel_tol=1e-14)
+        assert math.isclose(make_measure("limit", 2).density(0.3), 0.3**-2, rel_tol=1e-14)
         x = math.exp(-1.0)
         want = math.exp(2.0) / math.sqrt(math.pi)
-        assert math.isclose(codim_limit_density(1, x), want, rel_tol=1e-13)
+        assert math.isclose(make_measure("limit", 1).density(x), want, rel_tol=1e-13)
         want = 0.25**-2 * (-math.log(0.25))
-        assert math.isclose(codim_limit_density(4, 0.25), want, rel_tol=1e-13)
+        assert math.isclose(make_measure("limit", 4).density(0.25), want, rel_tol=1e-13)
 
     def test_density_zero_outside_support(self):
-        assert codim_limit_density(2, 0.0) == 0.0
-        assert codim_limit_density(2, 1.0) == 0.0
-        assert codim_limit_density(3, 1.7) == 0.0
+        assert make_measure("limit", 2).density(0.0) == 0.0
+        assert make_measure("limit", 2).density(1.0) == 0.0
+        assert make_measure("limit", 3).density(1.7) == 0.0
 
     def test_unit_second_moment(self):
         for b in (1, 2, 3, 4):
             assert math.isclose(limit_moment_oracle(b, 2), 1.0, rel_tol=1e-9)
 
     def test_cumulants_closed_form(self):
-        assert codim_limit_cumulant(2, 2) == 1.0
-        assert codim_limit_cumulant(2, 3) == 0.5
-        assert math.isclose(codim_limit_cumulant(2, 4), 1.0 / 3.0, rel_tol=1e-15)
-        assert math.isclose(codim_limit_cumulant(1, 5), 0.5, rel_tol=1e-15)
+        assert LimitShape(2).moment(2) == 1.0
+        assert LimitShape(2).moment(3) == 0.5
+        assert math.isclose(LimitShape(2).moment(4), 1.0 / 3.0, rel_tol=1e-15)
+        assert math.isclose(LimitShape(1).moment(5), 0.5, rel_tol=1e-15)
 
     def test_cumulants_match_quadrature(self):
         for b in (1, 2, 3, 4):
             for m in range(2, 7):
                 want = limit_moment_oracle(b, m)
-                got = codim_limit_cumulant(b, m)
+                got = LimitShape(b).moment(m)
                 assert math.isclose(got, want, rel_tol=1e-9), (b, m)
 
     def test_log_moment_stays_finite_where_the_moment_underflows(self):
@@ -225,21 +221,19 @@ class TestCodimLimit:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            codim_limit_density(0, 0.5)
+            make_measure("limit", 0)
         with pytest.raises(DomainError):
-            codim_limit_density(1.5, 0.5)
-        with pytest.raises(DomainError):
-            codim_limit_cumulant(2, 1)
+            make_measure("limit", 1.5)
 
     def test_pointwise_convergence_of_rescaled_pairs(self):
         # growing dimension at fixed codimension drives the unit-variance
         # density to the limit family's on any interior grid
         xs = np.array([0.2, 0.5, 0.8])
         for b in (1, 2):
-            target = codim_limit_density(b, xs)
+            target = make_measure("limit", b).density(xs)
             errs = []
             for k in (10, 20, 40, 80, 160):
-                got = normalized_density(DimensionPair(k + b, k), xs)
+                got = make_measure("rescaled", DimensionPair(k + b, k)).density(xs)
                 errs.append(float(np.max(np.abs(got - target))))
             # the b = 1 column sits at 11% of its start by k = 80 and only
             # clears the bar at k = 160
@@ -267,7 +261,9 @@ class TestMakeMeasure:
         assert m.shape == PairShape(DimensionPair(4, 3))
         assert m.log_weight == -log_variance(DimensionPair(4, 3))
         assert math.isclose(
-            m.density(0.5) * math.pi, levy_density(DimensionPair(4, 3), 0.5), rel_tol=1e-13
+            m.density(0.5) * math.pi,
+            make_measure("hyperbolic", DimensionPair(4, 3)).density(0.5),
+            rel_tol=1e-13,
         )
 
     def test_limit_metadata(self):

@@ -38,6 +38,7 @@ from hyplevy.spectral import (
 
 RESC43 = make_measure("rescaled", DimensionPair(4, 3))
 HYP75 = make_measure("hyperbolic", DimensionPair(7, 5))
+RESC75 = make_measure("rescaled", DimensionPair(7, 5))
 LIMIT1 = make_measure("limit", 1)
 LIMIT2 = make_measure("limit", 2)
 LIMIT3 = make_measure("limit", 3)
@@ -1106,30 +1107,47 @@ class TestInvertToDensity:
         "kw", [{}, {"half_width": 3.0, "n_points": 4096}], ids=["defaults", "hw3_n4096"]
     )
     @pytest.mark.parametrize(
-        "measure, digests",
+        "measure, pins_quadrature, digests",
         [
-            (RESC43, ("1dd255a5eacf1f516227eda967882a63834a31e7a70c71fcb62215f95e942f12",
-                      "de7ee0048bec01bc57e89d407aed4306965a2c0680ecd9e2f319d9177e9ac423")),
-            (HYP75, ("6bb6520dd37c6499073ad6fb8bcceda3b661dec2ff539ca41c47c23504976a84",
-                     "756540005c6d8310f8b3b702984b9433de0b27396187a145132da297ee5455d5")),
-            (LIMIT1, ("22bb3eda60057e818ab9f5138a55316559d22d0fd7d7e988d0d5cba8b31db872",
-                      "d139e07920397be79586e13bb9d9832e1543dba72a72a64de4c720b1a4a5883a")),
-            (LIMIT2, ("0efe271e9c150f30564a349c9d458f97c138a21f49b0bb8f68119dd6ac60b666",
-                      "b1b7a89d7540e96f36fa7bcf6a7977bdb8999280e51cbd7ea153a422b2fc4481")),
+            (RESC43, True,
+             ("1dd255a5eacf1f516227eda967882a63834a31e7a70c71fcb62215f95e942f12",
+              "de7ee0048bec01bc57e89d407aed4306965a2c0680ecd9e2f319d9177e9ac423")),
+            (HYP75, False,
+             ("6bb6520dd37c6499073ad6fb8bcceda3b661dec2ff539ca41c47c23504976a84",
+              "756540005c6d8310f8b3b702984b9433de0b27396187a145132da297ee5455d5")),
+            (RESC75, True,
+             ("591d8bae671468b56fcfe62a324dbe200436839b8b16134386bc9455a7ab13c3",
+              "c8d75e1b2fa57051f7a6302580e1dcba75ef2bfbc481f524144dd7b05e4a79db")),
+            (LIMIT1, True,
+             ("22bb3eda60057e818ab9f5138a55316559d22d0fd7d7e988d0d5cba8b31db872",
+              "d139e07920397be79586e13bb9d9832e1543dba72a72a64de4c720b1a4a5883a")),
+            (LIMIT2, True,
+             ("0efe271e9c150f30564a349c9d458f97c138a21f49b0bb8f68119dd6ac60b666",
+              "b1b7a89d7540e96f36fa7bcf6a7977bdb8999280e51cbd7ea153a422b2fc4481")),
         ],
-        ids=["resc43", "hyp75", "limit1", "limit2"],
+        ids=["resc43", "hyp75", "resc75", "limit1", "limit2"],
     )
-    def test_density_digest_is_pinned(self, measure, digests, kw):
+    def test_density_digest_is_pinned(self, measure, pins_quadrature, digests, kw):
         # SHA-256 of the float64 bytes of the values, then of the meta as
         # JSON with sorted keys (floats by repr, so bit for bit); recorded
         # when psi's quadrature took its Taylor and x == 1.0 columns as
         # weighted row sums, whose rounding moved them (hyp75's stayed:
         # its quadrature rows have |cf| below 2e-18, too small to move a
-        # bit of its grid or meta)
+        # bit of its grid or meta, so resc75, whose rows reach 2.6e-6,
+        # pins a second pair's quadrature route)
         grid = invert_to_density(measure, **kw)
         h = hashlib.sha256(grid.values.tobytes())
         h.update(json.dumps(grid.meta, sort_keys=True).encode())
         assert h.hexdigest() == digests[0 if not kw else 1]
+        if pins_quadrature:
+            # the first grid frequency the cumulant series cannot answer
+            # takes the quadrature in every batch the density computes; its
+            # |cf| must be large enough for the digest to pin that route
+            meta = grid.meta
+            dt = math.pi / (meta["half_width"] * math.sqrt(measure.total_second_moment))
+            ts = dt * np.arange(1, round(meta["cf_cutoff"] / dt) + 1)
+            first = len(_series_exponents(measure, ts)[0])
+            assert abs(np.exp(_quadrature_exponents(measure, ts[first : first + 1])[0])) >= 1e-10
 
     def test_moment_posts(self):
         grid = cached_density("rescaled", (4, 3), half_width=12.0, n_points=4096)
