@@ -15,8 +15,6 @@ Conventions shared by every subcommand:
   O(chunk) memory beyond the values, whatever the row count.
 - Structured results also land in a JSON sidecar next to the CSV
   (`<name>.meta.json`), serialized with sorted keys.
-- JSON output is strict: an infinite threshold_limit is written as null,
-  and any other non-finite value is refused with exit 2.
 - Relative output paths resolve against $HYPLEVY_OUTDIR when that is set.
 - Exit codes: 0 success, 1 a sweep finished with failed runs, 2 invalid
   input, 3 a numerical procedure failed to converge.
@@ -122,12 +120,13 @@ def _write_csv(path: Path, header: list[str], columns, prov: dict) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    # serialized before the file opens, so a refused value leaves no file
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
+    print(json.dumps(payload, sort_keys=True, indent=2))
 
 
 def _add_measure_args(sub: argparse.ArgumentParser) -> None:
@@ -266,11 +265,9 @@ def _cmd_probe(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _verdict_fields(verdict) -> dict:
-    """The verdict as JSON fields; JSON has no inf, so an infinite limit is null."""
-    limit = verdict.threshold_limit
     return {
         "label": verdict.label,
-        "threshold_limit": limit if math.isfinite(limit) else None,
+        "threshold_limit": verdict.threshold_limit,
         "rationale": verdict.rationale,
     }
 

@@ -71,8 +71,12 @@ def _integer(value) -> int | None:
 
 def _real(value) -> float | None:
     """value as a Python float if it is a real number, numpy's included;
-    None for anything else (a complex, a string, None), a bool too. A
-    Python float or int skips the slow ABC test."""
+    None for anything else (a complex, a string, None), a bool too, and an
+    int too large for a double. A Python float or int skips the slow ABC
+    test."""
     if type(value) in (float, int) or (isinstance(value, numbers.Real) and type(value) is not bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            return None
     return None

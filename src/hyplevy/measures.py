@@ -40,9 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _integer, _real
+from .errors import DomainError, _real
 from .pairs import (
     DimensionPair,
+    _check_codim,
     _log_cumulant,
     _log_cumulant_size,
     log_sphere_surface,
@@ -361,10 +362,7 @@ def make_measure(kind: str, param) -> LevyMeasure1D:
         shape = PairShape(param)
         log_weight = -log_variance(param) if kind == "rescaled" else 0.0
     elif kind == "limit":
-        b = _integer(param)
-        if b is None or b < 1:
-            raise DomainError(f"codimension must be an integer >= 1, got {param!r}")
-        shape, log_weight = LimitShape(b), 0.0
+        shape, log_weight = LimitShape(_check_codim(param)), 0.0
     else:
         raise DomainError(f"unknown measure kind {kind!r}")
     return LevyMeasure1D(shape, log_weight)

@@ -125,3 +125,10 @@ def cumulant(pair: DimensionPair, m: int) -> float:
     if order is None or order < 2:
         raise DomainError(f"cumulant requires integer order m >= 2, got {m!r}")
     return math.exp(_log_cumulant(pair, order))
+
+
+def _check_codim(b) -> int:
+    codim = _integer(b)
+    if codim is None or codim < 1:
+        raise DomainError(f"codimension must be an integer >= 1, got {b!r}")
+    return codim

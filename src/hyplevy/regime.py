@@ -16,7 +16,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from .errors import DomainError, InadmissiblePairError, _integer, _real
-from .pairs import DimensionPair, log_variance
+from .pairs import DimensionPair, _check_codim, log_variance
 from .specfun import reg_inc_beta
 
 E_TIMES_PI = math.e * math.pi
@@ -78,12 +78,10 @@ class FixedCodimensionFamily(SequenceFamily):
     d_offset: int = 2
 
     def __post_init__(self) -> None:
-        b, offset = _integer(self.b), _integer(self.d_offset)
-        if b is None or b < 1:
-            raise DomainError(f"codimension must be an integer >= 1, got {self.b!r}")
+        offset = _integer(self.d_offset)
         if offset is None:
             raise DomainError(f"d_offset must be an integer, got {self.d_offset!r}")
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "b", _check_codim(self.b))
         object.__setattr__(self, "d_offset", offset)
 
     def realize(self, n: int) -> DimensionPair:

@@ -151,6 +151,13 @@ class SampleBatch:
     diagnostics: dict = field(compare=False, default_factory=dict)
 
 
+def _require_delta(delta: float) -> float:
+    cut = _real(delta)
+    if cut is None or not 0.0 < cut < 1.0:
+        raise DomainError(f"cutoff delta must lie in (0, 1), got {delta!r}")
+    return cut
+
+
 def tail_mass(measure: LevyMeasure1D, delta: float) -> float:
     """nu((delta, 1)): the expected jump count per draw at truncation delta."""
     return partial_moment(measure, delta, 0, "above")
@@ -167,12 +174,10 @@ def partial_moment(measure: LevyMeasure1D, delta: float, m: int, side: str) -> f
     where that quadrature overflows (b >= 344 at m = 2), which takes the
     upper incomplete Gamma (m-1)^(-b/2) Q(b/2, -(m-1) log delta).
     """
-    cut, order = _real(delta), _integer(m)
-    if cut is None or not 0.0 < cut < 1.0:
-        raise DomainError(f"cutoff delta must lie in (0, 1), got {delta!r}")
+    delta, order = _require_delta(delta), _integer(m)
     if order is None or order < 0:
         raise DomainError(f"moment order must be a nonnegative integer, got {m!r}")
-    delta, m = cut, order
+    m = order
     if side not in ("below", "above"):
         raise DomainError(f"side must be 'below' or 'above', got {side!r}")
     if side == "below" and m < 2:
@@ -420,13 +425,11 @@ def _certified_jump_table(shape, delta: float) -> _JumpTable:
 def inverse_jump_cdf(measure: LevyMeasure1D, p, delta: float = 1e-3) -> np.ndarray:
     """Quantile function of the single-jump law conditioned on (delta, 1):
     returns x with P(jump <= x) = p. Scalar in, scalar out."""
-    cut = _real(delta)
-    if cut is None or not 0.0 < cut < 1.0:
-        raise DomainError(f"cutoff delta must lie in (0, 1), got {delta!r}")
+    delta = _require_delta(delta)
     p_arr = np.asarray(p, dtype=float)
     if not np.all((p_arr >= 0.0) & (p_arr <= 1.0)):
         raise DomainError("jump quantile probabilities must lie in [0, 1], NaN excluded")
-    table = _certified_jump_table(measure.shape, cut)
+    table = _certified_jump_table(measure.shape, delta)
     # the table runs in the upper-tail direction: x(q) with q = 1 - p
     q = np.ravel(1.0 - p_arr)
     out = table.fill_x_of_q(q, *_buffers(q.size))

@@ -171,6 +171,16 @@ def test_a_non_number_argument_is_a_domain_error(name, bad):
         call(bad)
 
 
+@pytest.mark.parametrize(
+    "name", [n for n, (_, v, _) in ARGUMENTS.items() if type(v) is float] + ["log_sphere_surface.b"]
+)
+def test_an_int_too_large_for_a_double_is_a_domain_error(name):
+    # a real argument converts to a float, which 10**400 overflows
+    call, _, _ = ARGUMENTS[name]
+    with pytest.raises(DomainError):
+        call(10**400)
+
+
 @pytest.mark.parametrize("name", ARGUMENTS)
 def test_numpy_numbers_are_held_as_python_numbers(name):
     call, value, kept = ARGUMENTS[name]
