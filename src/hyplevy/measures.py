@@ -79,13 +79,17 @@ class PairShape(_Shape):
     """A pair measure in u = x^(2/(k-1)): (omega_b / 2) u^(-(d+1)/2)
     (1 - u)^(b/2-1) du on (0, 1).
 
-    Above a cutoff the sampler works in y = 1 - u, where the density is
-    y^(b/2-1) g_reg(y) up to the constant; x_of_y, y_of_x and their
-    derivatives convert between y and x.
+    Above a cutoff the sampler works in y = 1 - u = end_factor(log x),
+    where the density is y^(b/2-1) g_reg(y) up to the constant; x_of_y
+    and the two derivatives convert between y and x.
     """
 
     pair: DimensionPair
     half_line = False  # u runs over (0, 1)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.pair, DimensionPair):
+            raise DomainError(f"a pair shape needs a DimensionPair, got {self.pair!r}")
 
     @property
     def codim(self) -> int:
@@ -129,8 +133,9 @@ class PairShape(_Shape):
         return p, 0.5 * self.pair.codim, delta**self.pair.u_power
 
     def upper_integrand(self, delta: float, m: int):
-        """(f, y_max): the integral of x^m over the measure above delta is
-        the constant times the tanh_sinh integral of f over (0, y_max).
+        """f: the integral of x^m over the measure above delta is the
+        constant times the tanh_sinh integral of f over (0, y_max),
+        y_max = upper_y(delta).
 
         It is the integral of u^((k-1)m/2 - (d+1)/2) (1-u)^(b/2-1) du over
         (a, 1), a = delta^(2/(k-1)), run in y = 1 - u: the node gives
@@ -147,7 +152,7 @@ class PairShape(_Shape):
             side = np.exp(e_side * np.log(np.maximum(y, tiny)))
             return np.exp(e_pow * np.log(a + dist)) * side
 
-        return integrand, self.upper_y(delta)
+        return integrand
 
     def phase_terms(self, u: np.ndarray, um1: np.ndarray):
         """psi's node factors at u (um1 = 1 - u): x, the measure's factor
@@ -182,9 +187,6 @@ class PairShape(_Shape):
         c = 0.5 * (self.pair.k - 1.0)
         return -c * np.power(1.0 - y, c - 1.0)
 
-    def y_of_x(self, x: np.ndarray) -> np.ndarray:
-        return -np.expm1(self.pair.u_power * np.log(x))
-
     def dy_dx_abs(self, x: np.ndarray):
         p = self.pair.u_power
         return p * np.power(x, p - 1.0)
@@ -195,13 +197,16 @@ class LimitShape(_Shape):
     """The codimension-limit measure in v = -log x: Gamma(b/2)^(-1) e^v
     v^((b-2)/2) dv on (0, inf), b = codim.
 
-    Above a cutoff the sampler works in y = 1 - x, where the density is
-    y^(b/2-1) g_reg(y) up to the constant.
+    Above a cutoff the sampler works in y = v = end_factor(log x) too, where
+    the density is y^(b/2-1) g_reg(y), g_reg = e^y, up to the constant.
     """
 
     codim: int
     half_line = True  # v runs over (0, inf)
     alpha = 1.0  # density ~ x^(-2) (-log x)^((b-2)/2) near 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "codim", _check_codim(self.codim))
 
     @property
     def log_coef(self) -> float:
@@ -230,9 +235,9 @@ class LimitShape(_Shape):
         return None
 
     def upper_integrand(self, delta: float, m: int):
-        """(f, v_cut): the integral of x^m over the measure above delta is
-        the constant times the tanh_sinh integral of f over (0, v_cut),
-        and below delta its exp_sinh integral over (v_cut, inf).
+        """f: the integral of x^m over the measure above delta is the
+        constant times the tanh_sinh integral of f over (0, v_cut), and
+        below it its exp_sinh integral over (v_cut, inf), v_cut = upper_y(delta).
 
         f is e^(-(m-1) v) v^((b-2)/2), taken as one exp of
         ((b-2)/2) log v - (m-1) v, so v^((b-2)/2) never overflows on its
@@ -244,7 +249,7 @@ class LimitShape(_Shape):
             with np.errstate(over="ignore"):
                 return np.exp(e_log * np.log(v) - (m - 1.0) * v)
 
-        return f, -math.log(delta)
+        return f
 
     def phase_terms(self, v: np.ndarray):
         """psi's node factors at v: x = e^(-v), top = e^v v^((b-2)/2)
@@ -265,29 +270,20 @@ class LimitShape(_Shape):
         return ev, top, powers
 
     def upper_y(self, delta: float) -> float:
-        return 1.0 - delta
+        """v at the cutoff, -log delta."""
+        return -math.log(delta)
 
     def g_reg(self, y: np.ndarray) -> np.ndarray:
-        base = np.power(1.0 - y, -2.0)
-        # (-log(1-y))/y -> 1 as y -> 0; series guard below 1e-8
-        ratio = np.where(
-            y > 1e-8,
-            -np.log1p(-np.maximum(y, 1e-300)) / np.maximum(y, 1e-300),
-            1.0 + 0.5 * y,
-        )
-        return base * np.power(ratio, self.end_power)
+        return np.exp(y)
 
     def x_of_y(self, y: np.ndarray) -> np.ndarray:
-        return 1.0 - y
+        return np.exp(-y)
 
     def dx_dy(self, y: np.ndarray):
-        return -1.0
-
-    def y_of_x(self, x: np.ndarray) -> np.ndarray:
-        return 1.0 - x
+        return -np.exp(-y)
 
     def dy_dx_abs(self, x: np.ndarray):
-        return 1.0
+        return 1.0 / x
 
 
 @dataclass(frozen=True)
@@ -357,12 +353,10 @@ def make_measure(kind: str, param) -> LevyMeasure1D:
     codimension b of the fixed-codimension limit measure.
     """
     if kind in ("hyperbolic", "rescaled"):
-        if not isinstance(param, DimensionPair):
-            raise DomainError(f"kind {kind!r} requires a DimensionPair, got {param!r}")
         shape = PairShape(param)
         log_weight = -log_variance(param) if kind == "rescaled" else 0.0
     elif kind == "limit":
-        shape, log_weight = LimitShape(_check_codim(param)), 0.0
+        shape, log_weight = LimitShape(param), 0.0
     else:
         raise DomainError(f"unknown measure kind {kind!r}")
     return LevyMeasure1D(shape, log_weight)

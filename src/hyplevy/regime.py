@@ -66,8 +66,15 @@ class SequenceFamily(ABC):
 
     @abstractmethod
     def realize(self, n: int) -> DimensionPair:
-        """The n-th pair (n >= 1); raises InadmissiblePairError when the
-        rule leaves the admissible range at this index."""
+        """The n-th pair (n >= 1, an integer, else DomainError); raises
+        InadmissiblePairError where the rule leaves the admissible range."""
+
+
+def _check_int(value, name: str) -> int:
+    number = _integer(value)
+    if number is None:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -78,13 +85,11 @@ class FixedCodimensionFamily(SequenceFamily):
     d_offset: int = 2
 
     def __post_init__(self) -> None:
-        offset = _integer(self.d_offset)
-        if offset is None:
-            raise DomainError(f"d_offset must be an integer, got {self.d_offset!r}")
         object.__setattr__(self, "b", _check_codim(self.b))
-        object.__setattr__(self, "d_offset", offset)
+        object.__setattr__(self, "d_offset", _check_int(self.d_offset, "d_offset"))
 
     def realize(self, n: int) -> DimensionPair:
+        n = _check_int(n, "a sequence index")
         d = n + self.d_offset
         try:
             return DimensionPair(d, d - self.b)
@@ -124,6 +129,7 @@ class PowerLawFamily(SequenceFamily):
         object.__setattr__(self, "d_step", step)
 
     def realize(self, n: int) -> DimensionPair:
+        n = _check_int(n, "a sequence index")
         d = self.d_step * n
         k_lo = (d + 1) // 2 + 1  # smallest k with 2k > d + 1
         if k_lo > d - 1:
@@ -148,6 +154,7 @@ class ExplicitFamily(SequenceFamily):
             raise DomainError("explicit family needs at least one pair")
 
     def realize(self, n: int) -> DimensionPair:
+        n = _check_int(n, "a sequence index")
         if not 1 <= n <= len(self.pairs):
             raise DomainError(f"index n={n} outside 1..{len(self.pairs)}")
         return self.pairs[n - 1]
@@ -282,9 +289,7 @@ def probe_regime(family: SequenceFamily, n_values, eps_values) -> ProbeTable:
         raise DomainError(f"probe_regime needs real epsilons, at least one, got {eps_given!r}")
     rows = []
     for index in n_values:
-        n = _integer(index)
-        if n is None:
-            raise DomainError(f"sequence indices must be integers, got {index!r}")
+        n = _check_int(index, "a sequence index")
         pair = family.realize(n)
         log_sigma = 0.5 * log_variance(pair)
         sigma = math.exp(log_sigma)

@@ -13,7 +13,7 @@ small-jump variance, and the shape alone fixes the conditional jump law,
 so the hyperbolic and rescaled measures of a pair share one jump table.
 
 Jump sizes come from a cubic-Hermite inverse-CDF table built in the warped
-variable w = (1 - x^(2/(k-1)))^(b/2) (w = (1 - x)^(b/2) for the
+variable w = (1 - x^(2/(k-1)))^(b/2) (w = (-log x)^(b/2) for the
 codimension-limit family), in which the conditional density is bounded and
 strictly positive on [0, w_max]; quantile slopes therefore stay finite at
 both ends, which a table in x itself cannot guarantee once the codimension
@@ -191,8 +191,8 @@ def partial_moment(measure: LevyMeasure1D, delta: float, m: int, side: str) -> f
         total = shape.moment(m, measure.log_weight)
         return total * (frac if side == "below" else 1.0 - frac)
     # quadrature in the shape's variable: tanh-sinh over (0, end) above the
-    # cutoff; below it, the limit shape's exp-sinh over v > end = -log delta
-    f, end = shape.upper_integrand(delta, m)
+    # cutoff; below it, the limit shape's exp-sinh over v > end
+    f, end = shape.upper_integrand(delta, m), shape.upper_y(delta)
     if side == "above":
         return measure.coef * tanh_sinh(f, a=0.0, b=end, rel_tol=1e-12, abs_tol=1e-300)
     if shape.log_moment(m) - shape.log_coef > _LOG_MAX:
@@ -294,8 +294,8 @@ def _panel_boundaries(w_max: float, panels: int) -> np.ndarray:
 
 def _build_jump_table(shape, delta: float, cells: int) -> _JumpTable:
     """The table of the conditional jump law on (delta, 1) of a measure of
-    this shape, built in w = y^(b/2), y = 1 - x^(2/(k-1)) for a pair and
-    y = 1 - x for the limit family.
+    this shape, built in w = y^(b/2), y = end_factor(log x) = 1 - x^(2/(k-1))
+    for a pair and -log x for the limit family.
 
     The density in y carries a bare y^(b/2-1) factor at the large-jump
     end; the b/2 power on w absorbs it exactly, so the density h in w is
@@ -381,7 +381,7 @@ def _build_jump_table(shape, delta: float, cells: int) -> _JumpTable:
     table = _JumpTable(x_knots, slopes, P, cells, cert_error=math.nan)
     s_mid = (np.arange(cells) + 0.5) / cells
     x_mid = np.clip(table.fill_x_of_s(s_mid.copy(), *_buffers(cells)), 1e-300, 1.0)
-    y_mid = shape.y_of_x(x_mid)
+    y_mid = shape.end_factor(np.log(x_mid))
     w_mid = np.power(y_mid, half)
     err_q = np.abs(cdf_at(w_mid) / total - np.power(s_mid, float(P)))
     # a float64 quantile cannot beat the q-image of one ulp of x, and for

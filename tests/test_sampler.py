@@ -281,18 +281,24 @@ class TestInverseJumpCdf:
         arr = inverse_jump_cdf(HYP43, np.array([0.1, 0.9]), 0.25)
         assert arr.shape == (2,)
 
-    def test_every_cell_against_direct_tail_integrals(self):
+    @pytest.mark.parametrize(
+        "delta, laws",
+        [
+            (1e-3, (RESC43, LIMIT2, make_measure("limit", 1), make_measure("limit", 3),
+                    make_measure("rescaled", DimensionPair(40, 21)))),
+            (1e-4, (make_measure("limit", 1), LIMIT2, make_measure("limit", 3))),
+            pytest.param(1e-4, (RESC43,), marks=pytest.mark.xfail(
+                raises=AssertionError, strict=True,
+                reason="CHANGES.md FOUND: rescaled (4,3) tables at small cutoffs certify "
+                "3.1e-11 against the panel CDF but are off by 3.0e-5 against tail_mass",
+            )),
+        ],
+        ids=["1e-3", "1e-4", "resc43-1e-4"],
+    )
+    def test_every_cell_against_direct_tail_integrals(self, delta, laws):
         # the table's own certificate reuses its panel CDF; this checks the
         # quantile against tail_mass, one seeded point inside every cell
         rng = np.random.default_rng(43)
-        delta = 1e-3
-        laws = (
-            RESC43,
-            LIMIT2,
-            make_measure("limit", 1),
-            make_measure("limit", 3),
-            make_measure("rescaled", DimensionPair(40, 21)),
-        )
         for measure in laws:
             table = sampler._certified_jump_table(measure.shape, delta)
             lam = tail_mass(measure, delta)
@@ -344,12 +350,13 @@ class TestInverseJumpCdf:
     @pytest.mark.parametrize(
         "measure, delta, cells",
         [(RESC43, 1e-3, 1 << 11), (make_measure("limit", 3), 1e-3, 1 << 11),
-         (make_measure("limit", 1), 1e-4, 1 << 12)],
-        ids=["resc43", "limit3", "limit1-4096"],
+         (RESC43, 1e-4, 1 << 13)],
+        ids=["resc43", "limit3", "resc43-8192"],
     )
     def test_hot_loop_is_the_clamped_kernel_bit_for_bit(self, measure, delta, cells):
         # the sentinel cell and the float floor stand in for the clamp and
-        # the mixed subtract; every draw depends on these bits
+        # the mixed subtract; every draw depends on these bits. The last
+        # case is a table that doubled past the starting cell count
         table = sampler._certified_jump_table(measure.shape, delta)
         assert table.cells == cells and table.index_pow in (3, 4)
         rng = np.random.default_rng(29)
@@ -366,7 +373,7 @@ class TestInverseJumpCdf:
         [
             (RESC43, "364e83043c925851aa6eab825cc1985c07f16b702f3b5a3091a4c64acaeca5ba"),
             (make_measure("limit", 3),
-             "e532aa30af596e4e2f580d6212dc002bddfd5fec01339447a484ba8651c65996"),
+             "222477c840853852c445dbc8fa28b6600c91ce2c0486b0bcc763c1108a606634"),
         ],
         ids=["resc43", "limit3"],
     )
@@ -426,13 +433,18 @@ class TestInverseJumpCdf:
         x = inverse_jump_cdf(make_measure("rescaled", DimensionPair(200, 101)), 0.5, delta)
         assert math.isfinite(x) and delta < x < 1.0
 
-    @pytest.mark.xfail(
-        raises=ConvergenceError, strict=True,
-        reason="CHANGES.md FOUND: _build_jump_table raises ConvergenceError "
-        "('jump-table knot inversion did not converge') at small cutoffs that sample accepts",
-    )
     @pytest.mark.parametrize(
-        "measure", [RESC43, make_measure("limit", 1)], ids=["resc43", "limit1"]
+        "measure",
+        [
+            pytest.param(RESC43, marks=pytest.mark.xfail(
+                raises=ConvergenceError, strict=True,
+                reason="CHANGES.md FOUND: _build_jump_table raises ConvergenceError "
+                "('jump-table knot inversion did not converge') at small cutoffs that "
+                "sample accepts",
+            )),
+            make_measure("limit", 1),
+        ],
+        ids=["resc43", "limit1"],
     )
     def test_small_cutoff_builds(self, measure):
         delta = 1e-5
@@ -552,14 +564,14 @@ class TestSampleDeterminism:
             (RESC43, 5, 1e-4, 4,
              "d608c5d5cf30e06bbf06b8984bd616e6e32892771c8ab5b60b78b57fb6356523"),
             (LIMIT2, 2000, 1e-3, 1000,
-             "54b8495b4e71227ae62c01888acf62b9eedf054705b9953cc54486bbb89c7520"),
+             "c632d1217a637d079417afebf37e0b040c6aa64d8238690487fd94f293d72071"),
             (LIMIT2, 2500, 1e-3, 1000,
-             "f49f669185c294d58a580064e17966c7174f1b97b9b6c7ad29c08780638ff96f"),
+             "1b0dd05cbab075056705a73d961544744970d03259b58c7ca1b7134a740d22fb"),
             (LIMIT2, 700, 1e-3, 1000,
-             "52f54a53adb1afe5de66c9e39c15f7a372f0ca6cf4db710affbf68c4216e80b6"),
+             "40b65e5622bf600f296dcb8d2acac09fc2088e66da698dc67a53e201263f190b"),
             # one jump a draw on average, so about 37 % of the draws are empty
             (LIMIT2, 300, 0.5, 128,
-             "736b542612c6b2e05f38d18a33216457a8b532ded0eaa8963f9b089205f518ac"),
+             "b75c9c985f3ac89809f7493a83fdc8c035c9e4b3fda0c8c8e0a311fdf4ab31cf"),
         ],
         ids=["resc43-full", "resc43-partial", "resc43-short", "resc43-wide",
              "limit2-full", "limit2-partial", "limit2-short", "limit2-sparse"],
