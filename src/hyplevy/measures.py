@@ -321,8 +321,18 @@ class LevyMeasure1D:
 
     @property
     def coef(self) -> float:
-        """The constant in front of the shape's integrals, weight included."""
-        return math.exp(self.shape.log_coef + self.log_weight)
+        """The constant in front of the shape's integrals, weight included.
+        DomainError when its log, though finite, is past the double range
+        (rescaled pairs from about d = 2968 at k = 3d/4)."""
+        log_coef = self.shape.log_coef + self.log_weight
+        try:
+            return math.exp(log_coef)
+        except OverflowError:
+            raise DomainError(
+                f"the measure's constant exp(log_coef + log_weight) = "
+                f"exp({self.shape.log_coef:.6g} + {self.log_weight:.6g}) = exp({log_coef:.6g}) "
+                "overflows a double"
+            ) from None
 
     def density(self, x):
         """exp(log_coef) x^(-1 - alpha) s(x)^(b/2 - 1), s the shape's

@@ -137,6 +137,23 @@ class TestDensity:
         assert code == 3
         assert "hyplevy: error:" in err
 
+    @pytest.mark.parametrize(
+        "family, d, k, message",
+        [
+            # the variance underflows to 0, so the frequency step has no value
+            ("hyperbolic", "2000", "1500", "half_width * sigma underflows to 0.0"),
+            # the measure's constant overflows
+            ("rescaled", "4000", "3000", "= exp(956.554) overflows a double"),
+        ],
+        ids=["hyp2000_1500", "resc4000_3000"],
+    )
+    def test_a_law_past_the_double_range_exits_2(self, capsys, outdir, family, d, k, message):
+        code, out, err = run(capsys, "density", "--family", family, "--d", d, "--k", k,
+                             "--out", "far.csv")
+        assert code == 2 and out == ""
+        assert err.startswith("hyplevy: error:") and message in err
+        assert not (outdir / "far.csv").exists()
+
     def test_infinite_half_width_exits_2(self, capsys):
         code, _, err = run(capsys, "density", "--family", "rescaled", "--d", "4",
                            "--k", "3", "--half-width", "inf", "--n-points", "256",

@@ -321,6 +321,14 @@ class TestMakeMeasure:
             LevyMeasure1D(shape, math.inf)
         assert LevyMeasure1D(shape) == make_measure("hyperbolic", DimensionPair(4, 3))
 
+    def test_a_constant_past_the_double_range_is_a_domain_error(self):
+        # rescaled pairs at k = 3d/4: exp(log_coef + log_weight) is a double
+        # at d = 2964 and overflows from d = 2968; the error names the log
+        assert math.isfinite(make_measure("rescaled", DimensionPair(2964, 2223)).coef)
+        m = make_measure("rescaled", DimensionPair(4000, 3000))
+        with pytest.raises(DomainError, match=r"exp\(-2032\.75 \+ 2989\.3\) = exp\(956\.554\)"):
+            m.coef
+
     def test_validation(self):
         with pytest.raises(DomainError):
             make_measure("cauchy", DimensionPair(4, 3))

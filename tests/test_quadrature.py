@@ -199,6 +199,29 @@ class TestBatchedRows:
         assert max(r * n for r, n in tiles) <= 4096
         assert tiled.tobytes() == whole.tobytes()
 
+    def test_groups_are_tiled_as_if_alone(self, monkeypatch):
+        # 50 rows in groups 0..2, 3..4, 5..29 and 30..49 under a budget of
+        # 10 rows (4096 elements at level 5's 391 nodes): each group is cut
+        # into pieces of 10 rows from its own first row, 3 | 2 | 10 10 5 |
+        # 10 10, and a tile takes whole consecutive pieces while they fit
+        monkeypatch.setattr(quadrature, "_TILE", 4096)
+        t = np.linspace(0.5, 3.0, 50)[:, None]
+        tiles = []
+
+        def f(x, bm):
+            def sums(rows, w):
+                if np.size(x) == 391:
+                    tiles.append(list(rows))
+                return np.sum(w * np.exp(1j * t[rows] * x), axis=-1)
+
+            return RowBatch(50, sums, (3, 5, 30))
+
+        grouped = tanh_sinh(f)
+        bounds = [0, 5, 15, 25, 30, 40, 50]
+        assert tiles == [list(range(i, j)) for i, j in zip(bounds, bounds[1:])]
+        alone = tanh_sinh(lambda x, bm: rows_of(50, lambda rows: np.exp(1j * t[rows] * x)))
+        assert grouped.tobytes() == alone.tobytes()
+
     def test_an_array_integrand_is_one_integral(self):
         # a batch comes as a RowBatch; an array must be (n_nodes,)
         with pytest.raises(ValueError):

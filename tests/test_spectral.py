@@ -182,15 +182,17 @@ def ladder_reference(measure, half_width, n, threshold):
     return None, achieved
 
 
-def seeded_block(half_width, n):
+def seeded_block(measure, half_width, n):
     """The indices invert_to_density evaluates before any probe above the
     seed: 1..seed, the seed being the first probe >= k_safe (at the
-    current spectral._DECAY_THRESHOLD), or only the top probe when no
-    probe reaches k_safe. (A top-probe seed is evaluated alone first, and
-    1..seed-1 follow only when it drops below.)"""
+    current spectral._DECAY_THRESHOLD) that the cumulant series does not
+    show to pass (_series_passes), or only the top probe when there is
+    none. (A top-probe seed is evaluated alone first, and 1..seed-1
+    follow only when it drops below.)"""
     ladder = probes(n)
-    k_safe = _safe_index(half_width)
-    seed = next((i for i in ladder if i >= k_safe), None)
+    above = [i for i in ladder if i >= _safe_index(half_width)]
+    shown = spectral._series_passes(measure, np.array(above) * grid_step(measure, half_width))
+    seed = next((i for i, ok in zip(above, shown) if not ok), None)
     return list(range(1, seed + 1)) if seed else ladder[-1:]
 
 
@@ -495,29 +497,59 @@ class TestInversionWork:
         assert math.isclose(_safe_index(12.0), 27.88, abs_tol=5e-3)
 
     @pytest.mark.parametrize(
-        "measure, i_cut, rows",
+        "measure, half_width, seed, i_cut",
         [
-            # 1..32, then probe 64 with 33..63
-            (RESC43, 64, [32, 32]),
-            # 1..32, probe 64 with 33..63, probe 128 with 65..127
-            (LIMIT2, 128, [32, 32, 64]),
+            # 32 is the first probe >= k_safe = 27.9, and the series shows
+            # it to pass: 1..64 in one call, whose probe 64 is the cutoff
+            (RESC43, 12.0, 64, 64),
+            # it shows 32 and 64: 1..128, and 128 is the cutoff
+            (LIMIT2, 12.0, 128, 128),
+            # it shows 32 and 64: 1..128, then probe 256 with 129..255
+            (make_measure("rescaled", DimensionPair(20, 19)), 12.0, 128, 256),
         ],
-        ids=["resc43", "limit2"],
+        ids=["resc43", "limit2", "resc20_19"],
     )
     def test_each_grid_frequency_up_to_the_cutoff_is_evaluated_once(
-        self, measure, i_cut, rows, quadrature_route, exponent_calls, quad_log
+        self, measure, half_width, seed, i_cut, quadrature_route, exponent_calls, quad_log
     ):
-        grid = invert_to_density(measure)
-        dt = grid_step(measure)
+        grid = invert_to_density(measure, half_width=half_width)
+        dt = grid_step(measure, half_width)
+        assert seeded_block(measure, half_width, 16384)[-1] == seed
         assert round(grid.meta["cf_cutoff"] / dt) == i_cut
         index = [list(np.round(ts / dt).astype(int)) for ts in exponent_calls]
-        # k = 1..32 as one call (32 is the first probe >= k_safe = 27.9),
-        # then each probe above it with the frequencies below it: 33..64,
-        # 65..128, ...; so each k <= cutoff once, and none above it
-        above = [p for p in probes(16384) if 32 < p <= i_cut]
-        assert index == [list(range(1, 33))] + [list(range(p // 2 + 1, p + 1)) for p in above]
+        # k = 1..seed as one call, then each probe above it with the
+        # frequencies below it; so each k <= cutoff once, and none above it
+        above = [p for p in probes(16384) if seed < p <= i_cut]
+        assert index == [list(range(1, seed + 1))] + [
+            list(range(p // 2 + 1, p + 1)) for p in above
+        ]
         # one quadrature pass per call, none of them a one-row probe
-        assert [rec["rows"] for rec in quad_log] == rows
+        assert [rec["rows"] for rec in quad_log] == [seed] + [p // 2 for p in above]
+
+    def test_a_default_rescaled_4_3_density_takes_one_quadrature_pass(self, quad_log):
+        # the series answers the grid's first frequencies and shows probe
+        # 32 to pass, so the quadrature takes the rest up to the cutoff 64
+        # in one pass
+        grid = invert_to_density(RESC43)
+        assert round(grid.meta["cf_cutoff"] / grid_step(RESC43)) == 64
+        assert len(quad_log) == 1
+
+    def test_the_benchmark_laws_take_two_thirds_of_a_pass_each(self, quad_log):
+        # the 128 laws of the benchmark's density_grid workload at the
+        # defaults: 86 quadrature passes, 0.67 per density (173 when the
+        # Gaussian bound alone seeds the search), and the same 6243 rows;
+        # in each, the seed, and so every probe shown to pass, is at or
+        # below the cutoff
+        laws = [make_measure("rescaled", DimensionPair(d, k)) for d, k in admissible_pairs(24)]
+        laws += [make_measure("limit", b) for b in range(1, 7)]
+        laws.append(make_measure("hyperbolic", DimensionPair(4, 3)))
+        assert len(laws) == 128
+        for measure in laws:
+            grid = invert_to_density(measure)
+            i_cut = round(grid.meta["cf_cutoff"] / grid_step(measure))
+            assert seeded_block(measure, 12.0, 16384)[-1] <= i_cut
+        assert len(quad_log) == 86
+        assert sum(rec["rows"] for rec in quad_log) == 6243
 
     def test_cutoff_at_the_grid_top_skips_the_nyquist_frequency(
         self, exponent_values, monkeypatch
@@ -561,7 +593,7 @@ class TestInversionWork:
         # cutoff and the block k = 1..128 (four 32-row calls) is not needed
         monkeypatch.setattr(spectral, "_DECAY_THRESHOLD", 1e-2)
         dt = grid_step(LIMIT1, 96.0)
-        assert seeded_block(96.0, 256)[-1] == 128
+        assert seeded_block(LIMIT1, 96.0, 256)[-1] == 128
         with pytest.raises(DecayDetectionError) as info:
             invert_to_density(LIMIT1, half_width=96.0, n_points=256)
         assert [list(np.round(ts / dt)) for ts in exponent_calls] == [[128]]
@@ -626,7 +658,7 @@ class TestSeededSearch:
     ):
         monkeypatch.setattr(spectral, "_DECAY_THRESHOLD", threshold)
         dt = grid_step(measure, half_width)
-        block = seeded_block(half_width, n)
+        block = seeded_block(measure, half_width, n)
         try:
             grid = invert_to_density(measure, half_width=half_width, n_points=n)
         except DecayDetectionError as exc:
@@ -673,7 +705,7 @@ class TestSeededSearch:
         dt = grid_step(UNDERSTATED, half_width)
         cf = exponent_values(dt)
         i_cut = round(grid.meta["cf_cutoff"] / dt)
-        assert i_cut < seeded_block(half_width, n)[-1]
+        assert i_cut < seeded_block(UNDERSTATED, half_width, n)[-1]
         assert (i_cut, grid.meta["cf_at_cutoff"]) == ladder_reference(
             UNDERSTATED, half_width, n, threshold
         )
@@ -711,9 +743,32 @@ class TestSeededSearch:
         grid = invert_to_density(measure, half_width=half_width)
         dt = grid_step(measure, half_width)
         i_cut = round(grid.meta["cf_cutoff"] / dt)
-        seed = seeded_block(half_width, 16384)[-1]
+        seed = seeded_block(measure, half_width, 16384)[-1]
         above = [p for p in probes(16384) if seed < p <= i_cut]
         assert [rec["rows"] for rec in quad_log] == [seed] + [p // 2 for p in above]
+
+    @pytest.mark.parametrize("threshold", [1e-2, 1e-12])
+    @pytest.mark.parametrize("measure", SEARCH_LAWS, ids=SEARCH_IDS)
+    def test_every_probe_the_series_shows_passes_on_its_quadrature(
+        self, measure, threshold, monkeypatch
+    ):
+        # Re psi by the series less its stated bound promises |cf| >= e *
+        # threshold at each probe it shows; the quadrature, the independent
+        # route (1e-11 relative), agrees at every such probe of the default
+        # grid under each window, and none is at the remainder's pole
+        monkeypatch.setattr(spectral, "_DECAY_THRESHOLD", threshold)
+        ks = np.array(probes(16384), dtype=float)
+        beyond_the_gaussian_bound = 0
+        for half_width in (3.0, 12.0, 96.0):
+            t = ks * grid_step(measure, half_width)
+            shown = spectral._series_passes(measure, t)
+            if shown.any():
+                assert np.all(t[shown] < 91.0)
+                cf = np.exp(_quadrature_exponents(measure, t[shown]))
+                assert np.all(np.abs(cf) >= math.e * threshold * (1.0 - 1e-9))
+            beyond_the_gaussian_bound += np.count_nonzero(ks[shown] >= _safe_index(half_width))
+        # at 1e-12 it shows probes the Gaussian bound does not; at 1e-2, none
+        assert (beyond_the_gaussian_bound > 0) == (threshold == 1e-12)
 
     @pytest.mark.parametrize("measure", SEARCH_LAWS, ids=SEARCH_IDS)
     def test_cf_modulus_bound_holds_up_to_the_seed(self, measure, monkeypatch):
@@ -724,7 +779,7 @@ class TestSeededSearch:
         for half_width, threshold in ((3.0, 1e-12), (12.0, 1e-12), (96.0, 1e-2), (96.0, 1e-12)):
             monkeypatch.setattr(spectral, "_DECAY_THRESHOLD", threshold)
             dt = grid_step(measure, half_width)
-            ks = np.arange(1, seeded_block(half_width, 16384)[-1] + 1)
+            ks = np.arange(1, seeded_block(measure, half_width, 16384)[-1] + 1)
             t = ks * dt
             got = np.abs(np.exp(_char_exponents(measure, t)))
             assert np.all(got >= np.exp(-0.5 * sigma2 * t * t) * (1.0 - 1e-9))
@@ -1001,16 +1056,34 @@ class TestProgressionRoute:
         want = _quadrature_exponents(measure, ts)
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
+    @pytest.mark.parametrize("measure", SEARCH_LAWS, ids=SEARCH_IDS)
+    @pytest.mark.parametrize("tile", [391 * 30, 1500, quadrature._TILE])
+    def test_a_grouped_pass_gives_each_group_its_own_bits(self, measure, tile, monkeypatch):
+        # groups 5..16, 17..32, 33..64 and 65..128, as the first batch of a
+        # density splits its rows after each probe: one pass returns each
+        # row the bits of a call with its group alone, in tiles that cut
+        # groups into pieces (1500 elements: one row each) or take several
+        # (391 * 30: 30 rows at level 5)
+        monkeypatch.setattr(quadrature, "_TILE", tile)
+        dt = grid_step(measure)
+        ks = np.arange(5.0, 129.0)
+        got = _quadrature_exponents(measure, ks * dt, dt, [17, 33, 65])
+        groups = [ks[(ks >= lo) & (ks < hi)] for lo, hi in ((5, 17), (17, 33), (33, 65), (65, 129))]
+        want = np.concatenate([_quadrature_exponents(measure, g * dt, dt) for g in groups])
+        assert got.tobytes() == want.tobytes()
+
     def test_a_default_density_takes_the_recurrence(self, monkeypatch):
         # the large form's direct sines cover at most the seed rows and one
-        # row of shifts per doubling in each row-sum call; a fall-back to
-        # the sine route would take them for every row
+        # row of shifts per doubling in each run of consecutive keys of a
+        # row-sum call; a fall-back to the sine route would take them for
+        # every row
         calls = []
         sums, unit_phase = _PhaseLevel.sums, spectral._unit_phase
 
         def record_sums(phase, t, w, run=None):
             assert run is not None
-            calls.append({"rows": len(t), "direct": 0})
+            cuts = np.flatnonzero(np.diff(run[0]) != 1.0) + 1
+            calls.append({"runs": np.diff([0, *cuts, len(t)]), "direct": 0})
             return sums(phase, t, w, run)
 
         def record_unit_phase(y):
@@ -1022,10 +1095,15 @@ class TestProgressionRoute:
         monkeypatch.setattr(spectral, "_unit_phase", record_unit_phase)
         invert_to_density(RESC43)
         seed = spectral._SEED_ROWS
-        assert max(call["rows"] for call in calls) >= 8 * seed
+        assert max(max(call["runs"]) for call in calls) >= 8 * seed
+        # the run after probe 32 restarts in the same call as the one below
+        assert max(len(call["runs"]) for call in calls) >= 2
         for call in calls:
-            rows = call["rows"]
-            assert 0 < call["direct"] <= min(rows, seed) + math.ceil(math.log2(max(rows / seed, 1.0)))
+            allowed = sum(
+                min(rows, seed) + math.ceil(math.log2(max(rows / seed, 1.0)))
+                for rows in call["runs"]
+            )
+            assert 0 < call["direct"] <= allowed
 
     def test_a_default_density_sums_the_small_and_unit_columns_per_row(self, monkeypatch):
         # the work guard: no Taylor column (small in every row of the run)
@@ -1217,6 +1295,23 @@ class TestInvertToDensity:
         assert type(got.meta["n_points"]) is int and type(got.meta["half_width"]) is float
         assert got.meta == want.meta
         assert got.values.tobytes() == want.values.tobytes()
+
+    def test_a_variance_that_underflows_is_a_domain_error(self, exponent_calls):
+        # hyperbolic (2000, 1500) has variance exp(-1321.16), 0.0 as a
+        # double, so dt = pi / (half_width sigma) has no finite value
+        measure = make_measure("hyperbolic", DimensionPair(2000, 1500))
+        assert measure.total_second_moment == 0.0
+        with pytest.raises(DomainError, match=r"underflows to 0\.0 .*exp\(-1321\.16\)"):
+            invert_to_density(measure)
+        assert exponent_calls == []
+
+    def test_a_constant_past_the_double_range_is_a_domain_error(self):
+        # rescaled (4000, 3000): psi is O(1), but the quadrature's constant
+        # exp(-2032.75 + 2989.3) is not a double
+        measure = make_measure("rescaled", DimensionPair(4000, 3000))
+        for call in (lambda: char_exponent(measure, 0.5), lambda: invert_to_density(measure)):
+            with pytest.raises(DomainError, match=r"exp\(956\.554\) overflows"):
+                call()
 
     def test_non_finite_half_width_is_a_domain_error(self, exponent_calls):
         # an infinite window makes dt = 0, where every probe has |cf| = 1
