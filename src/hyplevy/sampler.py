@@ -18,15 +18,19 @@ codimension-limit family), in which the conditional density is bounded and
 strictly positive on [0, w_max]; quantile slopes therefore stay finite at
 both ends, which a table in x itself cannot guarantee once the codimension
 exceeds 2. The CDF in w is a panel sum of a fixed 16-point Gauss-Legendre
-rule, and Newton inverts it at the knots to 1e-12 of the mass; only a run
-that exhausts its 60 steps is checked again, at 1e-11, and may raise
-ConvergenceError. The table is certified at build time: the max CDF
-residual over all cell midpoints must not exceed 1e-10. The first table has
-2^11 cells, and the cell count is doubled until the certificate holds, up
-to 2^20 cells. Above the rounding floor of the quantile the residual falls
-about 16x per doubling, so a doubling that fails to halve it means the
-floor is reached, and the build stops there with ConvergenceError instead
-of doubling on.
+rule. A pair's panels are graded in quarter octaves of 1 - y toward the
+cutoff, where its regular factor (1 - y)^(-(d+1)/2) peaks, and each row
+of a panel sum has the bits it would have alone, so a knot's CDF value does
+not depend on the knots evaluated beside it. Newton inverts the CDF at the
+knots to 1e-12 of the mass, each step re-evaluating only the knots not yet
+there; only a run that exhausts its 60 steps is checked again, over every
+knot, at 1e-11, and may raise ConvergenceError. The table is certified at
+build time: the max CDF residual over all cell midpoints must not exceed
+1e-10. The first table has 2^11 cells, and the cell count is doubled until
+the certificate holds, up to 2^20 cells. Above the rounding floor of the
+quantile the residual falls about 16x per doubling, so a doubling that
+fails to halve it means the floor is reached, and the build stops there
+with ConvergenceError instead of doubling on.
 
 A table is one 4 x (cells + 1) array of doubles (64 KB at 2^11 cells, so
 the per-jump gathers stay in cache): the monomial coefficients c0..c3 of
@@ -44,8 +48,11 @@ fixed-size chunks). The Gaussian and count blocks always span the full
 batch_size even when the final batch is partial, so for a fixed
 (seed, batch_size) the first values of a longer run reproduce a shorter one
 exactly. batch_size itself is part of the stream identity: changing it
-reshuffles the draws. The stream changed from Philox to SFC64 in 0.2.0, so
-runs reproduce only under the package version their provenance names.
+reshuffles the draws. The stream changed from Philox to SFC64 in 0.2.0,
+and in 0.3.0 every jump table moved by rounding (the graded panels, the
+row-independent panel sums and the knot Newton's live set) and the rescaled
+(4,3) tables below delta = 1e-3 were corrected, so runs reproduce only
+under the package version their provenance names.
 
 Each draw's jump sum is built chunk by chunk: np.add.reduceat sums the
 draw's jumps inside a chunk pairwise, and the pieces of a draw that spans
@@ -81,7 +88,7 @@ from .errors import (
     _integer,
     _real,
 )
-from .measures import LevyMeasure1D
+from .measures import LevyMeasure1D, PairShape
 from .quadrature import exp_sinh, tanh_sinh
 from .specfun import _LOG_MAX, reg_inc_beta, reg_upper_gamma
 
@@ -283,13 +290,108 @@ def _buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
 
 
-def _panel_boundaries(w_max: float, panels: int) -> np.ndarray:
+def _panel_sums(values: np.ndarray) -> np.ndarray:
+    """Each row's 16-point Gauss-Legendre sum, in einsum's own loop. A BLAS
+    gemv (`values @ _GL_WEIGHTS`) gives a row bits that depend on where the
+    row sits in its block; this gives every row the bits it has alone, so
+    the CDF at a knot does not depend on which knots share its call."""
+    return np.einsum("ij,j->i", values, _GL_WEIGHTS)
+
+
+def _panel_boundaries(shape, delta: float, w_max: float, panels: int) -> np.ndarray:
     """Uniform panels, with the first one split dyadically toward 0 so the
-    w^(2/b) endpoint behavior is integrated on geometrically graded cells."""
+    w^(2/b) endpoint behavior is integrated on geometrically graded cells.
+
+    A pair shape's g_reg = (1 - y)^(-(d+1)/2) peaks at the cutoff end,
+    where 1 - y falls to a = 1 - y_max = delta^(2/(k-1)); uniform panels in
+    w do not resolve it once a is small. Its panels get extra boundaries at
+    y = 1 - a 2^(j/4), quarter octaves in 1 - y, for every j >= 1 with
+    a 2^(j/4) < 1. np.sort and a mask keep the strictly increasing
+    entries (np.unique would import numpy.ma into every table build)."""
     uniform = w_max * np.arange(1, panels + 1) / panels
     first = uniform[0]
     dyadic = first * 2.0 ** (-np.arange(64, 0, -1, dtype=float))
-    return np.concatenate(([0.0], dyadic, uniform))
+    parts = [[0.0], dyadic, uniform]
+    if isinstance(shape, PairShape):
+        a = delta**shape.pair.u_power
+        gaps = a * 2.0 ** (np.arange(1, math.ceil(-4.0 * math.log2(a))) / 4.0)
+        parts.append(np.power(1.0 - gaps[gaps < 1.0], 0.5 * shape.codim))
+    bounds = np.sort(np.concatenate(parts))
+    return bounds[np.concatenate(([True], bounds[1:] > bounds[:-1]))]
+
+
+class _PanelCdf:
+    """The conditional jump law's CDF in w = y^(b/2), up to its total.
+
+    h(w) = (2/b) g_reg(w^(2/b)) is the density in w up to the shape's
+    constant and the measure's weight, which cancel from the conditional
+    law. The CDF is the sum of h over the panels of _panel_boundaries (cum)
+    plus a 16-point Gauss remainder inside the landing panel; every row sum
+    goes through _panel_sums, so cdf(w)[i] is cdf(w[i:i+1])[0] bit for bit.
+    """
+
+    def __init__(self, shape, delta: float, cells: int):
+        self.shape = shape
+        self.two_over_b = 2.0 / shape.codim
+        self.w_max = shape.upper_y(delta) ** (0.5 * shape.codim)
+        self.bounds = _panel_boundaries(shape, delta, self.w_max, max(1024, cells // 16))
+        lo = self.bounds[:-1]
+        width = np.diff(self.bounds)
+        pts = lo[:, None] + width[:, None] * _GL_NODES[None, :]
+        self.panel_mass = width * _panel_sums(self.h(pts))
+        self.cum = np.concatenate(([0.0], np.cumsum(self.panel_mass)))
+        self.total = self.cum[-1]
+
+    def h(self, w: np.ndarray) -> np.ndarray:
+        return self.two_over_b * self.shape.g_reg(np.power(w, self.two_over_b))
+
+    def cdf(self, w: np.ndarray) -> np.ndarray:
+        """Cumulative integral of h from 0 to each w; chunked so the
+        (points, 16) temporaries stay below ~40 MB."""
+        bounds, last = self.bounds, len(self.bounds) - 2
+        out = np.empty_like(w)
+        for c0 in range(0, w.size, 1 << 18):
+            ww = w[c0 : c0 + (1 << 18)]
+            j = np.clip(np.searchsorted(bounds, ww, side="right") - 1, 0, last)
+            base = bounds[j]
+            pts = base[:, None] + (ww - base)[:, None] * _GL_NODES[None, :]
+            out[c0 : c0 + (1 << 18)] = self.cum[j] + (ww - base) * _panel_sums(self.h(pts))
+        return out
+
+    def knots(self, targets: np.ndarray) -> np.ndarray:
+        """The w_j with cdf(w_j) = targets_j (ascending, from 0 to total)
+        to 1e-12 of the total, by Newton inside each target's panel.
+
+        Each step re-evaluates only the live knots, those whose residual
+        is still above 1e-12 total (or NaN); the rest are frozen, and each
+        of them met that bar when it was frozen. The achievable residual is
+        limited by h * ulp(w) near the density peak, so only a run that
+        exhausts its 60 steps is checked again, over every knot, at 1e-11,
+        and raises ConvergenceError above it. The end knots are pinned to
+        0 and w_max."""
+        bounds, cum, total = self.bounds, self.cum, self.total
+        j = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(bounds) - 2)
+        lo, hi = bounds[j], bounds[j + 1]
+        w = lo + (hi - lo) * np.clip((targets - cum[j]) / self.panel_mass[j], 0.0, 1.0)
+        bar = 1e-12 * total
+        live = np.arange(w.size)
+        for _ in range(60):
+            resid = self.cdf(w[live]) - targets[live]
+            moving = ~(np.abs(resid) <= bar)
+            live, resid = live[moving], resid[moving]
+            if live.size == 0:
+                break
+            wl = w[live]
+            w[live] = np.clip(wl - resid / self.h(wl), lo[live], hi[live])
+        else:
+            if np.max(np.abs(self.cdf(w) - targets)) > 1e-11 * total:
+                raise ConvergenceError("jump-table knot inversion did not converge")
+        w[0] = 0.0
+        w[-1] = self.w_max
+        # knots whose targets sit below the Newton tolerance can land out of
+        # order at the noise scale; order them without moving anything beyond
+        # that tolerance, and let certification judge the result
+        return np.maximum.accumulate(w)
 
 
 def _build_jump_table(shape, delta: float, cells: int) -> _JumpTable:
@@ -302,39 +404,17 @@ def _build_jump_table(shape, delta: float, cells: int) -> _JumpTable:
     bounded and strictly positive, and panel quadrature over w is well
     posed. shape.g_reg is the remaining regular factor: the density in y
     is y^(b/2-1) g_reg(y) up to the shape's constant and the measure's
-    weight, which cancel from the conditional law.
+    weight, which cancel from the conditional law. The knots are inverted
+    from, and the midpoint certificate is taken against, the same
+    _PanelCdf, whose pair panels are graded toward the cutoff; it is not
+    an independent CDF, so only the panels' resolution keeps the two
+    honest (tests check every cell against tail_mass).
     """
     b = float(shape.codim)
     half = 0.5 * b
     two_over_b = 2.0 / b
-    w_max = shape.upper_y(delta) ** half
-
-    def y_of_w(w: np.ndarray) -> np.ndarray:
-        return np.power(w, two_over_b)
-
-    def h(w: np.ndarray) -> np.ndarray:
-        return two_over_b * shape.g_reg(y_of_w(w))
-
-    bounds = _panel_boundaries(w_max, max(1024, cells // 16))
-    lo = bounds[:-1]
-    width = np.diff(bounds)
-    eval_pts = lo[:, None] + width[:, None] * _GL_NODES[None, :]
-    panel_mass = width * (h(eval_pts) @ _GL_WEIGHTS)
-    cum = np.concatenate(([0.0], np.cumsum(panel_mass)))
-    total = cum[-1]
-
-    def cdf_at(w: np.ndarray) -> np.ndarray:
-        """Cumulative integral of h from 0 to each w, via the panel grid
-        plus a 16-point Gauss remainder inside the landing panel; chunked
-        so the (points, 16) temporaries stay below ~40 MB."""
-        out = np.empty_like(w)
-        for c0 in range(0, w.size, 1 << 18):
-            ww = w[c0 : c0 + (1 << 18)]
-            j = np.clip(np.searchsorted(bounds, ww, side="right") - 1, 0, len(lo) - 1)
-            base = bounds[j]
-            pts = base[:, None] + (ww - base)[:, None] * _GL_NODES[None, :]
-            out[c0 : c0 + (1 << 18)] = cum[j] + (ww - base) * (h(pts) @ _GL_WEIGHTS)
-        return out
+    panel = _PanelCdf(shape, delta, cells)
+    total = panel.total
 
     # knots: invert the cumulative at probabilities q_j = s_j^P with s_j
     # equally spaced, so the table is uniform in s. P is a multiple of b/2
@@ -344,29 +424,9 @@ def _build_jump_table(shape, delta: float, cells: int) -> _JumpTable:
     step = int(b) if int(b) % 2 else int(b) // 2
     P = 4 if step in (1, 2, 4) else step
     s = np.arange(cells + 1) / cells
-    targets = np.power(s, float(P)) * total
-    j = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(lo) - 1)
-    w = bounds[j] + width[j] * np.clip(
-        (targets - cum[j]) / panel_mass[j], 0.0, 1.0
-    )
-    # the achievable residual is limited by h * ulp(w) near the density
-    # peak, so accept an order above that rather than chasing exact zeros
-    for _ in range(60):
-        resid = cdf_at(w) - targets
-        if np.max(np.abs(resid)) <= 1e-12 * total:
-            break
-        w = np.clip(w - resid / h(w), bounds[j], bounds[j + 1])
-    else:
-        if np.max(np.abs(cdf_at(w) - targets)) > 1e-11 * total:
-            raise ConvergenceError("jump-table knot inversion did not converge")
-    w[0] = 0.0
-    w[-1] = w_max
-    # knots whose targets sit below the Newton tolerance can land out of
-    # order at the noise scale; order them without moving anything beyond
-    # that tolerance, and let certification judge the result
-    w = np.maximum.accumulate(w)
+    w = panel.knots(np.power(s, float(P)) * total)
 
-    y = y_of_w(w)
+    y = np.power(w, two_over_b)
     x_knots = shape.x_of_y(y)
     x_knots[0] = 1.0
     x_knots[-1] = delta
@@ -383,13 +443,13 @@ def _build_jump_table(shape, delta: float, cells: int) -> _JumpTable:
     x_mid = np.clip(table.fill_x_of_s(s_mid.copy(), *_buffers(cells)), 1e-300, 1.0)
     y_mid = shape.end_factor(np.log(x_mid))
     w_mid = np.power(y_mid, half)
-    err_q = np.abs(cdf_at(w_mid) / total - np.power(s_mid, float(P)))
+    err_q = np.abs(panel.cdf(w_mid) / total - np.power(s_mid, float(P)))
     # a float64 quantile cannot beat the q-image of one ulp of x, and for
     # b < 2 that image diverges at the x -> 1 corner, so the target there
     # is floored at the image of a few ulp instead of the global one
     with np.errstate(divide="ignore", over="ignore"):
         dq_dx = (
-            h(w_mid) * half * np.power(np.maximum(y_mid, 1e-300), half - 1.0)
+            panel.h(w_mid) * half * np.power(np.maximum(y_mid, 1e-300), half - 1.0)
             * shape.dy_dx_abs(x_mid) / total
         )
     tol = np.maximum(_CERT_TARGET, 8.0 * np.spacing(x_mid) * dq_dx)
