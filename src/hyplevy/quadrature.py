@@ -31,11 +31,7 @@ rounds to 1 cost O(1) per row, and only its large-form columns cost work
 per element. The integrand is called once per level, so a batch's
 node-only factors are computed once per level, and its rows are summed
 in tiles of at most _TILE elements (rows x nodes), whole rows each,
-which bounds the temporaries whatever the batch's size. A batch may split
-its rows into groups (RowBatch.groups): each group is cut into tiles as
-if it were a batch alone, and whole pieces of consecutive groups share a
-tile while they fit, so a row function that depends on where its tile
-starts sees the same starts as in separate batches, in fewer calls. Each row
+which bounds the temporaries whatever the batch's size. Each row
 converges on its own test
 |S_L - S_{L-1}| <= max(abs_tol, rel_tol |S_L|) and keeps the value of the
 first level that passes it; a level sums only the rows that have not
@@ -48,7 +44,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -103,35 +99,23 @@ def _es_nodes(level: int, new_only: bool = False) -> tuple[np.ndarray, np.ndarra
 class RowBatch(NamedTuple):
     """n integrals sharing a level's nodes: sums(rows, w) gives the
     (len(rows),) weighted sums over the nodes, under the level's weights
-    w, of the rows in the index array rows. groups, ascending row
-    indices, split the rows into groups that no call of sums spans."""
+    w, of the rows in the index array rows."""
 
     n: int
     sums: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    groups: Sequence[int] = ()
 
 
 def _level_sums(values, w: np.ndarray, live) -> np.ndarray:
     """The weighted sums over one level's nodes w of an integrand's values
     there: of its one integral, or of a RowBatch's rows live (all of them
-    if None, else ascending), in tiles of at most _TILE elements. Each
-    group's live rows are cut into pieces of that size from its first, as
-    if it were a batch alone, and a tile takes whole consecutive pieces
-    while they fit in it."""
+    if None), in tiles of at most _TILE elements."""
     if not isinstance(values, RowBatch):
         if np.ndim(values) != 1:
             raise ValueError("an integrand returns (n_nodes,) values or a RowBatch")
         return np.sum(w * values)
     live = np.arange(values.n) if live is None else live
     step = max(1, _TILE // len(w))
-    cuts = [0, *np.searchsorted(live, values.groups), len(live)]
-    tiles = [0]
-    for start, end in zip(cuts, cuts[1:]):
-        for i in range(start, end, step):
-            if min(i + step, end) - tiles[-1] > step:
-                tiles.append(i)
-    tiles.append(len(live))
-    return np.concatenate([values.sums(live[i:j], w) for i, j in zip(tiles, tiles[1:])])
+    return np.concatenate([values.sums(live[i : i + step], w) for i in range(0, len(live), step)])
 
 
 def _refine(level_sum, where: str, rel_tol: float, abs_tol: float):

@@ -23,7 +23,8 @@ cutoff, where its regular factor (1 - y)^(-(d+1)/2) peaks, and each row
 of a panel sum has the bits it would have alone, so a knot's CDF value does
 not depend on the knots evaluated beside it. Newton inverts the CDF at the
 knots to 1e-12 of the mass, each step re-evaluating only the knots not yet
-there; only a run that exhausts its 60 steps is checked again, over every
+there and still moving; only a run in which some knot stalls (its step
+leaves w unchanged) or exhausts its 60 steps is checked again, over every
 knot, at 1e-11, and may raise ConvergenceError. The table is certified at
 build time: the max CDF residual over all cell midpoints must not exceed
 1e-10. The first table has 2^11 cells, and the cell count is doubled until
@@ -218,9 +219,9 @@ class _JumpTable:
     end, so the interpolation error stays O(cells^-4) with small constants.
 
     coef is the read-only (4, cells + 1) array of the cells' monomial
-    coefficients, row j holding c_j, and c0..c3 are its cells-long row
-    views; column cells is the sentinel cell (c0 the last cubic's value at
-    fraction 1, c1 = c2 = c3 = 0) that fill_x_of_s reads at s = 1."""
+    coefficients, row j holding c_j; column cells is the sentinel cell
+    (c0 the last cubic's value at fraction 1, c1 = c2 = c3 = 0) that
+    fill_x_of_s reads at s = 1."""
 
     def __init__(self, x_knots: np.ndarray, slopes: np.ndarray, index_pow: int,
                  cells: int, cert_error: float):
@@ -243,7 +244,6 @@ class _JumpTable:
         coef[0, cells] = ((c3 * 1.0 + c2) * 1.0 + c1) * 1.0 + c0
         coef.flags.writeable = False
         self.coef = coef
-        self.c0, self.c1, self.c2, self.c3 = (row[:cells] for row in coef)
 
     def fill_x_of_q(self, q: np.ndarray, idx: np.ndarray, scratch: np.ndarray,
                     acc: np.ndarray) -> np.ndarray:
@@ -365,16 +365,19 @@ class _PanelCdf:
         Each step re-evaluates only the live knots, those whose residual
         is still above 1e-12 total (or NaN); the rest are frozen, and each
         of them met that bar when it was frozen. The achievable residual is
-        limited by h * ulp(w) near the density peak, so only a run that
-        exhausts its 60 steps is checked again, over every knot, at 1e-11,
-        and raises ConvergenceError above it. The end knots are pinned to
+        limited by h * ulp(w) near the density peak, where a knot's step can
+        round to no change in w; cdf gives a knot the bits it has alone, so
+        every later step would repeat it, and the knot leaves the live set
+        unconverged. If any knot leaves unconverged, by such a stall or by
+        the 60-step cap, every knot is checked again at 1e-11, and
+        ConvergenceError is raised above it. The end knots are pinned to
         0 and w_max."""
         bounds, cum, total = self.bounds, self.cum, self.total
         j = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(bounds) - 2)
         lo, hi = bounds[j], bounds[j + 1]
         w = lo + (hi - lo) * np.clip((targets - cum[j]) / self.panel_mass[j], 0.0, 1.0)
         bar = 1e-12 * total
-        live = np.arange(w.size)
+        live, stalled = np.arange(w.size), False
         for _ in range(60):
             resid = self.cdf(w[live]) - targets[live]
             moving = ~(np.abs(resid) <= bar)
@@ -383,9 +386,13 @@ class _PanelCdf:
                 break
             wl = w[live]
             w[live] = np.clip(wl - resid / self.h(wl), lo[live], hi[live])
-        else:
-            if np.max(np.abs(self.cdf(w) - targets)) > 1e-11 * total:
-                raise ConvergenceError("jump-table knot inversion did not converge")
+            moved = w[live] != wl  # true for a NaN knot, which stays live
+            stalled = stalled or not moved.all()
+            live = live[moved]
+            if live.size == 0:
+                break
+        if (stalled or live.size) and np.max(np.abs(self.cdf(w) - targets)) > 1e-11 * total:
+            raise ConvergenceError("jump-table knot inversion did not converge")
         w[0] = 0.0
         w[-1] = self.w_max
         # knots whose targets sit below the Newton tolerance can land out of

@@ -54,13 +54,12 @@ from a doubling search over the grid, seeded at the first probe that
 neither of two lower bounds on |cf| shows to stay above the threshold:
 the Gaussian exp(-sigma^2 t^2 / 2), and the cumulant series less its
 stated bound. So the quadrature takes every grid frequency up to the
-seed that the series leaves in one pass, with its recurrence restarted
-after each probe, and a density of the benchmark's density_grid
-workload takes 0.67 quadrature passes (1.35 with the Gaussian bound
-alone), which took that workload from 816 to 902 densities per second
-(medians of 10 runs on one core of a 2-core shared machine, Python
-3.11.7, numpy 2.4.6); invert_to_density's docstring states the search in
-full.
+seed that the series leaves in one pass, and a density of the
+benchmark's density_grid workload takes 0.67 quadrature passes (1.35
+with the Gaussian bound alone), which took that workload from 816 to 902
+densities per second (medians of 10 runs on one core of a 2-core shared
+machine, Python 3.11.7, numpy 2.4.6); invert_to_density's docstring
+states the search in full.
 
 Only the half spectrum k = 0..N/2 is built: cf(-t) = conj(cf(t))
 supplies the rest. With
@@ -181,28 +180,26 @@ class _PhaseLevel:
     each row is summed over its own columns b.. by one np.add.reduceat.
     So every step of a row reads its own frequency and the level's node
     arrays only, and a row's sum is the one it has alone, bit for bit,
-    whichever rows share its call (with run, its run start aside).
+    whichever rows share its call (with dt, its run start aside).
 
-    The large form has two routes. Without run, each element takes two
+    The large form has two routes. Without dt, each element takes two
     sines (_unit_phase): -2 sin(y/2)^2 w top and (sin y - y) w top. With
-    run = (key, dt), the rows' frequencies are grid frequencies t = k dt
-    for integers k, and key is an integer per row that steps by 1 where k
-    does and the caller lets a run go on (k itself where every run may);
-    each run of consecutive keys takes the doubling recurrence
-    (_progression) from its first row with w top as its top: a few rows
-    of sines, one complex multiply-add for each other row, and the
-    imaginary part less t (x w top) per element, so no cancellation moves
-    into a sum. Against the exact value at the given t, x and w top, such
-    an element errs by at most _PROGRESSION_ERR u (|E| + |y|) |w top|, u
-    the unit roundoff; the |y| part is the cancellation in sin y - y,
-    which the sine route has too. A row's sum then errs, to first order in u, by at most the
-    sum of those element bounds over its large columns (the x == 1.0 ones
-    included), plus (n + 10) u times the sum over all n nodes of
-    w (|Re F| + |Im F|), F the exact term in its form. The second part
-    covers the products with w, every sum of at most n terms (the prefix
-    sums, S1 and the reduction) and the row factors' roundings; the tests
-    check both parts against mpmath. The temporaries are the size of the
-    span times the rows, which the rule's row tiles
+    dt, the rows' frequencies are grid frequencies t = k dt for integers
+    k = rint(t / dt), and each run of consecutive k takes the doubling
+    recurrence (_progression) from its first row with w top as its top: a
+    few rows of sines, one complex multiply-add for each other row, and
+    the imaginary part less t (x w top) per element, so no cancellation
+    moves into a sum. Against the exact value at the given t, x and w top,
+    such an element errs by at most _PROGRESSION_ERR u (|E| + |y|) |w top|,
+    u the unit roundoff; the |y| part is the cancellation in sin y - y,
+    which the sine route has too. A row's sum then errs, to first order
+    in u, by at most the sum of those element bounds over its large
+    columns (the x == 1.0 ones included), plus (n + 10) u times the sum
+    over all n nodes of w (|Re F| + |Im F|), F the exact term in its form.
+    The second part covers the products with w, every sum of at most n
+    terms (the prefix sums, S1 and the reduction) and the row factors'
+    roundings; the tests check both parts against mpmath. The temporaries
+    are the size of the span times the rows, which the rule's row tiles
     (hyplevy.quadrature._TILE) bound.
     """
 
@@ -228,9 +225,9 @@ class _PhaseLevel:
             self.xwtop = self.x * self.wtop
         self.one = np.add.reduce(self.wtop[self.end :])
 
-    def sums(self, t, w, run=None) -> np.ndarray:
-        """The row sums at the 1-D frequencies t (nonzero), with run = (key,
-        dt) for grid frequencies t = k dt."""
+    def sums(self, t, w, dt=None) -> np.ndarray:
+        """The row sums at the 1-D frequencies t (nonzero), with dt for
+        grid frequencies t = k dt."""
         if self.wtop is None:
             self._weigh(w)
         end = self.end
@@ -254,15 +251,15 @@ class _PhaseLevel:
         out = parts.view(complex)[:, 0]
         lo = int(b.min())
         if lo < end:
-            out += self._large(t, b, lo, run)
+            out += self._large(t, b, lo, dt)
         return out
 
-    def _large(self, t, b, lo, run) -> np.ndarray:
+    def _large(self, t, b, lo, dt) -> np.ndarray:
         """Each row's sum of its large-form terms over its columns b..end,
         from one (rows, end - lo) block of them over the span lo..end."""
         n, span = len(t), self.end - lo
         flat = np.empty(n * span + 1, dtype=complex)  # one spare: every index below is in range
-        self.terms(t, b, lo, run, flat[:-1].reshape(n, span))
+        self.terms(t, b, lo, dt, flat[:-1].reshape(n, span))
         # row i's columns are flat[i span + b_i - lo : (i + 1) span]; the
         # segments between them are summed too and dropped
         own = np.minimum(b, self.end) - lo
@@ -274,22 +271,22 @@ class _PhaseLevel:
         sums[own == span] = 0.0  # no large column: reduceat would give flat[start]
         return sums
 
-    def terms(self, t, b, lo, run, out) -> None:
+    def terms(self, t, b, lo, dt, out) -> None:
         """The large form (G(y) - iy) w top of the rows t, whose Taylor
         columns end at b, over the columns lo..end into the (rows,
         end - lo) complex array out; on the recurrence, a run's columns
         below its least b are set to 0 instead."""
         x, wtop = self.x[lo : self.end], self.wtop[lo : self.end]
-        if run is None:
+        if dt is None:
             y = t[:, None] * x
             h, s = _unit_phase(y)
             np.multiply(h, wtop, out=out.real)
             s -= y
             np.multiply(s, wtop, out=out.imag)
             return
-        key, dt = run
-        # each run of consecutive keys, from its first row, over its own span
-        cuts = np.flatnonzero(key[1:] - key[:-1] != 1.0) + 1
+        k = np.rint(t / dt)
+        # each run of consecutive k, from its first row, over its own span
+        cuts = np.flatnonzero(k[1:] - k[:-1] != 1.0) + 1
         for a, c in zip([0, *cuts], [*cuts, len(t)]):
             first = min(int(b[a:c].min()) - lo, len(x))
             out[a:c, :first] = 0.0
@@ -297,9 +294,7 @@ class _PhaseLevel:
         out.imag -= t[:, None] * self.xwtop[lo : self.end]
 
 
-def _quadrature_exponents(
-    measure: LevyMeasure1D, ts: np.ndarray, dt=None, starts=()
-) -> np.ndarray:
+def _quadrature_exponents(measure: LevyMeasure1D, ts: np.ndarray, dt=None) -> np.ndarray:
     """psi at every frequency of the nonempty 1-D array ts by quadrature.
 
     The frequencies are one batch of the family's quadrature, tanh-sinh
@@ -312,31 +307,15 @@ def _quadrature_exponents(
     returns. With dt, ts must be grid frequencies k dt for integers k,
     and the runs of consecutive k among a tile's rows take the
     recurrence, so a row's value also depends on where its run starts,
-    within the recurrence's stated error. The ascending grid indices
-    starts split the rows into groups, a new one wherever a row's k has
-    passed a start that the row before it had not. A run never spans two
-    groups, and each group's rows are cut into tiles from its own first
-    live row, whole pieces of which may share a call (RowBatch.groups);
-    so every row's value is the one a call with its group alone returns,
-    bit for bit. Zero frequencies are the caller's to drop
-    (_char_exponents does).
+    within the recurrence's stated error. Zero frequencies are the
+    caller's to drop (_char_exponents does).
     """
     shape = measure.shape
     t = np.asarray(ts, dtype=float)
-    key, groups = None, ()
-    if dt is not None:
-        k = np.rint(t / dt)
-        group = np.searchsorted(starts, k, "right")
-        groups = np.flatnonzero(np.diff(group)) + 1
-        key = k + group  # consecutive only for consecutive k of one group
 
     def integrand(*nodes):
         level = _PhaseLevel(*shape.phase_terms(*nodes))
-        return RowBatch(
-            len(t),
-            lambda rows, w: level.sums(t[rows], w, None if key is None else (key[rows], dt)),
-            groups,
-        )
+        return RowBatch(len(t), lambda rows, w: level.sums(t[rows], w, dt))
 
     rule = exp_sinh if shape.half_line else tanh_sinh
     # a phase term that overflows (|t| near 1e300) makes its row nan, which
@@ -485,15 +464,15 @@ def _series_exponents(measure: LevyMeasure1D, ts: np.ndarray):
     return np.concatenate(psis), np.concatenate(bounds)
 
 
-def _char_exponents(measure: LevyMeasure1D, ts: np.ndarray, dt=None, starts=()) -> np.ndarray:
+def _char_exponents(measure: LevyMeasure1D, ts: np.ndarray, dt=None) -> np.ndarray:
     """psi at every frequency of the 1-D array ts, each by one route.
 
     The nonzero frequencies, taken in order of |t|, go to the cumulant
     series (_series_exponents) as long as its stated bound is at most
     _SERIES_TOL |psi|; the rest, in their given order, go to the
-    quadrature (_quadrature_exponents), with dt and the group starts
-    when ts are the grid frequencies k dt. The frequencies the series
-    answers are therefore those of |t| below the first it cannot.
+    quadrature (_quadrature_exponents), with dt when ts are the grid
+    frequencies k dt. The frequencies the series answers are therefore
+    those of |t| below the first it cannot.
     """
     ts = np.asarray(ts, dtype=float)
     out = np.zeros(ts.shape, dtype=complex)
@@ -506,7 +485,7 @@ def _char_exponents(measure: LevyMeasure1D, ts: np.ndarray, dt=None, starts=()) 
     todo[series] = False
     rest = np.flatnonzero(todo)
     if rest.size:
-        out[rest] = _quadrature_exponents(measure, ts[rest], dt, starts)
+        out[rest] = _quadrature_exponents(measure, ts[rest], dt)
     return out
 
 
@@ -647,14 +626,11 @@ def invert_to_density(
     frequencies between it and the probe below, which the grid needs if
     it is the cutoff. So the quadrature answers every frequency up to the
     seed that the series leaves in one pass, the cutoff is that of the
-    plain search, and no frequency is evaluated twice or above it. Within
-    the first batch the grid recurrence restarts after each probe from
-    k_safe on, where the batches of a search seeded by the Gaussian bound
-    alone begin (_quadrature_exponents' starts), so every value keeps its
-    bits. Over the 128 laws of the benchmark's density_grid workload, a
-    density takes 0.67 quadrature passes (1.35 with the Gaussian bound
-    alone) and the same 48.8 quadrature rows, and the workload runs 902
-    densities per second against 816 (the module docstring's machine).
+    plain search, and no frequency is evaluated twice or above it. Over
+    the 128 laws of the benchmark's density_grid workload, a density
+    takes 0.67 quadrature passes (1.35 with the Gaussian bound alone) and
+    the same 48.8 quadrature rows, and the workload runs 902 densities
+    per second against 816 (the module docstring's machine).
 
     A top seed is evaluated alone first, as it alone decides whether any
     probe can be the cutoff: if it does not drop below the threshold,
@@ -705,8 +681,6 @@ def invert_to_density(
     above = [i for i in ladder if i >= _safe_index(half_width)]
     passes = _series_passes(measure, np.array(above, dtype=float) * dt)
     seed = next((i for i, ok in zip(above, passes) if not ok), top)
-    # the batches of a search seeded by the Gaussian bound alone start here
-    starts = [i + 1 for i in above if i < seed]
     # half spectrum a_k = (-1)^k cf(k dt), k = 0..n/2
     a = np.zeros(half + 1, dtype=complex)
     a[0] = 1.0
@@ -724,7 +698,7 @@ def invert_to_density(
     for i_cut in checked:
         if not known[i_cut]:
             ks = np.flatnonzero(~known[: max(i_cut, seed) + 1])
-            a[ks] = np.exp(_char_exponents(measure, ks * dt, dt, starts))
+            a[ks] = np.exp(_char_exponents(measure, ks * dt, dt))
             known[ks] = True
         achieved = float(abs(a[i_cut]))
         if achieved < _DECAY_THRESHOLD:

@@ -199,28 +199,35 @@ class TestBatchedRows:
         assert max(r * n for r, n in tiles) <= 4096
         assert tiled.tobytes() == whole.tobytes()
 
-    def test_groups_are_tiled_as_if_alone(self, monkeypatch):
-        # 50 rows in groups 0..2, 3..4, 5..29 and 30..49 under a budget of
-        # 10 rows (4096 elements at level 5's 391 nodes): each group is cut
-        # into pieces of 10 rows from its own first row, 3 | 2 | 10 10 5 |
-        # 10 10, and a tile takes whole consecutive pieces while they fit
-        monkeypatch.setattr(quadrature, "_TILE", 4096)
-        t = np.linspace(0.5, 3.0, 50)[:, None]
-        tiles = []
+    @pytest.mark.parametrize("tile", [4096, 1500], ids=["some-rows", "one-row"])
+    def test_live_rows_are_tiled_from_the_first_live_one(self, tile, monkeypatch):
+        # 50 rows, the even ones constant (they pass at level 6) and the
+        # odd ones oscillating, which pass from level 6 to level 9: each
+        # level's live rows, gaps and all, are cut into pieces of
+        # tile // nodes rows from the first live row on, with the bits of
+        # the one tile of the default budget
+        t = np.linspace(0.5, 3.0, 50)
+        tiles = {}
 
         def f(x, bm):
             def sums(rows, w):
-                if np.size(x) == 391:
-                    tiles.append(list(rows))
-                return np.sum(w * np.exp(1j * t[rows] * x), axis=-1)
+                tiles.setdefault(np.size(x), []).append(rows.tolist())
+                vals = np.where((rows % 2 == 0)[:, None], 1.0, np.cos(200.0 * t[rows, None] * x))
+                return np.sum(w * vals, axis=-1)
 
-            return RowBatch(50, sums, (3, 5, 30))
+            return RowBatch(50, sums)
 
-        grouped = tanh_sinh(f)
-        bounds = [0, 5, 15, 25, 30, 40, 50]
-        assert tiles == [list(range(i, j)) for i, j in zip(bounds, bounds[1:])]
-        alone = tanh_sinh(lambda x, bm: rows_of(50, lambda rows: np.exp(1j * t[rows] * x)))
-        assert grouped.tobytes() == alone.tobytes()
+        whole = tanh_sinh(f)
+        tiles.clear()
+        monkeypatch.setattr(quadrature, "_TILE", tile)
+        tiled = tanh_sinh(f)
+        assert sorted(tiles) == [391, 392, 782, 1564, 3128]
+        assert sum(tiles[782], []) == list(range(5, 50, 2))
+        assert sum(tiles[1564], [])[:2] == [13, 27]  # rows 15..25 passed at level 7
+        for nodes, got in tiles.items():
+            live, step = sum(got, []), max(1, tile // nodes)
+            assert got == [live[i : i + step] for i in range(0, len(live), step)]
+        assert tiled.tobytes() == whole.tobytes()
 
     def test_an_array_integrand_is_one_integral(self):
         # a batch comes as a RowBatch; an array must be (n_nodes,)

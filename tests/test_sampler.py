@@ -68,16 +68,18 @@ def hermite_reference(table, q):
 def clamped_kernel(table, s):
     """The table's quantile at the coordinates s by the Horner kernel with
     an explicit clamp: cell i = min(trunc(s cells), cells - 1), fraction
-    s cells - i as a float minus an int64, and clip-mode gathers from
-    c0..c3. Streams from 0.2.0 on were recorded through these bits."""
+    s cells - i as a float minus an int64, and clip-mode gathers from the
+    cells' coefficient rows c0..c3. Streams from 0.2.0 on were recorded
+    through these bits."""
     s = np.array(s, dtype=float)
     idx, scratch, acc = sampler._buffers(s.size)
     np.multiply(s, table.cells, out=s)
     np.copyto(idx, s, casting="unsafe")
     np.minimum(idx, table.cells - 1, out=idx)
     np.subtract(s, idx, out=s)
-    np.take(table.c3, idx, out=acc, mode="clip")
-    for c in (table.c2, table.c1, table.c0):
+    c0, c1, c2, c3 = table.coef[:, : table.cells]
+    np.take(c3, idx, out=acc, mode="clip")
+    for c in (c2, c1, c0):
         acc *= s
         np.take(c, idx, out=scratch, mode="clip")
         acc += scratch
@@ -389,11 +391,12 @@ class TestInverseJumpCdf:
     )
     def test_table_digest_is_pinned(self, measure, digest):
         # the two mc_sample tables at delta = 1e-3: SHA-256 of the float64
-        # bytes of the knots, slopes and c0..c3, then cells as int64 and
-        # cert_error as float64; any change here moves every draw
+        # bytes of the knots, slopes and cells-long coefficient rows c0..c3,
+        # then cells as int64 and cert_error as float64; any change here
+        # moves every draw
         table = sampler._certified_jump_table(measure.shape, 1e-3)
         h = hashlib.sha256()
-        for a in (table.x_knots, table.slopes, table.c0, table.c1, table.c2, table.c3):
+        for a in (table.x_knots, table.slopes, *table.coef[:, : table.cells]):
             h.update(a.tobytes())
         h.update(np.int64(table.cells).tobytes())
         h.update(np.float64(table.cert_error).tobytes())
@@ -401,17 +404,13 @@ class TestInverseJumpCdf:
 
     def test_a_cached_table_is_read_only(self):
         # every sample and quantile call at this shape and delta shares it;
-        # c0..c3 are the rows of one coefficient array, whose last column
-        # is the sentinel cell
+        # the last column of the coefficient array is the sentinel cell
         table = sampler._certified_jump_table(RESC43.shape, 1e-3)
         sentinel = table.coef[:, table.cells]
-        for a in (table.x_knots, table.slopes, table.c0, table.c1, table.c2, table.c3, sentinel):
+        for a in (table.x_knots, table.slopes, *table.coef, sentinel):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
         assert table.coef.shape == (4, table.cells + 1)
-        for j, row in enumerate((table.c0, table.c1, table.c2, table.c3)):
-            assert row.base is table.coef
-            assert np.shares_memory(row, table.coef[j, : table.cells])
         assert sentinel[1:].tolist() == [0.0, 0.0, 0.0]
 
     def test_a_table_build_leaves_out_numpy_polynomial(self):
@@ -457,6 +456,37 @@ class TestInverseJumpCdf:
         ulp_step = np.abs(panel.cdf(np.nextafter(w, np.inf)) - panel.cdf(w))
         assert np.all(resid <= np.maximum(1e-12 * panel.total, ulp_step))
         assert np.max(resid) <= 1e-11 * panel.total
+
+    @pytest.mark.parametrize(
+        "measure, delta, calls",
+        [(RESC43, 1e-3, 5), (make_measure("limit", 3), 1e-3, 4), (RESC43, 1e-4, 7),
+         (RESC43, 3e-5, 6)],
+        ids=["resc43-1e-3", "limit3-1e-3", "resc43-1e-4", "resc43-3e-5"],
+    )
+    def test_a_stalled_knot_leaves_the_newton(self, monkeypatch, measure, delta, calls):
+        # a knot whose step leaves w unchanged would take that step again
+        # at every later one, so it leaves the live set at once and the
+        # whole-table check judges it. Rescaled (4,3) has 33 such knots at
+        # 1e-4 and 243 at 3e-5, which the 60-step cap would keep live for
+        # 62 cdf calls a build. The counts take in the Newton steps, the
+        # 1e-11 check where a knot stalls, and the midpoint certificate;
+        # the mc_sample builds at 1e-3 have no stalled knot
+        sizes = []
+        cdf = sampler._PanelCdf.cdf
+
+        def record(panel, w):
+            sizes.append(w.size)
+            return cdf(panel, w)
+
+        monkeypatch.setattr(sampler._PanelCdf, "cdf", record)
+        sampler._certified_jump_table.cache_clear()
+        try:
+            table = sampler._certified_jump_table(measure.shape, delta)
+        finally:
+            sampler._certified_jump_table.cache_clear()
+        assert table.cells == 1 << 11
+        assert len(sizes) == calls
+        assert sizes[0] == table.cells + 1 and sizes[-1] == table.cells  # knots, midpoints
 
     def test_panel_sums_do_not_depend_on_the_block(self):
         # a knot's CDF value must be the same whichever knots share its
@@ -643,7 +673,7 @@ class TestSampleDeterminism:
         delta = 1e-2
         table = sampler._certified_jump_table(HYP75.shape, delta)
         h = hashlib.sha256()
-        for a in (table.x_knots, table.slopes, table.c0, table.c1, table.c2, table.c3):
+        for a in (table.x_knots, table.slopes, *table.coef[:, : table.cells]):
             h.update(a.tobytes())
         h.update(np.int64(table.cells).tobytes())
         h.update(np.float64(table.cert_error).tobytes())

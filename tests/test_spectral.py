@@ -534,6 +534,30 @@ class TestInversionWork:
         assert round(grid.meta["cf_cutoff"] / grid_step(RESC43)) == 64
         assert len(quad_log) == 1
 
+    @pytest.mark.parametrize(
+        "measure", [RESC43, RESC75, LIMIT1, LIMIT2], ids=["resc43", "resc75", "limit1", "limit2"]
+    )
+    def test_the_first_call_is_one_plain_grid_batch(self, measure, monkeypatch):
+        # k = 1..seed is one batch of grid frequencies, tiled and cut into
+        # recurrence runs as any other: its psi is that of one call with
+        # the step alone, byte for byte (a batch that restarted its runs
+        # after each probe, at k = 33 for rescaled (4,3), would not be)
+        calls = []
+        real = spectral._char_exponents
+
+        def record(measure, ts, *rest):
+            psi = real(measure, ts, *rest)
+            calls.append((np.array(ts, dtype=float), psi))
+            return psi
+
+        monkeypatch.setattr(spectral, "_char_exponents", record)
+        invert_to_density(measure)
+        dt = grid_step(measure)
+        ts = np.array(seeded_block(measure, 12.0, 16384), dtype=float) * dt
+        first_ts, first_psi = calls[0]
+        assert first_ts.tobytes() == ts.tobytes()
+        assert first_psi.tobytes() == real(measure, ts, dt).tobytes()
+
     def test_the_benchmark_laws_take_two_thirds_of_a_pass_each(self, quad_log):
         # the 128 laws of the benchmark's density_grid workload at the
         # defaults: 86 quadrature passes, 0.67 per density (173 when the
@@ -854,8 +878,8 @@ class TestPhaseKernel:
         calls = []
         real = _PhaseLevel.sums
 
-        def record(phase, t, w, run=None):
-            assert run is None  # frequencies that are no grid: the sine route
+        def record(phase, t, w, dt=None):
+            assert dt is None  # frequencies that are no grid: the sine route
             got = real(phase, t, w)
             calls.append((phase, t, w[phase.order], got))
             return got
@@ -900,7 +924,7 @@ class TestPhaseKernel:
         dt = grid_step(measure)
         k = k0 + np.array(live, dtype=float)
         t = k * dt
-        routes = {"sines": phase.sums(t, w), "progression": phase.sums(t, w, (k, dt))}
+        routes = {"sines": phase.sums(t, w), "progression": phase.sums(t, w, dt)}
         for i, ti in enumerate(t):
             want, bound = row_sum_exact(phase, w[phase.order], ti)
             for got in routes.values():
@@ -972,18 +996,18 @@ def phase_exact(t, x):
         return complex(mpmath.expj(y) - 1 - 1j * y), abs(float(y))
 
 
-def large_tiles(phase, t, live, tile, run=None):
+def large_tiles(phase, t, live, tile, dt=None):
     """_PhaseLevel's large-form block over the rows live, in the row tiles
     the quadrature makes at level 5 (391 nodes) under the budget tile, as
     (rows, their Taylor column counts b, the block's first column lo, the
-    block)."""
+    block); with dt, the rows are grid frequencies on the recurrence."""
     step = max(1, tile // 391)
     for i in range(0, len(live), step):
         rows = np.array(live[i : i + step])
         b = taylor_columns(phase, t[rows])
         lo = int(b.min())
         block = np.empty((len(rows), phase.end - lo), dtype=complex)
-        phase.terms(t[rows], b, lo, None if run is None else (run[0][rows], run[1]), block)
+        phase.terms(t[rows], b, lo, dt, block)
         yield rows, b, lo, block
 
 
@@ -1024,7 +1048,7 @@ class TestProgressionRoute:
         t = k * dt
         worst = {"progression": 0.0, "sines": 0.0}
         tiles = zip(
-            large_tiles(phase, t, live, tile, run=(k, dt)), large_tiles(phase, t, live, tile)
+            large_tiles(phase, t, live, tile, dt), large_tiles(phase, t, live, tile)
         )
         for (rows, b, lo, got), (_, _, _, sines) in tiles:
             for i, row in enumerate(rows):
@@ -1057,34 +1081,32 @@ class TestProgressionRoute:
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
     @pytest.mark.parametrize("measure", SEARCH_LAWS, ids=SEARCH_IDS)
-    @pytest.mark.parametrize("tile", [391 * 30, 1500, quadrature._TILE])
-    def test_a_grouped_pass_gives_each_group_its_own_bits(self, measure, tile, monkeypatch):
-        # groups 5..16, 17..32, 33..64 and 65..128, as the first batch of a
-        # density splits its rows after each probe: one pass returns each
-        # row the bits of a call with its group alone, in tiles that cut
-        # groups into pieces (1500 elements: one row each) or take several
-        # (391 * 30: 30 rows at level 5)
-        monkeypatch.setattr(quadrature, "_TILE", tile)
+    def test_a_run_ends_where_k_skips(self, measure, monkeypatch):
+        # k = 5..16, 33..64 and 129..140 in one batch, under a budget that
+        # keeps every level's live rows in one tile (at most 44 rows of
+        # level 12's new nodes): the recurrence restarts wherever k skips,
+        # so each stretch gets the bits of a call with it alone
+        monkeypatch.setattr(quadrature, "_TILE", 1 << 21)
         dt = grid_step(measure)
-        ks = np.arange(5.0, 129.0)
-        got = _quadrature_exponents(measure, ks * dt, dt, [17, 33, 65])
-        groups = [ks[(ks >= lo) & (ks < hi)] for lo, hi in ((5, 17), (17, 33), (33, 65), (65, 129))]
-        want = np.concatenate([_quadrature_exponents(measure, g * dt, dt) for g in groups])
+        bounds = ((5, 17), (33, 65), (129, 141))
+        stretches = [np.arange(lo, hi, dtype=float) for lo, hi in bounds]
+        got = _quadrature_exponents(measure, np.concatenate(stretches) * dt, dt)
+        want = np.concatenate([_quadrature_exponents(measure, ks * dt, dt) for ks in stretches])
         assert got.tobytes() == want.tobytes()
 
     def test_a_default_density_takes_the_recurrence(self, monkeypatch):
         # the large form's direct sines cover at most the seed rows and one
-        # row of shifts per doubling in each run of consecutive keys of a
+        # row of shifts per doubling in each run of consecutive k of a
         # row-sum call; a fall-back to the sine route would take them for
         # every row
         calls = []
         sums, unit_phase = _PhaseLevel.sums, spectral._unit_phase
 
-        def record_sums(phase, t, w, run=None):
-            assert run is not None
-            cuts = np.flatnonzero(np.diff(run[0]) != 1.0) + 1
+        def record_sums(phase, t, w, dt=None):
+            assert dt is not None
+            cuts = np.flatnonzero(np.diff(np.rint(t / dt)) != 1.0) + 1
             calls.append({"runs": np.diff([0, *cuts, len(t)]), "direct": 0})
-            return sums(phase, t, w, run)
+            return sums(phase, t, w, dt)
 
         def record_unit_phase(y):
             if np.ndim(y) == 2:  # over the nodes, not the per-row x = 1 factor
@@ -1096,8 +1118,6 @@ class TestProgressionRoute:
         invert_to_density(RESC43)
         seed = spectral._SEED_ROWS
         assert max(max(call["runs"]) for call in calls) >= 8 * seed
-        # the run after probe 32 restarts in the same call as the one below
-        assert max(len(call["runs"]) for call in calls) >= 2
         for call in calls:
             allowed = sum(
                 min(rows, seed) + math.ceil(math.log2(max(rows / seed, 1.0)))
@@ -1188,19 +1208,19 @@ class TestInvertToDensity:
         "measure, pins_quadrature, digests",
         [
             (RESC43, True,
-             ("1dd255a5eacf1f516227eda967882a63834a31e7a70c71fcb62215f95e942f12",
-              "de7ee0048bec01bc57e89d407aed4306965a2c0680ecd9e2f319d9177e9ac423")),
+             ("789b6b1644fe7357740c5243291ec45026f85e40bdb3e32e62f66f235611adfc",
+              "133efa2f7cdff6fb9c42ce0082be85d54fa461bf080075576f2f258c9677f243")),
             (HYP75, False,
              ("6bb6520dd37c6499073ad6fb8bcceda3b661dec2ff539ca41c47c23504976a84",
               "756540005c6d8310f8b3b702984b9433de0b27396187a145132da297ee5455d5")),
             (RESC75, True,
-             ("591d8bae671468b56fcfe62a324dbe200436839b8b16134386bc9455a7ab13c3",
-              "c8d75e1b2fa57051f7a6302580e1dcba75ef2bfbc481f524144dd7b05e4a79db")),
+             ("6fd3bdd254efe04afe19fb4ad5c73321d4e7dd51492024678fa2e9caa44f626c",
+              "2cad02bf0c191009f3279cfc2c661b6392068a697123efc7142c6e5de38f4680")),
             (LIMIT1, True,
-             ("22bb3eda60057e818ab9f5138a55316559d22d0fd7d7e988d0d5cba8b31db872",
-              "d139e07920397be79586e13bb9d9832e1543dba72a72a64de4c720b1a4a5883a")),
+             ("3f55d5804b1e431eb7a2ae956d886fbcafc50cc51101b09dbccdadc469017fe8",
+              "baf54a417d8ad5e9110a788011fc5de710724d08b98767e6d02a48fcd1fe6e9a")),
             (LIMIT2, True,
-             ("0efe271e9c150f30564a349c9d458f97c138a21f49b0bb8f68119dd6ac60b666",
+             ("a255f74f9499869f528e62b50e2c671ca8d48e8b214d92c659ef15aaafb0ca66",
               "b1b7a89d7540e96f36fa7bcf6a7977bdb8999280e51cbd7ea153a422b2fc4481")),
         ],
         ids=["resc43", "hyp75", "resc75", "limit1", "limit2"],
@@ -1212,7 +1232,10 @@ class TestInvertToDensity:
         # weighted row sums, whose rounding moved them (hyp75's stayed:
         # its quadrature rows have |cf| below 2e-18, too small to move a
         # bit of its grid or meta, so resc75, whose rows reach 2.6e-6,
-        # pins a second pair's quadrature route)
+        # pins a second pair's quadrature route); resc43, resc75, limit1
+        # and limit2-defaults re-recorded when the first batch stopped
+        # restarting its recurrence runs after each probe (every value
+        # within 2.7e-16 of its grid's peak, cf_at_cutoff within 7.4e-15)
         grid = invert_to_density(measure, **kw)
         h = hashlib.sha256(grid.values.tobytes())
         h.update(json.dumps(grid.meta, sort_keys=True).encode())
