@@ -33,12 +33,14 @@ quadrature runs to the relative tolerance 1e-11 (_REL_TOL), which is
 fixed, not a parameter. The frequencies of one call are one batch, a
 single quadrature pass in row tiles whose values do not depend on the
 batch (_quadrature_exponents); the scalar char_exponent is a batch of
-one. The batch hands the rule each row's weighted sum over a level's
-nodes (_PhaseLevel). Each phase term e^{itx} - 1 - itx is taken in one
-form, its quartic Taylor form in t where |t x| < 1e-4 and the large form
-elsewhere. Where the Taylor form holds, and where x rounds to 1.0 (so
-the phase is t itself), a row's sum is a node-only sum, formed once per
-level, times a factor of the row: those columns, about two thirds of the
+one. The batch hands the rule each row's weighted sums over the parts of
+an integrand call's nodes, level 5 and the nodes level 6 adds in the
+first call, one level's new nodes in each later one (_PhaseLevel). Each
+phase term e^{itx} - 1 - itx is taken in one form, its quartic Taylor
+form in t where |t x| < 1e-4 and the large form elsewhere. Where the
+Taylor form holds, and where x rounds to 1.0 (so the phase is t itself),
+a row's sum is a node-only sum, formed once per part, times a factor of
+the row: those columns, about two thirds of the
 density grid's, cost no work per element. The large form has two
 routes. Any batch can take two sines per term. The grid frequencies
 k dt that invert_to_density passes come in runs of consecutive k, where
@@ -49,32 +51,44 @@ which the tests check against mpmath.
 
 Densities come from sampling exp(psi) on a uniform frequency grid,
 truncating where |cf| falls below the threshold 1e-12 (_DECAY_THRESHOLD,
-fixed like _REL_TOL), and applying one real-output FFT. The cutoff comes
+fixed like _REL_TOL), and one pruned real-output FFT. The cutoff comes
 from a doubling search over the grid, seeded at the first probe that
 neither of two lower bounds on |cf| shows to stay above the threshold:
 the Gaussian exp(-sigma^2 t^2 / 2), and the cumulant series less its
 stated bound. So the quadrature takes every grid frequency up to the
 seed that the series leaves in one pass, and a density of the
 benchmark's density_grid workload takes 0.67 quadrature passes (1.35
-with the Gaussian bound alone), which took that workload from 816 to 902
-densities per second (medians of 10 runs on one core of a 2-core shared
-machine, Python 3.11.7, numpy 2.4.6); invert_to_density's docstring
-states the search in full.
+with the Gaussian bound alone); invert_to_density's docstring states the
+search in full.
 
 Only the half spectrum k = 0..N/2 is built: cf(-t) = conj(cf(t))
-supplies the rest. With
-x_m = (m - N/2) dx and dx dt = 2 pi / N, e^{-i k dt x_m} =
-(-1)^k e^{-2 pi i k m / N}, so
+supplies the rest. With x_m = (m - N/2) dx and dx dt = 2 pi / N,
+e^{-i k dt x_m} = (-1)^k e^{-2 pi i k m / N}, so
 
     f(x_m) = (dt / 2 pi) sum_{|k| < N/2} cf(k dt) e^{-i k dt x_m}
-           = (dt / 2 pi) hfft[a]_m,   a_k = (-1)^k cf(k dt),  a_{N/2} = 0,
+           = sum_{|k| < L} a_k e^{-2 pi i k m / N},
+      a_k = (dt / 2 pi) (-1)^k cf(k dt),  a_{-k} = conj(a_k),
 
-where hfft is numpy's length-N FFT of the Hermitian extension of a. The
-grid has no frequency +N/2 (the full grid runs over k = -N/2..N/2-1 and
-its -N/2 entry is zero), hence a_{N/2} = 0 even when the cutoff is N/2.
+with a_k = 0 above the cutoff. The grid has no frequency +N/2 (the full
+grid runs over k = -N/2..N/2-1 and its -N/2 entry is zero), so the last
+k placed is at most N/2 - 1 even when the cutoff is N/2, and L is the
+least divisor of N/2 above it. Only these L + 1 coefficients enter the
+transform (a pruned FFT: Markel 1971, IEEE Trans. Audio Electroacoust.
+19:305), split six-step style (Bailey 1990, J. Supercomputing 4:23):
+with R = N / (2L) and m = R j + r,
+
+    f(x_{Rj+r}) = sum_{|k| < L} (a_k e^{-2 pi i k r / N}) e^{-2 pi i k j / (2L)},
+
+for each r a length-2L transform of a Hermitian sequence, whose entry
+k = L is 0. The R transforms run as one call, numpy's irfft with norm
+"forward" along the first axis of the (L + 1, R) conjugates
+conj(a_k) e^{2 pi i k r / N}, and its (2L, R) result read row by row is
+f. The factors e^{2 pi i k r / N} of the k placed are cached per N, L
+and the last k placed (_twiddles). A cutoff at N/2 makes L = N/2 and
+R = 1, the plain length-N transform.
 The tests check the sum against a direct summation. The grid's mass and
-moments are summed by einsum, never by dot: numpy hands a dot product of
-more than 8192 elements to the BLAS thread pool.
+moments are trapezoid sums by ndarray.sum, never by dot: numpy hands a
+dot product of more than 8192 elements to the BLAS thread pool.
 """
 
 from __future__ import annotations
@@ -152,21 +166,26 @@ def _progression(t, x, top, dt, out) -> None:
 
 
 class _PhaseLevel:
-    """psi's integrand on one quadrature level's nodes, summed by row: for
-    rows of frequencies t, the sums over the nodes of w E(y) top, y = t x
-    and E(y) = e^{iy} - 1 - iy (sums). x, top and powers, the (4, nodes)
-    array of x^m top for m = 2..5, come from the shape's phase_terms,
-    which keeps the powers finite where top alone overflows; x lies in
-    [0, 1]. The weights w come with the first rows, as the rule passes
-    them.
+    """psi's integrand on the nodes of one integrand call, summed by row
+    and part: for rows of frequencies t, the sums over each part's nodes
+    of w E(y) top, y = t x and E(y) = e^{iy} - 1 - iy (sums). x, top and
+    powers, the (4, nodes) array of x^m top for m = 2..5, come from one
+    call of the shape's phase_terms over all of them, which keeps the
+    powers finite where top alone overflows; x lies in [0, 1]. The parts'
+    weights come with the first rows, as the rule passes them, and split
+    the nodes into parts: a level's nodes, or the ones the next level
+    adds.
 
-    Each term is taken in one form: its quartic Taylor form in t where
-    |y| < _SMALL_PHASE, the large form elsewhere. The nodes are put in
-    ascending x (exp-sinh's x = e^-v descend), so a row's Taylor columns
-    are its first b, b = searchsorted(x, _SMALL_PHASE / |t|), a function
-    of t alone, and its large ones run from b to the end. Per level, once,
-    _weigh forms the node-only sums. Per row, the Taylor columns and the
-    columns where x rounds to 1.0 cost O(1):
+    The nodes are put in ascending x within each part, the parts side by
+    side (exp-sinh's x = e^-v descend, so its call's nodes are reversed
+    whole, and its parts with them). Each term is taken in one form: its
+    quartic Taylor form in t where |y| < _SMALL_PHASE, the large form
+    elsewhere.
+    So in each part a row's Taylor columns are its first b, b =
+    searchsorted(x, _SMALL_PHASE / |t|) over the part, a function of t
+    alone, and its large ones run from b to the end. Per call, once,
+    _weigh forms the node-only sums. Per row and part, the Taylor columns
+    and the columns where x rounds to 1.0 cost O(1):
     - Taylor: -t^2/2 P2 + t^4/24 P4 + i(-t^3/6 P3 + t^5/120 P5), P_m the
       prefix sum of w x^m top over the first b columns (a sequential
       np.add.accumulate in ascending x);
@@ -174,124 +193,169 @@ class _PhaseLevel:
       w top over those columns and G(y) = e^{iy} - 1 (_unit_phase), in
       every row with |t| >= 1e-4 (below, b takes them into the prefix
       sums).
-    Only the large columns below x = 1.0 cost work per element: a block
-    over the span from the least b of the rows (of each run's rows, on
-    the recurrence) to those columns, of (G(y) - iy) w top (terms), and
-    each row is summed over its own columns b.. by one np.add.reduceat.
-    So every step of a row reads its own frequency and the level's node
-    arrays only, and a row's sum is the one it has alone, bit for bit,
-    whichever rows share its call (with dt, its run start aside).
+    Only the large columns below x = 1.0 cost work per element: one block
+    per run of rows (below), over every part's columns from the run's
+    least b to that part's end, side by side, of (G(y) - iy) w top
+    (_large_terms), and each row is summed over its own columns b.. of
+    each part by one np.add.reduceat. So every step of a row reads its own
+    frequency and the call's node arrays only, and a row's sum over a
+    part is the one it has alone over that part, bit for bit, whichever
+    rows and parts share its call (with dt, its run start aside).
 
-    The large form has two routes. Without dt, each element takes two
-    sines (_unit_phase): -2 sin(y/2)^2 w top and (sin y - y) w top. With
-    dt, the rows' frequencies are grid frequencies t = k dt for integers
-    k = rint(t / dt), and each run of consecutive k takes the doubling
-    recurrence (_progression) from its first row with w top as its top: a
-    few rows of sines, one complex multiply-add for each other row, and
-    the imaginary part less t (x w top) per element, so no cancellation
-    moves into a sum. Against the exact value at the given t, x and w top,
-    such an element errs by at most _PROGRESSION_ERR u (|E| + |y|) |w top|,
-    u the unit roundoff; the |y| part is the cancellation in sin y - y,
-    which the sine route has too. A row's sum then errs, to first order
-    in u, by at most the sum of those element bounds over its large
-    columns (the x == 1.0 ones included), plus (n + 10) u times the sum
-    over all n nodes of w (|Re F| + |Im F|), F the exact term in its form.
+    The large form has two routes. Without dt, all the rows are one run,
+    and each element takes two sines (_unit_phase): -2 sin(y/2)^2 w top
+    and (sin y - y) w top. With dt, the rows' frequencies are grid
+    frequencies t = k dt for integers k = rint(t / dt), and each run of
+    consecutive k takes the doubling recurrence (_progression) from its
+    first row with w top as its top: a few rows of sines, one complex
+    multiply-add for each other row, and the imaginary part less t
+    (x w top) per element, so no cancellation moves into a sum. Against
+    the exact value at the given t, x and w top, such an element errs by
+    at most _PROGRESSION_ERR u (|E| + |y|) |w top|, u the unit roundoff;
+    the |y| part is the cancellation in sin y - y, which the sine route
+    has too. A row's sum over a part then errs, to first order in u, by
+    at most the sum of those element bounds over its large columns (the
+    x == 1.0 ones included), plus (n + 10) u times the sum over the
+    part's n nodes of w (|Re F| + |Im F|), F the exact term in its form.
     The second part covers the products with w, every sum of at most n
     terms (the prefix sums, S1 and the reduction) and the row factors'
     roundings; the tests check both parts against mpmath. The temporaries
-    are the size of the span times the rows, which the rule's row tiles
-    (hyplevy.quadrature._TILE) bound.
+    are the size of the parts' spans times the rows, which the rule's row
+    tiles (hyplevy.quadrature._TILE) bound.
     """
 
     def __init__(self, x, top, powers):
-        self.order = slice(None, None, -1 if x[0] > x[-1] else 1)
-        self.x, self.top = x[self.order], top[self.order]
-        self.powers = powers[:, self.order]
-        self.end = int(np.searchsorted(self.x, 1.0))  # x rounds to 1.0 from here on
-        self.wtop = None
+        self.nodes = (x, top, powers)
+        self.parts = None
 
-    def _weigh(self, w) -> None:
-        """The node-only sums under the weights w, once: the prefix sums
-        of w x^m top as a (nodes + 1, 4) array with a leading 0 (m = 2..5
-        across), w top and x w top, and the sum of w top over the
-        x == 1.0 columns, all in ascending x."""
-        w = w[self.order]
-        self.prefix = np.zeros((len(w) + 1, 4))
-        np.add.accumulate(w[:, None] * self.powers.T, axis=0, out=self.prefix[1:])
+    def _weigh(self, ws) -> None:
+        """The layout and the node-only sums under the parts' weights ws,
+        once, in the order above: x, top, powers and w; each part's
+        (start, end, stop) columns, x rounding to 1.0 from end on (and
+        starts and ends as arrays); the prefix sums of w x^m top as a
+        (nodes + parts, 4) array (m = 2..5 across), part p's from a
+        leading 0 in row start + p on, so that the first b columns of the
+        layout sum to row b + lift[p], lift = (0, 1, ...); w top and
+        x w top; and each part's sum of w top over its x == 1.0 columns
+        (one)."""
+        x, top, powers = self.nodes
+        self.step = -1 if x[0] > x[-1] else 1  # every part runs the same way
+        self.x, self.top = x[:: self.step], top[:: self.step]
+        self.powers = powers[:, :: self.step]
+        self.w = np.concatenate(ws)[:: self.step]
+        terms = self.w[:, None] * self.powers.T
+        self.prefix = np.zeros((len(self.x) + len(ws), 4))
         # inf or nan only in columns small for every finite frequency below
         # about 1e300, where top overflows (x tiny or 0)
         with np.errstate(over="ignore", invalid="ignore"):
-            self.wtop = w * self.top
+            self.wtop = self.w * self.top
             self.xwtop = self.x * self.wtop
-        self.one = np.add.reduce(self.wtop[self.end :])
+        self.parts, one, start = [], [], 0
+        for p, w in enumerate(ws[:: self.step]):
+            stop = start + len(w)
+            end = start + int(np.searchsorted(self.x[start:stop], 1.0))
+            self.parts.append((start, end, stop))
+            rows = slice(start + p + 1, stop + p + 1)  # below them, the part's leading 0
+            np.add.accumulate(terms[start:stop], axis=0, out=self.prefix[rows])
+            one.append(np.add.reduce(self.wtop[end:stop]) if end < stop else 0.0)
+            start = stop
+        self.one = np.array(one)
+        self.starts, self.ends = (np.array(c) for c in list(zip(*self.parts))[:2])
+        self.lift = np.arange(len(ws))
 
-    def sums(self, t, w, dt=None) -> np.ndarray:
-        """The row sums at the 1-D frequencies t (nonzero), with dt for
-        grid frequencies t = k dt."""
-        if self.wtop is None:
-            self._weigh(w)
-        end = self.end
-        b = np.searchsorted(self.x, _SMALL_PHASE / np.abs(t))
+    def sums(self, t, ws, dt=None) -> np.ndarray:
+        """The (parts, rows) row sums at the 1-D frequencies t (nonzero),
+        with dt for grid frequencies t = k dt."""
+        if self.parts is None:
+            self._weigh(ws)
+        small = _SMALL_PHASE / np.abs(t)
+        b = np.empty((len(t), len(self.parts)), dtype=np.intp)  # columns of the layout
+        for p, (start, _, stop) in enumerate(self.parts):
+            b[:, p] = np.searchsorted(self.x[start:stop], small)
+        b += self.starts
         # Taylor: the prefix sums times (-t^2/2, -t^3/6, t^4/24, t^5/120),
         # the real parts summed beside the imaginary ones
-        factors = np.empty((len(t), 4))
-        np.multiply(t, t, out=factors[:, 0])
+        factors = np.empty((len(t), 1, 4))
+        np.multiply(t, t, out=factors[:, 0, 0])
         for j in range(1, 4):
-            np.multiply(factors[:, j - 1], t, out=factors[:, j])
+            np.multiply(factors[:, 0, j - 1], t, out=factors[:, 0, j])
         factors *= _TAYLOR_COEF
-        factors *= self.prefix[b]
-        parts = factors[:, :2] + factors[:, 2:]
-        if end < len(self.x):
-            # the x == 1.0 columns, large in every row with b <= end
-            one = (b <= end) * self.one
+        factors = factors * self.prefix[b + self.lift]
+        parts = factors[..., :2] + factors[..., 2:]
+        if any(end < stop for _, end, stop in self.parts):
+            # the x == 1.0 columns, large in every row with b <= end (a
+            # part without them adds 0)
+            one = (b <= self.ends) * self.one
             h, s = _unit_phase(t)
             s -= t
-            parts[:, 0] += h * one
-            parts[:, 1] += s * one
-        out = parts.view(complex)[:, 0]
-        lo = int(b.min())
-        if lo < end:
-            out += self._large(t, b, lo, dt)
-        return out
+            parts[..., 0] += h[:, None] * one
+            parts[..., 1] += s[:, None] * one
+        out = parts.view(complex)[..., 0]
+        if (b.min(axis=0) < self.ends).any():
+            out += self._large(t, b, dt)  # 0 where a row has no large column
+        return out.T[:: self.step]
 
-    def _large(self, t, b, lo, dt) -> np.ndarray:
-        """Each row's sum of its large-form terms over its columns b..end,
-        from one (rows, end - lo) block of them over the span lo..end."""
-        n, span = len(t), self.end - lo
-        flat = np.empty(n * span + 1, dtype=complex)  # one spare: every index below is in range
-        self.terms(t, b, lo, dt, flat[:-1].reshape(n, span))
-        # row i's columns are flat[i span + b_i - lo : (i + 1) span]; the
-        # segments between them are summed too and dropped
-        own = np.minimum(b, self.end) - lo
-        row = np.arange(0, n * span, span)
-        bounds = np.empty((n, 2), dtype=np.intp)
-        np.add(row, own, out=bounds[:, 0])
-        np.add(row, span, out=bounds[:, 1])
-        sums = np.add.reduceat(flat, bounds.ravel())[0::2]
-        sums[own == span] = 0.0  # no large column: reduceat would give flat[start]
+    def _large(self, t, b, dt) -> np.ndarray:
+        """Each row's sum of its large-form terms over its columns b..end
+        of each part, (rows, parts), by one reduceat over _large_terms."""
+        flat, bounds = self._large_terms(t, b, dt)
+        sums = np.add.reduceat(flat, bounds.ravel())[0::2].reshape(b.shape)
+        # no large column: reduceat would give flat[start]
+        sums[bounds[:, 0::2] == bounds[:, 1::2]] = 0.0
         return sums
 
-    def terms(self, t, b, lo, dt, out) -> None:
+    def _large_terms(self, t, b, dt):
         """The large form (G(y) - iy) w top of the rows t, whose Taylor
-        columns end at b, over the columns lo..end into the (rows,
-        end - lo) complex array out; on the recurrence, a run's columns
-        below its least b are set to 0 instead."""
-        x, wtop = self.x[lo : self.end], self.wtop[lo : self.end]
-        if dt is None:
-            y = t[:, None] * x
-            h, s = _unit_phase(y)
-            np.multiply(h, wtop, out=out.real)
-            s -= y
-            np.multiply(s, wtop, out=out.imag)
-            return
-        k = np.rint(t / dt)
-        # each run of consecutive k, from its first row, over its own span
-        cuts = np.flatnonzero(k[1:] - k[:-1] != 1.0) + 1
-        for a, c in zip([0, *cuts], [*cuts, len(t)]):
-            first = min(int(b[a:c].min()) - lo, len(x))
-            out[a:c, :first] = 0.0
-            _progression(t[a:c], x[first:], wtop[first:], dt, out[a:c, first:])
-        out.imag -= t[:, None] * self.xwtop[lo : self.end]
+        columns end at b (rows, parts, columns of the layout): (flat,
+        bounds), row i's terms over part p's columns b[i, p]..end being
+        flat[bounds[i, 2p] : bounds[i, 2p + 1]], in ascending x.
+
+        Each run of rows (each run of consecutive k with dt, all the rows
+        without) is one (rows, columns) block of flat over the columns of
+        every part from the run's least b to that part's end, the parts
+        side by side; so a run takes no column below its least b, and the
+        segments between a row's own columns are summed and dropped."""
+        own = np.minimum(b, self.ends)
+        starts = [0]
+        if dt is not None:
+            k = np.rint(t / dt)
+            starts += (np.flatnonzero(k[1:] != k[:-1] + 1.0) + 1).tolist()
+        runs = list(zip(starts, starts[1:] + [len(t)]))
+        firsts = np.minimum.reduceat(own, starts, axis=0).tolist()  # per run and part
+        ends = self.ends.tolist()
+        widths = [sum(ends) - sum(first) for first in firsts]
+        size = sum((c - a) * width for (a, c), width in zip(runs, widths))
+        flat = np.empty(size + 1, dtype=complex)  # one spare: every bound is in range
+        bounds = np.empty((len(t), 2 * len(ends)), dtype=np.intp)
+        offset = 0
+        for (a, c), first, width in zip(runs, firsts, widths):
+            row = np.arange(offset, offset + (c - a) * width, width)
+            at = 0  # the part's first column in the block
+            for p, (f, end) in enumerate(zip(first, ends)):
+                np.add(row, own[a:c, p], out=bounds[a:c, 2 * p])
+                bounds[a:c, 2 * p] += at - f
+                at += end - f
+                np.add(row, at, out=bounds[a:c, 2 * p + 1])
+            if width:
+                cols = [slice(f, end) for f, end in zip(first, ends)]
+                x = np.concatenate([self.x[col] for col in cols])
+                wtop = np.concatenate([self.wtop[col] for col in cols])
+                block = flat[offset : offset + (c - a) * width].reshape(c - a, width)
+                if dt is None:
+                    y = t[a:c, None] * x
+                    h, s = _unit_phase(y)
+                    np.multiply(h, wtop, out=block.real)
+                    s -= y
+                    np.multiply(s, wtop, out=block.imag)
+                else:
+                    _progression(t[a:c], x, wtop, dt, block)
+                    xwtop = np.concatenate([self.xwtop[col] for col in cols])
+                    run_t = t[a:c, None]
+                    step = max(1, _TILE // (4 * width))  # the product's rows at a time
+                    for i in range(0, c - a, step):
+                        block.imag[i : i + step] -= run_t[i : i + step] * xwtop
+            offset += (c - a) * width
+        return flat, bounds
 
 
 def _quadrature_exponents(measure: LevyMeasure1D, ts: np.ndarray, dt=None) -> np.ndarray:
@@ -300,9 +364,9 @@ def _quadrature_exponents(measure: LevyMeasure1D, ts: np.ndarray, dt=None) -> np
     The frequencies are one batch of the family's quadrature, tanh-sinh
     on (0, 1) or exp-sinh on (0, inf) in its shape's variable, so one
     pass runs over all of them: the shape's node factors and their
-    weighted node sums are computed once per level, and each row's sum
-    (_PhaseLevel) only for the rows that have not converged, in the
-    rule's row tiles. Each row keeps the level at which it converges.
+    weighted node sums are computed once per integrand call, and each
+    row's sum (_PhaseLevel) only for the rows that have not converged, in
+    the rule's row tiles. Each row keeps the level at which it converges.
     Without dt its value is the one a call with that frequency alone
     returns. With dt, ts must be grid frequencies k dt for integers k,
     and the runs of consecutive k among a tile's rows take the
@@ -315,7 +379,7 @@ def _quadrature_exponents(measure: LevyMeasure1D, ts: np.ndarray, dt=None) -> np
 
     def integrand(*nodes):
         level = _PhaseLevel(*shape.phase_terms(*nodes))
-        return RowBatch(len(t), lambda rows, w: level.sums(t[rows], w, dt))
+        return RowBatch(len(t), lambda rows, ws: level.sums(t[rows], ws, dt))
 
     rule = exp_sinh if shape.half_line else tanh_sinh
     # a phase term that overflows (|t| near 1e300) makes its row nan, which
@@ -553,18 +617,38 @@ class DensityGrid:
         return CdfTable(x0=self.x0, step=self.step, values=cum / total)
 
 
-def _weighted_total(w: np.ndarray, v: np.ndarray) -> float:
-    """sum of w * v in einsum's own loop. numpy's dot hands more than 8192
-    elements to the BLAS thread pool, which made an unpinned default
-    density about 15x slower than a single-threaded one."""
-    return float(np.einsum("i,i->", w, v))
+def _trapezoid(v: np.ndarray, step: float) -> float:
+    """The trapezoid sum of the grid values v at spacing step: their sum
+    less half of the two end values. A sum never hands the work to
+    the BLAS thread pool, as a dot product of more than 8192 elements
+    does, which made an unpinned default density about 15x slower than a
+    single-threaded one."""
+    return step * (float(v.sum()) - 0.5 * (v[0] + v[-1]))
 
 
-def _trapz_weights(n: int, step: float) -> np.ndarray:
-    w = np.full(n, step)
-    w[0] = 0.5 * step
-    w[-1] = 0.5 * step
-    return w
+@functools.lru_cache(maxsize=64)
+def _pruned_length(half: int, top: int) -> int:
+    """The least divisor of half above top, by trial division up to the
+    square root of half."""
+    small = [d for d in range(1, math.isqrt(half) + 1) if half % d == 0]
+    return min(d for d in small + [half // d for d in small] if d > top)
+
+
+_CACHED_TWIDDLES = 1 << 17  # grids of at most this many points keep their twiddles
+
+
+@functools.lru_cache(maxsize=8)
+def _twiddles(n: int, length: int, rows: int) -> np.ndarray:
+    """The (rows, n / (2 length)) factors e^{2 pi i k r / n}, k < rows
+    down and r across, read-only. Each holds fewer than n / 2 complex
+    numbers and the cache at most 8 of them, so a grid of more than
+    _CACHED_TWIDDLES points computes its table uncached (__wrapped__)."""
+    kr = np.arange(rows)[:, None] * np.arange(n // (2 * length))
+    angle = (2.0 * math.pi / n) * kr
+    table = np.empty(kr.shape, dtype=complex)
+    table.real, table.imag = np.cos(angle), np.sin(angle)
+    table.flags.writeable = False  # every caller gets this array
+    return table
 
 
 # log headroom of the seed: each bound behind it promises |cf| >= e * threshold
@@ -629,8 +713,7 @@ def invert_to_density(
     plain search, and no frequency is evaluated twice or above it. Over
     the 128 laws of the benchmark's density_grid workload, a density
     takes 0.67 quadrature passes (1.35 with the Gaussian bound alone) and
-    the same 48.8 quadrature rows, and the workload runs 902 densities
-    per second against 816 (the module docstring's machine).
+    the same 48.8 quadrature rows.
 
     A top seed is evaluated alone first, as it alone decides whether any
     probe can be the cutoff: if it does not drop below the threshold,
@@ -643,10 +726,13 @@ def invert_to_density(
     density on x_m = (m - n/2) dx, dx = 2 pi / (n dt), is the
     half-spectrum sum
 
-        f(x_m) = (dt / 2 pi) hfft[a]_m,  a_k = (-1)^k cf(k dt), k = 0..n/2,
+        f(x_m) = sum_{|k| < L} a_k e^{-2 pi i k m / n},
+        a_k = (dt / 2 pi) (-1)^k cf(k dt),  a_{-k} = conj(a_k),
 
-    with a_k = 0 above the cutoff and at k = n/2 (numpy.fft.hfft, length
-    n). half_width must be a positive finite real number and n_points an
+    with a_k = 0 above the cutoff and L the least divisor of n/2 above
+    the last k placed (the cutoff, or n/2 - 1 for a cutoff at n/2): n/(2L)
+    transforms of length 2L, one when L = n/2 (the module docstring).
+    half_width must be a positive finite real number and n_points an
     integer multiple of 4, at least 256; numpy numbers count, and meta
     holds them as a Python float and int. A law whose sigma times
     half_width underflows, so that dt is not a finite double, raises
@@ -678,7 +764,8 @@ def invert_to_density(
     ladder = [4 << m for m in range((half // 4).bit_length())]
     top = ladder[-1]
     # the probes the Gaussian bound leaves, of which the series may show more
-    above = [i for i in ladder if i >= _safe_index(half_width)]
+    k_safe = _safe_index(half_width)
+    above = [i for i in ladder if i >= k_safe]
     passes = _series_passes(measure, np.array(above, dtype=float) * dt)
     seed = next((i for i, ok in zip(above, passes) if not ok), top)
     # half spectrum a_k = (-1)^k cf(k dt), k = 0..n/2
@@ -712,34 +799,42 @@ def invert_to_density(
     t_cut = i_cut * dt
 
     # nothing above the cutoff is placed, and neither is a probe at n/2,
-    # since the grid's top frequency is (n/2 - 1) dt
-    a[min(i_cut + 1, half) :] = 0.0
-    a[1::2] *= -1.0
-    values = np.fft.hfft(a, n)
-    values *= dt / (2.0 * math.pi)
+    # since the grid's top frequency is (n/2 - 1) dt: the transform takes
+    # a_0..a_top with (-1)^k and dt / 2 pi folded in, and zeros up to
+    # a_L, L the least divisor of n/2 above top (the module docstring's
+    # split)
+    top = min(i_cut, half - 1)
+    length = _pruned_length(half, top)
+    coef = a[: top + 1]
+    coef[1::2] *= -1.0
+    coef *= dt / (2.0 * math.pi)
+    twiddles = _twiddles if n <= _CACHED_TWIDDLES else _twiddles.__wrapped__
+    block = np.zeros((length + 1, n // (2 * length)), dtype=complex)
+    np.multiply(twiddles(n, length, top + 1), coef.conj()[:, None], out=block[: top + 1])
+    values = np.fft.irfft(block, 2 * length, axis=0, norm="forward").ravel()
     dx = 2.0 * math.pi / (n * dt)
     x0 = -half * dx
 
     # in place where possible: a fresh n-length temporary costs page
     # faults on top of its pass
-    w = _trapz_weights(n, dx)
-    raw_mass = _weighted_total(w, values)
+    raw_mass = _trapezoid(values, dx)
     ripple = np.minimum(values, 0.0)
-    clipped_mass = -_weighted_total(w, ripple)
+    clipped_mass = -_trapezoid(ripple, dx)
     values -= ripple  # clipped at 0
-    values /= _weighted_total(w, values)
-    # moments by products, never pow (libm pow on negative bases costs
-    # ~70 ns an element); w becomes the normalized trapezoid mass
-    w *= values
+    values /= _trapezoid(values, dx)
+    # moments by products into the ripple's array, never pow (libm pow on
+    # negative bases costs ~70 ns an element)
     c = np.arange(n, dtype=float)
     c *= dx
     c += x0  # the grid's xs
-    mean = _weighted_total(w, c)
+    np.multiply(values, c, out=ripple)
+    mean = _trapezoid(ripple, dx)
     c -= mean
-    c2 = c * c
-    var = _weighted_total(w, c2)
-    c2 *= c
-    third = _weighted_total(w, c2)
+    np.multiply(values, c, out=ripple)
+    ripple *= c
+    var = _trapezoid(ripple, dx)
+    ripple *= c
+    third = _trapezoid(ripple, dx)
     meta = {
         "mass": raw_mass,
         "clipped_mass": clipped_mass,

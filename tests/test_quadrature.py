@@ -23,10 +23,17 @@ def counted(f):
     return g
 
 
+def sums_by_part(ws, values):
+    """The (parts, rows) sums of (rows, nodes) values over each part's
+    nodes, the parts' weights ws in turn, by np.sum."""
+    cuts = np.cumsum([len(w) for w in ws[:-1]])
+    return np.array([np.sum(w * v, axis=-1) for w, v in zip(ws, np.split(values, cuts, axis=-1))])
+
+
 def rows_of(n, values):
-    """A RowBatch of n integrals whose rows' values at the level's nodes
-    are values(rows), summed under the weights by np.sum."""
-    return RowBatch(n, lambda rows, w: np.sum(w * values(rows), axis=-1))
+    """A RowBatch of n integrals whose rows' values at the call's nodes
+    are values(rows), summed over each part under its weights."""
+    return RowBatch(n, lambda rows, ws: sums_by_part(ws, values(rows)))
 
 
 def last_delta(info) -> str:
@@ -114,19 +121,46 @@ class TestNestedLevels:
 
     def test_cached_nodes_are_read_only(self):
         # the caches hand the same arrays to every caller
-        for nodes in (_ts_nodes(6), _ts_nodes(6, True), _es_nodes(6), _es_nodes(6, True)):
+        first = ((5, False), (6, True))
+        calls = [quadrature._call_nodes(table, first)[0] for table in (_ts_nodes, _es_nodes)]
+        for nodes in (_ts_nodes(6), _ts_nodes(6, True), _es_nodes(6), _es_nodes(6, True), *calls):
             for a in nodes:
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = 0.0
 
     def test_level_five_to_six_evaluates_783_points(self):
-        # 391 nodes at level 5, then only the 392 nodes level 6 adds
+        # the 391 nodes of level 5 and the 392 nodes level 6 adds, in one
+        # integrand call
         f = counted(lambda x, bm: x * x)
         assert math.isclose(tanh_sinh(f, a=1.0, b=3.0), 26.0 / 3.0, rel_tol=1e-13)
-        assert f.calls == [391, 392]
+        assert f.calls == [783]
         g = counted(lambda x: np.exp(-x))
         assert math.isclose(exp_sinh(g, a=2.0), math.exp(-2.0), rel_tol=1e-12)
-        assert g.calls == [391, 392]
+        assert g.calls == [783]
+
+    @pytest.mark.parametrize("rule", ["tanh_sinh", "exp_sinh"])
+    def test_the_first_call_is_two_level_sums_bit_for_bit(self, rule):
+        # rel_tol = 1 accepts level 6, the first call's own: its value is
+        # the one of level 5 and level 6's new nodes in two calls, each
+        # summed by np.sum as the rule states, S6 = S5 / 2 + new
+        if rule == "tanh_sinh":
+            a, b = 1.0, 3.0
+            f = lambda x, bm: np.log(x) * np.sqrt(bm) + 1j * x  # noqa: E731
+            got = tanh_sinh(f, a=a, b=b, rel_tol=1.0)
+
+            def level(lv, new_only):
+                s, s1, w = _ts_nodes(lv, new_only)
+                return (b - a) * np.sum(w * f(a + (b - a) * s, (b - a) * s1))
+        else:
+            a = 0.5
+            f = lambda x: np.exp(-x) * np.log(x)  # noqa: E731
+            got = exp_sinh(f, a=a, rel_tol=1.0)
+
+            def level(lv, new_only):
+                x, w = _es_nodes(lv, new_only)
+                return np.sum(w * f(a + x))
+        want = 0.5 * level(5, False) + level(6, True)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_nested_sum_matches_the_full_level_sum(self, monkeypatch):
         # rel_tol = 1 accepts the first nested level after the start one
@@ -156,7 +190,8 @@ class TestBatchedRows:
         # started at level 4 with abs_tol = 1, the unit row passes at level
         # 5 while the scaled row needs level 7; the unit row keeps its
         # level-5 value, the one its own 1-D call returns, and not the
-        # sharper level-7 sum; levels 6 and 7 evaluate the scaled row only
+        # sharper level-7 sum; the first call (levels 4 and 5) evaluates
+        # both rows, levels 6 and 7 the scaled row only
         monkeypatch.setattr(quadrature, "_MIN_LEVEL", 4)
         kw = {"rel_tol": 0.0, "abs_tol": 1.0}
         scale = np.array([[1.0], [1e7]])
@@ -168,8 +203,8 @@ class TestBatchedRows:
 
         f = counted(lambda x, bm: rows_of(2, lambda rows: values(x, rows)))
         got = tanh_sinh(f, **kw)
-        assert len(f.calls) == 4
-        assert live == [[0, 1], [0, 1], [1], [1]]
+        assert len(f.calls) == 3
+        assert live == [[0, 1], [1], [1]]
         alone = tanh_sinh(lambda x, bm: np.cos(200.0 * x), **kw)
         exact = math.sin(200.0) / 200.0
         assert got[0] == alone
@@ -177,25 +212,25 @@ class TestBatchedRows:
         assert abs(got[1] - 1e7 * exact) <= 1e-6
 
     def test_rows_go_in_tiles_of_whole_rows(self, monkeypatch):
-        # 50 rows on level 5's 391 nodes and level 6's 392: a 4096-element
-        # budget gives tiles of 10 rows, each row whole, and the same bits
-        # as the one tile of the default budget
+        # 50 rows on one call over level 5's 391 nodes and level 6's 392:
+        # a 4096-element budget per part gives tiles of 10 rows, each row
+        # whole, and the same bits as the one tile of the default budget
         t = np.linspace(0.5, 3.0, 50)[:, None]
         tiles = []
 
         def f(x, bm):
-            def values(rows):
-                tiles.append((len(rows), np.size(x)))
-                return np.exp(1j * t[rows] * x)
+            def sums(rows, ws):
+                tiles.append((len(rows), max(len(w) for w in ws)))
+                return sums_by_part(ws, np.exp(1j * t[rows] * x))
 
-            return rows_of(50, values)
+            return RowBatch(50, sums)
 
         whole = tanh_sinh(f)
-        assert [r for r, _ in tiles] == [50, 50]
+        assert [r for r, _ in tiles] == [50]
         tiles.clear()
         monkeypatch.setattr(quadrature, "_TILE", 4096)
         tiled = tanh_sinh(f)
-        assert [r for r, _ in tiles] == [10] * 10
+        assert [r for r, _ in tiles] == [10] * 5
         assert max(r * n for r, n in tiles) <= 4096
         assert tiled.tobytes() == whole.tobytes()
 
@@ -203,17 +238,18 @@ class TestBatchedRows:
     def test_live_rows_are_tiled_from_the_first_live_one(self, tile, monkeypatch):
         # 50 rows, the even ones constant (they pass at level 6) and the
         # odd ones oscillating, which pass from level 6 to level 9: each
-        # level's live rows, gaps and all, are cut into pieces of
-        # tile // nodes rows from the first live row on, with the bits of
-        # the one tile of the default budget
+        # call's live rows, gaps and all, are cut into pieces of
+        # tile // (its largest part's nodes) rows from the first live row
+        # on, with the bits of the one tile of the default budget
         t = np.linspace(0.5, 3.0, 50)
-        tiles = {}
+        tiles, parts = {}, {}
 
         def f(x, bm):
-            def sums(rows, w):
+            def sums(rows, ws):
                 tiles.setdefault(np.size(x), []).append(rows.tolist())
+                parts[np.size(x)] = [len(w) for w in ws]
                 vals = np.where((rows % 2 == 0)[:, None], 1.0, np.cos(200.0 * t[rows, None] * x))
-                return np.sum(w * vals, axis=-1)
+                return sums_by_part(ws, vals)
 
             return RowBatch(50, sums)
 
@@ -221,11 +257,12 @@ class TestBatchedRows:
         tiles.clear()
         monkeypatch.setattr(quadrature, "_TILE", tile)
         tiled = tanh_sinh(f)
-        assert sorted(tiles) == [391, 392, 782, 1564, 3128]
+        assert sorted(tiles) == [782, 783, 1564, 3128]
+        assert parts[783] == [391, 392]  # levels 5 and 6 in one call
         assert sum(tiles[782], []) == list(range(5, 50, 2))
         assert sum(tiles[1564], [])[:2] == [13, 27]  # rows 15..25 passed at level 7
         for nodes, got in tiles.items():
-            live, step = sum(got, []), max(1, tile // nodes)
+            live, step = sum(got, []), max(1, tile // max(parts[nodes]))
             assert got == [live[i : i + step] for i in range(0, len(live), step)]
         assert tiled.tobytes() == whole.tobytes()
 

@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import warnings
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -310,10 +311,11 @@ class TestBlockExponents:
         ts = np.linspace(0.05, 40.0, 70)
         ts[40] = 300.0  # needs level 7, the others pass at level 6
         got = _quadrature_exponents(measure, ts)
-        # one pass: levels 5 and 6 over all 70 rows, level 7 over that row
+        # one pass: levels 5 and 6 in one call over all 70 rows, level 7
+        # over that row
         assert [rec["rows"] for rec in quad_log] == [70]
-        assert quad_log[0]["points"] == [391, 392, 782]
-        assert quad_log[0]["live"] == [70, 70, 1]
+        assert quad_log[0]["points"] == [783, 782]
+        assert quad_log[0]["live"] == [70, 1]
         quad_log.clear()
         alone = np.array([_quadrature_exponents(measure, np.array([t]))[0] for t in ts])
         assert [rec["rows"] for rec in quad_log] == [1] * len(ts)
@@ -335,7 +337,32 @@ class TestBlockExponents:
     def test_level_five_to_six_evaluates_783_points(self, quad_log):
         _quadrature_exponents(RESC43, np.array([1.0]))
         _quadrature_exponents(LIMIT2, np.array([1.0]))
-        assert [sum(rec["points"]) for rec in quad_log] == [783, 783]
+        assert [rec["points"] for rec in quad_log] == [[783], [783]]
+
+    @pytest.mark.parametrize(
+        "measure", [RESC43, LIMIT2, HYP75, LIMIT1], ids=["resc43", "limit2", "hyp75", "limit1"]
+    )
+    @pytest.mark.parametrize("grid", [False, True], ids=["sines", "progression"])
+    def test_the_first_call_is_two_level_calls_bit_for_bit(self, measure, grid, monkeypatch):
+        # _REL_TOL = 1 accepts level 6, the first call's own: each row is
+        # the one of level 5 and level 6's new nodes in two calls, one
+        # _PhaseLevel each, S6 = S5 / 2 + new, and the rule's scale
+        monkeypatch.setattr(spectral, "_REL_TOL", 1.0)
+        dt = grid_step(measure) if grid else None
+        ts = np.arange(3.0, 40.0) * grid_step(measure)
+        got = _quadrature_exponents(measure, ts, dt)
+
+        def level(lv, new_only):
+            # on (0, 1) or (0, inf) the rule's node arguments and scale
+            # are the nodes themselves and 1
+            if measure.shape.half_line:
+                *nodes, w = quadrature._es_nodes(lv, new_only)
+            else:
+                *nodes, w = quadrature._ts_nodes(lv, new_only)
+            return _PhaseLevel(*measure.shape.phase_terms(*nodes)).sums(ts, (w,), dt)[0]
+
+        want = measure.coef * (0.5 * level(5, False) + level(6, True))
+        assert got.tobytes() == want.tobytes()
 
 
 def log_kappa_mp(shape, m):
@@ -590,6 +617,8 @@ class TestInversionWork:
         # n/2, and no other
         cf = exponent_values(dt)
         assert sorted(cf) == list(range(1, n // 2 + 1))
+        # one transform of the whole half spectrum (n/(2L) = 1)
+        assert spectral._pruned_length(n // 2, n // 2 - 1) == n // 2
         # the grid has no +n/2 frequency: the density is the sum over
         # |k| < n/2, and a stray (-1)^m cf_{n/2} term would be visible
         bound = assert_matches_direct_sum(grid, cf, dt)
@@ -814,49 +843,59 @@ class TestSeededSearch:
 U = 2.0**-53  # unit roundoff of a double
 
 
-def level_at(measure, level):
-    """_PhaseLevel on the nodes the quadrature of measure evaluates at
-    level (the new ones past the first level), weighed: (the level, its
-    weights as the rule passes them)."""
-    new_only = level > quadrature._MIN_LEVEL
-    if measure.shape.half_line:
-        x, w = quadrature._es_nodes(level, new_only)
-        terms = measure.shape.phase_terms(x)
-    else:
-        s, s1, w = quadrature._ts_nodes(level, new_only)
-        terms = measure.shape.phase_terms(s, s1)
-    phase = _PhaseLevel(*terms)
-    phase._weigh(w)
-    return phase, w
+def levels_five_and_six(measure):
+    """_PhaseLevel on the nodes of the first integrand call of measure's
+    quadrature (level 5 and the nodes level 6 adds), weighed: (the
+    _PhaseLevel, its parts' weights as the rule passes them)."""
+    table = quadrature._es_nodes if measure.shape.half_line else quadrature._ts_nodes
+    nodes, ws = quadrature._call_nodes(table, ((5, False), (6, True)))
+    phase = _PhaseLevel(*measure.shape.phase_terms(*nodes))
+    phase._weigh(ws)
+    return phase, ws
 
 
-def taylor_columns(phase, t):
-    """The number of Taylor columns of each row: b = searchsorted(x,
-    _SMALL_PHASE / |t|), the rule _PhaseLevel states."""
-    return np.searchsorted(phase.x, _SMALL_PHASE / np.abs(t))
+def parts_of(phase):
+    """The parts of a weighed _PhaseLevel in the pass's order, each its x,
+    top, powers and weights, in ascending x, and its end, the first column
+    where x rounds to 1.0 (the sums' rows come in this order)."""
+    parts = [
+        SimpleNamespace(
+            x=phase.x[a:z], top=phase.top[a:z], powers=phase.powers[:, a:z], w=phase.w[a:z],
+            end=end - a,
+        )
+        for a, end, z in phase.parts
+    ]
+    return parts[:: phase.step]
 
 
-def row_sum_exact(phase, w, t):
-    """The sum over a weighed _PhaseLevel's nodes of w F at the frequency
-    t, at 30 digits, F the exact term in the form the level takes (the
-    quartic Taylor polynomial in its powers over the first b columns,
-    E(t x) top from b on), and the bound its docstring states on the
+def taylor_columns(x, t):
+    """The number of Taylor columns of each row over a part's ascending x:
+    b = searchsorted(x, _SMALL_PHASE / |t|), the rule _PhaseLevel states."""
+    return np.searchsorted(x, _SMALL_PHASE / np.abs(t))
+
+
+def row_sum_exact(part, t):
+    """The sum over a part's nodes of w F at the frequency t, at 30
+    digits, F the exact term in the form the part takes (the quartic
+    Taylor polynomial in its powers over the first b columns, E(t x) top
+    from b on), and the bound the _PhaseLevel docstring states on the
     computed sum: (the sum, the bound)."""
-    b = int(taylor_columns(phase, np.array([t]))[0])
+    w = part.w
+    b = int(taylor_columns(part.x, np.array([t]))[0])
     with mpmath.workdps(30):
         tm = mpmath.mpf(float(t))
         total, size, elements = mpmath.mpc(0), mpmath.mpf(0), mpmath.mpf(0)
         for j in range(len(w)):
             wj = mpmath.mpf(float(w[j]))
             if j < b:
-                p2, p3, p4, p5 = (mpmath.mpf(float(p)) for p in phase.powers[:, j])
+                p2, p3, p4, p5 = (mpmath.mpf(float(p)) for p in part.powers[:, j])
                 f = mpmath.mpc(
                     -(tm**2) / 2 * p2 + tm**4 / 24 * p4, -(tm**3) / 6 * p3 + tm**5 / 120 * p5
                 )
             else:
-                y = tm * mpmath.mpf(float(phase.x[j]))
+                y = tm * mpmath.mpf(float(part.x[j]))
                 e = mpmath.expj(y) - 1 - 1j * y
-                top = mpmath.mpf(float(phase.top[j]))
+                top = mpmath.mpf(float(part.top[j]))
                 f = e * top
                 elements += spectral._PROGRESSION_ERR * U * (abs(e) + abs(y)) * wj * top
             total += wj * f
@@ -872,33 +911,36 @@ class TestPhaseKernel:
     def test_row_sums_match_the_two_form_where(self, measure, monkeypatch):
         # frequencies from 1e-3 to 3e3 in one block put columns in every
         # form and drive the levels to 9 and beyond, whose new nodes (3128
-        # or more) are the widest spans; each row sum must match the exact
-        # sum of the two-form where() reference, weighted, within the
-        # stated bound of both
+        # or more) are the widest spans; each row's sum over each part must
+        # match the exact sum of the two-form where() reference, weighted,
+        # within the stated bound of both
         calls = []
         real = _PhaseLevel.sums
 
-        def record(phase, t, w, dt=None):
+        def record(phase, t, ws, dt=None):
             assert dt is None  # frequencies that are no grid: the sine route
-            got = real(phase, t, w)
-            calls.append((phase, t, w[phase.order], got))
+            got = real(phase, t, ws)
+            calls.extend(zip(parts_of(phase), [t] * len(got), got))
+            # a negative frequency gives the conjugate sums, bit for bit
+            assert np.array_equal(real(phase, -t, ws), np.conj(got))
             return got
 
         monkeypatch.setattr(_PhaseLevel, "sums", record)
         _quadrature_exponents(measure, np.geomspace(1e-3, 3e3, 32))
-        assert max(len(c[2]) for c in calls) > 2048  # some call at level 9 or above
+        assert len({len(c[0].w) for c in calls[:2]}) == 2  # the first call's two parts
+        assert max(len(c[0].w) for c in calls) > 2048  # some call at level 9 or above
         # and columns where x rounds to 1.0, which take y = t per row
         assert any(np.any(c[0].x == 1.0) for c in calls)
-        for phase, t, w, got in calls:
-            # the nodes are in ascending x, as the spans assume
-            assert np.all(np.diff(phase.x) >= 0.0)
-            n = len(w)
+        for part, t, got in calls:
+            # each part's nodes are in ascending x, as the spans assume
+            assert np.all(np.diff(part.x) >= 0.0)
+            w, n = part.w, len(part.w)
             with np.errstate(over="ignore", invalid="ignore"):
-                terms = where_kernel(t[:, None], phase.x, phase.top, phase.powers) * w
-                large = (np.arange(n) >= taylor_columns(phase, t)[:, None]) | (
-                    np.abs(t[:, None] * phase.x) >= _SMALL_PHASE
+                terms = where_kernel(t[:, None], part.x, part.top, part.powers) * w
+                large = (np.arange(n) >= taylor_columns(part.x, t)[:, None]) | (
+                    np.abs(t[:, None] * part.x) >= _SMALL_PHASE
                 )
-                y_top = np.where(large, np.abs(t[:, None] * phase.x) * w * phase.top, 0.0)
+                y_top = np.where(large, np.abs(t[:, None] * part.x) * w * part.top, 0.0)
             elements = np.where(large, np.abs(terms) + y_top, 0.0).sum(axis=1)
             size = (np.abs(terms.real) + np.abs(terms.imag)).sum(axis=1)
             bound = 2.0 * spectral._PROGRESSION_ERR * U * elements + (n + 20) * U * size
@@ -906,27 +948,27 @@ class TestPhaseKernel:
                 [complex(math.fsum(row.real), math.fsum(row.imag)) for row in terms]
             )
             assert np.all(np.abs(got - want) <= bound)
-            # a negative frequency gives the conjugate sum, bit for bit
-            assert np.array_equal(real(phase, -t, w), np.conj(got))
 
     @pytest.mark.parametrize("measure", SEARCH_LAWS, ids=SEARCH_IDS)
     @settings(max_examples=8, derandomize=True, deadline=None, database=None)
     @given(
-        level=st.sampled_from([5, 6]),
+        part=st.sampled_from([0, 1]),
         k0=st.integers(1, 4096),
         live=st.lists(st.integers(0, 63), min_size=1, max_size=4, unique=True).map(sorted),
     )
-    @example(level=5, k0=1, live=[0, 1, 2, 3])
-    def test_each_row_sum_is_within_the_stated_bound(self, measure, level, k0, live):
-        # grid rows on a level's real nodes and weights, both routes, each
-        # row against the exact sum of its terms in the forms it takes
-        phase, w = level_at(measure, level)
+    @example(part=0, k0=1, live=[0, 1, 2, 3])
+    def test_each_row_sum_is_within_the_stated_bound(self, measure, part, k0, live):
+        # grid rows on the first call's real nodes and weights, both
+        # routes, each row's sum over one part (level 5, or the nodes
+        # level 6 adds) against the exact sum of its terms in the forms it
+        # takes
+        phase, ws = levels_five_and_six(measure)
         dt = grid_step(measure)
         k = k0 + np.array(live, dtype=float)
         t = k * dt
-        routes = {"sines": phase.sums(t, w), "progression": phase.sums(t, w, dt)}
+        routes = {"sines": phase.sums(t, ws)[part], "progression": phase.sums(t, ws, dt)[part]}
         for i, ti in enumerate(t):
-            want, bound = row_sum_exact(phase, w[phase.order], ti)
+            want, bound = row_sum_exact(parts_of(phase)[part], ti)
             for got in routes.values():
                 assert abs(got[i] - want) <= bound
 
@@ -968,8 +1010,8 @@ class TestRowIndependence:
     @pytest.mark.parametrize("measure", SEARCH_LAWS, ids=SEARCH_IDS)
     def test_the_pool_spans_levels_six_to_eight(self, measure, quad_log):
         _quadrature_exponents(measure, np.array(ROW_POOL))
-        assert len(quad_log[0]["points"]) == 4  # levels 5..8
-        assert quad_log[0]["live"][0] > quad_log[0]["live"][2] > quad_log[0]["live"][3] > 0
+        assert len(quad_log[0]["points"]) == 3  # levels 5 and 6 in one call, 7, 8
+        assert quad_log[0]["live"][0] > quad_log[0]["live"][1] > quad_log[0]["live"][2] > 0
 
     @pytest.mark.parametrize("measure", SEARCH_LAWS, ids=SEARCH_IDS)
     @settings(max_examples=15, derandomize=True, deadline=None, database=None)
@@ -997,18 +1039,18 @@ def phase_exact(t, x):
 
 
 def large_tiles(phase, t, live, tile, dt=None):
-    """_PhaseLevel's large-form block over the rows live, in the row tiles
-    the quadrature makes at level 5 (391 nodes) under the budget tile, as
-    (rows, their Taylor column counts b, the block's first column lo, the
-    block); with dt, the rows are grid frequencies on the recurrence."""
-    step = max(1, tile // 391)
+    """_PhaseLevel's large-form terms over the rows live, in the row tiles
+    the quadrature makes on the first call (at most 392 nodes a part)
+    under the budget tile, as (rows, their Taylor columns b of the
+    layout, flat, bounds) (_large_terms); with dt, the rows are grid
+    frequencies on the recurrence."""
+    step = max(1, tile // 392)
     for i in range(0, len(live), step):
         rows = np.array(live[i : i + step])
-        b = taylor_columns(phase, t[rows])
-        lo = int(b.min())
-        block = np.empty((len(rows), phase.end - lo), dtype=complex)
-        phase.terms(t[rows], b, lo, dt, block)
-        yield rows, b, lo, block
+        b = np.stack(
+            [a + taylor_columns(phase.x[a:z], t[rows]) for a, _, z in phase.parts], axis=1
+        )
+        yield (rows, b, *phase._large_terms(t[rows], b, dt))
 
 
 # the rows a level keeps live: a run of up to 64 of 128 rows, less a few
@@ -1037,27 +1079,36 @@ class TestProgressionRoute:
     @example(dt=0.5, k0=4033, live=list(range(64)), tile=quadrature._TILE)
     def test_each_element_is_within_the_stated_bound(self, dt, k0, live, tile):
         # theta = dt x from 2e-7 dt to dt over the nodes (x below 1, as
-        # phase_terms gives them), live rows among 128 consecutive k from
+        # phase_terms gives them) in two parts, the even nodes and the odd
+        # ones, as a first call has; live rows among 128 consecutive k from
         # k0 on, in the tiles of each budget (391 elements make one-row
-        # tiles: seeds only); each row's large columns are checked
+        # tiles: seeds only); each row's large columns of each part are
+        # checked
         x = np.geomspace(2e-7, 0.999, 24)
+        x = np.r_[x[0::2], x[1::2]]
         top = np.ones_like(x)
         phase = _PhaseLevel(x, top, np.array([x**2, x**3, x**4, x**5]) * top)
-        phase._weigh(np.ones_like(x))
+        phase._weigh((np.ones(12), np.ones(12)))
         k = k0 + np.arange(128.0)
         t = k * dt
         worst = {"progression": 0.0, "sines": 0.0}
         tiles = zip(
             large_tiles(phase, t, live, tile, dt), large_tiles(phase, t, live, tile)
         )
-        for (rows, b, lo, got), (_, _, _, sines) in tiles:
+        for (rows, b, got, bounds), (_, _, sines, sine_bounds) in tiles:
             for i, row in enumerate(rows):
-                for j in range(b[i], phase.end):
-                    want, y = phase_exact(t[row], x[j])
-                    assert y >= _SMALL_PHASE * (1.0 - 2.0 * U)  # a large column
-                    scale = U * (abs(want) + y)
-                    for route, value in (("progression", got[i, j - lo]), ("sines", sines[i, j - lo])):
-                        worst[route] = max(worst[route], abs(value - want) / scale)
+                for p, (_, end, _) in enumerate(phase.parts):
+                    cols = range(b[i, p], end)  # the row's own large columns
+                    lo, hi = bounds[i, 2 * p : 2 * p + 2]
+                    s_lo, s_hi = sine_bounds[i, 2 * p : 2 * p + 2]
+                    assert hi - lo == s_hi - s_lo == len(cols)
+                    for j, col in enumerate(cols):
+                        want, y = phase_exact(t[row], phase.x[col])
+                        assert y >= _SMALL_PHASE * (1.0 - 2.0 * U)  # a large column
+                        scale = U * (abs(want) + y)
+                        values = {"progression": got[lo + j], "sines": sines[s_lo + j]}
+                        for route, value in values.items():
+                            worst[route] = max(worst[route], abs(value - want) / scale)
         # the bound the docstring states, which the sine route meets too
         assert worst["progression"] <= spectral._PROGRESSION_ERR
         assert worst["sines"] <= spectral._PROGRESSION_ERR
@@ -1168,7 +1219,7 @@ def test_a_deep_pass_keeps_its_row_tiles_small(quad_log):
     ts = np.linspace(9e3, 1e4, 200)
     _char_exponents(RESC43, ts)
     assert [rec["rows"] for rec in quad_log] == [200]
-    assert len(quad_log[0]["points"]) == 8  # levels 5..12
+    assert len(quad_log[0]["points"]) == 7  # levels 5 and 6 in one call, 7..12
     rise = peak_rss_rise_mb(
         setup="""
             import numpy as np
@@ -1208,20 +1259,20 @@ class TestInvertToDensity:
         "measure, pins_quadrature, digests",
         [
             (RESC43, True,
-             ("789b6b1644fe7357740c5243291ec45026f85e40bdb3e32e62f66f235611adfc",
-              "133efa2f7cdff6fb9c42ce0082be85d54fa461bf080075576f2f258c9677f243")),
+             ("9c693cc2d64c2fd59e3e4b44779466e4cf7b081ee8cdcd09475802d7095f0fa2",
+              "c2ca1200da5fa9bd4efddcdbaa33c92c023ddcd15eab736930bd13c963570add")),
             (HYP75, False,
-             ("6bb6520dd37c6499073ad6fb8bcceda3b661dec2ff539ca41c47c23504976a84",
-              "756540005c6d8310f8b3b702984b9433de0b27396187a145132da297ee5455d5")),
+             ("c3418b90de8d3f478e35e48ec8a05ed06a0fbe9f31dfcc041aedb871a9c1afe2",
+              "897366ff25cd0b9f0a17a14433c2bf10c75f1757ad6ffa45a76d7c8379222b9c")),
             (RESC75, True,
-             ("6fd3bdd254efe04afe19fb4ad5c73321d4e7dd51492024678fa2e9caa44f626c",
-              "2cad02bf0c191009f3279cfc2c661b6392068a697123efc7142c6e5de38f4680")),
+             ("a9a7fdf293f164906314860edec7f2523f4f8c1a25484aaa972a95ad6bd4ff71",
+              "8e5296399bc8970db15eb8a5b8edb8578ebb33ecddc7bb198277fdaeed0650c3")),
             (LIMIT1, True,
-             ("3f55d5804b1e431eb7a2ae956d886fbcafc50cc51101b09dbccdadc469017fe8",
-              "baf54a417d8ad5e9110a788011fc5de710724d08b98767e6d02a48fcd1fe6e9a")),
+             ("2e15e060b69430456cf7cfcb46e7a37183a0d9f5bc57eaf0721a55271f7aea09",
+              "797607c73bbf261ca8bf38a1266ef60a455e716042cb8828ca7750d19da68d8f")),
             (LIMIT2, True,
-             ("a255f74f9499869f528e62b50e2c671ca8d48e8b214d92c659ef15aaafb0ca66",
-              "b1b7a89d7540e96f36fa7bcf6a7977bdb8999280e51cbd7ea153a422b2fc4481")),
+             ("a985e8b2d41cd3052e86702298590bcdc87bc884d445f2cc93873a48c7009a05",
+              "3e3684478b302b7266078a701f7d1cc7fd08ff683bd10efdf6841a77c83ea446")),
         ],
         ids=["resc43", "hyp75", "resc75", "limit1", "limit2"],
     )
@@ -1235,7 +1286,11 @@ class TestInvertToDensity:
         # pins a second pair's quadrature route); resc43, resc75, limit1
         # and limit2-defaults re-recorded when the first batch stopped
         # restarting its recurrence runs after each probe (every value
-        # within 2.7e-16 of its grid's peak, cf_at_cutoff within 7.4e-15)
+        # within 2.7e-16 of its grid's peak, cf_at_cutoff within 7.4e-15);
+        # all ten re-recorded when the grid took a pruned transform of
+        # a_0..a_L with dt / 2 pi folded in and the trapezoid sums by sum
+        # (every value within 1.6e-15 of its grid's peak, the meta within
+        # 1.8e-14; its quadrature rows kept their bits)
         grid = invert_to_density(measure, **kw)
         h = hashlib.sha256(grid.values.tobytes())
         h.update(json.dumps(grid.meta, sort_keys=True).encode())
@@ -1353,6 +1408,61 @@ class TestHalfSpectrumInversion:
         cf = exponent_values(dt)
         assert sorted(cf) == list(range(1, round(grid.meta["cf_cutoff"] / dt) + 1))
         assert_matches_direct_sum(grid, cf, dt)
+
+    @pytest.mark.parametrize("n", [1000, 4100])
+    @pytest.mark.parametrize("measure", [RESC43, LIMIT2], ids=["resc43", "limit2"])
+    def test_a_grid_of_no_power_of_two_matches_the_direct_sum(self, measure, n, exponent_values):
+        # n/2 = 500 = 2^2 5^3 and 2050 = 2 5^2 41: the transform takes
+        # a_0..a_L, L the least divisor of n/2 above the cutoff index, in
+        # n/(2L) > 1 transforms of length 2L (L = 100, 250, 82 and 205)
+        grid = invert_to_density(measure, n_points=n)
+        dt = grid_step(measure)
+        cf = exponent_values(dt)
+        i_cut = round(grid.meta["cf_cutoff"] / dt)
+        length = spectral._pruned_length(n // 2, i_cut)
+        assert (n // 2) % length == 0 and i_cut < length < n // 2
+        assert all((n // 2) % d for d in range(i_cut + 1, length))
+        assert_matches_direct_sum(grid, cf, dt)
+
+    @pytest.mark.parametrize(
+        "measure, i_cut",
+        [
+            (make_measure("limit", 6), 32),
+            (RESC43, 64),
+            (make_measure("rescaled", DimensionPair(5, 4)), 128),
+            (LIMIT1, 256),
+        ],
+        ids=["limit6", "resc43", "resc54", "limit1"],
+    )
+    def test_each_cutoff_class_matches_the_direct_sum(self, measure, i_cut, exponent_values):
+        # the cutoff indices of the benchmark's 128 laws at the default
+        # 16384 points: 128 transforms of length 128 down to 16 of length
+        # 1024; every 61st point covers every one of them
+        grid = invert_to_density(measure)
+        dt = grid_step(measure)
+        assert round(grid.meta["cf_cutoff"] / dt) == i_cut
+        assert spectral._pruned_length(8192, i_cut) == 2 * i_cut
+        assert_matches_direct_sum(grid, exponent_values(dt), dt, every=61)
+
+    def test_cached_twiddles_are_read_only(self):
+        # the cache hands the same table to every density
+        table = spectral._twiddles(16384, 64, 33)
+        assert table.shape == (33, 128)
+        assert spectral._twiddles(16384, 64, 33) is table
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
+
+    def test_a_large_grid_keeps_no_twiddles(self):
+        # a table holds about n / 2 complex numbers, so the cache holds
+        # none of a grid above _CACHED_TWIDDLES points (2 MB at 2^18)
+        spectral._twiddles.cache_clear()
+        try:
+            invert_to_density(RESC43, n_points=2 * spectral._CACHED_TWIDDLES)
+            assert spectral._twiddles.cache_info().currsize == 0
+            invert_to_density(RESC43, n_points=spectral._CACHED_TWIDDLES)
+            assert spectral._twiddles.cache_info().currsize == 1
+        finally:
+            spectral._twiddles.cache_clear()
 
     @pytest.mark.parametrize(
         "measure", [RESC43, HYP75, LIMIT1, LIMIT3], ids=["resc43", "hyp75", "limit1", "limit3"]
