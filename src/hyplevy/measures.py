@@ -36,6 +36,7 @@ spectral modules work from the two alone.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -333,6 +334,16 @@ class LevyMeasure1D:
                 f"exp({self.shape.log_coef:.6g} + {self.log_weight:.6g}) = exp({log_coef:.6g}) "
                 "overflows a double"
             ) from None
+
+    def _times_coef(self, integral: float) -> float:
+        """coef times a quadrature result, in logs where coef is not a
+        normal double (the limit family from b = 343, where 1/Gamma(b/2) is
+        subnormal, and 0.0 from b = 357)."""
+        coef = self.coef
+        if coef >= sys.float_info.min:
+            return coef * integral
+        log_coef = self.shape.log_coef + self.log_weight
+        return math.exp(log_coef + math.log(integral)) if integral > 0.0 else 0.0
 
     def density(self, x):
         """exp(log_coef) x^(-1 - alpha) s(x)^(b/2 - 1), s the shape's

@@ -17,7 +17,7 @@ of level 5 followed by the 392 that level 6 adds, and the rule forms S_5
 from the first part and S_6 = S_5 / 2 + the sum over the second, by the
 same formulas and in the same order per part as two calls would: 783
 integrand points in one call. Each later call takes one level's new
-nodes.
+nodes, and each call's nodes are computed once (_call_nodes).
 
 Refinement runs from level 5 to level 12 at most; the levels are fixed,
 not parameters. The tolerances rel_tol and abs_tol are the callers': the
@@ -71,7 +71,6 @@ def _level_steps(level: int, new_only: bool) -> tuple[float, np.ndarray]:
     return h, i * h
 
 
-@lru_cache(maxsize=32)
 def _ts_nodes(level: int, new_only: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Abscissas on (0,1) at spacing 2^-level: (s, 1-s, weight)."""
     h, t = _level_steps(level, new_only)
@@ -80,13 +79,9 @@ def _ts_nodes(level: int, new_only: bool = False) -> tuple[np.ndarray, np.ndarra
     s1 = 1.0 / (1.0 + np.exp(2.0 * a))
     w = h * 0.25 * math.pi * np.cosh(t) / np.cosh(a) ** 2
     keep = (s > 0.0) & (s1 > 0.0) & (w > 0.0)
-    nodes = (s[keep], s1[keep], w[keep])
-    for shared in nodes:  # every caller gets these arrays
-        shared.flags.writeable = False
-    return nodes
+    return s[keep], s1[keep], w[keep]
 
 
-@lru_cache(maxsize=32)
 def _es_nodes(level: int, new_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Abscissas on (0, inf) at spacing 2^-level: (x, weight)."""
     h, t = _level_steps(level, new_only)
@@ -94,10 +89,7 @@ def _es_nodes(level: int, new_only: bool = False) -> tuple[np.ndarray, np.ndarra
     x = np.exp(a)
     w = h * x * 0.5 * math.pi * np.cosh(t)
     keep = np.isfinite(w) & (x > 0.0) & (x < 1e300)
-    nodes = (x[keep], w[keep])
-    for shared in nodes:  # every caller gets these arrays
-        shared.flags.writeable = False
-    return nodes
+    return x[keep], w[keep]
 
 
 class RowBatch(NamedTuple):
@@ -132,12 +124,13 @@ def _part_sums(values, ws: tuple, live) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _call_nodes(table, parts: tuple) -> tuple[tuple, tuple]:
-    """A call's nodes from the cached table (_ts_nodes or _es_nodes) of
-    each (level, new_only) part: each node array but the weights, over
-    the parts in turn, and the parts' weights, all read-only."""
+    """A call's nodes from the table (_ts_nodes or _es_nodes) of each
+    (level, new_only) part: each node array but the weights, over the
+    parts in turn, and the parts' weights, all read-only; the nodes'
+    only cache, whose 32 entries hold the two rules' 14 calls."""
     columns = list(zip(*(table(*part) for part in parts)))
     nodes = tuple(c[0] if len(c) == 1 else np.concatenate(c) for c in columns[:-1])
-    for shared in nodes:  # every caller gets these arrays
+    for shared in nodes + columns[-1]:  # every caller gets these arrays
         shared.flags.writeable = False
     return nodes, columns[-1]
 

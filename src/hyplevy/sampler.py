@@ -202,14 +202,14 @@ def partial_moment(measure: LevyMeasure1D, delta: float, m: int, side: str) -> f
     # cutoff; below it, the limit shape's exp-sinh over v > end
     f, end = shape.upper_integrand(delta, m), shape.upper_y(delta)
     if side == "above":
-        return measure.coef * tanh_sinh(f, a=0.0, b=end, rel_tol=1e-12, abs_tol=1e-300)
+        return measure._times_coef(tanh_sinh(f, a=0.0, b=end, rel_tol=1e-12, abs_tol=1e-300))
     if shape.log_moment(m) - shape.log_coef > _LOG_MAX:
         # f's integral over (0, inf), Gamma(b/2) (m-1)^(-b/2), overflows a
         # double (from b = 344 at m = 2), and so do the quadrature's sums:
         # the share below delta is Q(b/2, (m-1) end) instead
         a = 0.5 * shape.codim
         return shape.moment(m, measure.log_weight) * reg_upper_gamma(a, (m - 1.0) * end)
-    return measure.coef * exp_sinh(f, a=end, rel_tol=1e-12, abs_tol=1e-300)
+    return measure._times_coef(exp_sinh(f, a=end, rel_tol=1e-12, abs_tol=1e-300))
 
 
 class _JumpTable:

@@ -83,9 +83,9 @@ for each r a length-2L transform of a Hermitian sequence, whose entry
 k = L is 0. The R transforms run as one call, numpy's irfft with norm
 "forward" along the first axis of the (L + 1, R) conjugates
 conj(a_k) e^{2 pi i k r / N}, and its (2L, R) result read row by row is
-f. The factors e^{2 pi i k r / N} of the k placed are cached per N, L
-and the last k placed (_twiddles). A cutoff at N/2 makes L = N/2 and
-R = 1, the plain length-N transform.
+f. The factors e^{2 pi i k r / N} of the k placed are cached per N and
+the last k placed, which fix L (_twiddles). A cutoff at N/2 makes
+L = N/2 and R = 1, the plain length-N transform.
 The tests check the sum against a direct summation. The grid's mass and
 moments are trapezoid sums by ndarray.sum, never by dot: numpy hands a
 dot product of more than 8192 elements to the BLAS thread pool.
@@ -372,7 +372,7 @@ def _quadrature_exponents(measure: LevyMeasure1D, ts: np.ndarray, dt=None) -> np
     and the runs of consecutive k among a tile's rows take the
     recurrence, so a row's value also depends on where its run starts,
     within the recurrence's stated error. Zero frequencies are the
-    caller's to drop (_char_exponents does).
+    caller's to drop (char_exponent does).
     """
     shape = measure.shape
     t = np.asarray(ts, dtype=float)
@@ -529,28 +529,16 @@ def _series_exponents(measure: LevyMeasure1D, ts: np.ndarray):
 
 
 def _char_exponents(measure: LevyMeasure1D, ts: np.ndarray, dt=None) -> np.ndarray:
-    """psi at every frequency of the 1-D array ts, each by one route.
-
-    The nonzero frequencies, taken in order of |t|, go to the cumulant
-    series (_series_exponents) as long as its stated bound is at most
-    _SERIES_TOL |psi|; the rest, in their given order, go to the
-    quadrature (_quadrature_exponents), with dt when ts are the grid
-    frequencies k dt. The frequencies the series answers are therefore
-    those of |t| below the first it cannot.
-    """
-    ts = np.asarray(ts, dtype=float)
-    out = np.zeros(ts.shape, dtype=complex)
-    todo = ts != 0.0
-    nonzero = np.flatnonzero(todo)
-    by_size = nonzero[np.argsort(np.abs(ts[nonzero]), kind="stable")]
-    psi, _ = _series_exponents(measure, ts[by_size])
-    series = by_size[: len(psi)]
-    out[series] = psi
-    todo[series] = False
-    rest = np.flatnonzero(todo)
-    if rest.size:
-        out[rest] = _quadrature_exponents(measure, ts[rest], dt)
-    return out
+    """psi at every frequency of the 1-D float array ts, nonzero and
+    ascending in |t| (one frequency from char_exponent, or k dt for
+    ascending k from invert_to_density): the leading run that the
+    cumulant series answers (_series_exponents), then the quadrature of
+    the rest (_quadrature_exponents), with dt when ts are grid
+    frequencies k dt."""
+    psi, _ = _series_exponents(measure, ts)
+    if len(psi) == len(ts):
+        return psi
+    return np.concatenate((psi, _quadrature_exponents(measure, ts[len(psi) :], dt)))
 
 
 def char_exponent(measure: LevyMeasure1D, t: float) -> complex:
@@ -558,11 +546,13 @@ def char_exponent(measure: LevyMeasure1D, t: float) -> complex:
 
     A batch of one through the path invert_to_density uses: the cumulant
     series where its bound certifies 1e-13 relative, else quadrature in
-    the variable of the measure's shape. t must be finite.
+    the variable of the measure's shape; 0j at t = +-0. t must be finite.
     """
     t = float(t)
     if not math.isfinite(t):
         raise DomainError(f"char_exponent requires a finite frequency, got {t!r}")
+    if t == 0.0:
+        return 0j
     return _char_exponents(measure, np.array([t]))[0]
 
 
@@ -626,10 +616,9 @@ def _trapezoid(v: np.ndarray, step: float) -> float:
     return step * (float(v.sum()) - 0.5 * (v[0] + v[-1]))
 
 
-@functools.lru_cache(maxsize=64)
 def _pruned_length(half: int, top: int) -> int:
     """The least divisor of half above top, by trial division up to the
-    square root of half."""
+    square root of half; uncached, as _twiddles calls it on a miss only."""
     small = [d for d in range(1, math.isqrt(half) + 1) if half % d == 0]
     return min(d for d in small + [half // d for d in small] if d > top)
 
@@ -638,12 +627,14 @@ _CACHED_TWIDDLES = 1 << 17  # grids of at most this many points keep their twidd
 
 
 @functools.lru_cache(maxsize=8)
-def _twiddles(n: int, length: int, rows: int) -> np.ndarray:
-    """The (rows, n / (2 length)) factors e^{2 pi i k r / n}, k < rows
-    down and r across, read-only. Each holds fewer than n / 2 complex
-    numbers and the cache at most 8 of them, so a grid of more than
-    _CACHED_TWIDDLES points computes its table uncached (__wrapped__)."""
-    kr = np.arange(rows)[:, None] * np.arange(n // (2 * length))
+def _twiddles(n: int, top: int) -> np.ndarray:
+    """The (top + 1, n / (2L)) factors e^{2 pi i k r / n}, k <= top down
+    and r across, read-only, L = _pruned_length(n // 2, top). Each holds
+    fewer than n / 2 complex numbers and the cache at most 8 of them, so
+    a grid of more than _CACHED_TWIDDLES points computes its table
+    uncached (__wrapped__)."""
+    length = _pruned_length(n // 2, top)
+    kr = np.arange(top + 1)[:, None] * np.arange(n // (2 * length))
     angle = (2.0 * math.pi / n) * kr
     table = np.empty(kr.shape, dtype=complex)
     table.real, table.imag = np.cos(angle), np.sin(angle)
@@ -804,13 +795,13 @@ def invert_to_density(
     # a_L, L the least divisor of n/2 above top (the module docstring's
     # split)
     top = min(i_cut, half - 1)
-    length = _pruned_length(half, top)
     coef = a[: top + 1]
     coef[1::2] *= -1.0
     coef *= dt / (2.0 * math.pi)
-    twiddles = _twiddles if n <= _CACHED_TWIDDLES else _twiddles.__wrapped__
-    block = np.zeros((length + 1, n // (2 * length)), dtype=complex)
-    np.multiply(twiddles(n, length, top + 1), coef.conj()[:, None], out=block[: top + 1])
+    twiddles = (_twiddles if n <= _CACHED_TWIDDLES else _twiddles.__wrapped__)(n, top)
+    length = half // twiddles.shape[1]
+    block = np.zeros((length + 1, twiddles.shape[1]), dtype=complex)
+    np.multiply(twiddles, coef.conj()[:, None], out=block[: top + 1])
     values = np.fft.irfft(block, 2 * length, axis=0, norm="forward").ravel()
     dx = 2.0 * math.pi / (n * dt)
     x0 = -half * dx

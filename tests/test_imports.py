@@ -119,3 +119,25 @@ def test_numpy_free_modules_import_no_numpy_at_module_level(module):
     assert not [n for n in imports if n == "numpy" or n.startswith("numpy.")]
     relative = {n[1:] for n in imports if n.startswith(".")}
     assert relative <= {"", *NUMPY_FREE}, relative
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+def test_the_bench_trace_targets_resolve():
+    # the traced bench runs wrap these module attributes; read from the
+    # bench's source without importing it, each must still be there, and
+    # be the function its span names
+    if not WORKLOADS.is_file():
+        pytest.skip("no bench/workloads.py beside the tests")
+    targets = {}
+    for node in ast.parse(WORKLOADS.read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("MC_TARGETS", "DG_TARGETS"):
+                targets[name] = ast.literal_eval(node.value)
+    assert sorted(targets) == ["DG_TARGETS", "MC_TARGETS"]
+    for module, attr, span in targets["MC_TARGETS"] + targets["DG_TARGETS"]:
+        home, _, name = span.rpartition(".")
+        traced = getattr(importlib.import_module(module), attr)
+        assert traced is getattr(importlib.import_module(f"hyplevy.{home}"), name), span

@@ -120,13 +120,17 @@ class TestNestedLevels:
             assert all(np.array_equal(g, h) for g, h in zip(got, want))
 
     def test_cached_nodes_are_read_only(self):
-        # the caches hand the same arrays to every caller
-        first = ((5, False), (6, True))
-        calls = [quadrature._call_nodes(table, first)[0] for table in (_ts_nodes, _es_nodes)]
-        for nodes in (_ts_nodes(6), _ts_nodes(6, True), _es_nodes(6), _es_nodes(6, True), *calls):
-            for a in nodes:
-                with pytest.raises(ValueError, match="read-only"):
-                    a[0] = 0.0
+        # the cache hands the same arrays to every caller: each call's node
+        # arrays and every part's weights, for the first call's two parts
+        # and a later call's one
+        for table in (_ts_nodes, _es_nodes):
+            for parts in (((5, False), (6, True)), ((7, True),)):
+                nodes, ws = quadrature._call_nodes(table, parts)
+                assert quadrature._call_nodes(table, parts)[0] is nodes
+                assert len(ws) == len(parts)
+                for a in nodes + ws:
+                    with pytest.raises(ValueError, match="read-only"):
+                        a[0] = 0.0
 
     def test_level_five_to_six_evaluates_783_points(self):
         # the 391 nodes of level 5 and the 392 nodes level 6 adds, in one

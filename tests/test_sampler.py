@@ -248,6 +248,35 @@ class TestLargeCodimensionLimit:
             got = partial_moment(measure, 1e-3, m, "below")
             assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), m
 
+    @pytest.mark.parametrize("b", [346, 350, 356, 360, 400])
+    def test_moments_above_the_cutoff_past_a_normal_constant(self, b):
+        # from b = 343 the constant 1/Gamma(b/2) is subnormal, and from
+        # b = 357 it is 0.0, so coef times the quadrature lost digits
+        # (9.9e-9 relative at b = 350, 3.8 % at 356) and then gave 0.0;
+        # the product is taken in logs there. The integral of v^(a-1)
+        # e^(s v) over (0, c) is c^a 1F1(a; a + 1; s c) / a (DLMF 13.4.1)
+        measure = make_measure("limit", b)
+        got = [tail_mass(measure, 1e-3)]
+        got += [partial_moment(measure, 1e-3, m, "above") for m in (1, 2)]
+        with mpmath.workdps(40):
+            a, c = mpmath.mpf(b) / 2, -mpmath.log(mpmath.mpf(1e-3))
+            for m, value in enumerate(got):
+                want = c**a / a * mpmath.hyp1f1(a, a + 1, (1 - m) * c) / mpmath.gamma(a)
+                assert abs(value / want - 1) <= 1e-12, m
+
+    @pytest.mark.parametrize("b", [350, 360, 380, 400])
+    def test_moments_below_the_cutoff_past_a_normal_constant(self, b):
+        # the exp-sinh branch, which m >= 3 keeps past b = 344, has the
+        # same constant: m = 3 gave 0.0 at b = 360 and 380, m = 4 at
+        # b = 360 to 400
+        measure = make_measure("limit", b)
+        v_cut = -math.log(1e-3)
+        for m in (3, 4):
+            q = mpmath.gammainc(0.5 * b, (m - 1) * v_cut, mpmath.inf, regularized=True)
+            want = q * mpmath.mpf(m - 1) ** (-0.5 * b)
+            got = partial_moment(measure, 1e-3, m, "below")
+            assert abs(got / want - 1) <= 1e-12, m
+
     def test_sample_is_finite(self):
         cfg = SamplerConfig(cutoff_delta=1e-2, seed=1, batch_size=128)
         batch = sample(make_measure("limit", 7), 300, cfg)

@@ -244,6 +244,15 @@ class TestRegIncBeta:
         with pytest.raises(DomainError):
             reg_inc_beta(1.0, 1.0, math.nan)
 
+    @pytest.mark.xfail(
+        raises=ConvergenceError, strict=True,
+        reason="CHANGES.md FOUND (line 123): reg_inc_beta's continued fraction does not "
+        "converge from p = q = 1e7 at x = 0.5",
+    )
+    def test_large_equal_parameters_at_one_half(self):
+        # I_(1/2)(p, p) = 1/2 exactly, by the reflection symmetry
+        assert abs(reg_inc_beta(1e7, 1e7, 0.5) - 0.5) <= 1e-13
+
     def test_a_lost_prefactor_is_a_domain_error(self):
         # the prefactor's logs cancel at p = q = 1e200, and their rounding
         # made exp overflow (OverflowError)
@@ -258,6 +267,15 @@ class TestRegUpperGamma:
         for x in (1e-5, 0.3, 1.0, 6.9, 13.8, 100.0, 0.9 * a, a, 1.2 * a, 3.0 * a + 50.0):
             want = mpmath.gammainc(a, x, mpmath.inf, regularized=True)
             assert math.isclose(reg_upper_gamma(a, x), float(want), rel_tol=1e-11), x
+
+    @pytest.mark.xfail(
+        raises=ConvergenceError, strict=True,
+        reason="CHANGES.md FOUND (line 130): reg_upper_gamma near x = a raises "
+        "ConvergenceError from a ~ 5500 on (a = x = 1e4 does)",
+    )
+    def test_near_the_transition_at_large_a(self):
+        want = mpmath.gammainc(1e4, 1e4, mpmath.inf, regularized=True)
+        assert math.isclose(reg_upper_gamma(1e4, 1e4), float(want), rel_tol=1e-11)
 
     def test_endpoints_and_domain(self):
         assert reg_upper_gamma(2.5, 0.0) == 1.0
