@@ -22,7 +22,10 @@ answers the |t| below some edge and the quadrature every one above. The
 coefficients depend on the shape alone and are cached per shape. Past
 that edge, and below the remainder's pole |t| = 91, the same value less
 its bound is still a certified lower bound on Re psi, which the density's
-cutoff search uses.
+cutoff search uses. A density evaluates the series once: the grid's
+leading run and the cutoff probes share one call (_series_exponents),
+and each batch of grid frequencies reads its series values from that
+run.
 
 The quadrature, for the rest: double-exponential quadrature in the
 variable of the measure's shape (see hyplevy.measures): u = x^(2/(k-1))
@@ -51,15 +54,15 @@ which the tests check against mpmath.
 
 Densities come from sampling exp(psi) on a uniform frequency grid,
 truncating where |cf| falls below the threshold 1e-12 (_DECAY_THRESHOLD,
-fixed like _REL_TOL), and one pruned real-output FFT. The cutoff comes
-from a doubling search over the grid, seeded at the first probe that
-neither of two lower bounds on |cf| shows to stay above the threshold:
-the Gaussian exp(-sigma^2 t^2 / 2), and the cumulant series less its
-stated bound. So the quadrature takes every grid frequency up to the
-seed that the series leaves in one pass, and a density of the
-benchmark's density_grid workload takes 0.67 quadrature passes (1.35
-with the Gaussian bound alone); invert_to_density's docstring states the
-search in full.
+fixed like _REL_TOL), and one pruned real-output FFT, in three stages:
+_cutoff_search, _transform and _grid_moments. The cutoff comes from a
+doubling search over the grid, seeded at the first probe that neither of
+two lower bounds on |cf| shows to stay above the threshold: the Gaussian
+exp(-sigma^2 t^2 / 2), and the cumulant series less its stated bound.
+So the quadrature takes every grid frequency up to the seed that the
+series leaves in one pass, and a density of the benchmark's density_grid
+workload takes 0.67 quadrature passes (1.35 with the Gaussian bound
+alone); _cutoff_search's docstring states the search in full.
 
 Only the half spectrum k = 0..N/2 is built: cf(-t) = conj(cf(t))
 supplies the rest. With x_m = (m - N/2) dx and dx dt = 2 pi / N,
@@ -86,9 +89,18 @@ conj(a_k) e^{2 pi i k r / N}, and its (2L, R) result read row by row is
 f. The factors e^{2 pi i k r / N} of the k placed are cached per N and
 the last k placed, which fix L (_twiddles). A cutoff at N/2 makes
 L = N/2 and R = 1, the plain length-N transform.
-The tests check the sum against a direct summation. The grid's mass and
-moments are trapezoid sums by ndarray.sum, never by dot: numpy hands a
-dot product of more than 8192 elements to the BLAS thread pool.
+The tests check the sum against a direct summation.
+
+The grid's mass and moments are trapezoid sums by ndarray.sum, never by
+dot: numpy hands a dot product of more than 8192 elements to the BLAS
+thread pool. The raw mass, the clipped ripple's mass and the normalising
+sum of the clipped grid come first. The moments are then raw moments
+about the law's known mean 0, on the integer ramp m - N/2 (x_m = (m -
+N/2) dx), made central by the grid mean and scaled by powers of dx
+(_grid_moments). That takes 13 passes over the grid, down from 17 with
+the xs formed and recentred: six fix the values' bits (the three sums,
+the clip, its subtraction and a true divide), and the moments take the
+ramp, three products and three sums.
 """
 
 from __future__ import annotations
@@ -501,44 +513,61 @@ def _series_rows(table: _SeriesTable, log_weight: float, ts: np.ndarray):
     return psi, bound
 
 
-def _series_exponents(measure: LevyMeasure1D, ts: np.ndarray):
+def _series_exponents(measure: LevyMeasure1D, ts: np.ndarray, probes=()):
     """psi by the cumulant series on the leading run of the frequencies ts
     (nonzero, ascending in |t|) whose error bound (_series_rows) is at
-    most _SERIES_TOL |psi|: (the values, their bounds), both as long as
-    that run.
+    most _SERIES_TOL |psi|, then at every frequency of probes (nonzero,
+    |t| below the remainder's pole): (the values, their bounds), both as
+    long as that run plus the probes.
 
     A frequency is kept when bound <= _SERIES_TOL (|psi| - bound), so the
     bound is at most _SERIES_TOL times the true |psi|; the run ends at the
     first that is not, and the frequencies from the table's reach on are
     not tried. Rows go in tiles of at most _TILE elements (rows x orders),
-    the quadrature's budget.
+    the quadrature's budget, and no tile follows one the run ends in. The
+    probes ride in the first tile, so a density's cutoff search and its
+    series rows take one _series_rows call (invert_to_density). Since each
+    row comes from its own frequency alone, the run and the probes' rows
+    do not depend on each other. A term that overflows makes its row fail
+    (the run) or its bound infinite (a probe).
     """
     table = _series_table(measure.shape)
     n = int(np.searchsorted(np.abs(ts), table.reach, side="left"))
     step = _TILE // len(table.orders)
-    psis, bounds = [np.zeros(0, dtype=complex)], [np.zeros(0)]
-    for start in range(0, n, step):
-        psi, bound = _series_rows(table, measure.log_weight, ts[start : min(start + step, n)])
-        ok = bound <= _SERIES_TOL * (np.abs(psi) - bound)
-        kept = len(psi) if ok.all() else int(np.argmin(ok))
-        psis.append(psi[:kept])
-        bounds.append(bound[:kept])
-        if kept < len(psi):
-            break
-    return np.concatenate(psis), np.concatenate(bounds)
+    lead = min(n, step)
+    if not lead + len(probes):
+        return np.zeros(0, dtype=complex), np.zeros(0)
+    psis, bounds = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi, bound = _series_rows(table, measure.log_weight, np.concatenate((ts[:lead], probes)))
+        at_probes = psi[lead:], bound[lead:]
+        for start in range(0, n, step):
+            if start:
+                psi, bound = _series_rows(table, measure.log_weight, ts[start : min(start + step, n)])
+            rows = min(step, n - start)
+            ok = bound[:rows] <= _SERIES_TOL * (np.abs(psi[:rows]) - bound[:rows])
+            kept = rows if ok.all() else int(np.argmin(ok))
+            psis.append(psi[:kept])
+            bounds.append(bound[:kept])
+            if kept < rows:
+                break
+    return np.concatenate(psis + [at_probes[0]]), np.concatenate(bounds + [at_probes[1]])
 
 
-def _char_exponents(measure: LevyMeasure1D, ts: np.ndarray, dt=None) -> np.ndarray:
+def _char_exponents(measure: LevyMeasure1D, ts: np.ndarray, dt=None, series=None) -> np.ndarray:
     """psi at every frequency of the 1-D float array ts, nonzero and
     ascending in |t| (one frequency from char_exponent, or k dt for
     ascending k from invert_to_density): the leading run that the
-    cumulant series answers (_series_exponents), then the quadrature of
-    the rest (_quadrature_exponents), with dt when ts are grid
-    frequencies k dt."""
-    psi, _ = _series_exponents(measure, ts)
-    if len(psi) == len(ts):
-        return psi
-    return np.concatenate((psi, _quadrature_exponents(measure, ts[len(psi) :], dt)))
+    cumulant series answers, then the quadrature of the rest
+    (_quadrature_exponents), with dt when ts are grid frequencies k dt.
+    series is that run's values when the caller has them (the density's
+    cutoff search reads them from its series rows); else
+    _series_exponents computes them."""
+    if series is None:
+        series, _ = _series_exponents(measure, ts)
+    if len(series) == len(ts):
+        return series
+    return np.concatenate((series, _quadrature_exponents(measure, ts[len(series) :], dt)))
 
 
 def char_exponent(measure: LevyMeasure1D, t: float) -> complex:
@@ -656,21 +685,154 @@ def _safe_index(half_width: float) -> float:
     return half_width * math.sqrt(room) / math.pi if room > 0.0 else 0.0
 
 
-def _series_passes(measure: LevyMeasure1D, ts: np.ndarray) -> np.ndarray:
-    """Whether the cumulant series shows |cf(t)| >= e * _DECAY_THRESHOLD
-    at each frequency of ts (nonzero): Re psi less its stated bound
-    (_series_rows) is at least log(threshold) + 1. Only below the
-    remainder's pole, where the bound holds; False elsewhere, and where
-    a term overflows. The e of headroom is far above the quadrature's
-    1e-11 relative error, so a probe shown to pass also passes on its
-    computed |cf|."""
-    out = np.zeros(len(ts), dtype=bool)
-    near = np.abs(ts) < _SERIES_POLE
-    if near.any():
-        with np.errstate(over="ignore", invalid="ignore"):
-            psi, bound = _series_rows(_series_table(measure.shape), measure.log_weight, ts[near])
-            out[near] = psi.real - bound >= math.log(_DECAY_THRESHOLD) + _SEED_HEADROOM
-    return out
+def _series_shows_pass(psi: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Whether the cumulant series' values psi and stated bounds
+    (_series_rows, so |t| below the remainder's pole) show
+    |cf| >= e * _DECAY_THRESHOLD: Re psi less its bound is at least
+    log(threshold) + 1. False where a term overflowed. The e of headroom
+    is far above the quadrature's 1e-11 relative error, so a probe shown
+    to pass also passes on its computed |cf|."""
+    with np.errstate(invalid="ignore"):
+        return psi.real - bound >= math.log(_DECAY_THRESHOLD) + _SEED_HEADROOM
+
+
+def _cutoff_search(measure: LevyMeasure1D, dt: float, n: int, half_width: float):
+    """The cutoff of the n-point grid of step dt: (a, i_cut, achieved), a
+    holding cf(k dt) at every k = 0..n/2 evaluated (0 elsewhere), i_cut
+    the first doubling probe k = 4, 8, 16, ... <= n/2 whose |cf| is below
+    the fixed threshold 1e-12 (_DECAY_THRESHOLD), and achieved its |cf|.
+
+    A probe that a lower bound shows to keep |cf| >= e * threshold cannot
+    be the cutoff. There are two bounds: every probe up to k_safe
+    (_safe_index, from |cf(t)| >= exp(-sigma^2 t^2 / 2)), and above it
+    each probe where the cumulant series' Re psi less its stated bound
+    shows it, for |t| below the series remainder's pole
+    (_series_shows_pass). The search is seeded at the first probe that
+    neither bound shows to pass, or at the top probe when every probe
+    below it passes (a window too wide for n_points, or a law that decays
+    slowly). The probes are checked in order, each on its computed |cf|,
+    and one not yet evaluated goes in one batch with every k <=
+    max(probe, seed) not yet evaluated: k = 1..seed first (1..64 for
+    rescaled (4,3) at the defaults, whose probe 32 the series shows to
+    pass), then each probe above the seed with the grid frequencies
+    between it and the probe below, which the grid needs if it is the
+    cutoff. So the quadrature answers every frequency up to the seed that
+    the series leaves in one pass, the cutoff is that of the plain
+    search, and no batch takes a frequency twice, or one above both the
+    seed and the cutoff. Over the 128 laws of the benchmark's
+    density_grid workload, a density takes 0.67 quadrature passes (1.35
+    with the Gaussian bound alone) and the same 48.8 quadrature rows.
+
+    The series is evaluated once (_series_exponents): on the grid's
+    leading run k = 1, 2, ... below the series table's reach, with the
+    probe rows in its first tile. Each batch's series values are those of
+    its k in that run, and the quadrature takes the rest. Rows past the
+    cutoff may be among them; one call costs less than two.
+
+    A top seed is evaluated alone first, as it alone decides whether any
+    probe can be the cutoff: if it does not drop below the threshold,
+    DecayDetectionError is raised with its |cf| and nothing else is
+    evaluated. DecayDetectionError is also raised when no probe drops
+    below the threshold, once every k up to the top probe has been
+    evaluated. The Gaussian bound takes measure.total_second_moment as
+    sigma^2; should a measure understate it, the cutoff is still the
+    first probe below the threshold.
+    """
+    half = n // 2
+    ladder = [4 << m for m in range((half // 4).bit_length())]
+    top = ladder[-1]
+    # the probes the Gaussian bound leaves, of which the series may show more
+    k_safe = _safe_index(half_width)
+    above = [i for i in ladder if i >= k_safe]
+    probes = np.array([i * dt for i in above if i * dt < _SERIES_POLE])
+    # k dt below the series table's reach, and a spare _series_exponents drops
+    lead = int(min(top, _series_table(measure.shape).reach / dt + 1.0))
+    psi, bound = _series_exponents(measure, np.arange(1, lead + 1) * dt, probes)
+    run = len(psi) - len(probes)
+    shown = _series_shows_pass(psi[run:], bound[run:]).tolist()
+    seed = next((i for i, ok in zip(above, shown + [False]) if not ok), top)
+    a = np.zeros(half + 1, dtype=complex)
+    a[0] = 1.0
+    known = np.zeros(half + 1, dtype=bool)
+    known[0] = True
+
+    def evaluate(ks, step):
+        a[ks] = np.exp(_char_exponents(measure, ks * dt, step, psi[ks[ks <= run] - 1]))
+        known[ks] = True
+
+    checked = ladder
+    if seed == top:
+        # every probe below the top one passes, so the top probe alone
+        # decides whether any probe reaches the threshold; if it does not,
+        # its |cf| is reported
+        evaluate(np.array([top]), None)
+        if abs(a[top]) >= _DECAY_THRESHOLD:
+            checked = [top]
+    for i_cut in checked:
+        if not known[i_cut]:
+            evaluate(np.flatnonzero(~known[: max(i_cut, seed) + 1]), dt)
+        achieved = float(abs(a[i_cut]))
+        if achieved < _DECAY_THRESHOLD:
+            return a, i_cut, achieved
+    # the top grid frequency is (n/2) pi / (half_width sigma): a narrower
+    # window or more points reach further
+    raise DecayDetectionError(
+        f"|cf| only reached {achieved:.3e} at the edge of the frequency "
+        f"window (t = {half * dt:.6g}); enlarge n_points or narrow half_width",
+        achieved,
+    )
+
+
+def _transform(a: np.ndarray, top: int, dt: float, n: int) -> np.ndarray:
+    """The n grid values from the half spectrum a_0..a_top (cf(k dt), the
+    rest taken as 0), by the module docstring's split: (-1)^k and
+    dt / 2 pi folded into a in place, zeros up to a_L, L the least
+    divisor of n/2 above top, and n/(2L) transforms of length 2L."""
+    coef = a[: top + 1]
+    coef[1::2] *= -1.0
+    coef *= dt / (2.0 * math.pi)
+    twiddles = (_twiddles if n <= _CACHED_TWIDDLES else _twiddles.__wrapped__)(n, top)
+    length = n // 2 // twiddles.shape[1]
+    block = np.zeros((length + 1, twiddles.shape[1]), dtype=complex)
+    np.multiply(twiddles, coef.conj()[:, None], out=block[: top + 1])
+    return np.fft.irfft(block, 2 * length, axis=0, norm="forward").ravel()
+
+
+def _grid_moments(values: np.ndarray, dx: float) -> dict:
+    """Clip the negative ripple of the grid values at spacing dx and
+    renormalise them, in place; their mass, clipped_mass, mean, variance
+    and third_central, as meta records them.
+
+    mass is the trapezoid sum (_trapezoid) of the raw values,
+    clipped_mass that of the ripple, and the clipped values are divided
+    by their own. The moments are raw moments about the law's known mean
+    0, the trapezoid sums of the values times r, r^2 and r^3 on the
+    integer ramp r = m - n/2 (x_m = r dx), made central by the grid mean
+    (of the order of the rounding) and then scaled by dx, dx^2 and dx^3.
+    So no pass forms the xs or recentres them. The products go into the
+    ripple's array, never through pow (libm pow on negative bases costs
+    about 70 ns an element) or a fresh n-length temporary, whose page
+    faults cost more than its pass.
+    """
+    raw_mass = _trapezoid(values, dx)
+    ripple = np.minimum(values, 0.0)
+    clipped_mass = -_trapezoid(ripple, dx)
+    values -= ripple  # clipped at 0
+    values /= _trapezoid(values, dx)
+    ramp = np.arange(-(len(values) // 2), len(values) // 2, dtype=float)
+    np.multiply(values, ramp, out=ripple)
+    m1 = _trapezoid(ripple, dx)
+    ripple *= ramp
+    m2 = _trapezoid(ripple, dx)
+    ripple *= ramp
+    m3 = _trapezoid(ripple, dx)
+    return {
+        "mass": raw_mass,
+        "clipped_mass": clipped_mass,
+        "mean": m1 * dx,
+        "variance": (m2 - m1 * m1) * dx * dx,
+        "third_central": (m3 - m1 * (3.0 * m2 - 2.0 * m1 * m1)) * dx * dx * dx,
+    }
 
 
 def invert_to_density(
@@ -683,39 +845,15 @@ def invert_to_density(
     deviations from its characteristic function.
 
     The frequency step is pinned by the requested window (dt = pi /
-    (half_width sigma)); the cf is evaluated out to the first doubling
-    probe k dt (k = 4, 8, 16, ... <= n/2) where |cf| drops below the
-    fixed threshold 1e-12, and treated as zero beyond. A probe that a
-    lower bound shows to keep |cf| >= e * threshold cannot be the cutoff.
-    There are two bounds: every probe up to k_safe (_safe_index, from
-    |cf(t)| >= exp(-sigma^2 t^2 / 2)), and above it each probe where the
-    cumulant series' Re psi less its stated bound shows it, for |t| below
-    the series remainder's pole (_series_passes). The search is seeded at
-    the first probe that neither bound shows to pass, or at the top probe
-    n/2 when every probe below it passes (a window too wide for n_points,
-    or a law that decays slowly). The probes are checked in order, each
-    on its computed |cf|, and one not yet evaluated goes in one batch
-    with every k <= max(probe, seed) not yet evaluated: k = 1..seed first
-    (1..64 for rescaled (4,3) at the defaults, whose probe 32 the series
-    shows to pass), then each probe above the seed with the grid
-    frequencies between it and the probe below, which the grid needs if
-    it is the cutoff. So the quadrature answers every frequency up to the
-    seed that the series leaves in one pass, the cutoff is that of the
-    plain search, and no frequency is evaluated twice or above it. Over
-    the 128 laws of the benchmark's density_grid workload, a density
-    takes 0.67 quadrature passes (1.35 with the Gaussian bound alone) and
-    the same 48.8 quadrature rows.
-
-    A top seed is evaluated alone first, as it alone decides whether any
-    probe can be the cutoff: if it does not drop below the threshold,
-    DecayDetectionError is raised with its |cf| and nothing else is
-    evaluated. DecayDetectionError is also raised when no probe drops
-    below the threshold, once every k up to the top probe (at most n/2 of
-    them) has been evaluated. The Gaussian bound takes
-    measure.total_second_moment as sigma^2; should a measure understate
-    it, the cutoff is still the first probe below the threshold. The
-    density on x_m = (m - n/2) dx, dx = 2 pi / (n dt), is the
-    half-spectrum sum
+    (half_width sigma)). Three stages follow. _cutoff_search evaluates
+    the cf out to the first doubling probe k dt (k = 4, 8, 16, ... <=
+    n/2) where |cf| drops below the fixed threshold 1e-12, seeded by two
+    lower bounds on |cf|, with one cumulant-series evaluation for the
+    whole density; the cf is taken as zero beyond. It raises
+    DecayDetectionError when no probe drops below the threshold: the top
+    grid frequency (n/2) pi / (half_width sigma) is too low, so n_points
+    must grow or half_width shrink. _transform gives the density on x_m =
+    (m - n/2) dx, dx = 2 pi / (n dt), as the half-spectrum sum
 
         f(x_m) = sum_{|k| < L} a_k e^{-2 pi i k m / n},
         a_k = (dt / 2 pi) (-1)^k cf(k dt),  a_{-k} = conj(a_k),
@@ -723,12 +861,14 @@ def invert_to_density(
     with a_k = 0 above the cutoff and L the least divisor of n/2 above
     the last k placed (the cutoff, or n/2 - 1 for a cutoff at n/2): n/(2L)
     transforms of length 2L, one when L = n/2 (the module docstring).
+    _grid_moments clips the negative ripple, renormalises the grid and
+    records both amounts and the grid's moments in meta.
+
     half_width must be a positive finite real number and n_points an
     integer multiple of 4, at least 256; numpy numbers count, and meta
     holds them as a Python float and int. A law whose sigma times
     half_width underflows, so that dt is not a finite double, raises
-    DomainError. Negative ripple is clipped, the grid renormalized, and
-    both amounts recorded in meta.
+    DomainError.
     """
     width, n = _real(half_width), _integer(n_points)
     if width is None or not (0.0 < width < math.inf):
@@ -737,9 +877,7 @@ def invert_to_density(
         raise DomainError(
             f"n_points must be an integer multiple of 4, >= 256, got {n_points!r}"
         )
-    half_width = width
-    sigma_law = math.sqrt(measure.total_second_moment)
-    window = half_width * sigma_law
+    window = width * math.sqrt(measure.total_second_moment)
     dt = math.pi / window if window > 0.0 else math.inf
     if dt == math.inf:
         log_var = measure.shape.log_moment(2, measure.log_weight)
@@ -748,96 +886,14 @@ def invert_to_density(
             f"exp({log_var:.6g})), so the frequency step pi / (half_width * sigma) "
             "is not a finite double"
         )
-    t_grid_max = 0.5 * n * dt
-
-    # the cutoff search of the docstring, over the probes 4, 8, ... <= n/2
-    half = n // 2
-    ladder = [4 << m for m in range((half // 4).bit_length())]
-    top = ladder[-1]
-    # the probes the Gaussian bound leaves, of which the series may show more
-    k_safe = _safe_index(half_width)
-    above = [i for i in ladder if i >= k_safe]
-    passes = _series_passes(measure, np.array(above, dtype=float) * dt)
-    seed = next((i for i, ok in zip(above, passes) if not ok), top)
-    # half spectrum a_k = (-1)^k cf(k dt), k = 0..n/2
-    a = np.zeros(half + 1, dtype=complex)
-    a[0] = 1.0
-    known = np.zeros(half + 1, dtype=bool)
-    known[0] = True
-    checked = ladder
-    if seed == top:
-        # every probe below the top one passes, so the top probe alone
-        # decides whether any probe reaches the threshold; if it does not,
-        # its |cf| is reported
-        a[top] = np.exp(_char_exponents(measure, np.array([top * dt])))[0]
-        known[top] = True
-        if abs(a[top]) >= _DECAY_THRESHOLD:
-            checked = [top]
-    for i_cut in checked:
-        if not known[i_cut]:
-            ks = np.flatnonzero(~known[: max(i_cut, seed) + 1])
-            a[ks] = np.exp(_char_exponents(measure, ks * dt, dt))
-            known[ks] = True
-        achieved = float(abs(a[i_cut]))
-        if achieved < _DECAY_THRESHOLD:
-            break
-    else:
-        raise DecayDetectionError(
-            f"|cf| only reached {achieved:.3e} at the edge of the frequency "
-            f"window (t = {t_grid_max:.6g}); enlarge n_points or half_width",
-            achieved,
-        )
-    t_cut = i_cut * dt
-
+    a, i_cut, achieved = _cutoff_search(measure, dt, n, width)
     # nothing above the cutoff is placed, and neither is a probe at n/2,
-    # since the grid's top frequency is (n/2 - 1) dt: the transform takes
-    # a_0..a_top with (-1)^k and dt / 2 pi folded in, and zeros up to
-    # a_L, L the least divisor of n/2 above top (the module docstring's
-    # split)
-    top = min(i_cut, half - 1)
-    coef = a[: top + 1]
-    coef[1::2] *= -1.0
-    coef *= dt / (2.0 * math.pi)
-    twiddles = (_twiddles if n <= _CACHED_TWIDDLES else _twiddles.__wrapped__)(n, top)
-    length = half // twiddles.shape[1]
-    block = np.zeros((length + 1, twiddles.shape[1]), dtype=complex)
-    np.multiply(twiddles, coef.conj()[:, None], out=block[: top + 1])
-    values = np.fft.irfft(block, 2 * length, axis=0, norm="forward").ravel()
+    # since the grid's top frequency is (n/2 - 1) dt
+    values = _transform(a, min(i_cut, n // 2 - 1), dt, n)
     dx = 2.0 * math.pi / (n * dt)
-    x0 = -half * dx
-
-    # in place where possible: a fresh n-length temporary costs page
-    # faults on top of its pass
-    raw_mass = _trapezoid(values, dx)
-    ripple = np.minimum(values, 0.0)
-    clipped_mass = -_trapezoid(ripple, dx)
-    values -= ripple  # clipped at 0
-    values /= _trapezoid(values, dx)
-    # moments by products into the ripple's array, never pow (libm pow on
-    # negative bases costs ~70 ns an element)
-    c = np.arange(n, dtype=float)
-    c *= dx
-    c += x0  # the grid's xs
-    np.multiply(values, c, out=ripple)
-    mean = _trapezoid(ripple, dx)
-    c -= mean
-    np.multiply(values, c, out=ripple)
-    ripple *= c
-    var = _trapezoid(ripple, dx)
-    ripple *= c
-    third = _trapezoid(ripple, dx)
-    meta = {
-        "mass": raw_mass,
-        "clipped_mass": clipped_mass,
-        "mean": mean,
-        "variance": var,
-        "third_central": third,
-        "cf_cutoff": t_cut,
-        "cf_at_cutoff": achieved,
-        "half_width": half_width,
-        "n_points": n,
-    }
-    return DensityGrid(x0=x0, step=dx, values=values, meta=meta)
+    meta = _grid_moments(values, dx)
+    meta.update(cf_cutoff=i_cut * dt, cf_at_cutoff=achieved, half_width=width, n_points=n)
+    return DensityGrid(x0=-(n // 2) * dx, step=dx, values=values, meta=meta)
 
 
 def _normal_cdf(x: np.ndarray) -> np.ndarray:

@@ -137,6 +137,20 @@ class TestDensity:
         assert code == 3
         assert "hyplevy: error:" in err
 
+    @pytest.mark.parametrize("half_width", ["1e5", "1e6"])
+    def test_undetectable_decay_prints_the_library_message(self, capsys, half_width):
+        # the advice to narrow the window, as invert_to_density words it
+        from hyplevy import DecayDetectionError, DimensionPair, invert_to_density, make_measure
+
+        measure = make_measure("rescaled", DimensionPair(4, 3))
+        with pytest.raises(DecayDetectionError) as info:
+            invert_to_density(measure, half_width=float(half_width))
+        code, out, err = run(capsys, "density", "--family", "rescaled", "--d", "4",
+                             "--k", "3", "--half-width", half_width, "--out", "never.csv")
+        assert code == 3 and out == ""
+        assert err == f"hyplevy: error: {info.value}\n"
+        assert "enlarge n_points or narrow half_width" in err
+
     @pytest.mark.parametrize(
         "family, d, k, message",
         [

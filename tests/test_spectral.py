@@ -78,10 +78,15 @@ def quad_log(monkeypatch):
 @pytest.fixture
 def quadrature_route(monkeypatch):
     """Every frequency through the quadrature route: the cumulant series
-    answers none."""
-    monkeypatch.setattr(
-        spectral, "_series_exponents", lambda measure, ts: (np.zeros(0, complex), np.zeros(0))
-    )
+    answers none, and still gives the cutoff search its probe rows."""
+    real = spectral._series_exponents
+
+    def probes_only(measure, ts, probes=()):
+        psi, bound = real(measure, ts, probes)
+        run = len(psi) - len(probes)
+        return psi[run:], bound[run:]
+
+    monkeypatch.setattr(spectral, "_series_exponents", probes_only)
 
 
 @pytest.fixture
@@ -183,16 +188,31 @@ def ladder_reference(measure, half_width, n, threshold):
     return None, achieved
 
 
+def series_shows(measure, ts):
+    """Whether the cumulant series shows |cf| >= e * threshold at each
+    frequency of ts (at the current spectral._DECAY_THRESHOLD): its rows
+    (_series_rows) by the cutoff search's rule (_series_shows_pass),
+    below the remainder's pole, where the bound holds; False elsewhere."""
+    out = np.zeros(len(ts), dtype=bool)
+    near = np.abs(ts) < spectral._SERIES_POLE
+    if near.any():
+        table = spectral._series_table(measure.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi, bound = spectral._series_rows(table, measure.log_weight, ts[near])
+        out[near] = spectral._series_shows_pass(psi, bound)
+    return out
+
+
 def seeded_block(measure, half_width, n):
     """The indices invert_to_density evaluates before any probe above the
     seed: 1..seed, the seed being the first probe >= k_safe (at the
     current spectral._DECAY_THRESHOLD) that the cumulant series does not
-    show to pass (_series_passes), or only the top probe when there is
+    show to pass (series_shows), or only the top probe when there is
     none. (A top-probe seed is evaluated alone first, and 1..seed-1
     follow only when it drops below.)"""
     ladder = probes(n)
     above = [i for i in ladder if i >= _safe_index(half_width)]
-    shown = spectral._series_passes(measure, np.array(above) * grid_step(measure, half_width))
+    shown = series_shows(measure, np.array(above) * grid_step(measure, half_width))
     seed = next((i for i, ok in zip(above, shown) if not ok), None)
     return list(range(1, seed + 1)) if seed else ladder[-1:]
 
@@ -257,6 +277,19 @@ class TestCharExponent:
             a = psi_oracle(7, 5, t)
             b = char_exponent(HYP75, t)
             assert abs(a - b) <= 1e-12 * abs(b)
+
+    @pytest.mark.parametrize("t", [1.5, 10.0, 100.0, 1e3])
+    def test_the_raw_density_oracle_matches_the_closed_form(self, t):
+        # hyperbolic (4,3) has the density x^(-5/2) (1 - x)^(-1/2), pi times
+        # that of rescaled (4,3); measured within 2.3e-14 relative
+        want = resc43_psi(t)
+        assert abs(psi_oracle(4, 3, t) / math.pi - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("t", [-3e3, 1.4e3, math.inf])
+    def test_the_raw_density_oracle_refuses_frequencies_past_its_range(self, t):
+        # from t = 1.4e3 on its quadrature is off by 9.7e-9 relative or more
+        with pytest.raises(ValueError, match=r"\|t\| <= 1000"):
+            psi_oracle(4, 3, t)
 
     @pytest.mark.parametrize("b", [221, 300])
     def test_limit_family_past_the_power_overflow(self, b):
@@ -504,21 +537,31 @@ class TestSeriesExponents:
         ids=["resc43", "limit2", "resc20_15"],
     )
     def test_each_grid_frequency_is_evaluated_once_by_one_route(self, measure, mixed, monkeypatch):
+        # the series rows come from one call for the whole density; each
+        # batch takes the values of its k in their run, and the quadrature
+        # the rest
         routes = {"series": [], "quadrature": []}
-        series, quadrature = spectral._series_exponents, spectral._quadrature_exponents
+        series_calls = []
+        series, batch = spectral._series_exponents, spectral._char_exponents
+        quadrature = spectral._quadrature_exponents
 
-        def record_series(m, ts):
-            psi, bound = series(m, ts)
-            routes["series"].extend(ts[: len(psi)])
-            return psi, bound
+        def record_series(m, ts, *rest):
+            series_calls.append(ts)
+            return series(m, ts, *rest)
+
+        def record_batch(m, ts, dt, lead):
+            routes["series"].extend(ts[: len(lead)])
+            return batch(m, ts, dt, lead)
 
         def record_quadrature(m, ts, *rest):
             routes["quadrature"].extend(ts)
             return quadrature(m, ts, *rest)
 
         monkeypatch.setattr(spectral, "_series_exponents", record_series)
+        monkeypatch.setattr(spectral, "_char_exponents", record_batch)
         monkeypatch.setattr(spectral, "_quadrature_exponents", record_quadrature)
         grid = invert_to_density(measure)
+        assert len(series_calls) == 1
         dt = grid_step(measure)
         i_cut = round(grid.meta["cf_cutoff"] / dt)
         ks = {route: [round(t / dt) for t in ts] for route, ts in routes.items()}
@@ -850,7 +893,7 @@ class TestSeededSearch:
         beyond_the_gaussian_bound = 0
         for half_width in (3.0, 12.0, 96.0):
             t = ks * grid_step(measure, half_width)
-            shown = spectral._series_passes(measure, t)
+            shown = series_shows(measure, t)
             if shown.any():
                 assert np.all(t[shown] < 91.0)
                 cf = np.exp(_quadrature_exponents(measure, t[shown]))
@@ -1295,20 +1338,20 @@ class TestInvertToDensity:
         "measure, pins_quadrature, digests",
         [
             (RESC43, True,
-             ("9c693cc2d64c2fd59e3e4b44779466e4cf7b081ee8cdcd09475802d7095f0fa2",
-              "c2ca1200da5fa9bd4efddcdbaa33c92c023ddcd15eab736930bd13c963570add")),
+             ("3d07b55db441537da1fc8dba561b09a68f9f3734ca5c5cd80ea468f0c13d8dd0",
+              "e1f28d3640780eac19e94f1fc5024a7841952a87b59ccb43c88d53f0fbd37dca")),
             (HYP75, False,
-             ("c3418b90de8d3f478e35e48ec8a05ed06a0fbe9f31dfcc041aedb871a9c1afe2",
-              "897366ff25cd0b9f0a17a14433c2bf10c75f1757ad6ffa45a76d7c8379222b9c")),
+             ("e627b5779c79cae1e912731450b69104b8473d5c3762632a46958a05f50e2308",
+              "fdf22bd21610b146f2c243c2b9584ca6d73f72a8ee7adc53cf0761b5c9ef3b84")),
             (RESC75, True,
-             ("a9a7fdf293f164906314860edec7f2523f4f8c1a25484aaa972a95ad6bd4ff71",
-              "8e5296399bc8970db15eb8a5b8edb8578ebb33ecddc7bb198277fdaeed0650c3")),
+             ("2e09285eec3ca2300fad73e33e270367e12e6f5702146dd3c45e1ef164cf368f",
+              "62a914b28c55f8ff73005542f5c75a3da4a345302fda8ca85439f934dc02a344")),
             (LIMIT1, True,
-             ("2e15e060b69430456cf7cfcb46e7a37183a0d9f5bc57eaf0721a55271f7aea09",
-              "797607c73bbf261ca8bf38a1266ef60a455e716042cb8828ca7750d19da68d8f")),
+             ("92a2c666729428f2999076fb9a90fae42e77e5c2bf85f8df40911b51ad68e958",
+              "d138da8124319db0e1944d2b31ea624f6836e467fbfcfb8accf60c4f41d8d93f")),
             (LIMIT2, True,
-             ("a985e8b2d41cd3052e86702298590bcdc87bc884d445f2cc93873a48c7009a05",
-              "3e3684478b302b7266078a701f7d1cc7fd08ff683bd10efdf6841a77c83ea446")),
+             ("b321aec1597a39d71bb9171399cd712f2445277bcc16be2c3c7336dc6d59ea1e",
+              "4746627fd60a4e5b2ba4a43cb9bff6f76a6a3f705d8a2e5bda8e64d90bcb9a30")),
         ],
         ids=["resc43", "hyp75", "resc75", "limit1", "limit2"],
     )
@@ -1326,7 +1369,11 @@ class TestInvertToDensity:
         # all ten re-recorded when the grid took a pruned transform of
         # a_0..a_L with dt / 2 pi folded in and the trapezoid sums by sum
         # (every value within 1.6e-15 of its grid's peak, the meta within
-        # 1.8e-14; its quadrature rows kept their bits)
+        # 1.8e-14; its quadrature rows kept their bits); all ten re-recorded
+        # when the moments became raw moments on the integer ramp m - n/2,
+        # corrected by the grid mean (every value and every other meta key
+        # kept its bits; mean moved by at most 1.6e-16, variance 4.5e-16,
+        # third_central 1.6e-15)
         grid = invert_to_density(measure, **kw)
         h = hashlib.sha256(grid.values.tobytes())
         h.update(json.dumps(grid.meta, sort_keys=True).encode())
@@ -1384,6 +1431,18 @@ class TestInvertToDensity:
         with pytest.raises(DecayDetectionError) as info:
             invert_to_density(LIMIT2, half_width=1e6, n_points=256)
         assert info.value.achieved > 0.9
+
+    @pytest.mark.parametrize("half_width", [1e5, 1e6])
+    def test_undetected_decay_advises_a_narrower_window(self, half_width):
+        # the top grid frequency is (n/2) pi / (half_width sigma), 2.6e-1 and
+        # 2.6e-2 here: more points or a narrower window reach further
+        with pytest.raises(DecayDetectionError) as info:
+            invert_to_density(RESC43, half_width=half_width)
+        t_top = 8192 * grid_step(RESC43, half_width)
+        assert str(info.value) == (
+            f"|cf| only reached {info.value.achieved:.3e} at the edge of the frequency "
+            f"window (t = {t_top:.6g}); enlarge n_points or narrow half_width"
+        )
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -1537,6 +1596,100 @@ class TestHalfSpectrumInversion:
         assert abs(grid.meta["variance"] - math.fsum(wv * c * c)) <= tol * math.fsum(wv * c * c)
         third = math.fsum(wv * c * c * c)
         assert abs(grid.meta["third_central"] - third) <= tol * math.fsum(wv * np.abs(c) ** 3)
+
+
+class TestDensityStages:
+    """invert_to_density's three stages, each on its own."""
+
+    @pytest.mark.parametrize("measure", [RESC43, LIMIT1, HYP75], ids=["resc43", "limit1", "hyp75"])
+    def test_a_default_density_takes_one_series_evaluation(self, measure, monkeypatch):
+        # the grid's lead rows k = 1, 2, ... below the series table's reach
+        # and the probes the Gaussian bound leaves, below the remainder's
+        # pole, share one _series_rows call, which every batch reads
+        calls = []
+        real = spectral._series_rows
+
+        def record(table, log_weight, ts):
+            calls.append(np.array(ts))
+            return real(table, log_weight, ts)
+
+        monkeypatch.setattr(spectral, "_series_rows", record)
+        invert_to_density(measure)
+        assert len(calls) == 1
+        dt = grid_step(measure)
+        lead = np.arange(1, 8193) * dt
+        lead = lead[lead < spectral._series_table(measure.shape).reach]
+        probe = np.array([p for p in probes(16384) if p >= _safe_index(12.0)]) * dt
+        probe = probe[probe < spectral._SERIES_POLE]
+        assert len(lead) > 16 and len(probe) >= 1
+        assert calls[0].tobytes() == np.concatenate((lead, probe)).tobytes()
+
+    @pytest.mark.parametrize(
+        "measure", [RESC43, LIMIT1, make_measure("rescaled", DimensionPair(20, 19))],
+        ids=["resc43", "limit1", "resc20_19"],
+    )
+    def test_the_cutoff_search_alone(self, measure):
+        # the half spectrum it fills is that of its batches, 1..seed and
+        # then each probe above the seed with the frequencies below it, each
+        # batch as one call with the step alone, byte for byte; the cutoff
+        # is the plain ladder's
+        dt = grid_step(measure)
+        a, i_cut, achieved = spectral._cutoff_search(measure, dt, 16384, 12.0)
+        seed = seeded_block(measure, 12.0, 16384)[-1]
+        assert seed <= i_cut and achieved == abs(a[i_cut])
+        ref_cut, ref_achieved = ladder_reference(measure, 12.0, 16384, 1e-12)
+        assert i_cut == ref_cut
+        psi = char_exponent(measure, i_cut * dt)
+        assert abs(math.log(achieved) - math.log(ref_achieved)) <= 1e-13 * abs(psi)
+        batches = [np.arange(1, seed + 1)]
+        batches += [np.arange(p // 2 + 1, p + 1) for p in probes(16384) if seed < p <= i_cut]
+        for ks in batches:
+            want = np.exp(_char_exponents(measure, ks * dt, dt))
+            assert a[ks].tobytes() == want.tobytes()
+        assert a[0] == 1.0 and not a[i_cut + 1 :].any()
+
+    def test_the_cutoff_search_alone_raises_undetected_decay(self):
+        dt = grid_step(LIMIT2, 1e6)
+        with pytest.raises(DecayDetectionError, match="narrow half_width") as info:
+            spectral._cutoff_search(LIMIT2, dt, 256, 1e6)
+        assert info.value.achieved == ladder_reference(LIMIT2, 1e6, 256, 1e-12)[1]
+
+    @pytest.mark.parametrize("n, shift", [(256, 0.0), (4096, 0.3), (16384, -1.7)])
+    def test_grid_moments_match_an_fsum_trapezoid(self, n, shift):
+        # a skewed two-normal mixture, off centre by shift, with ripple of
+        # 1e-6 that the clip takes out: mass, clipped mass, the clipped
+        # and renormalised values, and the moments about the grid mean,
+        # against the same trapezoid rule summed by math.fsum
+        dx = 24.0 / n
+        xs = np.arange(-n // 2, n // 2) * dx
+        mix = 0.7 * np.exp(-0.5 * ((xs + 0.3 - shift) / 0.8) ** 2) / 0.8
+        mix += 0.3 * np.exp(-0.5 * ((xs - 0.7 - shift) / 1.2) ** 2) / 1.2
+        raw = mix / math.sqrt(2.0 * math.pi)
+        raw += 1e-6 * np.random.default_rng(n).standard_normal(n)
+        values = raw.copy()
+        meta = spectral._grid_moments(values, dx)
+        w = np.full(n, dx)
+        w[0] = w[-1] = 0.5 * dx
+        eps = np.finfo(float).eps
+        tol = 8.0 * math.sqrt(n) * eps
+        assert abs(meta["mass"] - math.fsum(w * raw)) <= tol * math.fsum(w * np.abs(raw))
+        ripple = np.minimum(raw, 0.0)
+        assert (ripple < 0.0).any()
+        assert abs(meta["clipped_mass"] + math.fsum(w * ripple)) <= tol * math.fsum(-w * ripple)
+        clipped = raw - ripple
+        np.testing.assert_allclose(values, clipped / math.fsum(w * clipped), rtol=tol, atol=0.0)
+        wv = w * values
+        mean = math.fsum(wv * xs)
+        c = xs - mean
+        assert abs(meta["mean"] - mean) <= tol * math.fsum(wv * np.abs(xs))
+        assert abs(meta["mean"] - shift) <= 1e-4  # the clip biases it a little
+        # raw moments about 0 made central by the mean: each raw moment j
+        # errs by tol sum w v |x|^j, and binomially the central one by at
+        # most tol sum w v (|x| + |mean|)^power
+        for key, power in (("variance", 2), ("third_central", 3)):
+            want = math.fsum(wv * c**power)
+            assert abs(meta[key] - want) <= tol * math.fsum(wv * (np.abs(xs) + abs(mean)) ** power)
+        assert meta["third_central"] > 0.1
 
 
 class TestCdf:
