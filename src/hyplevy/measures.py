@@ -31,6 +31,15 @@ does not, so measures of one shape share one jump table. A
 LevyMeasure1D is exactly a shape and a log_weight: its density, family
 label and second moment are derived from them, and the sampler and
 spectral modules work from the two alone.
+
+This module is the only one that tells the families apart. The sampler
+and spectral modules ask the shape, never its type: for the incomplete
+Beta or Gamma arguments of a partial moment (beta_args, gamma_args), for
+the jump table's panels graded toward the cutoff (graded_bounds), and for
+the half-line flag that picks psi's quadrature rule (half_line). A
+quadrature result meets the measure's constant exp(log_coef + log_weight)
+in one place, LevyMeasure1D._times_coef, whether it is a partial moment
+or psi's complex rows.
 """
 
 from __future__ import annotations
@@ -50,7 +59,7 @@ from .pairs import (
     log_sphere_surface,
     log_variance,
 )
-from .specfun import log_gamma
+from .specfun import _LOG_MAX, log_gamma
 
 __all__ = [
     "LevyMeasure1D",
@@ -132,6 +141,15 @@ class PairShape(_Shape):
             return None
         p = 0.5 * ((self.pair.k - 1.0) * m - (self.pair.d - 1.0))
         return p, 0.5 * self.pair.codim, delta**self.pair.u_power
+
+    def graded_bounds(self, delta: float) -> np.ndarray:
+        """Jump-table panel boundaries in w = y^(b/2) graded toward the
+        cutoff, where g_reg = (1 - y)^(-(d+1)/2) peaks as 1 - y falls to
+        a = delta^(2/(k-1)): y = 1 - a 2^(j/4), quarter octaves in 1 - y,
+        for every j >= 1 with a 2^(j/4) < 1."""
+        a = delta**self.pair.u_power
+        gaps = a * 2.0 ** (np.arange(1, math.ceil(-4.0 * math.log2(a))) / 4.0)
+        return np.power(1.0 - gaps[gaps < 1.0], 0.5 * self.codim)
 
     def upper_integrand(self, delta: float, m: int):
         """f: the integral of x^m over the measure above delta is the
@@ -232,8 +250,20 @@ class LimitShape(_Shape):
 
     def beta_args(self, delta: float, m: int):
         """None: the partial moments are incomplete Gammas, integrated by
-        quadrature of upper_integrand's f."""
+        quadrature of upper_integrand's f where its sums stay finite, else
+        taken from gamma_args."""
         return None
+
+    def gamma_args(self, delta: float, m: int):
+        """(a, x) such that the share of moment(m) below delta, m >= 2, is
+        the regularized upper incomplete Gamma Q(a, x): a = b/2 and
+        x = (m - 1) v_cut, v_cut = upper_y(delta)."""
+        return 0.5 * self.codim, (m - 1.0) * self.upper_y(delta)
+
+    def graded_bounds(self, delta: float) -> tuple:
+        """No boundaries: the limit shape's jump-table panels are not
+        graded toward the cutoff."""
+        return ()
 
     def upper_integrand(self, delta: float, m: int):
         """f: the integral of x^m over the measure above delta is the
@@ -320,29 +350,27 @@ class LevyMeasure1D:
     def total_second_moment(self) -> float:
         return self.shape.moment(2, self.log_weight)
 
-    @property
-    def coef(self) -> float:
-        """The constant in front of the shape's integrals, weight included.
-        DomainError when its log, though finite, is past the double range
-        (rescaled pairs from about d = 2968 at k = 3d/4)."""
+    def _times_coef(self, integral):
+        """The constant in front of the shape's integrals, weight included,
+        times a quadrature result: a float, or psi's complex rows. The one
+        place such a product is taken: plainly where the constant is a
+        normal double; in logs where it is subnormal (the limit family from
+        b = 343) or 0.0 (from b = 357); DomainError where its log, though
+        finite, is past the double range (rescaled pairs from about
+        d = 2968 at k = 3d/4)."""
         log_coef = self.shape.log_coef + self.log_weight
-        try:
-            return math.exp(log_coef)
-        except OverflowError:
+        if log_coef > _LOG_MAX:
             raise DomainError(
                 f"the measure's constant exp(log_coef + log_weight) = "
                 f"exp({self.shape.log_coef:.6g} + {self.log_weight:.6g}) = exp({log_coef:.6g}) "
                 "overflows a double"
-            ) from None
-
-    def _times_coef(self, integral: float) -> float:
-        """coef times a quadrature result, in logs where coef is not a
-        normal double (the limit family from b = 343, where 1/Gamma(b/2) is
-        subnormal, and 0.0 from b = 357)."""
-        coef = self.coef
+            )
+        coef = math.exp(log_coef)
         if coef >= sys.float_info.min:
             return coef * integral
-        log_coef = self.shape.log_coef + self.log_weight
+        if np.ndim(integral):
+            with np.errstate(divide="ignore"):
+                return np.exp(log_coef + np.log(integral))
         return math.exp(log_coef + math.log(integral)) if integral > 0.0 else 0.0
 
     def density(self, x):

@@ -11,6 +11,10 @@ Everything here is read off the measure's shape and weight (see
 hyplevy.measures): the weight scales lambda, the compensator and the
 small-jump variance, and the shape alone fixes the conditional jump law,
 so the hyperbolic and rescaled measures of a pair share one jump table.
+Nothing here tests which family a shape is: its methods give the partial
+moments' incomplete Beta or Gamma arguments and the table's graded
+panels, and the measure's _times_coef applies its constant to every
+quadrature result.
 
 Jump sizes come from a cubic-Hermite inverse-CDF table built in the warped
 variable w = (1 - x^(2/(k-1)))^(b/2) (w = (-log x)^(b/2) for the
@@ -19,9 +23,10 @@ strictly positive on [0, w_max]; quantile slopes therefore stay finite at
 both ends, which a table in x itself cannot guarantee once the codimension
 exceeds 2. The CDF in w is a panel sum of a fixed 16-point Gauss-Legendre
 rule. A pair's panels are graded in quarter octaves of 1 - y toward the
-cutoff, where its regular factor (1 - y)^(-(d+1)/2) peaks, and each row
-of a panel sum has the bits it would have alone, so a knot's CDF value does
-not depend on the knots evaluated beside it. Newton inverts the CDF at the
+cutoff (its shape's graded_bounds), where its regular factor
+(1 - y)^(-(d+1)/2) peaks, and each row of a panel sum has the bits it
+would have alone, so a knot's CDF value does not depend on the knots
+evaluated beside it. Newton inverts the CDF at the
 knots to 1e-12 of the mass, each step re-evaluating only the knots not yet
 there and still moving; only a run in which some knot stalls (its step
 leaves w unchanged) or exhausts its 60 steps is checked again, over every
@@ -89,7 +94,7 @@ from .errors import (
     _integer,
     _real,
 )
-from .measures import LevyMeasure1D, PairShape
+from .measures import LevyMeasure1D
 from .quadrature import exp_sinh, tanh_sinh
 from .specfun import _LOG_MAX, reg_inc_beta, reg_upper_gamma
 
@@ -206,9 +211,8 @@ def partial_moment(measure: LevyMeasure1D, delta: float, m: int, side: str) -> f
     if shape.log_moment(m) - shape.log_coef > _LOG_MAX:
         # f's integral over (0, inf), Gamma(b/2) (m-1)^(-b/2), overflows a
         # double (from b = 344 at m = 2), and so do the quadrature's sums:
-        # the share below delta is Q(b/2, (m-1) end) instead
-        a = 0.5 * shape.codim
-        return shape.moment(m, measure.log_weight) * reg_upper_gamma(a, (m - 1.0) * end)
+        # the share below delta is the shape's Q(a, x) instead
+        return shape.moment(m, measure.log_weight) * reg_upper_gamma(*shape.gamma_args(delta, m))
     return measure._times_coef(exp_sinh(f, a=end, rel_tol=1e-12, abs_tol=1e-300))
 
 
@@ -300,23 +304,14 @@ def _panel_sums(values: np.ndarray) -> np.ndarray:
 
 def _panel_boundaries(shape, delta: float, w_max: float, panels: int) -> np.ndarray:
     """Uniform panels, with the first one split dyadically toward 0 so the
-    w^(2/b) endpoint behavior is integrated on geometrically graded cells.
-
-    A pair shape's g_reg = (1 - y)^(-(d+1)/2) peaks at the cutoff end,
-    where 1 - y falls to a = 1 - y_max = delta^(2/(k-1)); uniform panels in
-    w do not resolve it once a is small. Its panels get extra boundaries at
-    y = 1 - a 2^(j/4), quarter octaves in 1 - y, for every j >= 1 with
-    a 2^(j/4) < 1. np.sort and a mask keep the strictly increasing
-    entries (np.unique would import numpy.ma into every table build)."""
+    w^(2/b) endpoint behavior is integrated on geometrically graded cells,
+    plus the shape's graded_bounds toward the cutoff: a pair's g_reg peaks
+    there, where uniform panels in w do not resolve it once delta is small.
+    np.sort and a mask keep the strictly increasing entries (np.unique
+    would import numpy.ma into every table build)."""
     uniform = w_max * np.arange(1, panels + 1) / panels
-    first = uniform[0]
-    dyadic = first * 2.0 ** (-np.arange(64, 0, -1, dtype=float))
-    parts = [[0.0], dyadic, uniform]
-    if isinstance(shape, PairShape):
-        a = delta**shape.pair.u_power
-        gaps = a * 2.0 ** (np.arange(1, math.ceil(-4.0 * math.log2(a))) / 4.0)
-        parts.append(np.power(1.0 - gaps[gaps < 1.0], 0.5 * shape.codim))
-    bounds = np.sort(np.concatenate(parts))
+    dyadic = uniform[0] * 2.0 ** (-np.arange(64, 0, -1, dtype=float))
+    bounds = np.sort(np.concatenate([[0.0], dyadic, uniform, shape.graded_bounds(delta)]))
     return bounds[np.concatenate(([True], bounds[1:] > bounds[:-1]))]
 
 
@@ -500,9 +495,7 @@ def inverse_jump_cdf(measure: LevyMeasure1D, p, delta: float = 1e-3) -> np.ndarr
     # the table runs in the upper-tail direction: x(q) with q = 1 - p
     q = np.ravel(1.0 - p_arr)
     out = table.fill_x_of_q(q, *_buffers(q.size))
-    if np.isscalar(p) or p_arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(p_arr.shape)
+    return float(out[0]) if p_arr.ndim == 0 else out.reshape(p_arr.shape)
 
 
 def sample(measure: LevyMeasure1D, n: int, config: SamplerConfig | None = None) -> SampleBatch:

@@ -397,7 +397,7 @@ def _quadrature_exponents(measure: LevyMeasure1D, ts: np.ndarray, dt=None) -> np
     # a phase term that overflows (|t| near 1e300) makes its row nan, which
     # never converges: QuadratureError reports it, and no warning repeats it
     with np.errstate(over="ignore", invalid="ignore"):
-        return measure.coef * rule(integrand, rel_tol=_REL_TOL, abs_tol=1e-300)
+        return measure._times_coef(rule(integrand, rel_tol=_REL_TOL, abs_tol=1e-300))
 
 
 _U = 2.0**-53  # unit roundoff of a double
@@ -575,14 +575,16 @@ def char_exponent(measure: LevyMeasure1D, t: float) -> complex:
 
     A batch of one through the path invert_to_density uses: the cumulant
     series where its bound certifies 1e-13 relative, else quadrature in
-    the variable of the measure's shape; 0j at t = +-0. t must be finite.
+    the variable of the measure's shape; 0j at t = +-0. t must be a finite
+    real number; numpy numbers count, a bool, a string or a complex does
+    not.
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise DomainError(f"char_exponent requires a finite frequency, got {t!r}")
-    if t == 0.0:
+    freq = _real(t)
+    if freq is None or not math.isfinite(freq):
+        raise DomainError(f"char_exponent requires a finite frequency, a real number, got {t!r}")
+    if freq == 0.0:
         return 0j
-    return _char_exponents(measure, np.array([t]))[0]
+    return _char_exponents(measure, np.array([freq]))[0]
 
 
 def char_function(measure: LevyMeasure1D, t: float) -> complex:
@@ -903,11 +905,19 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
 
 
 def _as_cdf(obj):
-    """Normalize the ks_distance operand kinds to (evaluator, xlo, xhi)."""
+    """Normalize the ks_distance operand kinds to (evaluator, xlo, xhi),
+    xlo < xhi finite: a CdfTable needs 2 values at least, on a finite
+    increasing grid."""
     if isinstance(obj, DensityGrid):
         obj = obj.cdf()
     if isinstance(obj, CdfTable):
-        return obj.evaluate, float(obj.x0), float(obj.x0 + obj.step * (len(obj.values) - 1))
+        lo, hi = float(obj.x0), float(obj.x0 + obj.step * (len(obj.values) - 1))
+        if not -math.inf < lo < hi < math.inf:
+            raise DomainError(
+                f"a CdfTable needs 2 values at least, on a finite increasing grid; got "
+                f"{len(obj.values)} from x = {lo!r} to {hi!r}"
+            )
+        return obj.evaluate, lo, hi
     if obj == STANDARD_NORMAL:
         return _normal_cdf, -40.0, 40.0
     raise DomainError(f"cannot interpret {obj!r} as a distribution")
@@ -917,16 +927,14 @@ def ks_distance(a, b) -> float:
     """Kolmogorov distance sup |F_a - F_b|.
 
     Operands may be DensityGrid, CdfTable, or the STANDARD_NORMAL
-    sentinel. Evaluation points are the union of both grids plus
-    midpoints; outside its support a CDF counts as 0 or 1.
+    sentinel; a CdfTable must span an interval (2 values at least, on a
+    finite increasing grid), else DomainError. Evaluation points are the
+    union of both grids plus midpoints; outside its support a CDF counts
+    as 0 or 1.
     """
     fa, alo, ahi = _as_cdf(a)
     fb, blo, bhi = _as_cdf(b)
-    pts = []
-    for f, lo, hi in ((fa, alo, ahi), (fb, blo, bhi)):
-        if hi > lo:
-            pts.append(np.linspace(lo, hi, 4097))
-    grid = np.unique(np.concatenate(pts))
+    grid = np.unique(np.concatenate((np.linspace(alo, ahi, 4097), np.linspace(blo, bhi, 4097))))
     mids = 0.5 * (grid[1:] + grid[:-1])
     grid = np.sort(np.concatenate([grid, mids]))
     return float(np.max(np.abs(fa(grid) - fb(grid))))
@@ -934,12 +942,13 @@ def ks_distance(a, b) -> float:
 
 def ks_distance_sample(sample: np.ndarray, dist) -> float:
     """Kolmogorov distance between an empirical sample and a distribution
-    operand accepted by ks_distance."""
+    operand accepted by ks_distance. The sample is read flat, whatever its
+    shape; it must be nonempty and hold no NaN."""
     f, _, _ = _as_cdf(dist)
-    xs = np.sort(np.asarray(sample, dtype=float))
+    xs = np.sort(np.asarray(sample, dtype=float).ravel())
     n = len(xs)
-    if n == 0:
-        raise DomainError("empty sample")
+    if n == 0 or np.isnan(xs[-1]):
+        raise DomainError(f"a sample needs values and no NaN, got {n} values, {np.isnan(xs).sum()} NaN")
     model = f(xs)
     hi = np.max(np.arange(1, n + 1) / n - model)
     lo = np.max(model - np.arange(0, n) / n)

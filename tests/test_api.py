@@ -7,6 +7,7 @@ option is a tolerance or a level; a new one shows up here as a diff.
 import dataclasses
 import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +85,16 @@ CONSTANTS = {"__version__", "E_TIMES_PI", "STANDARD_NORMAL"}
 
 def params(obj) -> tuple:
     return tuple(inspect.signature(obj).parameters)
+
+
+def test_the_package_version_is_the_projects():
+    # provenance and the stream identity name hyplevy.__version__, so the
+    # installed distribution must carry the same one
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    if not pyproject.is_file():
+        pytest.skip("no pyproject.toml beside the tests")
+    assert tomllib.loads(pyproject.read_text())["project"]["version"] == hyplevy.__version__
 
 
 def test_every_export_is_pinned():

@@ -121,6 +121,36 @@ def test_numpy_free_modules_import_no_numpy_at_module_level(module):
     assert relative <= {"", *NUMPY_FREE}, relative
 
 
+FAMILY_BLIND = ("sampler", "spectral")
+SHAPE_CLASSES = {"_Shape", "PairShape", "LimitShape"}
+
+
+@pytest.mark.parametrize("module", FAMILY_BLIND)
+def test_only_measures_tells_the_families_apart(module):
+    # the sampler and spectral modules ask a measure's shape, never its
+    # type: no shape class is imported or named (so no isinstance test
+    # against one), and no pair is read off a shape
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            assert node.name.rpartition(".")[2] not in SHAPE_CLASSES, node.name
+        elif isinstance(node, ast.Name):
+            assert node.id not in SHAPE_CLASSES, (node.id, node.lineno)
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in SHAPE_CLASSES | {"pair"}, (node.attr, node.lineno)
+        elif isinstance(node, ast.Constant):
+            assert node.value not in SHAPE_CLASSES, (node.value, node.lineno)
+
+
+def test_a_measure_has_no_float_constant():
+    # the constant exp(log_coef + log_weight) meets a quadrature result
+    # only in LevyMeasure1D._times_coef
+    from hyplevy.measures import LevyMeasure1D
+
+    assert not hasattr(LevyMeasure1D, "coef")
+    assert callable(LevyMeasure1D._times_coef)
+
+
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 

@@ -324,10 +324,35 @@ class TestMakeMeasure:
     def test_a_constant_past_the_double_range_is_a_domain_error(self):
         # rescaled pairs at k = 3d/4: exp(log_coef + log_weight) is a double
         # at d = 2964 and overflows from d = 2968; the error names the log
-        assert math.isfinite(make_measure("rescaled", DimensionPair(2964, 2223)).coef)
+        assert math.isfinite(make_measure("rescaled", DimensionPair(2964, 2223))._times_coef(1.0))
         m = make_measure("rescaled", DimensionPair(4000, 3000))
         with pytest.raises(DomainError, match=r"exp\(-2032\.75 \+ 2989\.3\) = exp\(956\.554\)"):
-            m.coef
+            m._times_coef(1.0)
+
+    ROWS = np.array([3e200 - 1e199j, -2e180 + 5e181j, 1e100j, 0j])
+
+    def test_a_normal_constant_takes_the_plain_product(self):
+        m = make_measure("rescaled", DimensionPair(4, 3))
+        coef = math.exp(m.shape.log_coef + m.log_weight)
+        assert m._times_coef(self.ROWS).tobytes() == (coef * self.ROWS).tobytes()
+        assert m._times_coef(0.3) == coef * 0.3
+
+    @pytest.mark.parametrize("b", [343, 350, 357, 400])
+    def test_a_subnormal_constant_takes_the_product_in_logs(self, b):
+        # 1/Gamma(b/2) is subnormal from b = 343 and 0.0 from b = 357; a
+        # partial moment and psi's complex rows meet it in logs alike
+        m = make_measure("limit", b)
+        with mpmath.workdps(40):
+            c = 1 / mpmath.gamma(mpmath.mpf(b) / 2)
+            got = m._times_coef(self.ROWS)
+            assert got[-1] == 0.0
+            for g, z in zip(got[:-1], self.ROWS):
+                want = complex(c * mpmath.mpc(z))
+                assert abs(g - want) <= 1e-12 * abs(want), z
+            got = m._times_coef(3e200)
+            assert type(got) is float
+            assert abs(got / float(c * mpmath.mpf(3e200)) - 1.0) <= 1e-12
+        assert m._times_coef(0.0) == 0.0
 
     def test_validation(self):
         with pytest.raises(DomainError):

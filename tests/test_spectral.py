@@ -424,7 +424,7 @@ class TestBlockExponents:
                 *nodes, w = quadrature._ts_nodes(lv, new_only)
             return _PhaseLevel(*measure.shape.phase_terms(*nodes)).sums(ts, (w,), dt)[0]
 
-        want = measure.coef * (0.5 * level(5, False) + level(6, True))
+        want = measure._times_coef(0.5 * level(5, False) + level(6, True))
         assert got.tobytes() == want.tobytes()
 
 
@@ -1329,6 +1329,21 @@ class TestCharFunction:
             with pytest.raises(DomainError, match="finite frequency"):
                 f(RESC43, t)
 
+    @pytest.mark.parametrize("t", ["1", True, 1 + 1j, None], ids=["str", "bool", "complex", "none"])
+    def test_a_frequency_that_is_not_a_real_number_is_a_domain_error(self, t):
+        # float("1") and float(True) read as psi(1), and float(1 + 1j)
+        # raised a bare TypeError
+        for f in (char_exponent, char_function):
+            with pytest.raises(DomainError, match=r"finite frequency, a real number, got"):
+                f(RESC43, t)
+
+    def test_numpy_reals_are_frequencies(self):
+        want = char_exponent(RESC43, 1.0)
+        for t in (1, np.float64(1.0), np.float32(1.0), np.int64(1), np.int8(1)):
+            got = char_exponent(RESC43, t)
+            assert type(got) is type(want) and got == want, t
+            assert char_function(RESC43, t) == char_function(RESC43, 1.0), t
+
 
 class TestInvertToDensity:
     @pytest.mark.parametrize(
@@ -1740,3 +1755,39 @@ class TestKolmogorovDistance:
     def test_empty_sample_is_rejected(self):
         with pytest.raises(DomainError):
             ks_distance_sample(np.array([]), STANDARD_NORMAL)
+
+    def test_a_sample_is_read_flat(self):
+        # a (1000, 1) column read 0.99995 (one model value against every
+        # draw) and a (2, 500) block raised a bare ValueError
+        xs = np.random.default_rng(0).standard_normal(1000)
+        flat = ks_distance_sample(xs, STANDARD_NORMAL)
+        assert flat < 0.05  # 0.0354; the 5 % critical value is 0.043
+        for shape in ((1000, 1), (2, 500), (1, 10, 100)):
+            assert ks_distance_sample(xs.reshape(shape), STANDARD_NORMAL) == flat, shape
+
+    @pytest.mark.parametrize("where", [0, 499, 999])
+    def test_a_nan_in_the_sample_is_a_domain_error(self, where):
+        xs = np.random.default_rng(0).standard_normal(1000)
+        xs[where] = math.nan
+        with pytest.raises(DomainError, match="no NaN, got 1000 values, 1 NaN"):
+            ks_distance_sample(xs, STANDARD_NORMAL)
+
+    @pytest.mark.parametrize(
+        "x0, step, n",
+        [(0.0, 1.0, 1), (0.0, 1.0, 0), (0.0, 0.0, 3), (0.0, -1.0, 3), (math.nan, 1.0, 3),
+         (0.0, math.inf, 3)],
+        ids=["one-point", "empty", "zero-step", "descending", "nan-start", "inf-step"],
+    )
+    def test_a_table_that_spans_no_interval_is_a_domain_error(self, x0, step, n):
+        # two one-point tables raised a bare ValueError from np.concatenate
+        bad = CdfTable(x0=x0, step=step, values=np.linspace(0.0, 1.0, n))
+        two = CdfTable(x0=0.0, step=1.0, values=np.array([0.0, 1.0]))
+        for call in (
+            lambda: ks_distance(bad, bad),
+            lambda: ks_distance(bad, STANDARD_NORMAL),
+            lambda: ks_distance(two, bad),
+            lambda: ks_distance_sample(np.zeros(3), bad),
+        ):
+            with pytest.raises(DomainError, match=f"2 values at least, on a finite increasing grid; got {n} "):
+                call()
+        assert ks_distance(two, two) == 0.0
