@@ -19,45 +19,28 @@ Conventions shared by every subcommand:
 - Exit codes: 0 success, 1 a sweep finished with failed runs, 2 invalid
   input, 3 a numerical procedure failed to converge.
 
-Only the handlers that need a measure, the sampler or the spectral layer
-(cumulants, density and sample) import them, and with them numpy; every
-other command runs on math and specfun alone.
+At module level this imports only what every command needs (argparse,
+json, math, numbers, os, sys, the package and its errors); each handler
+and helper imports the rest of what it uses when it runs. So `--help` and
+`--version` load no other hyplevy module, the specfun command loads only
+the specfun module, variance adds pairs, probe and classify add regime,
+and only cumulants, density and sample load measures, the sampler or the
+spectral layer and, with them, numpy. dataclasses comes in with pairs,
+regime and measures, datetime with the first provenance line, and pathlib
+with the first output path.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import numbers
 import os
 import sys
-from datetime import datetime, timezone
-from pathlib import Path
 
 from . import __version__
 from .errors import ConvergenceError, DomainError, HyplevyError
-from .pairs import DimensionPair, log_variance, variance
-from .regime import (
-    ExplicitFamily,
-    FixedCodimensionFamily,
-    PowerLawFamily,
-    ProbeRow,
-    classify_sequence,
-    probe_regime,
-)
-from .specfun import (
-    beta_dist_stats,
-    chebyshev_tail_bound,
-    gamma_ratio_log_bounds,
-    inc_beta,
-    log_gamma,
-    reg_inc_beta,
-    stirling_log_bounds,
-    taylor_remainder_bound,
-    wendel_lower,
-)
 
 __all__ = ["main", "entrypoint", "build_parser"]
 
@@ -69,7 +52,11 @@ _EXIT_NUMERICAL = 3
 _CSV_CHUNK = 4096
 
 
-def _out_path(name: str) -> Path:
+def _out_path(name: str):
+    """name as a pathlib.Path, under $HYPLEVY_OUTDIR when it is relative
+    and that is set; its parent directory is created."""
+    from pathlib import Path
+
     path = Path(name)
     if not path.is_absolute():
         base = os.environ.get("HYPLEVY_OUTDIR")
@@ -80,6 +67,8 @@ def _out_path(name: str) -> Path:
 
 
 def _provenance(argv: list[str], **extra) -> dict:
+    from datetime import datetime, timezone
+
     prov = {
         "argv": list(argv),
         "version": __version__,
@@ -98,7 +87,7 @@ def _is_int_column(col) -> bool:
     return all(isinstance(v, numbers.Integral) for v in col)
 
 
-def _write_csv(path: Path, header: list[str], columns, prov: dict) -> None:
+def _write_csv(path: os.PathLike, header: list[str], columns, prov: dict) -> None:
     """Write one column per header name: integer columns as %d, the rest
     with %.17g. Columns are numpy arrays or lists. Rows go out _CSV_CHUNK
     at a time, the chunk's values interleaved row-major and formatted by
@@ -119,7 +108,7 @@ def _write_csv(path: Path, header: list[str], columns, prov: dict) -> None:
             fh.write((row_fmt * k) % tuple(cells))
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_json(path: os.PathLike, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -145,6 +134,7 @@ def _measure_from_args(args: argparse.Namespace):
     """The measure --family names, and the fields that identify it in
     outputs."""
     from .measures import make_measure
+    from .pairs import DimensionPair
 
     if args.family == "limit":
         if args.b is None:
@@ -175,6 +165,9 @@ def _add_sequence_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _family_from_args(args: argparse.Namespace):
+    from .pairs import DimensionPair
+    from .regime import ExplicitFamily, FixedCodimensionFamily, PowerLawFamily
+
     if args.sequence == "fixed-codim":
         if args.b is None:
             raise DomainError("--sequence fixed-codim requires --b")
@@ -207,6 +200,8 @@ def _number_list(text: str, kind: type) -> list:
 
 
 def _cmd_variance(args: argparse.Namespace, argv: list[str]) -> int:
+    from .pairs import DimensionPair, log_variance, variance
+
     pair = DimensionPair(args.d, args.k)
     _print_json(
         {
@@ -252,6 +247,10 @@ def _cmd_density(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _cmd_probe(args: argparse.Namespace, argv: list[str]) -> int:
+    import dataclasses
+
+    from .regime import ProbeRow, probe_regime
+
     family = _family_from_args(args)
     table = probe_regime(family, _number_list(args.n, int), _number_list(args.eps, float))
     path = _out_path(args.out)
@@ -273,6 +272,8 @@ def _verdict_fields(verdict) -> dict:
 
 
 def _cmd_classify(args: argparse.Namespace, argv: list[str]) -> int:
+    from .regime import classify_sequence
+
     _print_json(_verdict_fields(classify_sequence(_family_from_args(args), margin=args.margin)))
     return _EXIT_OK
 
@@ -302,27 +303,37 @@ def _cmd_sample(args: argparse.Namespace, argv: list[str]) -> int:
     return _EXIT_OK
 
 
+def _specfun(name: str, keys: tuple = ("value",)):
+    """specfun's function name, imported only when the op runs, with its
+    result returned as a dict under keys (a lone value under "value")."""
+
+    def op(*args) -> dict:
+        from . import specfun
+
+        result = getattr(specfun, name)(*args)
+        return dict(zip(keys, result if len(keys) > 1 else (result,)))
+
+    return op
+
+
 def _taylor_bound(order: float, x: float) -> dict:
+    from .specfun import taylor_remainder_bound
+
     if not order.is_integer():  # inf and nan included
         raise DomainError("taylor-bound order must be an integer")
     return {"value": taylor_remainder_bound(int(order), x)}
 
 
-def _fields(keys: tuple, fn):
-    """fn with its tuple result returned as a dict under keys."""
-    return lambda *a: dict(zip(keys, fn(*a)))
-
-
 # op -> (argument count, the op returning its result fields)
 _SPECFUN_OPS = {
-    "log-gamma": (1, lambda x: {"value": log_gamma(x)}),
-    "inc-beta": (3, lambda p, q, x: {"value": inc_beta(p, q, x)}),
-    "reg-inc-beta": (3, lambda p, q, x: {"value": reg_inc_beta(p, q, x)}),
-    "beta-stats": (2, _fields(("mean", "variance"), beta_dist_stats)),
-    "chebyshev-tail": (3, _fields(("side", "bound"), chebyshev_tail_bound)),
-    "gamma-ratio-bounds": (2, _fields(("log_lower", "log_upper"), gamma_ratio_log_bounds)),
-    "stirling-bounds": (1, _fields(("log_lower", "log_upper"), stirling_log_bounds)),
-    "wendel-lower": (2, lambda x, s: {"value": wendel_lower(x, s)}),
+    "log-gamma": (1, _specfun("log_gamma")),
+    "inc-beta": (3, _specfun("inc_beta")),
+    "reg-inc-beta": (3, _specfun("reg_inc_beta")),
+    "beta-stats": (2, _specfun("beta_dist_stats", ("mean", "variance"))),
+    "chebyshev-tail": (3, _specfun("chebyshev_tail_bound", ("side", "bound"))),
+    "gamma-ratio-bounds": (2, _specfun("gamma_ratio_log_bounds", ("log_lower", "log_upper"))),
+    "stirling-bounds": (1, _specfun("stirling_log_bounds", ("log_lower", "log_upper"))),
+    "wendel-lower": (2, _specfun("wendel_lower")),
     "taylor-bound": (2, _taylor_bound),
 }
 
@@ -342,10 +353,14 @@ def _cmd_specfun(args: argparse.Namespace, argv: list[str]) -> int:
     return _EXIT_OK
 
 
-def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
-    manifest_path = Path(args.manifest)
+def _cmd_sweep(
+    args: argparse.Namespace, argv: list[str], parser: argparse.ArgumentParser
+) -> int:
+    """Run each manifest entry through parser, the one main built, so a
+    sweep builds no second parser."""
     try:
-        manifest = json.loads(manifest_path.read_text())
+        with open(args.manifest) as fh:
+            manifest = json.load(fh)
     except OSError as exc:
         raise DomainError(f"cannot read manifest {args.manifest!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -355,8 +370,6 @@ def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
         isinstance(r, dict) and isinstance(r.get("argv"), list) for r in runs
     ):
         raise DomainError('manifest must look like {"runs": [{"argv": [...]}, ...]}')
-
-    parser = build_parser()
 
     def one(run_argv: list[str]):
         if run_argv and run_argv[0] == "sweep":
@@ -429,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sweep", help="run every entry of a JSON manifest")
     p.add_argument("manifest", help='JSON file {"runs": [{"argv": [...]}, ...]}')
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=lambda args, argv: _cmd_sweep(args, argv, parser))
 
     p = subs.add_parser("specfun", help="spot-check the special-function layer")
     p.add_argument(

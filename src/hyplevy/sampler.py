@@ -36,7 +36,11 @@ build time: the max CDF residual over all cell midpoints must not exceed
 the certificate holds, up to 2^20 cells. Above the rounding floor of the
 quantile the residual falls about 16x per doubling, so a doubling that
 fails to halve it means the floor is reached, and the build stops there
-with ConvergenceError instead of doubling on.
+with ConvergenceError instead of doubling on. A build whose w_max is not a
+positive normal double (it underflows for pairs of high codimension, and
+overflows for the limit family at large b), or whose knots or slopes are
+not all finite (the first knot targets underflow), raises ConvergenceError
+naming the shape and delta before any certificate is taken.
 
 A table is one 4 x (cells + 1) array of doubles (64 KB at 2^11 cells, so
 the per-jump gathers stay in cache): the monomial coefficients c0..c3 of
@@ -81,6 +85,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -328,7 +333,16 @@ class _PanelCdf:
     def __init__(self, shape, delta: float, cells: int):
         self.shape = shape
         self.two_over_b = 2.0 / shape.codim
-        self.w_max = shape.upper_y(delta) ** (0.5 * shape.codim)
+        try:
+            self.w_max = shape.upper_y(delta) ** (0.5 * shape.codim)
+        except OverflowError:
+            self.w_max = math.inf
+        # a w_max that under- or overflows leaves no panel to invert in
+        if not sys.float_info.min <= self.w_max < math.inf:
+            raise ConvergenceError(
+                f"jump table for {shape!r} at delta {delta!r}: w_max = y_max^(b/2) "
+                f"= {self.w_max!r} is not a positive normal double"
+            )
         self.bounds = _panel_boundaries(shape, delta, self.w_max, max(1024, cells // 16))
         lo = self.bounds[:-1]
         width = np.diff(self.bounds)
@@ -439,6 +453,11 @@ def _build_jump_table(shape, delta: float, cells: int) -> _JumpTable:
         grade = np.exp((P - 1.0) * np.log(s) - (half - 1.0) * np.log(y))
     grade[0] = ((half * total) ** (two_over_b - 1.0)) if 2 * P == int(b) else 0.0
     slopes = shape.dx_dy(y) * P * total * grade / shape.g_reg(y)
+    if not (np.isfinite(x_knots).all() and np.isfinite(slopes).all()):
+        raise ConvergenceError(
+            f"jump table for {shape!r} at delta {delta!r}: "
+            "the knots or slopes are not all finite"
+        )
 
     table = _JumpTable(x_knots, slopes, P, cells, cert_error=math.nan)
     s_mid = (np.arange(cells) + 0.5) / cells

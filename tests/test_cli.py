@@ -277,6 +277,23 @@ class TestSample:
         assert set(meta["empirical_cumulants"]) == {"1", "2", "3", "4"}
         assert math.isclose(meta["jump_rate"], 99.0, rel_tol=1e-10)
 
+    @pytest.mark.parametrize("d, k", [(200, 101), (880, 448)])
+    def test_a_table_that_cannot_be_built_exits_3(self, outdir, d, k):
+        # (880, 448): w_max underflows to 0; (200, 101): the knots or
+        # slopes are not all finite. One error line, no traceback and no
+        # RuntimeWarning, in a fresh interpreter that turns warnings to errors
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "hyplevy.cli", "sample",
+             "--family", "rescaled", "--d", str(d), "--k", str(k), "--n", "4",
+             "--out", "s.csv"],
+            capture_output=True, text=True, env=hyplevy_env(HYPLEVY_OUTDIR=str(outdir)),
+            timeout=120,
+        )
+        assert proc.returncode == 3
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"hyplevy: error: jump table for PairShape(pair=DimensionPair(d={d}")
+        assert proc.stdout == ""
+
     def test_tiny_run_skips_empirical_cumulants(self, capsys, outdir):
         run(capsys, "sample", "--family", "limit", "--b", "2", "--n", "6",
             "--seed", "0", "--delta", "0.01", "--out", "tiny.csv")
@@ -384,6 +401,18 @@ class TestSweep:
         assert report["runs"][1]["exit_code"] == 2
         assert "error" in report["runs"][1]
 
+    def test_a_table_that_cannot_be_built_fails_only_its_run(self, capsys, outdir):
+        # w_max underflows at (880, 448): exit 3 for that run, and the
+        # sweep goes on to the next
+        sample = ["sample", "--family", "rescaled", "--d", "880", "--k", "448", "--n", "4",
+                  "--out", "s.csv"]
+        path = self.write_manifest(outdir, [sample, ["variance", "4", "3"]])
+        code, out, _ = run(capsys, "sweep", str(path))
+        assert code == 1
+        report = json_objects(out)[-1]["runs"]
+        assert [r["exit_code"] for r in report] == [3, 0]
+        assert report[0]["error"].startswith("jump table for PairShape(pair=DimensionPair(d=880")
+
     def test_all_green_exits_0(self, capsys, outdir):
         path = self.write_manifest(outdir, [["variance", "4", "3"], ["variance", "7", "5"]])
         code, out, _ = run(capsys, "sweep", str(path))
@@ -415,9 +444,21 @@ class TestSweep:
             return build()
 
         monkeypatch.setattr(hyplevy.cli, "build_parser", counting)
-        path = self.write_manifest(outdir, [["variance", "4", "3"]] * 5)
-        assert run(capsys, "sweep", str(path))[0] == 0
-        assert len(calls) == 2  # the command line, then the manifest entries
+        inner = self.write_manifest(outdir, [], name="inner.json")
+        runs = [["variance", "4", "3"]] * 3 + [
+            ["variance", "4", "2"],
+            ["sweep", str(inner)],
+            ["variance", "--no-such-flag"],
+            ["variance", "7", "5"],
+        ]
+        path = self.write_manifest(outdir, runs)
+        code, out, _ = run(capsys, "sweep", str(path))
+        assert len(calls) == 1  # main's parser also parses every manifest entry
+        assert code == 1
+        report = json_objects(out)[-1]["runs"]
+        assert [r["exit_code"] for r in report] == [0, 0, 0, 2, 2, 2, 0]
+        assert report[4]["error"] == "nested sweep is not allowed"
+        assert report[5]["error"] == "argument parsing failed"
 
     def test_parallel_option_is_gone(self, capsys, outdir):
         path = self.write_manifest(outdir, [["variance", "4", "3"]])

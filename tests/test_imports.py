@@ -64,36 +64,59 @@ class TestLazyNamespace:
             assert name not in loaded
 
 
-# each argv runs through main() in a fresh interpreter; the last loads
-# numpy on purpose, so the check is seen to tell the two apart
+# each argv runs through main() in a fresh interpreter: the hyplevy
+# submodules it loads beside the package, cli and errors, whether it loads
+# numpy (the last case does, on purpose, so the check is seen to tell the
+# two apart), and which of dataclasses and datetime its handler needs
+REGIME = ("regime", "pairs", "specfun")
 CLI_CASES = [
-    (None, False),
-    (["--help"], False),
-    (["--version"], False),
-    (["variance", "40", "21"], False),
-    (["specfun", "--op", "reg-inc-beta", "2.5", "3", "0.4"], False),
-    (["specfun", "--op", "taylor-bound", "4", "0.5"], False),
-    (["classify", "--sequence", "power-law", "--gamma", "1.0", "--beta", "0.3"], False),
+    (None, (), False, ()),
+    (["--help"], (), False, ()),
+    (["--version"], (), False, ()),
+    (["variance", "40", "21"], ("pairs", "specfun"), False, ("dataclasses",)),
+    (["specfun", "--op", "reg-inc-beta", "2.5", "3", "0.4"], ("specfun",), False, ()),
+    (["specfun", "--op", "taylor-bound", "4", "0.5"], ("specfun",), False, ()),
+    (["classify", "--sequence", "power-law", "--gamma", "1.0", "--beta", "0.3"],
+     REGIME, False, ("dataclasses",)),
     (["probe", "--sequence", "power-law", "--gamma", "1.0", "--beta", "0.7",
-      "--n", "1,1000000", "--eps", "0.1,0.5", "--out", "p.csv"], False),
-    (["cumulants", "--family", "limit", "--b", "2"], True),
+      "--n", "1,1000000", "--eps", "0.1,0.5", "--out", "p.csv"],
+     REGIME, False, ("dataclasses", "datetime")),
+    (["cumulants", "--family", "limit", "--b", "2"],  # numpy imports datetime
+     ("measures", "pairs", "specfun"), True, ("dataclasses", "datetime")),
 ]
+DEFERRED_STDLIB = ("dataclasses", "datetime")
+
+
+@pytest.fixture(scope="module")
+def bare_modules() -> set:
+    """What a bare interpreter has loaded before it runs a line: site
+    hooks may preload stdlib modules, so only the rest is the CLI's doing."""
+    return set(ast.literal_eval(run_fresh("import sys\nprint(sorted(sys.modules))")[-1]))
 
 
 @pytest.mark.parametrize(
-    "argv, loads_numpy", CLI_CASES,
+    "argv, submodules, loads_numpy, needs", CLI_CASES,
     ids=["import", "help", "version", "variance", "specfun", "taylor-bound", "classify", "probe",
          "cumulants"],
 )
-def test_cli_start_imports_numpy_only_where_needed(tmp_path, argv, loads_numpy):
+def test_cli_start_imports_numpy_only_where_needed(
+    tmp_path, bare_modules, argv, submodules, loads_numpy, needs
+):
     script = "import sys\nfrom hyplevy.cli import main\n"
     if argv is not None:
         script += f"print('exit', main({argv!r}))\n"
-    script += "print('numpy' in sys.modules)"
+    script += "print(sorted(sys.modules))"
     lines = run_fresh(script, HYPLEVY_OUTDIR=str(tmp_path))
     if argv is not None:
         assert "exit 0" in lines
-    assert lines[-1] == str(loads_numpy)
+    loaded = set(ast.literal_eval(lines[-1]))
+    assert {m for m in loaded if m.startswith("hyplevy")} == {
+        "hyplevy", "hyplevy.cli", "hyplevy.errors", *(f"hyplevy.{m}" for m in submodules)
+    }
+    assert ("numpy" in loaded) == loads_numpy
+    for name in DEFERRED_STDLIB:
+        if name not in needs:
+            assert name not in loaded - bare_modules, name
 
 
 def module_level_imports(tree: ast.Module) -> list[str]:
@@ -119,6 +142,8 @@ def test_numpy_free_modules_import_no_numpy_at_module_level(module):
     assert not [n for n in imports if n == "numpy" or n.startswith("numpy.")]
     relative = {n[1:] for n in imports if n.startswith(".")}
     assert relative <= {"", *NUMPY_FREE}, relative
+    if module == "cli":  # each handler imports the rest when it runs
+        assert relative <= {"", "errors"}, relative
 
 
 FAMILY_BLIND = ("sampler", "spectral")

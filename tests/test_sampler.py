@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import subprocess
 import sys
 import time
@@ -535,7 +536,6 @@ class TestInverseJumpCdf:
 
     # the known faults of _build_jump_table, one strict xfail per CHANGES.md
     # FOUND line; each asserts the right outcome, so a mend turns it XPASS
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.xfail(
         raises=ConvergenceError, strict=True,
         reason="CHANGES.md FOUND: _build_jump_table fails on rescaled pairs of large "
@@ -563,6 +563,28 @@ class TestInverseJumpCdf:
         delta = 1e-5
         x = inverse_jump_cdf(measure, 0.5, delta)
         assert math.isfinite(x) and delta < x < 1.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            # w_max = y_max^(b/2) underflows to 0: no panel to invert
+            *[make_measure("rescaled", DimensionPair(d, k))
+              for d, k in ((872, 444), (876, 446), (880, 448))],
+            # the first knot targets underflow: knots or slopes not all finite
+            *[make_measure("rescaled", DimensionPair(d, k)) for d, k in ((200, 101), (400, 207))],
+            # w_max overflows
+            make_measure("limit", 1000),
+        ],
+        ids=["872-444", "876-446", "880-448", "200-101", "400-207", "limit1000"],
+    )
+    def test_a_table_that_cannot_be_built_is_a_convergence_error(self, measure):
+        # until the table is built in logs (ROADMAP item 1): a typed error
+        # naming the shape and delta, with no IndexError, OverflowError or
+        # RuntimeWarning on the way
+        named = re.escape(f"{measure.shape!r} at delta 0.001")
+        with pytest.raises(ConvergenceError, match=named):
+            inverse_jump_cdf(measure, 0.5, 1e-3)
 
     def test_validation(self):
         with pytest.raises(DomainError):
