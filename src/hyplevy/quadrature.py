@@ -119,7 +119,7 @@ def _part_sums(values, ws: tuple, live) -> np.ndarray:
     live = np.arange(values.n) if live is None else live
     step = max(1, _TILE // max(len(w) for w in ws))
     tiles = [values.sums(live[i : i + step], ws) for i in range(0, len(live), step)]
-    return np.concatenate(tiles, axis=1)
+    return tiles[0] if len(tiles) == 1 else np.concatenate(tiles, axis=1)
 
 
 @lru_cache(maxsize=32)
@@ -140,15 +140,13 @@ def _refine(evaluate, where: str, rel_tol: float, abs_tol: float):
     live) calls the integrand once over the nodes of the parts, each a
     (level, new_only) pair, and gives each part's weighted sum over its
     nodes: a scalar for one integral, or an array over the rows live of a
-    batch (all of them at the first call). No row is tested before the
+    batch (all of them, None, until some pass). No row is tested before the
     second level, so the first call takes _MIN_LEVEL and the nodes the
     next level adds; each later call, one level's new nodes. Returns each
     row's value at the first level where it passes its test; after each
     level only the rows that have not passed go on."""
     cur, new = evaluate(((_MIN_LEVEL, False), (_MIN_LEVEL + 1, True)), None)
-    batch = np.ndim(cur) == 1
-    live = np.arange(len(cur)) if batch else None
-    result = np.empty_like(cur)
+    live = result = None  # every row live, none passed yet
     for level in range(_MIN_LEVEL + 1, _MAX_LEVEL + 1):
         if level > _MIN_LEVEL + 1:
             (new,) = evaluate(((level, True),), live)
@@ -157,15 +155,17 @@ def _refine(evaluate, where: str, rel_tol: float, abs_tol: float):
         err = np.abs(cur - prev)
         passed = err <= np.maximum(abs_tol, rel_tol * np.abs(cur))
         if passed.all():
-            if not batch:
+            if result is None:
                 return cur
             result[live] = cur
             return result
-        if passed.any():
+        if passed.any():  # a batch's rows, some of which passed
+            if result is None:
+                live, result = np.arange(len(cur)), np.empty_like(cur)
             result[live[passed]] = cur[passed]
             live, cur, err = live[~passed], cur[~passed], err[~passed]
     worst = float(np.max(err))
-    rows = f", the worst of {len(live)} unconverged rows" if batch else ""
+    rows = f", the worst of {len(cur)} unconverged rows" if np.ndim(cur) else ""
     raise QuadratureError(
         f"{where} did not converge by level {_MAX_LEVEL} (last delta {worst:.3e}{rows})"
     )

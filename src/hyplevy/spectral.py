@@ -11,7 +11,7 @@ The cumulant series. The jumps lie in (0, 1), so psi(t) = sum over
 m >= 2 of kappa_m (it)^m / m! converges for every t, and kappa_m is the
 measure's closed-form moment (its shape's log_moment plus the weight).
 The series is summed over the orders m = 2..89 as one (frequencies x
-orders) array, one exp per term, with row sums by np.sum and einsum.
+orders) array, one exp per term, with row sums by np.add.reduce and einsum.
 Each sum carries a stated a-priori bound, first order in the unit
 roundoff, on its terms' rounding, its summation and its truncation
 (_series_rows states the parts). A frequency takes the series when
@@ -36,21 +36,20 @@ quadrature runs to the relative tolerance 1e-11 (_REL_TOL), which is
 fixed, not a parameter. The frequencies of one call are one batch, a
 single quadrature pass in row tiles whose values do not depend on the
 batch (_quadrature_exponents); the scalar char_exponent is a batch of
-one. The batch hands the rule each row's weighted sums over the parts of
-an integrand call's nodes, level 5 and the nodes level 6 adds in the
-first call, one level's new nodes in each later one (_PhaseLevel). Each
-phase term e^{itx} - 1 - itx is taken in one form, its quartic Taylor
-form in t where |t x| < 1e-4 and the large form elsewhere. Where the
-Taylor form holds, and where x rounds to 1.0 (so the phase is t itself),
-a row's sum is a node-only sum, formed once per part, times a factor of
-the row: those columns, about two thirds of the
-density grid's, cost no work per element. The large form has two
-routes. Any batch can take two sines per term. The grid frequencies
-k dt that invert_to_density passes come in runs of consecutive k, where
-the phases at a node form an arithmetic progression; there a doubling
-recurrence gives each row from a few rows of sines by one complex
-multiply-add. Each route has a stated error per term and per row sum,
-which the tests check against mpmath.
+one. Each integrand call (level 5 and the nodes level 6 adds in the
+first, one level's new nodes in each later one) lays its nodes out once,
+in the order the rows read them, and sums every row over each part of
+them (_PhaseLevel). Each phase term e^{itx} - 1 - itx is taken in one
+form, its quartic Taylor form in t where |t x| < 1e-4 and the large form
+elsewhere. The Taylor columns and those where x rounds to 1.0 (so the
+phase is t itself), about two thirds of the density grid's, cost a row
+one line of a node-only table times six factors of its own. The large
+form has two routes. Any batch can take two sines per term. The grid
+frequencies k dt that invert_to_density passes come in runs of
+consecutive k, where the phases at a node form an arithmetic
+progression; there a doubling recurrence gives each row from a few rows
+of sines by one complex multiply-add. Each route has a stated error per
+term and per row sum, which the tests check against mpmath.
 
 Densities come from sampling exp(psi) on a uniform frequency grid,
 truncating where |cf| falls below the threshold 1e-12 (_DECAY_THRESHOLD,
@@ -134,7 +133,7 @@ _REL_TOL = 1e-11  # relative tolerance of every psi quadrature
 _DECAY_THRESHOLD = 1e-12  # |cf| below which the spectrum is cut
 _SEED_ROWS = 4  # rows of a frequency run whose phase terms are direct
 _PROGRESSION_ERR = 16.0  # the recurrence's stated error, in u (|E| + |y|) |top|
-_TAYLOR_COEF = np.array([-1.0 / 2.0, -1.0 / 6.0, 1.0 / 24.0, 1.0 / 120.0])  # of t^2 .. t^5
+_TAYLOR_COEF = np.array([[-1.0 / 2.0], [-1.0 / 6.0], [1.0 / 24.0], [1.0 / 120.0]])  # of t^2 .. t^5
 
 
 def _unit_phase(y):
@@ -162,19 +161,19 @@ def _progression(t, x, top, dt, out) -> None:
     no step cancels (Reinsch's stable form of the rotation; Gentleman
     1969, Computer J. 12:160).
     """
-    n = len(t)
-    seed = min(n, _SEED_ROWS)
-    shifts = seed << np.arange(max(0, math.ceil(math.log2(n / seed))))
-    phases = np.concatenate((t[:seed], shifts * dt))[:, None] * x
-    g = np.empty(phases.shape, dtype=complex)
-    g.real, g.imag = _unit_phase(phases)
+    seed = min(len(t), _SEED_ROWS)
+    shifts = [seed << j for j in range(max(0, math.ceil(math.log2(len(t) / seed))))]
+    lead = np.array(t[:seed].tolist() + [h * dt for h in shifts])
+    g = np.empty((len(lead), len(x)), dtype=complex)
+    g.real, g.imag = _unit_phase(lead[:, None] * x)
     np.multiply(g[:seed], top, out=out[:seed])
-    turn = g[seed:] + 1.0  # e^{is}
-    lift = g[seed:] * top  # G(s) top
-    for h, turn_h, lift_h in zip(shifts, turn, lift):
-        new = out[h : 2 * h]
-        np.multiply(out[: len(new)], turn_h, out=new)
-        new += lift_h
+    if shifts:
+        turn = g[seed:] + 1.0  # e^{is}
+        lift = g[seed:] * top  # G(s) top
+        for h, turn_h, lift_h in zip(shifts, turn, lift):
+            new = out[h : 2 * h]
+            np.multiply(out[: len(new)], turn_h, out=new)
+            new += lift_h
 
 
 class _PhaseLevel:
@@ -186,18 +185,19 @@ class _PhaseLevel:
     powers finite where top alone overflows; x lies in [0, 1]. The parts'
     weights come with the first rows, as the rule passes them, and split
     the nodes into parts: a level's nodes, or the ones the next level
-    adds.
+    adds. reach, if given, is the largest _SMALL_PHASE / |t| of any row.
 
     The nodes are put in ascending x within each part, the parts side by
     side (exp-sinh's x = e^-v descend, so its call's nodes are reversed
     whole, and its parts with them). Each term is taken in one form: its
     quartic Taylor form in t where |y| < _SMALL_PHASE, the large form
-    elsewhere.
-    So in each part a row's Taylor columns are its first b, b =
-    searchsorted(x, _SMALL_PHASE / |t|) over the part, a function of t
-    alone, and its large ones run from b to the end. Per call, once,
-    _weigh forms the node-only sums. Per row and part, the Taylor columns
-    and the columns where x rounds to 1.0 cost O(1):
+    elsewhere. So in each part a row's Taylor columns are its first b,
+    b = searchsorted(x, _SMALL_PHASE / |t|) over the part, and its large
+    ones run from b to the end. The node-only state is laid out once per
+    call, in the order the rows read it (_weigh), and every array of the
+    rows has them as its last axis. Per row and part, the Taylor columns
+    and those where x rounds to 1.0 cost the table's column b times six
+    factors of the row, all rows and parts in one product:
     - Taylor: -t^2/2 P2 + t^4/24 P4 + i(-t^3/6 P3 + t^5/120 P5), P_m the
       prefix sum of w x^m top over the first b columns (a sequential
       np.add.accumulate in ascending x);
@@ -236,138 +236,131 @@ class _PhaseLevel:
     tiles (hyplevy.quadrature._TILE) bound.
     """
 
-    def __init__(self, x, top, powers):
-        self.nodes = (x, top, powers)
+    def __init__(self, x, top, powers, reach=math.inf):
+        self.nodes, self.reach = (x, top, powers), reach
         self.parts = None
 
     def _weigh(self, ws) -> None:
-        """The layout and the node-only sums under the parts' weights ws,
-        once, in the order above: x, top, powers and w; each part's
-        (start, end, stop) columns, x rounding to 1.0 from end on (and
-        starts and ends as arrays); the prefix sums of w x^m top as a
-        (nodes + parts, 4) array (m = 2..5 across), part p's from a
-        leading 0 in row start + p on, so that the first b columns of the
-        layout sum to row b + lift[p], lift = (0, 1, ...); w top and
-        x w top; and each part's sum of w top over its x == 1.0 columns
-        (one)."""
+        """The layout under the parts' weights ws, once, in the caller's
+        errstate (top may overflow): x, top, powers and w in the order
+        above; each part's (start, end, stop) columns, x == 1.0 from end
+        on, and its x (spans); cols, the lines x, w top and x w top; and
+        table, whose column b + p holds for the first b columns of part p
+        the prefix sums of w x^m top (m = 2..5), then its S1 twice where
+        b <= end, else 0: the prefix sums up to the largest b, reach's."""
         x, top, powers = self.nodes
         self.step = -1 if x[0] > x[-1] else 1  # every part runs the same way
         self.x, self.top = x[:: self.step], top[:: self.step]
         self.powers = powers[:, :: self.step]
         self.w = np.concatenate(ws)[:: self.step]
-        terms = self.w[:, None] * self.powers.T
-        self.prefix = np.zeros((len(self.x) + len(ws), 4))
-        # inf or nan only in columns small for every finite frequency below
-        # about 1e300, where top overflows (x tiny or 0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.wtop = self.w * self.top
-            self.xwtop = self.x * self.wtop
-        self.parts, one, start = [], [], 0
+        self.cols = np.empty((3, len(x)))
+        self.cols[0] = self.x
+        np.multiply(self.w, self.top, out=self.cols[1])
+        np.multiply(self.cols[0], self.cols[1], out=self.cols[2])
+        terms = self.powers * self.w
+        self.table = np.zeros((6, len(x) + len(ws)))
+        self.parts, self.spans, start = [], [], 0
         for p, w in enumerate(ws[:: self.step]):
             stop = start + len(w)
-            end = start + int(np.searchsorted(self.x[start:stop], 1.0))
+            self.spans.append(self.x[start:stop])
+            end, last = self.spans[p].searchsorted((1.0, self.reach)).tolist()
+            end, last = start + end, start + p + last
             self.parts.append((start, end, stop))
-            rows = slice(start + p + 1, stop + p + 1)  # below them, the part's leading 0
-            np.add.accumulate(terms[start:stop], axis=0, out=self.prefix[rows])
-            one.append(np.add.reduce(self.wtop[end:stop]) if end < stop else 0.0)
+            prefix = self.table[:4, start + p + 1 : last + 1]
+            np.add.accumulate(terms[:, start : last - p], axis=1, out=prefix)
+            if end < stop:
+                one = np.add.reduce(self.cols[1, end:stop])
+                self.table[4:, start + p : min(end + p, last) + 1] = one
             start = stop
-        self.one = np.array(one)
-        self.starts, self.ends = (np.array(c) for c in list(zip(*self.parts))[:2])
-        self.lift = np.arange(len(ws))
+        starts, self.ends_list, _ = zip(*self.parts)
+        self.starts, self.ends = np.array([starts, self.ends_list])[..., None]
+        self.lift = np.arange(len(ws))[:, None]
 
     def sums(self, t, ws, dt=None) -> np.ndarray:
         """The (parts, rows) row sums at the 1-D frequencies t (nonzero),
-        with dt for grid frequencies t = k dt."""
+        with dt for grid frequencies t = k dt. Every array of the rows has
+        them as its last axis."""
         if self.parts is None:
             self._weigh(ws)
         small = _SMALL_PHASE / np.abs(t)
-        b = np.empty((len(t), len(self.parts)), dtype=np.intp)  # columns of the layout
-        for p, (start, _, stop) in enumerate(self.parts):
-            b[:, p] = np.searchsorted(self.x[start:stop], small)
+        b = np.empty((len(self.parts), len(t)), dtype=np.intp)  # columns of the layout
+        for p, span in enumerate(self.spans):
+            b[p] = span.searchsorted(small)
         b += self.starts
-        # Taylor: the prefix sums times (-t^2/2, -t^3/6, t^4/24, t^5/120),
-        # the real parts summed beside the imaginary ones
-        factors = np.empty((len(t), 1, 4))
-        np.multiply(t, t, out=factors[:, 0, 0])
-        for j in range(1, 4):
-            np.multiply(factors[:, 0, j - 1], t, out=factors[:, 0, j])
-        factors *= _TAYLOR_COEF
-        factors = factors * self.prefix[b + self.lift]
-        parts = factors[..., :2] + factors[..., 2:]
-        if any(end < stop for _, end, stop in self.parts):
-            # the x == 1.0 columns, large in every row with b <= end (a
-            # part without them adds 0)
-            one = (b <= self.ends) * self.one
-            h, s = _unit_phase(t)
-            s -= t
-            parts[..., 0] += h[:, None] * one
-            parts[..., 1] += s[:, None] * one
-        out = parts.view(complex)[..., 0]
-        if (b.min(axis=0) < self.ends).any():
-            out += self._large(t, b, dt)  # 0 where a row has no large column
-        return out.T[:: self.step]
-
-    def _large(self, t, b, dt) -> np.ndarray:
-        """Each row's sum of its large-form terms over its columns b..end
-        of each part, (rows, parts), by one reduceat over _large_terms."""
-        flat, bounds = self._large_terms(t, b, dt)
-        sums = np.add.reduceat(flat, bounds.ravel())[0::2].reshape(b.shape)
-        # no large column: reduceat would give flat[start]
-        sums[bounds[:, 0::2] == bounds[:, 1::2]] = 0.0
-        return sums
+        # the rows' factors: t .. t^5 by sequential products, t^2 .. t^5
+        # times (-1/2, -1/6, 1/24, 1/120), then -2 sin(t/2)^2 and sin t - t
+        f = np.empty((7, len(t)))
+        f[:5] = t
+        np.multiply.accumulate(f[:5], axis=0, out=f[:5])
+        f[1:5] *= _TAYLOR_COEF
+        f[5], f[6] = _unit_phase(t)
+        f[6] -= t
+        terms = f[1:, None] * self.table.take(b + self.lift, axis=1)
+        # the real parts summed beside the imaginary ones, in turn: the
+        # Taylor terms in t^2 and t^3, in t^4 and t^5, then x == 1.0
+        out = np.empty(b.shape, dtype=complex)
+        parts = out.view(float).reshape(*b.shape, 2).transpose(2, 0, 1)
+        np.add.reduce(terms.reshape(3, 2, *b.shape), axis=0, out=parts)
+        flat, bounds, gap = self._large_terms(t, b, dt)
+        sums = np.add.reduceat(flat, bounds.ravel())[0::2].reshape(len(t), -1)
+        # where a row has no large column in a part (gap 0), reduceat gives
+        # flat[bound]: nothing is added
+        np.add(out, sums.T, out=out, where=gap > 0)
+        return out[:: self.step]
 
     def _large_terms(self, t, b, dt):
         """The large form (G(y) - iy) w top of the rows t, whose Taylor
-        columns end at b (rows, parts, columns of the layout): (flat,
-        bounds), row i's terms over part p's columns b[i, p]..end being
-        flat[bounds[i, 2p] : bounds[i, 2p + 1]], in ascending x.
+        columns end at b (parts, rows, columns of the layout): (flat,
+        bounds, gap), row i's terms over part p's columns b[p, i]..end
+        being flat[bounds[i, 2p] : bounds[i, 2p + 1]], in ascending x,
+        gap[p, i] of them.
 
         Each run of rows (each run of consecutive k with dt, all the rows
         without) is one (rows, columns) block of flat over the columns of
         every part from the run's least b to that part's end, the parts
         side by side; so a run takes no column below its least b, and the
-        segments between a row's own columns are summed and dropped."""
-        own = np.minimum(b, self.ends)
+        segments between a row's own columns are summed and dropped. A
+        run whose rows have no large column takes no block."""
+        gap = self.ends - np.minimum(b, self.ends)
         starts = [0]
         if dt is not None:
             k = np.rint(t / dt)
-            starts += (np.flatnonzero(k[1:] != k[:-1] + 1.0) + 1).tolist()
-        runs = list(zip(starts, starts[1:] + [len(t)]))
-        firsts = np.minimum.reduceat(own, starts, axis=0).tolist()  # per run and part
-        ends = self.ends.tolist()
-        widths = [sum(ends) - sum(first) for first in firsts]
-        size = sum((c - a) * width for (a, c), width in zip(runs, widths))
+            starts += [i + 1 for i in (k[1:] != k[:-1] + 1.0).nonzero()[0].tolist()]
+        runs, size = [], 0
+        spans = np.maximum.reduceat(gap, starts, axis=1).T.tolist()  # per run and part
+        for a, c, span in zip(starts, starts[1:] + [len(t)], spans):
+            cols, ends, at = [], [], 0  # each part's columns, and where it ends in a line
+            for end, width in zip(self.ends_list, span):
+                cols.append(self.cols[:, end - width : end])
+                at += width
+                ends.append(at)
+            runs.append((a, c, cols, ends, size))
+            size += (c - a) * at
         flat = np.empty(size + 1, dtype=complex)  # one spare: every bound is in range
-        bounds = np.empty((len(t), 2 * len(ends)), dtype=np.intp)
-        offset = 0
-        for (a, c), first, width in zip(runs, firsts, widths):
-            row = np.arange(offset, offset + (c - a) * width, width)
-            at = 0  # the part's first column in the block
-            for p, (f, end) in enumerate(zip(first, ends)):
-                np.add(row, own[a:c, p], out=bounds[a:c, 2 * p])
-                bounds[a:c, 2 * p] += at - f
-                at += end - f
-                np.add(row, at, out=bounds[a:c, 2 * p + 1])
-            if width:
-                cols = [slice(f, end) for f, end in zip(first, ends)]
-                x = np.concatenate([self.x[col] for col in cols])
-                wtop = np.concatenate([self.wtop[col] for col in cols])
-                block = flat[offset : offset + (c - a) * width].reshape(c - a, width)
-                if dt is None:
-                    y = t[a:c, None] * x
-                    h, s = _unit_phase(y)
-                    np.multiply(h, wtop, out=block.real)
-                    s -= y
-                    np.multiply(s, wtop, out=block.imag)
-                else:
-                    _progression(t[a:c], x, wtop, dt, block)
-                    xwtop = np.concatenate([self.xwtop[col] for col in cols])
-                    run_t = t[a:c, None]
-                    step = max(1, _TILE // (4 * width))  # the product's rows at a time
-                    for i in range(0, c - a, step):
-                        block.imag[i : i + step] -= run_t[i : i + step] * xwtop
-            offset += (c - a) * width
-        return flat, bounds
+        bounds = np.empty((len(t), len(self.parts), 2), dtype=np.intp)
+        for a, c, cols, ends, offset in runs:
+            width = ends[-1]
+            if not width:
+                bounds[a:c, :, 1] = offset
+                continue
+            lines = np.arange(offset, offset + (c - a) * width, width)
+            np.add(lines[:, None], ends, out=bounds[a:c, :, 1])
+            x, wtop, xwtop = np.concatenate(cols, axis=1)
+            block = flat[offset : offset + (c - a) * width].reshape(c - a, width)
+            if dt is None:
+                y = t[a:c, None] * x
+                h, s = _unit_phase(y)
+                np.multiply(h, wtop, out=block.real)
+                s -= y
+                np.multiply(s, wtop, out=block.imag)
+            else:
+                _progression(t[a:c], x, wtop, dt, block)
+                run_t = t[a:c, None]
+                step = max(1, _TILE // (4 * width))  # the product's rows at a time
+                for i in range(0, c - a, step):
+                    block.imag[i : i + step] -= run_t[i : i + step] * xwtop
+        np.subtract(bounds[..., 1], gap.T, out=bounds[..., 0])
+        return flat, bounds.reshape(len(t), -1), gap
 
 
 def _quadrature_exponents(measure: LevyMeasure1D, ts: np.ndarray, dt=None) -> np.ndarray:
@@ -389,9 +382,11 @@ def _quadrature_exponents(measure: LevyMeasure1D, ts: np.ndarray, dt=None) -> np
     shape = measure.shape
     t = np.asarray(ts, dtype=float)
 
+    reach = _SMALL_PHASE / np.minimum.reduce(np.abs(t))  # the largest of any row's
+
     def integrand(*nodes):
-        level = _PhaseLevel(*shape.phase_terms(*nodes))
-        return RowBatch(len(t), lambda rows, ws: level.sums(t[rows], ws, dt))
+        level = _PhaseLevel(*shape.phase_terms(*nodes), reach)
+        return RowBatch(len(t), lambda rows, ws: level.sums(t.take(rows), ws, dt))
 
     rule = exp_sinh if shape.half_line else tanh_sinh
     # a phase term that overflows (|t| near 1e300) makes its row nan, which
@@ -502,13 +497,13 @@ def _series_rows(table: _SeriesTable, log_weight: float, ts: np.ndarray):
     at = np.abs(ts)
     lam = np.log(at)
     terms = np.exp(table.coef + log_weight + lam[:, None] * table.orders)
-    signed = terms * table.signs
-    psi = np.empty(len(lam), dtype=complex)
-    psi.real = np.sum(signed[:, :_N_EVEN], axis=1)
-    psi.imag = np.sum(signed[:, _N_EVEN:], axis=1) * np.sign(ts)
+    # Re and Im side by side: each row's sums of its even and odd orders
+    halves = (terms * table.signs).reshape(len(ts), 2, _N_EVEN)
+    psi = np.add.reduce(halves, axis=2).view(complex)[:, 0]
+    psi.imag *= np.sign(ts)
     parts = np.einsum("ij,kj->ki", terms, table.err)
     bound = parts[0] + abs(log_weight) * parts[1] + np.abs(lam) * parts[2]
-    bound += _remainder(terms[:, -1], at, table.orders[-1])
+    bound += _remainder(terms[:, -1], at, _SERIES_ORDERS + 1.0)
     bound += len(table.orders) * 2.0**-1074
     return psi, bound
 
@@ -532,7 +527,7 @@ def _series_exponents(measure: LevyMeasure1D, ts: np.ndarray, probes=()):
     (the run) or its bound infinite (a probe).
     """
     table = _series_table(measure.shape)
-    n = int(np.searchsorted(np.abs(ts), table.reach, side="left"))
+    n = int(np.abs(ts).searchsorted(table.reach))
     step = _TILE // len(table.orders)
     lead = min(n, step)
     if not lead + len(probes):
@@ -546,7 +541,9 @@ def _series_exponents(measure: LevyMeasure1D, ts: np.ndarray, probes=()):
                 psi, bound = _series_rows(table, measure.log_weight, ts[start : min(start + step, n)])
             rows = min(step, n - start)
             ok = bound[:rows] <= _SERIES_TOL * (np.abs(psi[:rows]) - bound[:rows])
-            kept = rows if ok.all() else int(np.argmin(ok))
+            kept = rows if ok.all() else int(ok.argmin())
+            if kept == n:  # the whole run in the first tile, the probes after it
+                return psi, bound
             psis.append(psi[:kept])
             bounds.append(bound[:kept])
             if kept < rows:
@@ -772,7 +769,7 @@ def _cutoff_search(measure: LevyMeasure1D, dt: float, n: int, half_width: float)
             checked = [top]
     for i_cut in checked:
         if not known[i_cut]:
-            evaluate(np.flatnonzero(~known[: max(i_cut, seed) + 1]), dt)
+            evaluate((~known[: max(i_cut, seed) + 1]).nonzero()[0], dt)
         achieved = float(abs(a[i_cut]))
         if achieved < _DECAY_THRESHOLD:
             return a, i_cut, achieved

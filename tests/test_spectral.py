@@ -402,6 +402,35 @@ class TestBlockExponents:
         _quadrature_exponents(LIMIT2, np.array([1.0]))
         assert [rec["points"] for rec in quad_log] == [[783], [783]]
 
+    @pytest.mark.parametrize("rows", [4, 48])
+    @pytest.mark.parametrize("tile", [391, quadrature._TILE], ids=["one_row_tiles", "default"])
+    def test_each_integrand_call_lays_out_its_nodes_once(self, rows, tile, quad_log, monkeypatch):
+        # work counts, no timings: however many rows and row tiles share an
+        # integrand call (391 elements make one-row tiles), the shape's
+        # phase_terms runs once and the node layout (_weigh) is built once
+        counts = {"phase_terms": 0, "layout": 0, "tiles": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        shape = type(RESC43.shape)
+        monkeypatch.setattr(quadrature, "_TILE", tile)
+        monkeypatch.setattr(shape, "phase_terms", counted("phase_terms", shape.phase_terms))
+        monkeypatch.setattr(_PhaseLevel, "_weigh", counted("layout", _PhaseLevel._weigh))
+        monkeypatch.setattr(_PhaseLevel, "sums", counted("tiles", _PhaseLevel.sums))
+        dt = grid_step(RESC43)
+        _quadrature_exponents(RESC43, (20.0 + np.arange(rows)) * dt, dt)
+        (rec,) = quad_log
+        calls = len(rec["points"])
+        assert counts["phase_terms"] == counts["layout"] == calls >= 1
+        # the row tiles of every call: one per live row, or one per call
+        assert counts["tiles"] == (sum(rec["live"]) if tile == 391 else calls)
+        assert rows == rec["live"][0] and (tile == 391) == (counts["tiles"] > calls)
+
     @pytest.mark.parametrize(
         "measure", [RESC43, LIMIT2, HYP75, LIMIT1], ids=["resc43", "limit2", "hyp75", "limit1"]
     )
@@ -422,7 +451,9 @@ class TestBlockExponents:
                 *nodes, w = quadrature._es_nodes(lv, new_only)
             else:
                 *nodes, w = quadrature._ts_nodes(lv, new_only)
-            return _PhaseLevel(*measure.shape.phase_terms(*nodes)).sums(ts, (w,), dt)[0]
+            # under the pass's errstate, where top may overflow
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _PhaseLevel(*measure.shape.phase_terms(*nodes)).sums(ts, (w,), dt)[0]
 
         want = measure._times_coef(0.5 * level(5, False) + level(6, True))
         assert got.tobytes() == want.tobytes()
@@ -929,7 +960,8 @@ def levels_five_and_six(measure):
     table = quadrature._es_nodes if measure.shape.half_line else quadrature._ts_nodes
     nodes, ws = quadrature._call_nodes(table, ((5, False), (6, True)))
     phase = _PhaseLevel(*measure.shape.phase_terms(*nodes))
-    phase._weigh(ws)
+    with np.errstate(over="ignore", invalid="ignore"):  # the pass's, where top overflows
+        phase._weigh(ws)
     return phase, ws
 
 
@@ -1121,15 +1153,14 @@ def large_tiles(phase, t, live, tile, dt=None):
     """_PhaseLevel's large-form terms over the rows live, in the row tiles
     the quadrature makes on the first call (at most 392 nodes a part)
     under the budget tile, as (rows, their Taylor columns b of the
-    layout, flat, bounds) (_large_terms); with dt, the rows are grid
-    frequencies on the recurrence."""
+    layout by part, flat, bounds) (_large_terms); with dt, the rows are
+    grid frequencies on the recurrence."""
     step = max(1, tile // 392)
     for i in range(0, len(live), step):
         rows = np.array(live[i : i + step])
-        b = np.stack(
-            [a + taylor_columns(phase.x[a:z], t[rows]) for a, _, z in phase.parts], axis=1
-        )
-        yield (rows, b, *phase._large_terms(t[rows], b, dt))
+        b = np.stack([a + taylor_columns(phase.x[a:z], t[rows]) for a, _, z in phase.parts])
+        flat, bounds, _ = phase._large_terms(t[rows], b, dt)
+        yield rows, b, flat, bounds
 
 
 # the rows a level keeps live: a run of up to 64 of 128 rows, less a few
@@ -1177,7 +1208,7 @@ class TestProgressionRoute:
         for (rows, b, got, bounds), (_, _, sines, sine_bounds) in tiles:
             for i, row in enumerate(rows):
                 for p, (_, end, _) in enumerate(phase.parts):
-                    cols = range(b[i, p], end)  # the row's own large columns
+                    cols = range(b[p, i], end)  # the row's own large columns
                     lo, hi = bounds[i, 2 * p : 2 * p + 2]
                     s_lo, s_hi = sine_bounds[i, 2 * p : 2 * p + 2]
                     assert hi - lo == s_hi - s_lo == len(cols)
@@ -1209,6 +1240,16 @@ class TestProgressionRoute:
             got = _quadrature_exponents(measure, ts, dt)
         want = _quadrature_exponents(measure, ts)
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    def test_a_run_without_large_columns_beside_one_with_them(self):
+        # at dt = 1e-5, k = 1..3 (|t| < 1e-4) take only Taylor columns and
+        # k = 1e5 large ones too: each run gets the bits of a call with it
+        # alone (the run without a block used to divide by its width, 0)
+        dt = 1e-5
+        runs = [np.array([1.0, 2.0, 3.0]), np.array([1e5])]
+        got = _quadrature_exponents(RESC43, np.concatenate(runs) * dt, dt)
+        want = np.concatenate([_quadrature_exponents(RESC43, ks * dt, dt) for ks in runs])
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("measure", SEARCH_LAWS, ids=SEARCH_IDS)
     def test_a_run_ends_where_k_skips(self, measure, monkeypatch):
